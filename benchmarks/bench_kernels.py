@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled subset-scan kernel against the pure-Python twin.
+"""Benchmark the compiled C subset-scan kernel against the pure-Python twin.
 
 Usage: python benchmarks/bench_kernels.py [--sizes 16,18,20,22] [--p 0.5]
+
+The compiled column needs franklbip._kernels built by a C compiler (an
+install, or `python setup.py build_ext --inplace` in a checkout); without
+it only the twin is timed.
 """
 
 import argparse

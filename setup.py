@@ -1,24 +1,15 @@
-import sys
-
 from setuptools import Extension, setup
 
-# The compiled kernel is optional: franklbip.mss falls back to the pure-Python
-# twin in _pykernels when the extension is unavailable.
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "franklbip._kernels",
-                ["src/franklbip/_kernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except Exception as exc:  # pragma: no cover - build environments without Cython
-    sys.stderr.write(f"franklbip: skipping compiled kernel ({exc})\n")
-
-setup(ext_modules=ext_modules)
+# The compiled kernel is plain C and needs only a C compiler.  It is optional:
+# when the build fails, installation goes on and franklbip.mss falls back to
+# the pure-Python twin in _pykernels.
+setup(
+    ext_modules=[
+        Extension(
+            "franklbip._kernels",
+            ["src/franklbip/_kernels.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

@@ -1,4 +1,4 @@
-"""Pure-Python subset-scan kernels; compiled twin in _kernels.pyx.
+"""Pure-Python subset-scan kernels; compiled twin in _kernels.c.
 
 Both kernels walk the subsets A of the scan side depth-first, carrying the
 covered set N(A) of the other side as a bitmask.  A pair (A, other \\ N(A))

@@ -25,6 +25,8 @@ import numpy as np
 from . import _pykernels
 from .graphs import BipartiteGraph
 
+# The compiled kernel (_kernels.c) is built when a C compiler is available;
+# without it, or with FRANKLBIP_PURE_PYTHON set, the pure-Python twin runs.
 if os.environ.get("FRANKLBIP_PURE_PYTHON"):
     _impl = _pykernels
     KERNEL = "python"
@@ -275,8 +277,12 @@ def almost_unstable_vertex(stats: MssStats, side: str, delta) -> Optional[tuple]
 def conjecture_check(g: BipartiteGraph, delta=0,
                      cap: int = DEFAULT_CANDIDATE_CAP) -> ConjectureVerdict:
     """Up-to-delta verdict for both sides from a single enumeration."""
-    stats = mss_stats(g, cap)
-    vacuous = g.edge_count() == 0
+    return verdict_from_stats(mss_stats(g, cap), g.edge_count() == 0, delta)
+
+
+def verdict_from_stats(stats: MssStats, vacuous: bool, delta=0) -> ConjectureVerdict:
+    """Up-to-delta verdict from statistics already enumerated; vacuous marks
+    an edgeless graph, which satisfies the conjecture trivially."""
     lw = almost_unstable_vertex(stats, "left", delta)
     rw = almost_unstable_vertex(stats, "right", delta)
     satisfied = vacuous or (lw is not None and rw is not None)

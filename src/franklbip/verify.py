@@ -520,8 +520,9 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
     """Run the averaging campaign once per (m, n, p, delta) grid point.
 
     Point i runs on sub-stream seed.child-composed from i, so the table is
-    identical for any worker count; per-point errors become rows with
-    verdict `error` instead of aborting the sweep.
+    identical for any worker count.  A point the campaign refuses (over the
+    cap, outside a hypothesis, invalid parameters) becomes a row with verdict
+    `error` instead of aborting the sweep; any other exception propagates.
     """
     points = list(grid)
 
@@ -539,7 +540,7 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
                 measured=report.measured, ci=report.ci, verdict=report.verdict,
                 seed=seed.root, extra=extra,
             )
-        except Exception as exc:
+        except (CapExceeded, HypothesisViolation, ValueError) as exc:
             return BoundReport(
                 lemma_id="average", m=m, n=n, p=float(p), delta=float(delta),
                 trials=trials, claimed=float("nan"), measured=float("nan"),

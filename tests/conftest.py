@@ -4,13 +4,24 @@ The weighted-enumeration oracle walks every edge configuration of a small
 random graph model and sums p^edges q^(non-edges) times a statistic; it is
 the ground truth the closed forms are checked against, and it never calls
 the module under test.
+
+The compiled_kernels fixture builds the C kernel with the repository's own
+setup.py into a temporary directory, so tests compare it with the pure-Python
+twin whether or not an installed build exists.
 """
+
+import importlib.util
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from franklbip.graphs import BipartiteGraph, Seed, sample_bipartite
 
 CORPUS_PS = (0.2, 0.5, 0.8)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def all_edge_configs(m, n):
@@ -48,3 +59,22 @@ def small_corpus(count=500, max_total=14, root=1000):
 @pytest.fixture(scope="session")
 def corpus():
     return small_corpus()
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """franklbip._kernels built from this checkout; skips only without a C compiler."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    out = tmp_path_factory.mktemp("kernels")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    built = sorted((out / "lib" / "franklbip").glob("_kernels*"))
+    assert proc.returncode == 0 and built, f"kernel build failed:\n{proc.stderr}"
+    spec = importlib.util.spec_from_file_location("franklbip._kernels", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

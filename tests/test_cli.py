@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from franklbip import cli
+from franklbip import cli, mss
 from franklbip.graphs import matching_graph, parse_graph, serialize_graph
 
 
@@ -82,6 +82,23 @@ class TestStats:
         assert payload["stats"]["total"] == "4"
         assert payload["left_avg"] == "1/1"
         assert payload["config"]["subcommand"] == "stats"
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_enumerates_once(self, capsys, tmp_path, monkeypatch, fmt):
+        calls = []
+        real = mss._impl
+
+        class CountingKernel:
+            def scan_stats(self, *args):
+                calls.append(args)
+                return real.scan_stats(*args)
+
+        monkeypatch.setattr(mss, "_impl", CountingKernel())
+        path = tmp_path / "m3.graph"
+        path.write_text(serialize_graph(matching_graph(3)))
+        rc, _, _ = run(capsys, "stats", str(path), "--format", fmt)
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_parse_error_is_io_exit(self, capsys, tmp_path):
         path = tmp_path / "bad.graph"

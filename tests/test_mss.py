@@ -32,6 +32,7 @@ from franklbip.mss import (
     left_avg,
     mss_stats,
     almost_unstable_vertex,
+    verdict_from_stats,
 )
 
 
@@ -163,19 +164,63 @@ class TestStats:
             )
             assert count_mss_with_sizes(g, ell, r) == want
 
-    def test_kernel_twins_agree(self):
-        # the compiled kernel is optional; the pure twin is the reference
-        try:
-            from franklbip import _kernels
-        except ImportError:
-            pytest.skip("compiled kernel not built")
+
+class TestCompiledKernel:
+    """The C kernel against the pure-Python twin, which is the reference."""
+
+    @staticmethod
+    def assert_agree(kernels, g, lo_ks=(1,)):
+        rows = list(g.adj)
+        ref = _pykernels.scan_stats(rows, g.m, g.n)
+        # select the most common (k, f) so that sel_count is exercised
+        sel = (max(range(g.m + 1), key=ref[1].__getitem__),
+               max(range(g.n + 1), key=ref[2].__getitem__))
+        for args in ((rows, g.m, g.n), (rows, g.m, g.n, 1, 2), (rows, g.m, g.n, *sel)):
+            assert tuple(kernels.scan_stats(*args)) == tuple(_pykernels.scan_stats(*args))
+        for lo_k in lo_ks:
+            assert kernels.scan_free_hist(rows, g.m, g.n, lo_k) == list(
+                _pykernels.scan_free_hist(rows, g.m, g.n, lo_k))
+
+    def test_kernel_twins_agree(self, compiled_kernels):
         for i in range(60):
             g = sample_bipartite(1 + i % 7, 1 + (i // 7) % 7, 0.45, Seed(77, i))
-            args = (list(g.adj), g.m, g.n, 1, 2)
-            assert tuple(_pykernels.scan_stats(*args)) == tuple(_kernels.scan_stats(*args))
-            assert list(_pykernels.scan_free_hist(list(g.adj), g.m, g.n, 1)) == list(
-                _kernels.scan_free_hist(list(g.adj), g.m, g.n, 1)
-            )
+            self.assert_agree(compiled_kernels, g, lo_ks=(0, 1, g.m + 1))
+
+    @pytest.mark.parametrize("m,n,p", [(8, 70, 0.4), (12, 130, 0.3), (3, 64, 0.5), (5, 65, 0.2)])
+    def test_multi_word_other_side(self, compiled_kernels, m, n, p):
+        self.assert_agree(compiled_kernels, sample_bipartite(m, n, p, Seed(78, n)), lo_ks=(0, 3))
+
+    @pytest.mark.parametrize("m,n,p", [(62, 62, 0.95), (62, 70, 0.9)])
+    def test_largest_scan_side(self, compiled_kernels, m, n, p):
+        g = sample_bipartite(m, n, p, Seed(79, n))
+        assert _pykernels.scan_stats(list(g.adj), m, n)[0] > 2
+        # lo_k = m - 1 keeps the 2^62-leaf free-part walk to m + 1 leaves
+        self.assert_agree(compiled_kernels, g, lo_ks=(m - 1, m))
+
+    @pytest.mark.parametrize("rows,s,t", [([], 0, 5), ([], 0, 0), ([0, 0, 0], 3, 0)])
+    def test_empty_sides(self, compiled_kernels, rows, s, t):
+        for args in ((rows, s, t), (rows, s, t, 0, t), (rows, s, t, s, 0)):
+            assert tuple(compiled_kernels.scan_stats(*args)) == tuple(
+                _pykernels.scan_stats(*args))
+        for lo_k in (0, s, s + 1):
+            assert compiled_kernels.scan_free_hist(rows, s, t, lo_k) == list(
+                _pykernels.scan_free_hist(rows, s, t, lo_k))
+
+    def test_keyword_arguments(self, compiled_kernels):
+        g = sample_bipartite(5, 6, 0.5, Seed(81))
+        rows = list(g.adj)
+        assert compiled_kernels.scan_stats(rows=rows, s=5, t=6, sel_k=2, sel_f=3) == \
+            compiled_kernels.scan_stats(rows, 5, 6, 2, 3)
+        assert compiled_kernels.scan_free_hist(rows=rows, s=5, t=6, lo_k=2) == \
+            compiled_kernels.scan_free_hist(rows, 5, 6, 2)
+
+    @pytest.mark.parametrize("fn", ["scan_stats", "scan_free_hist"])
+    def test_refuses_bad_sides(self, compiled_kernels, fn):
+        kernel = getattr(compiled_kernels, fn)
+        with pytest.raises(ValueError, match="too large"):
+            kernel([0] * 63, 63, 4)
+        with pytest.raises(ValueError, match="row count"):
+            kernel([0, 0], 3, 4)
 
 
 class TestLeftAvg:
@@ -231,6 +276,12 @@ class TestConjectureCheck:
         assert d["delta"] == "0/1"
         assert d["left_witness"]["fraction"] == "1/2"
         assert d["satisfied"] is True
+
+    def test_verdict_from_stats_matches(self, corpus):
+        for g, _ in corpus[:120]:
+            for delta in (0, Fraction(1, 10)):
+                got = verdict_from_stats(mss_stats(g), g.edge_count() == 0, delta)
+                assert got == conjecture_check(g, delta)
 
 
 def test_conjecture_exhaustive_up_to_seven():

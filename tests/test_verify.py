@@ -345,6 +345,28 @@ class TestSweep:
         assert reps[1].verdict == verify.ERROR
         assert "CapExceeded" in reps[1].extra["error"]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unexpected_errors_propagate(self, monkeypatch, workers):
+        def broken(g, cap=None):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(mss, "mss_stats", broken)
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            sweep(self.GRID3, 2, Seed(1), workers=workers)
+
+    def test_bytes_identical_across_kernels_and_workers(self, compiled_kernels, monkeypatch):
+        from franklbip import _pykernels
+
+        # mixed shapes: the n < m points scan the right side and map back
+        grid = [(10, 8, 0.3, 0.0), (9, 12, 0.5, 0.1), (12, 12, 0.2, 0.0), (14, 6, 0.4, 0.05)]
+        outputs = set()
+        for impl in (compiled_kernels, _pykernels):
+            monkeypatch.setattr(mss, "_impl", impl)
+            for workers in (1, 2):
+                reps = sweep(grid, 6, Seed(11), workers=workers)
+                outputs.add((reports_to_csv(reps, with_regime=True), reports_to_json(reps)))
+        assert len(outputs) == 1
+
     def test_regime_column_covers_all_tags(self):
         grid = [(m, n, p, 0.0) for (m, n, p), _ in REGIME_GRID]
         reps = sweep(grid, 2, Seed(7))
