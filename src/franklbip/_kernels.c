@@ -1,13 +1,17 @@
-/* Compiled subset-scan kernels; pure-Python twin in _pykernels.py.
+/* Compiled kernels; pure-Python twins in _pykernels.py.
  *
- * Same depth-first walk and prunes as the twin: coverage of the other side
- * only grows down the tree, so a left-out vertex whose neighbourhood is fully
- * covered kills its subtree, and re-checking left-out vertices whenever
- * coverage grows makes accepted leaves final without a closing scan.
+ * Subset scans.  Same depth-first walk and prunes as the twin: coverage of
+ * the other side only grows down the tree, so a left-out vertex whose
+ * neighbourhood is fully covered kills its subtree, and re-checking left-out
+ * vertices whenever coverage grows makes accepted leaves final without a
+ * closing scan.  Rows are packed into W = ceil(t / 64) words each, masked to
+ * the t bits of the other side.  The walk touches no Python object and runs
+ * with the interpreter lock released, once per call.
  *
- * Rows are packed into W = ceil(t / 64) words each, masked to the t bits of
- * the other side.  The walk touches no Python object and runs with the
- * interpreter lock released, once per call.
+ * Sampler.  Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy
+ * as 1, 2, 3", SC'11) run exactly as numpy's Philox bit generator runs it, so
+ * a draw is bit-identical to the twin's numpy draw without importing numpy.
+ * A draw takes O(m n) ns, so it keeps the interpreter lock.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -117,6 +121,52 @@ static void free_hist_visit(FreeCtx *c, int u, int k)
     free_hist_visit(c, u + 1, k + 1);
     memcpy(nxt, nb, (size_t)W * sizeof(u64));
     free_hist_visit(c, u + 1, k);
+}
+
+/* --- Philox4x64-10 ----------------------------------------------------------- */
+
+#define PHILOX_M0 0xD2E7470EE14C6C93ULL
+#define PHILOX_M1 0xCA5A826395121157ULL
+#define PHILOX_W0 0x9E3779B97F4A7C15ULL
+#define PHILOX_W1 0xBB67AE8584CAA73BULL
+
+/* numpy's state after Philox(key=...): counter 0 and an empty buffer, so the
+ * counter is incremented, with carry, before each block of four words. */
+typedef struct {
+    u64 ctr[4], key[2], out[4];
+    int used;
+} Philox;
+
+static void philox_block(Philox *g)
+{
+    for (int i = 0; i < 4 && ++g->ctr[i] == 0; i++)
+        ;
+    u64 c0 = g->ctr[0], c1 = g->ctr[1], c2 = g->ctr[2], c3 = g->ctr[3];
+    u64 k0 = g->key[0], k1 = g->key[1];
+    for (int round = 0; round < 10; round++) {
+        if (round) {
+            k0 += PHILOX_W0;
+            k1 += PHILOX_W1;
+        }
+        unsigned __int128 p0 = (unsigned __int128)PHILOX_M0 * c0;
+        unsigned __int128 p1 = (unsigned __int128)PHILOX_M1 * c2;
+        c0 = (u64)(p1 >> 64) ^ c1 ^ k0;
+        c1 = (u64)p1;
+        c2 = (u64)(p0 >> 64) ^ c3 ^ k1;
+        c3 = (u64)p0;
+    }
+    g->out[0] = c0;
+    g->out[1] = c1;
+    g->out[2] = c2;
+    g->out[3] = c3;
+    g->used = 0;
+}
+
+static inline u64 philox_next(Philox *g)
+{
+    if (g->used == 4)
+        philox_block(g);
+    return g->out[g->used++];
 }
 
 /* --- Python boundary ------------------------------------------------------ */
@@ -255,18 +305,89 @@ static PyObject *scan_free_hist(PyObject *self, PyObject *args, PyObject *kwargs
     return result;
 }
 
+/* Inverse of pack_rows for one row: W little-endian words to an int. */
+static PyObject *words_to_long(const u64 *words, Py_ssize_t W, PyObject *sixty_four)
+{
+    PyObject *acc = PyLong_FromUnsignedLongLong(words[W - 1]);
+    for (Py_ssize_t wd = W - 2; acc != NULL && wd >= 0; wd--) {
+        PyObject *word = PyLong_FromUnsignedLongLong(words[wd]);
+        PyObject *shifted = word ? PyNumber_Lshift(acc, sixty_four) : NULL;
+        Py_DECREF(acc);
+        acc = shifted ? PyNumber_Or(shifted, word) : NULL;
+        Py_XDECREF(shifted);
+        Py_XDECREF(word);
+    }
+    return acc;
+}
+
+PyDoc_STRVAR(sample_rows_doc,
+"sample_rows(m, n, p, root, stream)\n--\n\n"
+"Compiled counterpart of _pykernels.sample_rows (same contract).");
+
+static PyObject *sample_rows(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"m", "n", "p", "root", "stream", NULL};
+    Py_ssize_t m, n;
+    double p;
+    PyObject *root_obj, *stream_obj;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nndOO", kwlist,
+                                     &m, &n, &p, &root_obj, &stream_obj))
+        return NULL;
+    if (m < 1 || n < 1) {
+        PyErr_SetString(PyExc_ValueError, "need m >= 1 and n >= 1");
+        return NULL;
+    }
+    if (!(p >= 0.0 && p <= 1.0)) {
+        PyErr_SetString(PyExc_ValueError, "edge probability outside [0, 1]");
+        return NULL;
+    }
+    /* OverflowError outside [0, 2^64), as numpy's uint64 key raises. */
+    unsigned long long root = PyLong_AsUnsignedLongLong(root_obj);
+    if (root == (unsigned long long)-1 && PyErr_Occurred())
+        return NULL;
+    unsigned long long stream = PyLong_AsUnsignedLongLong(stream_obj);
+    if (stream == (unsigned long long)-1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t W = n / 64 + (n % 64 != 0);
+    u64 *words = malloc((size_t)W * sizeof(u64));
+    if (words == NULL)
+        return PyErr_NoMemory();
+    PyObject *sixty_four = PyLong_FromLong(64);
+    PyObject *rows = sixty_four ? PyTuple_New(m) : NULL;
+    /* numpy's random() is (x >> 11) * 2^-53; scaling both sides by 2^53 is
+     * exact, so this is the same test as random() < p. */
+    const double threshold = p * 9007199254740992.0;
+    Philox g = {.key = {root, stream}, .used = 4};
+    for (Py_ssize_t u = 0; rows != NULL && u < m; u++) {
+        memset(words, 0, (size_t)W * sizeof(u64));
+        for (Py_ssize_t v = 0; v < n; v++)
+            if ((double)(philox_next(&g) >> 11) < threshold)
+                words[v >> 6] |= (u64)1 << (v & 63);
+        PyObject *row = words_to_long(words, W, sixty_four);
+        if (row == NULL)
+            Py_CLEAR(rows);
+        else
+            PyTuple_SET_ITEM(rows, u, row);
+    }
+    Py_XDECREF(sixty_four);
+    free(words);
+    return rows;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"scan_stats", (PyCFunction)(void (*)(void))scan_stats,
      METH_VARARGS | METH_KEYWORDS, scan_stats_doc},
     {"scan_free_hist", (PyCFunction)(void (*)(void))scan_free_hist,
      METH_VARARGS | METH_KEYWORDS, scan_free_hist_doc},
+    {"sample_rows", (PyCFunction)(void (*)(void))sample_rows,
+     METH_VARARGS | METH_KEYWORDS, sample_rows_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernels",
-    .m_doc = "Compiled subset-scan kernels; pure-Python twin in _pykernels.py.",
+    .m_doc = "Compiled subset-scan and sampling kernels; pure-Python twins in _pykernels.py.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

@@ -1,12 +1,15 @@
-"""Pure-Python subset-scan kernels; compiled twin in _kernels.c.
+"""Pure-Python kernels; compiled twins in _kernels.c.
 
-Both kernels walk the subsets A of the scan side depth-first, carrying the
-covered set N(A) of the other side as a bitmask.  A pair (A, other \\ N(A))
-is counted when every scan-side vertex outside A keeps a neighbour in the
-free part.  Two prunes keep degenerate inputs cheap: a vertex left out is
-dead as soon as its whole neighbourhood is covered (coverage only grows
-down the tree), and growing the coverage re-checks all vertices already
-left out, so accepted leaves need no final scan.
+Subset scans.  Both kernels walk the subsets A of the scan side depth-first,
+carrying the covered set N(A) of the other side as a bitmask.  A pair
+(A, other \\ N(A)) is counted when every scan-side vertex outside A keeps a
+neighbour in the free part.  Two prunes keep degenerate inputs cheap: a
+vertex left out is dead as soon as its whole neighbourhood is covered
+(coverage only grows down the tree), and growing the coverage re-checks all
+vertices already left out, so accepted leaves need no final scan.
+
+Sampler.  sample_rows draws with numpy's Philox bit generator, imported only
+when it runs; the compiled twin reproduces that generator bit for bit.
 """
 
 
@@ -88,3 +91,23 @@ def scan_free_hist(rows, s, t, lo_k=0):
 
     visit(0, 0, 0)
     return freq
+
+
+def sample_rows(m, n, p, root, stream):
+    """Adjacency rows of one draw of G(m, n, p), as bitmasks over the n columns.
+
+    The stream is Philox4x64-10 keyed by (root, stream), two integers in
+    [0, 2^64), with the counter starting at 0.  Its (u*n + v)-th uniform double
+    decides the edge (u, v): present iff it is below p.
+    """
+    import numpy as np
+
+    if m < 1 or n < 1:
+        raise ValueError("need m >= 1 and n >= 1")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("edge probability outside [0, 1]")
+    key = np.array([root, stream], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    bits = (rng.random((m, n)) < p).astype(np.uint8)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return tuple(int.from_bytes(packed[u].tobytes(), "little") for u in range(m))

@@ -10,9 +10,25 @@ thousand on one side at most).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
-import numpy as np
+from . import _pykernels
+
+# The compiled kernels (_kernels.c) are built when a C compiler is available;
+# without them, or with FRANKLBIP_PURE_PYTHON set, the pure-Python twins run.
+# This one choice covers the sampler here and the subset scans in mss.
+if os.environ.get("FRANKLBIP_PURE_PYTHON"):
+    _impl = _pykernels
+    KERNEL = "python"
+else:
+    try:
+        from . import _kernels as _impl  # type: ignore[attr-defined]
+
+        KERNEL = "compiled"
+    except ImportError:
+        _impl = _pykernels
+        KERNEL = "python"
 
 MASK64 = (1 << 64) - 1
 
@@ -89,9 +105,6 @@ class Seed:
     def child(self, index: int) -> "Seed":
         return Seed(self.root, ((self.stream << 32) | int(index)) & MASK64)
 
-    def key(self) -> np.ndarray:
-        return np.array([self.root, self.stream], dtype=np.uint64)
-
 
 @dataclass(frozen=True)
 class BipartiteGraph:
@@ -109,13 +122,13 @@ class BipartiteGraph:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ZeroSideError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
-        adj = tuple(int(row) for row in self.adj)
+        adj = tuple(map(int, self.adj))
         if len(adj) != self.m:
             raise ValueError(f"expected {self.m} adjacency rows, got {len(adj)}")
         limit = 1 << self.n
-        for u, row in enumerate(adj):
-            if not 0 <= row < limit:
-                raise ValueError(f"adjacency row {u} has bits outside the right side")
+        if min(adj) < 0 or max(adj) >= limit:
+            u = next(u for u, row in enumerate(adj) if not 0 <= row < limit)
+            raise ValueError(f"adjacency row {u} has bits outside the right side")
         object.__setattr__(self, "adj", adj)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -159,11 +172,7 @@ def sample_bipartite(m: int, n: int, prob, seed: Seed) -> BipartiteGraph:
     if m < 1 or n < 1:
         raise ZeroSideError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     prob = as_prob(prob)
-    rng = np.random.Generator(np.random.Philox(key=seed.key()))
-    bits = (rng.random((m, n)) < prob.p).astype(np.uint8)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    rows = tuple(int.from_bytes(packed[u].tobytes(), "little") for u in range(m))
-    return BipartiteGraph(m, n, rows)
+    return BipartiteGraph(m, n, _impl.sample_rows(m, n, prob.p, seed.root, seed.stream))
 
 
 def swap_sides(g: BipartiteGraph) -> BipartiteGraph:

@@ -15,29 +15,13 @@ rounding.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-import numpy as np
-
-from . import _pykernels
-from .graphs import BipartiteGraph
-
-# The compiled kernel (_kernels.c) is built when a C compiler is available;
-# without it, or with FRANKLBIP_PURE_PYTHON set, the pure-Python twin runs.
-if os.environ.get("FRANKLBIP_PURE_PYTHON"):
-    _impl = _pykernels
-    KERNEL = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-
-        KERNEL = "compiled"
-    except ImportError:
-        _impl = _pykernels
-        KERNEL = "python"
+# graphs chooses the kernel, compiled or pure Python, for the sampler and
+# for the subset scans here alike.
+from .graphs import KERNEL, BipartiteGraph, _impl  # noqa: F401
 
 DEFAULT_CANDIDATE_CAP = 1 << 30
 BRUTE_FORCE_LIMIT = 24
@@ -372,6 +356,8 @@ def brute_force_mss(g: BipartiteGraph):
     Vectorised over subsets: S is maximal stable iff for every vertex v,
     membership of v is the complement of 'v has a neighbour in S'.
     """
+    import numpy as np
+
     total_bits = g.m + g.n
     if total_bits > BRUTE_FORCE_LIMIT:
         raise CapExceeded(f"brute force limited to m+n <= {BRUTE_FORCE_LIMIT}")

@@ -5,11 +5,13 @@ random graph model and sums p^edges q^(non-edges) times a statistic; it is
 the ground truth the closed forms are checked against, and it never calls
 the module under test.
 
-The compiled_kernels fixture builds the C kernel with the repository's own
-setup.py into a temporary directory, so tests compare it with the pure-Python
-twin whether or not an installed build exists.
+The compiled_build fixture builds the package with the repository's own
+setup.py into a temporary directory, and compiled_kernels loads its C kernels,
+so tests compare them with the pure-Python twins whether or not an installed
+build exists.
 """
 
+import importlib.machinery
 import importlib.util
 import shutil
 import subprocess
@@ -62,19 +64,34 @@ def corpus():
 
 
 @pytest.fixture(scope="session")
-def compiled_kernels(tmp_path_factory):
-    """franklbip._kernels built from this checkout; skips only without a C compiler."""
+def compiled_build(tmp_path_factory):
+    """Directory holding franklbip built from this checkout, compiled kernels included.
+
+    Skips only without a C compiler.  The egg-info goes to the temporary
+    directory too, so the build writes nothing into the checkout.
+    """
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    out = tmp_path_factory.mktemp("kernels")
+    out = tmp_path_factory.mktemp("build")
     proc = subprocess.run(
-        [sys.executable, "setup.py", "-q", "build_ext",
-         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+        [sys.executable, "setup.py", "-q", "egg_info", "--egg-base", str(out),
+         "build", "--build-base", str(out / "tmp"), "--build-lib", str(out / "lib")],
         cwd=ROOT, capture_output=True, text=True,
     )
-    built = sorted((out / "lib" / "franklbip").glob("_kernels*"))
-    assert proc.returncode == 0 and built, f"kernel build failed:\n{proc.stderr}"
-    spec = importlib.util.spec_from_file_location("franklbip._kernels", built[0])
+    assert proc.returncode == 0 and _extension(out / "lib"), f"build failed:\n{proc.stderr}"
+    return out / "lib"
+
+
+def _extension(lib):
+    return [path for suffix in importlib.machinery.EXTENSION_SUFFIXES
+            for path in (lib / "franklbip").glob("_kernels" + suffix)]
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(compiled_build):
+    """franklbip._kernels from compiled_build, loaded beside the source package."""
+    spec = importlib.util.spec_from_file_location("franklbip._kernels",
+                                                  _extension(compiled_build)[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

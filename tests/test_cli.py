@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -243,6 +246,49 @@ class TestFrankl:
         fam.write_text("a,b\n")
         rc, _, _ = run(capsys, "frankl", str(fam))
         assert rc == 1
+
+
+# Runs in a child: the subcommands given as JSON lists on its command line,
+# one after the other, then which kernel ran and whether numpy was imported.
+CHILD = """
+import json, sys
+from franklbip import cli, mss
+for argv in map(json.loads, sys.argv[1:]):
+    if cli.main(argv) != 0:
+        sys.exit(f"franklbip {argv} failed")
+print(mss.KERNEL, "numpy" in sys.modules)
+"""
+SAMPLE = ["sample", "-m", "9", "-n", "70", "-p", "0.4", "--seed", "5", "-o"]
+
+
+class TestCompiledBuild:
+    """The CLI run from a full build, as an installed package runs it."""
+
+    @staticmethod
+    def child(compiled_build, *argvs, pure=False):
+        env = {k: v for k, v in os.environ.items() if k != "FRANKLBIP_PURE_PYTHON"}
+        env["PYTHONPATH"] = str(compiled_build)
+        if pure:
+            env["FRANKLBIP_PURE_PYTHON"] = "1"
+        proc = subprocess.run([sys.executable, "-c", CHILD, *map(json.dumps, argvs)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_numpy_stays_unimported(self, compiled_build, tmp_path):
+        graph = tmp_path / "g.graph"
+        last = self.child(compiled_build, SAMPLE + [str(graph)], ["stats", str(graph)],
+                          ["stats", str(graph), "--format", "json"])
+        assert last == "compiled False"
+
+    def test_pure_python_sample_same_bytes(self, compiled_build, tmp_path):
+        outputs = []
+        for pure, last in ((False, "compiled False"), (True, "python True")):
+            graph = tmp_path / f"pure-{pure}.graph"
+            assert self.child(compiled_build, SAMPLE + [str(graph)], pure=pure) == last
+            outputs.append(graph.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(b"9 70\n")
 
 
 class TestUsage:

@@ -222,6 +222,22 @@ class TestCompiledKernel:
         with pytest.raises(ValueError, match="row count"):
             kernel([0, 0], 3, 4)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1e-9, 0.5, 1 - 2 ** -53])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_sample_rows_match_twin(self, compiled_kernels, n, p):
+        # a grandchild stream, as a sweep point's trial draws it, under a 64-bit root
+        seed = Seed(2 ** 64 - 3).child(5).child(11)
+        args = (7, n, p, seed.root, seed.stream)
+        rows = compiled_kernels.sample_rows(*args)
+        assert rows == _pykernels.sample_rows(*args)
+        assert type(rows) is tuple and len(rows) == 7 and all(0 <= r < 1 << n for r in rows)
+
+    @pytest.mark.parametrize("m,n,p", [(0, 4, 0.5), (4, 0, 0.5), (4, 4, -0.1), (4, 4, math.nan)])
+    def test_sample_rows_refusals(self, compiled_kernels, m, n, p):
+        for kernel in (compiled_kernels, _pykernels):
+            with pytest.raises(ValueError):
+                kernel.sample_rows(m, n, p, 1, 2)
+
 
 class TestLeftAvg:
     def test_complete(self):

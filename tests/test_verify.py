@@ -355,13 +355,15 @@ class TestSweep:
             sweep(self.GRID3, 2, Seed(1), workers=workers)
 
     def test_bytes_identical_across_kernels_and_workers(self, compiled_kernels, monkeypatch):
-        from franklbip import _pykernels
+        from franklbip import _pykernels, graphs
 
         # mixed shapes: the n < m points scan the right side and map back
         grid = [(10, 8, 0.3, 0.0), (9, 12, 0.5, 0.1), (12, 12, 0.2, 0.0), (14, 6, 0.4, 0.05)]
         outputs = set()
         for impl in (compiled_kernels, _pykernels):
+            # the sampler switches with the scan kernel, as FRANKLBIP_PURE_PYTHON does
             monkeypatch.setattr(mss, "_impl", impl)
+            monkeypatch.setattr(graphs, "_impl", impl)
             for workers in (1, 2):
                 reps = sweep(grid, 6, Seed(11), workers=workers)
                 outputs.add((reports_to_csv(reps, with_regime=True), reports_to_json(reps)))
