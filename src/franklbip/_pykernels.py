@@ -13,42 +13,21 @@ when it runs; the compiled twin reproduces that generator bit for bit.
 """
 
 
-def scan_stats(rows, s, t, sel_k=-1, sel_f=-1):
-    """Exact maximal-pair statistics over subsets of the scan side.
+def maximal_pairs(rows, s, t, leaf):
+    """Call leaf(chosen, free) once per maximal pair (A, other \\ N(A)).
 
     rows[u] is the neighbourhood of scan-side vertex u as a bitmask over the
-    other side (t bits).  Returns (total, k_hist, f_hist, scan_counts,
-    other_counts, sel_count) where k is |A|, f the size of the free part,
-    and sel_count the number of pairs with (k, f) == (sel_k, sel_f).
+    other side (t bits).  chosen lists A in increasing order and is reused
+    between calls, so a leaf that keeps it must copy it; free is the free
+    part as a bitmask.
     """
     full = (1 << t) - 1
-    total = 0
-    sel_count = 0
-    k_hist = [0] * (s + 1)
-    f_hist = [0] * (t + 1)
-    scan_counts = [0] * s
-    other_counts = [0] * t
     in_a = [False] * s
     chosen = []
 
     def visit(u, nb):
-        nonlocal total, sel_count
         if u == s:
-            free = full & ~nb
-            k = len(chosen)
-            f = free.bit_count()
-            total += 1
-            k_hist[k] += 1
-            f_hist[f] += 1
-            for w in chosen:
-                scan_counts[w] += 1
-            x = free
-            while x:
-                low = x & -x
-                other_counts[low.bit_length() - 1] += 1
-                x ^= low
-            if k == sel_k and f == sel_f:
-                sel_count += 1
+            leaf(chosen, full & ~nb)
             return
         row = rows[u]
         grown = nb | row
@@ -69,6 +48,39 @@ def scan_stats(rows, s, t, sel_k=-1, sel_f=-1):
             visit(u + 1, nb)
 
     visit(0, 0)
+
+
+def scan_stats(rows, s, t, sel_k=-1, sel_f=-1):
+    """Exact maximal-pair statistics over subsets of the scan side.
+
+    rows as for maximal_pairs.  Returns (total, k_hist, f_hist, scan_counts,
+    other_counts, sel_count) where k is |A|, f the size of the free part,
+    and sel_count the number of pairs with (k, f) == (sel_k, sel_f).
+    """
+    total = 0
+    sel_count = 0
+    k_hist = [0] * (s + 1)
+    f_hist = [0] * (t + 1)
+    scan_counts = [0] * s
+    other_counts = [0] * t
+
+    def leaf(chosen, free):
+        nonlocal total, sel_count
+        k = len(chosen)
+        f = free.bit_count()
+        total += 1
+        k_hist[k] += 1
+        f_hist[f] += 1
+        for w in chosen:
+            scan_counts[w] += 1
+        while free:
+            low = free & -free
+            other_counts[low.bit_length() - 1] += 1
+            free ^= low
+        if k == sel_k and f == sel_f:
+            sel_count += 1
+
+    maximal_pairs(rows, s, t, leaf)
     return total, k_hist, f_hist, scan_counts, other_counts, sel_count
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from . import _pykernels
 # graphs chooses the kernel, compiled or pure Python, for the sampler and
 # for the subset scans here alike.
 from .graphs import KERNEL, BipartiteGraph, _impl  # noqa: F401
@@ -138,38 +139,20 @@ def _check_cap(side: int, cap: int):
         raise CapExceeded(f"2^{side} candidate subsets exceed the cap of {cap}")
 
 
-def enumerate_mss(g: BipartiteGraph, cap: int = DEFAULT_CANDIDATE_CAP):
-    """Yield every maximal stable set exactly once (order unspecified)."""
+def enumerate_mss(g: BipartiteGraph, cap: int = DEFAULT_CANDIDATE_CAP) -> list:
+    """Every maximal stable set exactly once (order unspecified), through
+    the pure-Python walk."""
     rows, s, t, swapped = _scan_layout(g)
     _check_cap(s, cap)
-    full = (1 << t) - 1
-    in_a = [False] * s
+    out = []
 
-    def visit(u, a_mask, nb):
-        if u == s:
-            free = full & ~nb
-            if swapped:
-                yield StableSet(left=free, right=a_mask)
-            else:
-                yield StableSet(left=a_mask, right=free)
-            return
-        row = rows[u]
-        grown = nb | row
-        alive = True
-        if grown != nb:
-            free = full & ~grown
-            for w in range(u):
-                if not in_a[w] and rows[w] & free == 0:
-                    alive = False
-                    break
-        if alive:
-            in_a[u] = True
-            yield from visit(u + 1, a_mask | (1 << u), grown)
-            in_a[u] = False
-        if row & ~nb & full:
-            yield from visit(u + 1, a_mask, nb)
+    def leaf(chosen, free):
+        a_mask = sum(1 << u for u in chosen)
+        out.append(StableSet(left=free, right=a_mask) if swapped
+                   else StableSet(left=a_mask, right=free))
 
-    yield from visit(0, 0, 0)
+    _pykernels.maximal_pairs(rows, s, t, leaf)
+    return out
 
 
 def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CANDIDATE_CAP) -> MssStats:

@@ -14,8 +14,9 @@ import enum
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 from . import bounds, mss
 from .bounds import HypothesisViolation, RegimeParams
@@ -27,6 +28,7 @@ CAMPAIGN_SIDE_CAP = 28
 CONSISTENT = "consistent"
 VIOLATED = "violated"
 INFORMATIONAL = "informational"
+MEAN_AT_MOST = "mean_at_most"
 ERROR = "error"
 
 
@@ -151,40 +153,36 @@ def binomial_radius(claim: float, trials: int, z: float = 4.0) -> float:
     return z * math.sqrt(claim * (1.0 - claim) / trials)
 
 
-def _sampled(m, n, prob, trials, seed):
-    for t in range(trials):
-        yield t, sample_bipartite(m, n, prob, seed.child(t))
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
 
 def run_average_campaign(m: int, n: int, prob, delta, trials: int, seed: Seed,
-                         cap: int = CAMPAIGN_SIDE_CAP, _stats_fn=None) -> BoundReport:
+                         cap: int = CAMPAIGN_SIDE_CAP) -> BoundReport:
     """Frequency of left-avg(G) <= (1/2 + delta) m over seeded samples.
 
     The target probability is asymptotic, so the verdict is informational;
     the report carries the Wilson radius and the exact mean of the averages.
     """
+    _check_trials(trials)
     prob = as_prob(prob)
     if min(m, n) > cap:
         raise CapExceeded(f"min(m, n) = {min(m, n)} exceeds campaign cap {cap}")
-    stats_fn = _stats_fn or mss.mss_stats
     threshold = (Fraction(1, 2) + Fraction(delta)) * m
     hits = 0
     total_avg = Fraction(0)
-    for _, g in _sampled(m, n, prob, trials, seed):
-        avg = stats_fn(g).left_average()
+    for t in range(trials):
+        avg = mss.mss_stats(sample_bipartite(m, n, prob, seed.child(t))).left_average()
         total_avg += avg
         if avg <= threshold:
             hits += 1
-    return BoundReport(
-        lemma_id="average", m=m, n=n, p=prob.p, delta=float(delta), trials=trials,
-        claimed=1.0, measured=hits / trials, ci=wilson_radius(hits, trials),
-        verdict=INFORMATIONAL, seed=seed.root,
-        extra={"mean_left_avg": total_avg / trials, "hits": hits},
-    )
+    return _report("average", m, n, prob, delta, trials, seed, 1.0, hits, INFORMATIONAL,
+                   {"mean_left_avg": total_avg / trials, "hits": hits})
 
 
 def run_conjecture_campaign(m: int, n: int, prob, delta, trials: int, seed: Seed,
-                            cap: int = CAMPAIGN_SIDE_CAP, _check_fn=None) -> BoundReport:
+                            cap: int = CAMPAIGN_SIDE_CAP) -> BoundReport:
     """Frequency of the up-to-delta verdict among non-edgeless samples.
 
     Edgeless samples are counted separately as vacuous.  Any violating graph
@@ -192,15 +190,16 @@ def run_conjecture_campaign(m: int, n: int, prob, delta, trials: int, seed: Seed
     exhaustive results, so callers should treat a nonempty violation list as
     a fatal find rather than a statistic.
     """
+    _check_trials(trials)
     prob = as_prob(prob)
     if min(m, n) > cap:
         raise CapExceeded(f"min(m, n) = {min(m, n)} exceeds campaign cap {cap}")
-    check_fn = _check_fn or mss.conjecture_check
     satisfied = 0
     vacuous = 0
     violations = []
-    for t, g in _sampled(m, n, prob, trials, seed):
-        verdict = check_fn(g, delta)
+    for t in range(trials):
+        g = sample_bipartite(m, n, prob, seed.child(t))
+        verdict = mss.conjecture_check(g, delta)
         if verdict.vacuous:
             vacuous += 1
         elif verdict.satisfied:
@@ -220,22 +219,19 @@ def run_conjecture_campaign(m: int, n: int, prob, delta, trials: int, seed: Seed
     )
 
 
-# --- registry of per-lemma Monte Carlo checks ------------------------------
-
-def _require(params: dict, *names):
-    vals = []
-    for name in names:
-        if name not in params or params[name] is None:
-            raise MissingParameter(f"check needs parameter {name!r}")
-        vals.append(params[name])
-    return vals
-
-
-def _frequency_report(lemma_id, m, n, prob, delta, trials, seed, claimed, hits,
-                      verdict_mode, extra=None):
-    measured = hits / trials
-    if verdict_mode == INFORMATIONAL:
-        ci = wilson_radius(hits, trials)
+def _report(lemma_id, m, n, prob, delta, trials, seed, claimed, total, verdict_mode,
+            extra, squares=0):
+    """Report of a per-graph value summed over the trials (and its squares,
+    which only the MEAN_AT_MOST mode reads).  The other two modes read the
+    value as a 0/1 event: CONSISTENT tests the frequency against the claimed
+    probability, INFORMATIONAL gives the Wilson radius and no verdict."""
+    measured = total / trials
+    if verdict_mode == MEAN_AT_MOST:
+        var = squares / trials - measured * measured
+        ci = 4.0 * math.sqrt(max(var, 0.0) / trials)
+        verdict = CONSISTENT if measured - claimed <= ci else VIOLATED
+    elif verdict_mode == INFORMATIONAL:
+        ci = wilson_radius(total, trials)
         verdict = INFORMATIONAL
     else:
         ci = binomial_radius(claimed, trials)
@@ -243,180 +239,131 @@ def _frequency_report(lemma_id, m, n, prob, delta, trials, seed, claimed, hits,
     return BoundReport(
         lemma_id=lemma_id, m=m, n=n, p=prob.p, delta=float(delta), trials=trials,
         claimed=claimed, measured=measured, ci=ci, verdict=verdict,
-        seed=seed.root, extra=extra or {},
+        seed=seed.root, extra=extra,
     )
 
 
-def _run_mssproba(params, trials, seed):
-    m, n, p, ell, r = _require(params, "m", "n", "p", "ell", "r")
-    prob = as_prob(p)
-    claimed = bounds.pr_maximal_stable(m, n, prob, ell, r)
+# --- registry of per-lemma Monte Carlo checks ------------------------------
+
+class CheckSpec(NamedTuple):
+    """One named check.  The first three names in `needs` give the sample
+    sides and p.  setup(m, n, prob, params) returns the claimed value, the
+    per-graph event and the report extras; events call mss.<fn> as they
+    run, so a patched mss is what runs.  hypothesis(m, n, prob, params)
+    raises HypothesisViolation outside the claim's hypothesis."""
+
+    needs: tuple
+    setup: Callable
+    verdict_mode: str
+    hypothesis: Optional[Callable] = None
+
+
+def _mssproba(m, n, prob, params):
+    ell, r = params["ell"], params["r"]
     fixed = mss.StableSet(left=(1 << ell) - 1, right=(1 << r) - 1)
-    hits = 0
-    for _, g in _sampled(m, n, prob, trials, seed):
-        if mss.is_maximal_stable(g, fixed):
-            hits += 1
-    return _frequency_report("mssproba", m, n, prob, params.get("delta", 0.0),
-                             trials, seed, claimed, hits, CONSISTENT)
+    return (bounds.pr_maximal_stable(m, n, prob, ell, r),
+            lambda g: mss.is_maximal_stable(g, fixed), {})
 
 
-def _run_genupper(params, trials, seed):
-    m, n, p, ell_star, r_star = _require(params, "m", "n", "p", "ell_star", "r_star")
-    prob = as_prob(p)
+def _genupper(m, n, prob, params):
+    ell_star, r_star = params["ell_star"], params["r_star"]
     # hypothesis enforcement happens in verify_lemma; report the raw formula
     claimed = bounds.genupper_bound(m, n, prob, ell_star, r_star, enforce=False)
     exact = bounds.expected_stab_at_least(m, n, prob, ell_star, r_star)
-    count_sum = 0
-    count_sq = 0
-    for _, g in _sampled(m, n, prob, trials, seed):
-        c = mss.stab_at_least_count(g, ell_star, r_star)
-        count_sum += c
-        count_sq += c * c
-    measured = count_sum / trials
-    var = count_sq / trials - measured * measured
-    ci = 4.0 * math.sqrt(max(var, 0.0) / trials)
-    verdict = CONSISTENT if measured - claimed <= ci else VIOLATED
-    return BoundReport(
-        lemma_id="genupper", m=m, n=n, p=prob.p, delta=params.get("delta", 0.0),
-        trials=trials, claimed=claimed, measured=measured, ci=ci, verdict=verdict,
-        seed=seed.root, extra={"exact_expectation": exact},
-    )
+    return (claimed, lambda g: mss.stab_at_least_count(g, ell_star, r_star),
+            {"exact_expectation": exact})
 
 
-def _genupper_hypothesis(params):
-    m, n, p, ell_star = _require(params, "m", "n", "p", "ell_star")
-    z = n * as_prob(p).q ** ell_star
+def _genupper_hypothesis(m, n, prob, params):
+    z = n * prob.q ** params["ell_star"]
     if z > 0.5:
         raise HypothesisViolation(f"n * q^ell_star = {z:.6g} > 1/2")
 
 
-def _run_indmatchings(params, trials, seed):
-    # the k x k block forms a perfect induced matching iff its adjacency is a
-    # permutation matrix: one edge per row and one per column
-    k, p = _require(params, "k", "p")
-    prob = as_prob(p)
-    claimed = bounds.induced_matching_prob(k, prob)
-    hits = 0
-    for _, g in _sampled(k, k, prob, trials, seed):
-        cols = [0] * k
-        ok = True
-        for u in range(k):
-            row = g.adj[u]
-            if row.bit_count() != 1:
-                ok = False
-                break
-            cols[row.bit_length() - 1] |= 1 << u
-        if ok and all(c.bit_count() == 1 for c in cols):
-            hits += 1
-    return _frequency_report("indmatchings", k, k, prob, params.get("delta", 0.0),
-                             trials, seed, claimed, hits, CONSISTENT)
+def _indmatchings(k, _, prob, params):
+    def perfect_induced_matching(g):
+        # the k x k block forms a perfect induced matching iff its adjacency is
+        # a permutation matrix: one edge per row, and no two rows on one column
+        seen = 0
+        for row in g.adj:
+            if row.bit_count() != 1 or row & seen:
+                return False
+            seen |= row
+        return True
+
+    return bounds.induced_matching_prob(k, prob), perfect_induced_matching, {}
 
 
-def _run_constrightside(params, trials, seed):
-    m, n, p = _require(params, "m", "n", "p")
-    prob = as_prob(p)
-    claimed = bounds.dominating_vertex_prob(m, n, prob)
+def _constrightside(m, n, prob, params):
     full = (1 << n) - 1
-    hits = 0
-    for _, g in _sampled(m, n, prob, trials, seed):
-        if any(row == full for row in g.adj):
-            hits += 1
-    return _frequency_report("constrightside", m, n, prob, params.get("delta", 0.0),
-                             trials, seed, claimed, hits, CONSISTENT)
+    return (bounds.dominating_vertex_prob(m, n, prob), lambda g: full in g.adj, {})
 
 
-def _run_largeleftupper(params, trials, seed):
-    m, n, p = _require(params, "m", "n", "p")
-    prob = as_prob(p)
+def _few_left_at_least(size, limit, **extra):
+    """Setup result of an asymptotic check whose event is: at most `limit`
+    maximal stable sets have a left part of at least `size`."""
+    return (1.0, lambda g: mss.count_left_at_least(mss.mss_stats(g), size) <= limit,
+            {"count_limit": limit, **extra})
+
+
+def _largeleftupper(m, n, prob, params):
     r_star = bounds.regime_constants(prob).r_star
-    limit = float(n) ** r_star
-    hits = 0
-    for _, g in _sampled(m, n, prob, trials, seed):
-        stats = mss.mss_stats(g)
-        if mss.count_left_at_least(stats, Fraction(m, 3)) <= limit:
-            hits += 1
-    return _frequency_report("largeleftupper", m, n, prob, params.get("delta", 0.0),
-                             trials, seed, 1.0, hits, INFORMATIONAL,
-                             extra={"count_limit": limit, "r_star": r_star})
+    return _few_left_at_least(Fraction(m, 3), float(n) ** r_star, r_star=r_star)
 
 
-def _largeleft_hypothesis(params):
-    m, n, p = _require(params, "m", "n", "p")
-    prob = as_prob(p)
+def _largeleft_hypothesis(m, n, prob, params):
     if math.log(m) / prob.log_inv_q < float(n) ** 0.2:
         raise HypothesisViolation("needs m >= q^(-n^(1/5))")
 
 
-def _run_squpperbound(params, trials, seed):
-    m, n, p = _require(params, "m", "n", "p")
-    prob = as_prob(p)
+def _squpperbound(m, n, prob, params):
     exponent = math.log(4.0) / prob.log_inv_q  # log_q(1/4) = log_{1/q}(4)
-    limit = 2.0 * float(n) ** exponent
-    hits = 0
-    for _, g in _sampled(m, n, prob, trials, seed):
-        stats = mss.mss_stats(g)
-        if mss.count_left_at_least(stats, Fraction(m, 2)) <= limit:
-            hits += 1
-    return _frequency_report("squpperbound", m, n, prob, params.get("delta", 0.0),
-                             trials, seed, 1.0, hits, INFORMATIONAL,
-                             extra={"count_limit": limit})
+    return _few_left_at_least(Fraction(m, 2), 2.0 * float(n) ** exponent)
 
 
-def _squpper_hypothesis(params):
-    m, n, p = _require(params, "m", "n", "p")
+def _squpper_hypothesis(m, n, prob, params):
     alpha = params.get("alpha", DEFAULT_ALPHA)
-    prob = as_prob(p)
     if math.log(n) / prob.log_inv_q > alpha * m:
         raise HypothesisViolation(f"needs n <= q^(-alpha m) with alpha={alpha}")
 
 
-def _run_superpoly(params, trials, seed):
-    m, n, p = _require(params, "m", "n", "p")
-    prob = as_prob(p)
+def _superpoly(m, n, prob, params):
     rp = RegimeParams.from_mnp(m, n, prob)
     expectation = bounds.expected_small_mss(m, n, prob, rp.a, rp.b)
-    hits = 0
-    for _, g in _sampled(m, n, prob, trials, seed):
-        if mss.count_mss_with_sizes(g, rp.a, rp.b) > 0.5 * expectation:
-            hits += 1
-    return _frequency_report("superpoly.lower.bound", m, n, prob,
-                             params.get("delta", 0.0), trials, seed, 1.0, hits,
-                             INFORMATIONAL,
-                             extra={"a": rp.a, "b": rp.b, "expectation": expectation})
+    return (1.0, lambda g: mss.count_mss_with_sizes(g, rp.a, rp.b) > 0.5 * expectation,
+            {"a": rp.a, "b": rp.b, "expectation": expectation})
 
 
-def _superpoly_hypothesis(params):
-    m, n, p = _require(params, "m", "n", "p")
-    prob = as_prob(p)
+def _superpoly_hypothesis(m, n, prob, params):
     if math.log(m) / prob.log_inv_q > float(n) ** 0.2:
         raise HypothesisViolation("needs m <= q^(-n^(1/5))")
     if math.log(n) / prob.log_inv_q > float(m) ** 0.2:
         raise HypothesisViolation("needs n <= q^(-m^(1/5))")
 
 
-def _run_hoeffding_exp(params, trials, seed):
-    m, n, p = _require(params, "m", "n", "p")
-    prob = as_prob(p)
+def _with_a_prime(m, n, prob):
+    """RegimeParams whose a' is defined; its absence refuses in any mode."""
     rp = RegimeParams.from_mnp(m, n, prob)
     if rp.a_prime is None:
         raise HypothesisViolation("n is below m^log_{1/q}(m); a' undefined")
+    return rp
+
+
+def _many_left_of_size(size, threshold, **extra):
+    """Setup result of an asymptotic check whose event is: at least
+    `threshold` maximal stable sets have a left part of exactly `size`."""
+    return (1.0, lambda g: mss.mss_stats(g).left_hist[size] >= threshold,
+            {"a_prime": size, **extra, "count_threshold": threshold})
+
+
+def _hoeffding_exp(m, n, prob, params):
+    rp = _with_a_prime(m, n, prob)
     c = bounds.regime_constants(prob).small_mss_c
     threshold = c * math.comb(m, rp.a_prime) * (float(rp.b) ** (-rp.b) if rp.b else 1.0)
-    hits = 0
-    for _, g in _sampled(m, n, prob, trials, seed):
-        stats = mss.mss_stats(g)
-        if stats.left_hist[rp.a_prime] >= threshold:
-            hits += 1
-    return _frequency_report("lem.hoeffding.exp", m, n, prob,
-                             params.get("delta", 0.0), trials, seed, 1.0, hits,
-                             INFORMATIONAL,
-                             extra={"a_prime": rp.a_prime, "b": rp.b,
-                                    "count_threshold": threshold})
+    return _many_left_of_size(rp.a_prime, threshold, b=rp.b)
 
 
-def _hoeffding_hypothesis(params):
-    m, n, p = _require(params, "m", "n", "p")
-    prob = as_prob(p)
+def _hoeffding_hypothesis(m, n, prob, params):
     log_m = math.log(m) / prob.log_inv_q
     if math.log(n) < 2.0 * log_m * math.log(m):
         raise HypothesisViolation("needs n >= m^(2 log_{1/q}(m))")
@@ -424,63 +371,48 @@ def _hoeffding_hypothesis(params):
         raise HypothesisViolation("needs n <= q^(-m)")
 
 
-def _run_asymptotic_lower(params, trials, seed):
-    m, n, p, phi = _require(params, "m", "n", "p", "phi")
-    prob = as_prob(p)
-    rp = RegimeParams.from_mnp(m, n, prob)
-    if rp.a_prime is None:
-        raise HypothesisViolation("n is below m^log_{1/q}(m); a' undefined")
+def _asymptotic_lower(m, n, prob, params):
+    rp = _with_a_prime(m, n, prob)
+    phi = params["phi"]
     threshold = 2.0 ** ((1.0 - phi) * bounds.binary_entropy(min(rp.lam, 1.0)) * m)
-    hits = 0
-    for _, g in _sampled(m, n, prob, trials, seed):
-        stats = mss.mss_stats(g)
-        if stats.left_hist[rp.a_prime] >= threshold:
-            hits += 1
-    return _frequency_report("asymptotic.lower.bound", m, n, prob,
-                             params.get("delta", 0.0), trials, seed, 1.0, hits,
-                             INFORMATIONAL,
-                             extra={"a_prime": rp.a_prime, "lam": rp.lam,
-                                    "count_threshold": threshold})
+    return _many_left_of_size(rp.a_prime, threshold, lam=rp.lam)
 
 
-def _asymptotic_hypothesis(params):
-    m, n, p = _require(params, "m", "n", "p")
-    prob = as_prob(p)
+def _asymptotic_hypothesis(m, n, prob, params):
     x = math.log(n) / prob.log_inv_q
     if not m / 16.0 <= x <= m / 2.0:
         raise HypothesisViolation("needs q^(-m/16) <= n <= q^(-m/2)")
 
 
-def _run_veryverylargeside(params, trials, seed):
-    m, n, p = _require(params, "m", "n", "p")
-    prob = as_prob(p)
+def _veryverylargeside(m, n, prob, params):
     target = 1 << m
-    hits = 0
-    for _, g in _sampled(m, n, prob, trials, seed):
+
+    def saturated(g):
         stats = mss.mss_stats(g)
-        if stats.total == target and stats.left_average() == Fraction(m, 2):
-            hits += 1
-    return _frequency_report("veryverylargeside", m, n, prob,
-                             params.get("delta", 0.0), trials, seed, 1.0, hits,
-                             INFORMATIONAL, extra={"target_total": target})
+        return stats.total == target and stats.left_average() == Fraction(m, 2)
+
+    return 1.0, saturated, {"target_total": target}
 
 
-_REGISTRY = {
-    "mssproba": (_run_mssproba, None),
-    "genupper": (_run_genupper, _genupper_hypothesis),
-    "indmatchings": (_run_indmatchings, None),
-    "superpoly.lower.bound": (_run_superpoly, _superpoly_hypothesis),
-    "lem.hoeffding.exp": (_run_hoeffding_exp, _hoeffding_hypothesis),
-    "asymptotic.lower.bound": (_run_asymptotic_lower, _asymptotic_hypothesis),
-    "veryverylargeside": (_run_veryverylargeside, None),
-    "constrightside": (_run_constrightside, None),
-    "largeleftupper": (_run_largeleftupper, _largeleft_hypothesis),
-    "squpperbound": (_run_squpperbound, _squpper_hypothesis),
+_MNP = ("m", "n", "p")
+_CHECKS = {
+    "mssproba": CheckSpec((*_MNP, "ell", "r"), _mssproba, CONSISTENT),
+    "genupper": CheckSpec((*_MNP, "ell_star", "r_star"), _genupper, MEAN_AT_MOST,
+                          _genupper_hypothesis),
+    "indmatchings": CheckSpec(("k", "k", "p"), _indmatchings, CONSISTENT),
+    "superpoly.lower.bound": CheckSpec(_MNP, _superpoly, INFORMATIONAL, _superpoly_hypothesis),
+    "lem.hoeffding.exp": CheckSpec(_MNP, _hoeffding_exp, INFORMATIONAL, _hoeffding_hypothesis),
+    "asymptotic.lower.bound": CheckSpec((*_MNP, "phi"), _asymptotic_lower, INFORMATIONAL,
+                                        _asymptotic_hypothesis),
+    "veryverylargeside": CheckSpec(_MNP, _veryverylargeside, INFORMATIONAL),
+    "constrightside": CheckSpec(_MNP, _constrightside, CONSISTENT),
+    "largeleftupper": CheckSpec(_MNP, _largeleftupper, INFORMATIONAL, _largeleft_hypothesis),
+    "squpperbound": CheckSpec(_MNP, _squpperbound, INFORMATIONAL, _squpper_hypothesis),
 }
 
 
 def known_lemmas():
-    return sorted(_REGISTRY)
+    return sorted(_CHECKS)
 
 
 def verify_lemma(lemma_id: str, params: dict, trials: int, seed: Seed,
@@ -488,28 +420,37 @@ def verify_lemma(lemma_id: str, params: dict, trials: int, seed: Seed,
     """Measure one named claim by Monte Carlo and compare with its closed
     form.  In strict mode, parameters outside the claim's hypothesis raise
     HypothesisViolation; otherwise the run proceeds and the report is
-    flagged outside_hypothesis with an informational verdict."""
-    if lemma_id not in _REGISTRY:
+    flagged outside_hypothesis with an informational verdict.  A missing
+    parameter raises MissingParameter in either mode, before the hypothesis
+    is looked at."""
+    if lemma_id not in _CHECKS:
         raise UnknownLemma(f"unknown check {lemma_id!r}; known: {', '.join(known_lemmas())}")
-    runner, hypothesis = _REGISTRY[lemma_id]
+    spec = _CHECKS[lemma_id]
+    _check_trials(trials)
+    for name in spec.needs:
+        if params.get(name) is None:
+            raise MissingParameter(f"check needs parameter {name!r}")
+    m, n, p = (params[name] for name in spec.needs[:3])
+    prob = as_prob(p)
     outside = False
-    if hypothesis is not None:
+    if spec.hypothesis is not None:
         try:
-            hypothesis(params)
+            spec.hypothesis(m, n, prob, params)
         except HypothesisViolation:
             if strict:
                 raise
             outside = True
-    report = runner(params, trials, seed)
+    claimed, event, extra = spec.setup(m, n, prob, params)
+    total = squares = 0
+    for t in range(trials):
+        x = event(sample_bipartite(m, n, prob, seed.child(t)))
+        total += x
+        squares += x * x
+    report = _report(lemma_id, m, n, prob, params.get("delta", 0.0), trials, seed,
+                     claimed, total, spec.verdict_mode, extra, squares)
     if outside:
-        extra = dict(report.extra)
-        extra["outside_hypothesis"] = True
-        report = BoundReport(
-            lemma_id=report.lemma_id, m=report.m, n=report.n, p=report.p,
-            delta=report.delta, trials=report.trials, claimed=report.claimed,
-            measured=report.measured, ci=report.ci, verdict=INFORMATIONAL,
-            seed=report.seed, extra=extra,
-        )
+        report = replace(report, verdict=INFORMATIONAL,
+                         extra={**report.extra, "outside_hypothesis": True})
     return report
 
 
@@ -523,8 +464,9 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
     identical for any worker count.  A point the campaign refuses (over the
     cap, outside a hypothesis, invalid parameters) becomes a row with verdict
     `error` instead of aborting the sweep; any other exception propagates.
+    A trial count below 1 refuses the whole sweep.
     """
-    points = list(grid)
+    _check_trials(trials)
 
     def one(item):
         idx, (m, n, p, delta) = item
@@ -532,14 +474,7 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
         try:
             report = run_average_campaign(m, n, p, delta, trials, point_seed, cap=cap)
             regime = classify_regime(m, n, p, alpha=alpha).value
-            extra = dict(report.extra)
-            extra["regime"] = regime
-            return BoundReport(
-                lemma_id=report.lemma_id, m=report.m, n=report.n, p=report.p,
-                delta=report.delta, trials=report.trials, claimed=report.claimed,
-                measured=report.measured, ci=report.ci, verdict=report.verdict,
-                seed=seed.root, extra=extra,
-            )
+            return replace(report, extra={**report.extra, "regime": regime})
         except (CapExceeded, HypothesisViolation, ValueError) as exc:
             return BoundReport(
                 lemma_id="average", m=m, n=n, p=float(p), delta=float(delta),
@@ -548,7 +483,7 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
                 extra={"error": f"{type(exc).__name__}: {exc}", "regime": ""},
             )
 
-    items = list(enumerate(points))
+    items = list(enumerate(grid))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, items))

@@ -149,6 +149,20 @@ class TestVerify:
                        "-p", "0.5", "--trials", "5")
         assert rc == 2
 
+    def test_missing_parameter_outside_hypothesis_usage_exit(self, capsys):
+        rc, _, err = run(capsys, "verify", "genupper", "-m", "4", "-n", "3",
+                         "-p", "0.5", "--l-star", "1", "--trials", "5")
+        assert rc == 2
+        assert "r_star" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_usage_exit(self, capsys, trials):
+        rc, out, err = run(capsys, "verify", "mssproba", "-m", "4", "-n", "4", "-p", "0.5",
+                           "--l", "1", "--r", "1", "--trials", trials)
+        assert rc == 2
+        assert out == ""
+        assert err == "usage error: trials must be >= 1\n"
+
 
 class TestSweep:
     def test_three_rows(self, capsys, tmp_path):
@@ -168,6 +182,15 @@ class TestSweep:
         run(capsys, "sweep", str(grid), "--trials", "4", "--seed", "5", "-o", str(out_a))
         run(capsys, "sweep", str(grid), "--trials", "4", "--seed", "5", "-o", str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_usage_exit(self, capsys, tmp_path, trials):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(GRID_TEXT)
+        rc, out, err = run(capsys, "sweep", str(grid), "--trials", trials)
+        assert rc == 2
+        assert out == ""
+        assert err == "usage error: trials must be >= 1\n"
 
     def test_malformed_grid(self, capsys, tmp_path):
         grid = tmp_path / "grid.csv"

@@ -1,0 +1,97 @@
+"""Golden outputs of every named check and of a sweep, on both kernels.
+
+tests/fixtures/verify_golden.json holds the CSV and JSON text of each case
+below.  A refusal is recorded as its exception text.  To record the fixture
+again after an intended output change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from franklbip import _pykernels, graphs, mss, verify
+from franklbip.graphs import Seed
+
+FIXTURE = Path(__file__).parent / "fixtures" / "verify_golden.json"
+
+# name -> (check id, params, trials, seed, strict)
+LEMMA_CASES = {
+    "mssproba": ("mssproba", {"m": 6, "n": 6, "p": 0.5, "ell": 2, "r": 2}, 400, 11, True),
+    "genupper": ("genupper", {"m": 8, "n": 2, "p": 0.5, "ell_star": 3, "r_star": 1},
+                 200, 12, True),
+    "indmatchings": ("indmatchings", {"k": 3, "p": 0.5, "delta": 0.1}, 500, 13, True),
+    "constrightside": ("constrightside", {"m": 6, "n": 2, "p": 0.5}, 500, 14, True),
+    "veryverylargeside": ("veryverylargeside", {"m": 3, "n": 24, "p": 0.5}, 40, 15, True),
+    "largeleftupper": ("largeleftupper", {"m": 16, "n": 6, "p": 0.5}, 20, 16, True),
+    "squpperbound": ("squpperbound", {"m": 10, "n": 16, "p": 0.5, "alpha": 0.45},
+                     20, 17, True),
+    "superpoly": ("superpoly.lower.bound", {"m": 12, "n": 12, "p": 0.9}, 60, 18, True),
+    "hoeffding": ("lem.hoeffding.exp", {"m": 4, "n": 100, "p": 0.9}, 40, 19, True),
+    "asymptotic": ("asymptotic.lower.bound", {"m": 4, "n": 100, "p": 0.9, "phi": 0.5},
+                   40, 20, True),
+    # outside the hypothesis, run with strict=False
+    "genupper-outside": ("genupper", {"m": 4, "n": 3, "p": 0.5, "ell_star": 1, "r_star": 1},
+                         50, 21, False),
+    "largeleftupper-outside": ("largeleftupper", {"m": 3, "n": 40, "p": 0.5}, 20, 22, False),
+    "squpperbound-outside": ("squpperbound", {"m": 4, "n": 3000, "p": 0.5}, 5, 23, False),
+    "superpoly-outside": ("superpoly.lower.bound", {"m": 4, "n": 4, "p": 0.5}, 30, 24, False),
+    "hoeffding-outside": ("lem.hoeffding.exp", {"m": 4, "n": 4, "p": 0.9}, 30, 25, False),
+    "asymptotic-outside": ("asymptotic.lower.bound",
+                           {"m": 4, "n": 1000, "p": 0.9, "phi": 0.5}, 30, 26, False),
+    # a' undefined: refused even with strict=False
+    "hoeffding-refused": ("lem.hoeffding.exp", {"m": 4, "n": 2, "p": 0.9}, 5, 27, False),
+    "asymptotic-refused": ("asymptotic.lower.bound", {"m": 4, "n": 1, "p": 0.9, "phi": 0.5},
+                           5, 28, False),
+}
+
+# a cap refusal, a regime refusal (p = 1 is not interior) and mixed shapes
+SWEEP_GRID = [(3, 3, 0.5, 0.0), (4, 2, 0.5, 0.1), (10, 8, 0.3, 0.05), (30, 30, 0.5, 0.0),
+              (3, 3, 1.0, 0.0), (2, 4, 0.8, 0.0)]
+SWEEP_TRIALS, SWEEP_SEED, SWEEP_WORKERS = 5, 42, 2
+
+
+def render(name):
+    if name == "sweep":
+        reports = verify.sweep(SWEEP_GRID, SWEEP_TRIALS, Seed(SWEEP_SEED),
+                               workers=SWEEP_WORKERS)
+        return {"csv": verify.reports_to_csv(reports, with_regime=True),
+                "json": verify.reports_to_json(reports)}
+    lemma, params, trials, seed, strict = LEMMA_CASES[name]
+    try:
+        report = verify.verify_lemma(lemma, dict(params), trials, Seed(seed), strict=strict)
+    except verify.HypothesisViolation as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"csv": verify.reports_to_csv([report]), "json": verify.reports_to_json([report])}
+
+
+CASE_NAMES = [*LEMMA_CASES, "sweep"]
+
+
+@pytest.fixture(params=["compiled", "python"])
+def kernel(request, monkeypatch):
+    impl = request.getfixturevalue("compiled_kernels") if request.param == "compiled" \
+        else _pykernels
+    monkeypatch.setattr(mss, "_impl", impl)
+    monkeypatch.setattr(graphs, "_impl", impl)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_output_matches_golden(kernel, golden, name):
+    assert render(name) == golden[name]
+
+
+def test_cases_cover_every_check(golden):
+    assert {case[0] for case in LEMMA_CASES.values()} == set(verify.known_lemmas())
+    assert sorted(golden) == sorted(CASE_NAMES)
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps({name: render(name) for name in CASE_NAMES}, indent=1) + "\n")

@@ -92,7 +92,7 @@ class TestAverageCampaign:
         with pytest.raises(CapExceeded):
             run_average_campaign(30, 30, 0.5, 0.0, 1, Seed(1))
 
-    def test_brute_force_engine_gives_identical_report(self):
+    def test_brute_force_engine_gives_identical_report(self, monkeypatch):
         def brute_stats(g):
             sets = brute_force_mss(g)
             hist = [0] * (g.m + 1)
@@ -110,7 +110,8 @@ class TestAverageCampaign:
             )
 
         fast = run_average_campaign(6, 6, 0.5, 0.05, 30, Seed(9))
-        slow = run_average_campaign(6, 6, 0.5, 0.05, 30, Seed(9), _stats_fn=brute_stats)
+        monkeypatch.setattr(mss, "mss_stats", brute_stats)
+        slow = run_average_campaign(6, 6, 0.5, 0.05, 30, Seed(9))
         assert fast == slow
 
 
@@ -131,7 +132,7 @@ class TestConjectureCampaign:
         assert rep.extra["vacuous"] == 10
         assert math.isnan(rep.measured)
 
-    def test_brute_force_engine_gives_identical_report(self):
+    def test_brute_force_engine_gives_identical_report(self, monkeypatch):
         def brute_check(g, delta):
             sets = brute_force_mss(g)
             hist = [0] * (g.m + 1)
@@ -157,7 +158,8 @@ class TestConjectureCampaign:
             )
 
         fast = run_conjecture_campaign(5, 5, 0.4, 0.0, 40, Seed(31))
-        slow = run_conjecture_campaign(5, 5, 0.4, 0.0, 40, Seed(31), _check_fn=brute_check)
+        monkeypatch.setattr(mss, "conjecture_check", brute_check)
+        slow = run_conjecture_campaign(5, 5, 0.4, 0.0, 40, Seed(31))
         assert fast == slow
 
 
@@ -199,6 +201,20 @@ def test_classifier_totality_over_seeded_tuples():
         assert isinstance(classify_regime(m, n, p, alpha=alpha), Regime)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("run", [
+    lambda trials: verify_lemma("mssproba", {"m": 4, "n": 4, "p": 0.5, "ell": 1, "r": 1},
+                                trials, Seed(1)),
+    lambda trials: run_average_campaign(3, 3, 0.5, 0.0, trials, Seed(1)),
+    lambda trials: run_conjecture_campaign(3, 3, 0.5, 0.0, trials, Seed(1)),
+    lambda trials: sweep([(3, 3, 0.5, 0.0), (40, 40, 0.5, 0.0)], trials, Seed(1)),
+], ids=["verify_lemma", "average", "conjecture", "sweep"])
+def test_trials_below_one_refused_before_sampling(monkeypatch, run, trials):
+    monkeypatch.setattr(verify, "sample_bipartite", None)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run(trials)
+
+
 class TestVerifyLemma:
     def test_mssproba_consistent(self):
         rep = verify_lemma(
@@ -225,6 +241,21 @@ class TestVerifyLemma:
     def test_missing_parameter(self):
         with pytest.raises(verify.MissingParameter):
             verify_lemma("mssproba", {"m": 4, "n": 4, "p": 0.5}, 5, Seed(1))
+
+    def test_missing_parameter_comes_before_hypothesis(self):
+        # without r_star, and outside the genupper hypothesis as well
+        with pytest.raises(verify.MissingParameter, match="r_star"):
+            verify_lemma("genupper", {"m": 4, "n": 3, "p": 0.5, "ell_star": 1}, 5, Seed(1))
+
+    def test_genupper_reports_delta_as_float(self):
+        rep = verify_lemma(
+            "genupper",
+            {"m": 8, "n": 2, "p": 0.5, "ell_star": 3, "r_star": 1, "delta": 0},
+            5,
+            Seed(12),
+        )
+        assert type(rep.delta) is float
+        assert rep.csv_row().split(",")[4] == "0.0"
 
     def test_strict_hypothesis_refusal(self):
         with pytest.raises(HypothesisViolation):
