@@ -1,12 +1,21 @@
 /* Compiled kernels; pure-Python twins in _pykernels.py.
  *
- * Subset scans.  Same depth-first walk and prunes as the twin: coverage of
- * the other side only grows down the tree, so a left-out vertex whose
- * neighbourhood is fully covered kills its subtree, and re-checking left-out
- * vertices whenever coverage grows makes accepted leaves final without a
- * closing scan.  Rows are packed into W = ceil(t / 64) words each, masked to
- * the t bits of the other side.  The walk touches no Python object and runs
- * with the interpreter lock released, once per call.
+ * Subset scans.  The same depth-first walk, in the same order, with the same
+ * prunes as the twin: coverage of the other side only grows down the tree,
+ * so a left-out vertex whose neighbourhood is fully covered kills its
+ * subtree, and re-checking left-out vertices whenever coverage grows makes
+ * accepted leaves final without a closing scan.  The walk takes the scan
+ * side by descending degree, ties in vertex order, so coverage grows fast
+ * near the root; the sort happens here and scan_counts are mapped back to
+ * vertex order.  Counts are taken once per subtree: each node returns its
+ * number of leaves, and the include branch of u credits them to u and to
+ * each other-side vertex u covers first.  A vertex is free at a leaf exactly
+ * when no vertex of A covers it, so other_counts = total - covered, and
+ * leaves only update the two size histograms.  Rows are packed into
+ * W = max(1, ceil(t / 64)) words each, masked to the t bits of the other
+ * side.  One walk body is compiled twice: with W = 1, where the coverage
+ * stays in a register, and with W read at run time.  The walk touches no
+ * Python object and runs with the interpreter lock released, once per call.
  *
  * Sampler.  Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy
  * as 1, 2, 3", SC'11) run exactly as numpy's Philox bit generator runs it, so
@@ -25,73 +34,85 @@ typedef uint64_t u64;
 
 typedef struct {
     int s, W;
-    const u64 *adj;      /* s rows of W words */
+    const u64 *adj;      /* s rows of W words, in walk order */
     const u64 *full;     /* the t bits of the other side */
-    u64 *nbstack;        /* covered set N(A) at each depth, s + 1 rows */
-    int chosen[MAX_SCAN_SIDE];  /* vertices of A on the current path */
-    int out[MAX_SCAN_SIDE];     /* vertices left out on the current path */
+    u64 *nbstack;        /* words 1..W-1 of N(A) at each depth, s + 1 rows */
     long long sel_k, sel_f;
-    u64 total, sel_count;
-    u64 *k_hist, *f_hist, *scan_counts, *other_counts;
+    u64 sel_count;
+    u64 *k_hist, *f_hist;
+    u64 *scan_counts;    /* by walk position: leaves whose A holds it */
+    u64 *covered;        /* by other-side vertex: leaves whose N(A) holds it */
 } StatsCtx;
 
-static void stats_leaf(StatsCtx *c, const u64 *nb, int k)
+typedef u64 (*StatsVisit)(StatsCtx *, int, int, u64, u64);
+
+/* Word wd of a covered set: word 0 travels by value, the others sit in an
+ * nbstack row, so the one-word instance keeps its coverage in a register. */
+static inline u64 cov_word(const u64 *words, u64 word0, int wd)
 {
-    int f = 0;
-    for (int wd = 0; wd < c->W; wd++)
-        f += __builtin_popcountll(c->full[wd] & ~nb[wd]);
-    c->total++;
-    c->k_hist[k]++;
-    c->f_hist[f]++;
-    for (int i = 0; i < k; i++)
-        c->scan_counts[c->chosen[i]]++;
-    for (int wd = 0; wd < c->W; wd++) {
-        u64 x = c->full[wd] & ~nb[wd];
-        while (x) {
-            c->other_counts[(wd << 6) + __builtin_ctzll(x)]++;
-            x &= x - 1;
-        }
-    }
-    if (k == c->sel_k && f == c->sel_f)
-        c->sel_count++;
+    return wd ? words[wd] : word0;
 }
 
-/* Depth u, |A| = k, so the u - k vertices in out[] were left out. */
-static void stats_visit(StatsCtx *c, int u, int k)
+/* Node at walk position i with |A| = k and covered set (nb0, nbstack row i);
+ * bit j of out marks position j < i left out.  Returns the number of leaves
+ * below.  W is a compile-time constant in the one-word instance, so its word
+ * loops unroll away. */
+static inline __attribute__((always_inline)) u64
+stats_body(StatsCtx *c, int i, int k, u64 out, u64 nb0, const int W, StatsVisit visit)
 {
-    const int W = c->W;
-    const u64 *nb = c->nbstack + (size_t)u * W;
-    if (u == c->s) {
-        stats_leaf(c, nb, k);
-        return;
+    const u64 *nb = c->nbstack + (size_t)i * W;
+    if (i == c->s) {
+        int f = 0;
+        for (int wd = 0; wd < W; wd++)
+            f += __builtin_popcountll(c->full[wd] & ~cov_word(nb, nb0, wd));
+        c->k_hist[k]++;
+        c->f_hist[f]++;
+        c->sel_count += k == c->sel_k && f == c->sel_f;
+        return 1;
     }
-    const u64 *row = c->adj + (size_t)u * W;
-    u64 *nxt = c->nbstack + (size_t)(u + 1) * W;
-    u64 grown = 0;
-    for (int wd = 0; wd < W; wd++) {
+    const u64 *row = c->adj + (size_t)i * W;
+    u64 *nxt = c->nbstack + (size_t)(i + 1) * W;
+    const u64 nxt0 = nb0 | row[0];
+    u64 grown = row[0] & ~nb0;
+    for (int wd = 1; wd < W; wd++) {
         nxt[wd] = nb[wd] | row[wd];
         grown |= row[wd] & ~nb[wd];
     }
     int alive = 1;
     if (grown) {
-        for (int i = 0; i < u - k && alive; i++) {
-            const u64 *w_row = c->adj + (size_t)c->out[i] * W;
+        for (u64 x = out; x && alive; x &= x - 1) {
+            const u64 *w_row = c->adj + (size_t)__builtin_ctzll(x) * W;
             int covered = 1;
             for (int wd = 0; wd < W && covered; wd++)
-                covered = !(w_row[wd] & ~nxt[wd]);
+                covered = !(w_row[wd] & ~cov_word(nxt, nxt0, wd));
             alive = !covered;
         }
     }
+    u64 leaves = 0;
     if (alive) {
-        c->chosen[k] = u;
-        stats_visit(c, u + 1, k + 1);
+        leaves = visit(c, i + 1, k + 1, out, nxt0);
+        /* Credit the subtree to i and to the vertices i covers first. */
+        c->scan_counts[i] += leaves;
+        for (int wd = 0; wd < W; wd++)
+            for (u64 x = row[wd] & ~cov_word(nb, nb0, wd); x; x &= x - 1)
+                c->covered[(wd << 6) + __builtin_ctzll(x)] += leaves;
     }
-    /* Leaving u out is only viable while part of N(u) is still uncovered. */
+    /* Leaving i out is only viable while part of its row is still uncovered. */
     if (grown) {
-        memcpy(nxt, nb, (size_t)W * sizeof(u64));
-        c->out[u - k] = u;
-        stats_visit(c, u + 1, k);
+        memcpy(nxt + 1, nb + 1, (size_t)(W - 1) * sizeof(u64));
+        leaves += visit(c, i + 1, k, out | (u64)1 << i, nb0);
     }
+    return leaves;
+}
+
+static u64 stats_visit_1(StatsCtx *c, int i, int k, u64 out, u64 nb0)
+{
+    return stats_body(c, i, k, out, nb0, 1, stats_visit_1);
+}
+
+static u64 stats_visit_w(StatsCtx *c, int i, int k, u64 out, u64 nb0)
+{
+    return stats_body(c, i, k, out, nb0, c->W, stats_visit_w);
 }
 
 typedef struct {
@@ -195,9 +216,7 @@ static int check_sides(PyObject *rows, int s, int t)
 static int pack_rows(PyObject *rows, int s, int t, int W, u64 *full, u64 *adj)
 {
     for (int wd = 0; wd < W; wd++)
-        full[wd] = ~(u64)0;
-    if (t & 63)
-        full[W - 1] = ((u64)1 << (t & 63)) - 1;
+        full[wd] = t - 64 * wd >= 64 ? ~(u64)0 : ((u64)1 << (t - 64 * wd)) - 1;
     PyObject *sixty_four = PyLong_FromLong(64);
     if (sixty_four == NULL)
         return -1;
@@ -237,6 +256,21 @@ PyDoc_STRVAR(scan_stats_doc,
 "scan_stats(rows, s, t, sel_k=-1, sel_f=-1)\n--\n\n"
 "Compiled counterpart of _pykernels.scan_stats (same contract).");
 
+/* Walk positions: vertices by descending degree, ties in vertex order. */
+static void degree_order(const u64 *rows, int s, int W, int *order)
+{
+    int deg[MAX_SCAN_SIDE];
+    for (int u = 0; u < s; u++) {
+        deg[u] = 0;
+        for (int wd = 0; wd < W; wd++)
+            deg[u] += __builtin_popcountll(rows[(size_t)u * W + wd]);
+        int i = u;
+        for (; i > 0 && deg[order[i - 1]] < deg[u]; i--)
+            order[i] = order[i - 1];
+        order[i] = u;
+    }
+}
+
 static PyObject *scan_stats(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "s", "t", "sel_k", "sel_f", NULL};
@@ -247,28 +281,39 @@ static PyObject *scan_stats(PyObject *self, PyObject *args, PyObject *kwargs)
                                      &rows, &s, &t, &sel_k, &sel_f)
             || check_sides(rows, s, t) < 0)
         return NULL;
-    int W = t / 64 + (t % 64 != 0);
+    int W = t > 64 ? (t + 63) / 64 : 1;   /* word 0 always exists */
     /* One zeroed block: full, adj, nbstack, then the four count arrays. */
     u64 *buf = calloc((size_t)W * (2 * s + 2) + 2 * ((size_t)s + t + 1), sizeof(u64));
     if (buf == NULL)
         return PyErr_NoMemory();
-    StatsCtx c = {.s = s, .W = W, .sel_k = sel_k, .sel_f = sel_f};
-    c.full = buf;
-    c.adj = buf + W;
-    c.nbstack = buf + (size_t)W * (s + 1);
+    u64 *adj = buf + W;
+    StatsCtx c = {.s = s, .W = W, .sel_k = sel_k, .sel_f = sel_f, .full = buf, .adj = adj};
+    c.nbstack = adj + (size_t)W * s;
     c.k_hist = c.nbstack + (size_t)W * (s + 1);
     c.f_hist = c.k_hist + s + 1;
     c.scan_counts = c.f_hist + t + 1;
-    c.other_counts = c.scan_counts + s;
-    if (pack_rows(rows, s, t, W, buf, buf + W) == 0) {
+    c.covered = c.scan_counts + s;
+    /* Rows are packed in vertex order into nbstack, whose rows below the
+     * root are scratch until the walk, and copied into adj in walk order. */
+    if (pack_rows(rows, s, t, W, buf, c.nbstack) == 0) {
+        int order[MAX_SCAN_SIDE];
+        u64 total, by_vertex[MAX_SCAN_SIDE];
+        degree_order(c.nbstack, s, W, order);
+        for (int i = 0; i < s; i++)
+            memcpy(adj + (size_t)i * W, c.nbstack + (size_t)order[i] * W, (size_t)W * sizeof(u64));
+        memset(c.nbstack, 0, (size_t)W * sizeof(u64));
         Py_BEGIN_ALLOW_THREADS
-        stats_visit(&c, 0, 0);
+        total = W == 1 ? stats_visit_1(&c, 0, 0, 0, 0) : stats_visit_w(&c, 0, 0, 0, 0);
         Py_END_ALLOW_THREADS
-        result = Py_BuildValue("(KNNNNK)", (unsigned long long)c.total,
+        for (int i = 0; i < s; i++)
+            by_vertex[order[i]] = c.scan_counts[i];
+        for (int v = 0; v < t; v++)
+            c.covered[v] = total - c.covered[v];
+        result = Py_BuildValue("(KNNNNK)", (unsigned long long)total,
                                counts_to_list(c.k_hist, s + 1),
                                counts_to_list(c.f_hist, t + 1),
-                               counts_to_list(c.scan_counts, s),
-                               counts_to_list(c.other_counts, t),
+                               counts_to_list(by_vertex, s),
+                               counts_to_list(c.covered, t),
                                (unsigned long long)c.sel_count);
     }
     free(buf);

@@ -6,7 +6,12 @@ carrying the covered set N(A) of the other side as a bitmask.  A pair
 neighbour in the free part.  Two prunes keep degenerate inputs cheap: a
 vertex left out is dead as soon as its whole neighbourhood is covered
 (coverage only grows down the tree), and growing the coverage re-checks all
-vertices already left out, so accepted leaves need no final scan.
+vertices already left out, so accepted leaves need no final scan.  Both
+walk the scan side in the same order, by descending degree within the t
+bits of the other side, ties in vertex order, so they build the same tree.
+The compiled walk counts once per subtree (the include branch of u credits
+the leaves below it to u and to the vertices u covers first); scan_stats
+here counts at every leaf, which keeps it a plain reference for the counts.
 
 Sampler.  sample_rows draws with numpy's Philox bit generator, imported only
 when it runs; the compiled twin reproduces that generator bit for bit.
@@ -17,35 +22,38 @@ def maximal_pairs(rows, s, t, leaf):
     """Call leaf(chosen, free) once per maximal pair (A, other \\ N(A)).
 
     rows[u] is the neighbourhood of scan-side vertex u as a bitmask over the
-    other side (t bits).  chosen lists A in increasing order and is reused
+    other side (t bits).  chosen lists the vertex ids of A in walk order
+    (descending degree, ties by id), not in increasing order, and is reused
     between calls, so a leaf that keeps it must copy it; free is the free
     part as a bitmask.
     """
     full = (1 << t) - 1
-    in_a = [False] * s
+    order = sorted(range(s), key=lambda u: -(rows[u] & full).bit_count())
     chosen = []
+    out = []
 
-    def visit(u, nb):
-        if u == s:
+    def visit(i, nb):
+        if i == s:
             leaf(chosen, full & ~nb)
             return
+        u = order[i]
         row = rows[u]
         grown = nb | row
         alive = True
         if grown != nb:
             free = full & ~grown
-            for w in range(u):
-                if not in_a[w] and rows[w] & free == 0:
+            for w in out:
+                if rows[w] & free == 0:
                     alive = False
                     break
         if alive:
-            in_a[u] = True
             chosen.append(u)
-            visit(u + 1, grown)
+            visit(i + 1, grown)
             chosen.pop()
-            in_a[u] = False
         if row & ~nb & full:
-            visit(u + 1, nb)
+            out.append(u)
+            visit(i + 1, nb)
+            out.pop()
 
     visit(0, 0)
 

@@ -2,7 +2,8 @@
 classification and set-family checks.
 
 Exit codes: 0 success, 1 I/O or input-format failure, 2 usage, 3 refusal
-(hypothesis violation or enumeration cap).  Machine outputs start with a
+(hypothesis violation, enumeration cap, or a closed form out of
+floating-point range).  Machine outputs start with a
 config echo carrying the resolved seed, so every run is reproducible from
 its own output.  The worker count is an execution detail and deliberately
 not part of the echo: equal configs must produce byte-identical tables.
@@ -317,6 +318,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (HypothesisViolation, CapExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        # a closed form evaluated in floats overflowed; log space would avoid it
+        print(f"refused: closed form out of floating-point range: {exc}", file=sys.stderr)
         return 3
     except (GraphParseError, FamilyParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -182,13 +182,10 @@ def _scan(g: BipartiteGraph, sel, cap):
         left_hist, lvc, rvc = f_hist, other_counts, scan_counts
     else:
         left_hist, lvc, rvc = k_hist, scan_counts, other_counts
-    stats = MssStats(
-        total=int(total),
-        left_hist=tuple(int(x) for x in left_hist),
-        left_vertex_counts=tuple(int(x) for x in lvc),
-        right_vertex_counts=tuple(int(x) for x in rvc),
-    )
-    return stats, int(sel_count)
+    # both kernels return Python ints, so no per-element conversion
+    stats = MssStats(total=total, left_hist=tuple(left_hist),
+                     left_vertex_counts=tuple(lvc), right_vertex_counts=tuple(rvc))
+    return stats, sel_count
 
 
 def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,

@@ -163,6 +163,16 @@ class TestVerify:
         assert out == ""
         assert err == "usage error: trials must be >= 1\n"
 
+    def test_closed_form_overflow_refusal_exit(self, capsys):
+        # the exact genupper expectation overflows a float at n = 1500
+        rc, out, err = run(capsys, "verify", "genupper", "-m", "12", "-n", "1500",
+                           "-p", "0.5", "--l-star", "3", "--r-star", "1",
+                           "--trials", "2", "--informational")
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("refused: closed form out of floating-point range: ")
+        assert err.count("\n") == 1
+
 
 class TestSweep:
     def test_three_rows(self, capsys, tmp_path):

@@ -165,21 +165,87 @@ class TestStats:
             assert count_mss_with_sizes(g, ell, r) == want
 
 
+ROW_KINDS = ("random", "shared", "isolated", "complete", "circulant")
+
+
+@st.composite
+def tied_scan_rows(draw, widths, max_s=10):
+    """(rows, s, t) whose degree sequences are full of ties.
+
+    Each row is random, one row shared by all rows of that kind, empty
+    (isolated), complete, or a rotation of one base row (so all rotations
+    share a degree, and a side of only those is regular).  Bits above t may
+    be set; both kernels must ignore them.
+    """
+    t = draw(widths)
+    s = draw(st.integers(0, max_s))
+    full = (1 << t) - 1
+    shared = draw(st.integers(0, full))
+    base = draw(st.integers(0, full))
+    junk = draw(st.integers(0, 3)) << t
+    rows = []
+    for u in range(s):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        if kind == "random":
+            row = draw(st.integers(0, full))
+        elif kind == "circulant":
+            r = u % t if t else 0
+            row = ((base << r) | (base >> (t - r))) & full
+        else:
+            row = {"shared": shared, "isolated": 0, "complete": full}[kind]
+        rows.append(row | junk)
+    return rows, s, t
+
+
+# the compiled walk has a one-word instance (t <= 64) and a multi-word one
+ONE_WORD = st.integers(0, 64)
+MULTI_WORD = st.sampled_from((64, 65, 130))
+
+
 class TestCompiledKernel:
     """The C kernel against the pure-Python twin, which is the reference."""
 
     @staticmethod
-    def assert_agree(kernels, g, lo_ks=(1,)):
+    def assert_stats_agree(kernels, rows, s, t, other_sel=(1, 2)):
+        ref = _pykernels.scan_stats(rows, s, t)
+        assert tuple(kernels.scan_stats(rows, s, t)) == tuple(ref)
+        # select the most common (k, f) too, so that sel_count is exercised
+        common = (max(range(s + 1), key=ref[1].__getitem__),
+                  max(range(t + 1), key=ref[2].__getitem__))
+        for sel in (common, other_sel):
+            assert tuple(kernels.scan_stats(rows, s, t, *sel)) == \
+                tuple(_pykernels.scan_stats(rows, s, t, *sel))
+
+    @classmethod
+    def assert_agree(cls, kernels, g, lo_ks=(1,)):
         rows = list(g.adj)
-        ref = _pykernels.scan_stats(rows, g.m, g.n)
-        # select the most common (k, f) so that sel_count is exercised
-        sel = (max(range(g.m + 1), key=ref[1].__getitem__),
-               max(range(g.n + 1), key=ref[2].__getitem__))
-        for args in ((rows, g.m, g.n), (rows, g.m, g.n, 1, 2), (rows, g.m, g.n, *sel)):
-            assert tuple(kernels.scan_stats(*args)) == tuple(_pykernels.scan_stats(*args))
+        cls.assert_stats_agree(kernels, rows, g.m, g.n)
         for lo_k in lo_ks:
             assert kernels.scan_free_hist(rows, g.m, g.n, lo_k) == list(
                 _pykernels.scan_free_hist(rows, g.m, g.n, lo_k))
+
+    @given(tied_scan_rows(ONE_WORD), st.integers(-1, 11), st.integers(-1, 65))
+    @settings(max_examples=200, deadline=None)
+    def test_stats_agree_one_word(self, compiled_kernels, case, sel_k, sel_f):
+        self.assert_stats_agree(compiled_kernels, *case, (sel_k, sel_f))
+
+    @given(tied_scan_rows(MULTI_WORD), st.integers(-1, 11), st.integers(-1, 131))
+    @settings(max_examples=100, deadline=None)
+    def test_stats_agree_multi_word(self, compiled_kernels, case, sel_k, sel_f):
+        self.assert_stats_agree(compiled_kernels, *case, (sel_k, sel_f))
+
+    @given(st.data(), tied_scan_rows(st.one_of(ONE_WORD, MULTI_WORD)))
+    @settings(max_examples=150, deadline=None)
+    def test_permuting_rows_permutes_scan_counts(self, compiled_kernels, data, case):
+        # the walk order is sorted by degree inside the kernel; this catches
+        # scan_counts that are not mapped back to vertex order
+        rows, s, t = case
+        perm = data.draw(st.permutations(range(s)))
+        for kernel in (compiled_kernels, _pykernels):
+            before = kernel.scan_stats(rows, s, t, 1, 1)
+            after = kernel.scan_stats([rows[u] for u in perm], s, t, 1, 1)
+            assert list(after[3]) == [before[3][u] for u in perm]
+            assert tuple(after[:3]) + tuple(after[4:]) == tuple(before[:3]) + tuple(before[4:])
 
     def test_kernel_twins_agree(self, compiled_kernels):
         for i in range(60):
