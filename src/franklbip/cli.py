@@ -2,8 +2,9 @@
 classification and set-family checks.
 
 Exit codes: 0 success, 1 I/O or input-format failure, 2 usage, 3 refusal
-(hypothesis violation, enumeration cap, or a closed form out of
-floating-point range).  Machine outputs start with a
+(hypothesis violation, a scan side over the cap, or a closed form out of
+floating-point range).  `--cap` is the largest scan side min(m, n) in
+`stats` and in `sweep` alike.  Machine outputs start with a
 config echo carrying the resolved seed, so every run is reproducible from
 its own output.  The worker count is an execution detail and deliberately
 not part of the echo: equal configs must produce byte-identical tables.
@@ -70,7 +71,7 @@ def cmd_sample(args) -> int:
 def cmd_stats(args) -> int:
     with open(args.graph) as fh:
         g = parse_graph(fh.read())
-    stats = mss.mss_stats(g, cap=1 << args.cap)
+    stats = mss.mss_stats(g, cap=args.cap)
     verdict = mss.verdict_from_stats(stats, g.edge_count() == 0, args.delta)
     avg = stats.left_average()
     cfg = _echo("stats", _resolve_seed(args), graph=args.graph, delta=args.delta,
@@ -157,13 +158,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_regime(args) -> int:
-    tag = verify.classify_regime(args.m, args.n, args.p, alpha=args.alpha,
-                                 delta=args.delta)
+    tag = verify.classify_regime(args.m, args.n, args.p, alpha=args.alpha)
     prob = as_prob(args.p)
     rp = RegimeParams.from_mnp(args.m, args.n, prob)
     consts = bounds.regime_constants(prob)
     cfg = _echo("regime", _resolve_seed(args), m=args.m, n=args.n, p=args.p,
-                alpha=args.alpha, delta=args.delta)
+                alpha=args.alpha)
     if args.format == "json":
         payload = {
             "config": cfg,
@@ -177,7 +177,7 @@ def cmd_regime(args) -> int:
             "thresholds": {
                 "m^(1/5)": float(args.m) ** 0.2,
                 "m/16": args.m / 16.0,
-                "alpha*m": (args.alpha if args.alpha is not None else verify.DEFAULT_ALPHA) * args.m,
+                "alpha*m": args.alpha * args.m,
                 "m/2": args.m / 2.0,
                 "m^3": float(args.m) ** 3,
             },
@@ -186,7 +186,6 @@ def cmd_regime(args) -> int:
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
-    alpha = args.alpha if args.alpha is not None else verify.DEFAULT_ALPHA
     lines = ["config: " + json.dumps(cfg, sort_keys=True)]
     lines.append(f"regime: {tag.value}")
     lines.append(f"log_1/q(n): {rp.log_n!r}  log_1/q(m): {rp.log_m!r}")
@@ -195,7 +194,7 @@ def cmd_regime(args) -> int:
     lines.append(
         "thresholds vs log_1/q(n): "
         f"m^(1/5)={float(args.m) ** 0.2!r}  m/16={args.m / 16.0!r}  "
-        f"alpha*m={alpha * args.m!r}  m/2={args.m / 2.0!r}  m^3={float(args.m) ** 3!r}"
+        f"alpha*m={args.alpha * args.m!r}  m/2={args.m / 2.0!r}  m^3={float(args.m) ** 3!r}"
     )
     lines.append(f"c_right: {consts.c_right}  r_star: {consts.r_star}")
     _emit("\n".join(lines) + "\n", args.output)
@@ -247,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("stats", help="exact stats and conjecture verdict for a graph file")
     pt.add_argument("graph")
     pt.add_argument("--delta", type=float, default=0.0)
-    pt.add_argument("--cap", type=int, default=30, help="candidate cap as a power of two")
+    pt.add_argument("--cap", type=int, default=mss.DEFAULT_CAP,
+                    help="largest scan side, min(m, n)")
     pt.add_argument("--seed", type=int, help="echoed for reproducibility; stats are deterministic")
     pt.add_argument("--format", choices=("table", "json"), default="table")
     pt.add_argument("-o", "--output")
@@ -280,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--seed", type=int)
     pw.add_argument("--workers", type=int, default=1)
     pw.add_argument("--alpha", type=float, default=verify.DEFAULT_ALPHA)
-    pw.add_argument("--cap", type=int, default=verify.CAMPAIGN_SIDE_CAP)
+    pw.add_argument("--cap", type=int, default=verify.CAMPAIGN_SIDE_CAP,
+                    help="largest scan side, min(m, n), of a grid point; larger points "
+                         "become error rows")
     pw.add_argument("--format", choices=("csv", "json"), default="csv")
     pw.add_argument("-o", "--output")
     pw.set_defaults(func=cmd_sweep)
@@ -290,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("-n", type=int, required=True)
     pr.add_argument("-p", type=float, required=True)
     pr.add_argument("--alpha", type=float, default=verify.DEFAULT_ALPHA)
-    pr.add_argument("--delta", type=float)
     pr.add_argument("--seed", type=int, help="echoed only; classification is deterministic")
     pr.add_argument("--format", choices=("table", "json"), default="table")
     pr.add_argument("-o", "--output")

@@ -147,15 +147,6 @@ class BipartiteGraph:
                 row ^= low
         return tuple(cols)
 
-    def right_adj(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise IndexError(f"right vertex {v} out of range")
-        mask = 0
-        for u, row in enumerate(self.adj):
-            if row >> v & 1:
-                mask |= 1 << u
-        return mask
-
     def to_json_dict(self) -> dict:
         rows = ["".join("1" if row >> v & 1 else "0" for v in range(self.n)) for row in self.adj]
         return {"m": self.m, "n": self.n, "rows": rows}
@@ -178,26 +169,6 @@ def sample_bipartite(m: int, n: int, prob, seed: Seed) -> BipartiteGraph:
 def swap_sides(g: BipartiteGraph) -> BipartiteGraph:
     """Exchange the two sides; (u, v) becomes (v, u).  Involutive."""
     return BipartiteGraph(g.n, g.m, g.columns())
-
-
-def induced_subgraph(g: BipartiteGraph, lsub, rsub) -> BipartiteGraph:
-    """Subgraph on the given left and right vertex subsets, reindexed densely.
-
-    Vertices keep their relative order; an edge survives iff both endpoints do.
-    """
-    lvs = sorted(set(lsub))
-    rvs = sorted(set(rsub))
-    if not lvs or not rvs:
-        raise ZeroSideError("induced subgraph needs nonempty subsets on both sides")
-    if lvs[0] < 0 or lvs[-1] >= g.m:
-        raise IndexError(f"left subset out of range: {lvs}")
-    if rvs[0] < 0 or rvs[-1] >= g.n:
-        raise IndexError(f"right subset out of range: {rvs}")
-    rows = []
-    for u in lvs:
-        row = g.adj[u]
-        rows.append(sum(1 << j for j, v in enumerate(rvs) if row >> v & 1))
-    return BipartiteGraph(len(lvs), len(rvs), tuple(rows))
 
 
 def serialize_graph(g: BipartiteGraph) -> str:

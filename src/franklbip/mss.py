@@ -24,12 +24,16 @@ from . import _pykernels
 # for the subset scans here alike.
 from .graphs import KERNEL, BipartiteGraph, _impl  # noqa: F401
 
-DEFAULT_CANDIDATE_CAP = 1 << 30
+# The cap is the largest scan side: min(m, n), or m for the free-part scan.
+DEFAULT_CAP = 30
+# _kernels.c refuses a scan side above its MAX_SCAN_SIDE of 62 (its counters
+# are 64-bit), so the cap never goes past it and both kernels refuse alike.
+MAX_SCAN_SIDE = 62
 BRUTE_FORCE_LIMIT = 24
 
 
 class CapExceeded(RuntimeError):
-    """The requested scan is larger than the configured candidate cap."""
+    """The requested scan side is larger than the cap."""
 
 
 class StableSet(NamedTuple):
@@ -37,12 +41,6 @@ class StableSet(NamedTuple):
 
     left: int
     right: int
-
-    def left_vertices(self):
-        return _bits(self.left)
-
-    def right_vertices(self):
-        return _bits(self.right)
 
 
 def _bits(mask: int):
@@ -135,15 +133,16 @@ def _scan_layout(g: BipartiteGraph):
 
 
 def _check_cap(side: int, cap: int):
-    if (1 << side) > cap:
-        raise CapExceeded(f"2^{side} candidate subsets exceed the cap of {cap}")
+    limit = min(cap, MAX_SCAN_SIDE)
+    if side > limit:
+        raise CapExceeded(f"scan side {side} exceeds the cap of {limit}")
 
 
-def enumerate_mss(g: BipartiteGraph, cap: int = DEFAULT_CANDIDATE_CAP) -> list:
+def enumerate_mss(g: BipartiteGraph) -> list:
     """Every maximal stable set exactly once (order unspecified), through
     the pure-Python walk."""
     rows, s, t, swapped = _scan_layout(g)
-    _check_cap(s, cap)
+    _check_cap(s, DEFAULT_CAP)
     out = []
 
     def leaf(chosen, free):
@@ -155,16 +154,16 @@ def enumerate_mss(g: BipartiteGraph, cap: int = DEFAULT_CANDIDATE_CAP) -> list:
     return out
 
 
-def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CANDIDATE_CAP) -> MssStats:
-    """Aggregate counts without storing sets; memory stays O(m + n)."""
+def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> MssStats:
+    """Aggregate counts without storing sets; memory stays O(m + n).
+    Refuses a scan side min(m, n) above cap."""
     stats, _ = _scan(g, None, cap)
     return stats
 
 
-def count_mss_with_sizes(g: BipartiteGraph, ell: int, r: int,
-                         cap: int = DEFAULT_CANDIDATE_CAP) -> int:
+def count_mss_with_sizes(g: BipartiteGraph, ell: int, r: int) -> int:
     """Exact number of maximal stable sets S with |S∩L| = ell and |S∩R| = r."""
-    _, sel = _scan(g, (ell, r), cap)
+    _, sel = _scan(g, (ell, r), DEFAULT_CAP)
     return sel
 
 
@@ -188,8 +187,7 @@ def _scan(g: BipartiteGraph, sel, cap):
     return stats, sel_count
 
 
-def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
-                        cap: int = DEFAULT_CANDIDATE_CAP) -> int:
+def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int) -> int:
     """Number of stable pairs (A, B), not necessarily maximal, with
     |A| >= ell_star on the left and |B| >= r_star on the right.
 
@@ -198,7 +196,7 @@ def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
     """
     if not 0 <= ell_star <= g.m or not 0 <= r_star <= g.n:
         raise ValueError("thresholds out of range")
-    _check_cap(g.m, cap)
+    _check_cap(g.m, DEFAULT_CAP)
     freq = _impl.scan_free_hist(list(g.adj), g.m, g.n, ell_star)
     tails = _binomial_tails(g.n, r_star)
     return sum(int(freq[f]) * tails[f] for f in range(g.n + 1))
@@ -215,9 +213,9 @@ def _binomial_tails(n: int, r_star: int):
     return tails
 
 
-def left_avg(g: BipartiteGraph, cap: int = DEFAULT_CANDIDATE_CAP) -> Fraction:
+def left_avg(g: BipartiteGraph) -> Fraction:
     """Average size of the left part over all maximal stable sets, exact."""
-    return mss_stats(g, cap).left_average()
+    return mss_stats(g).left_average()
 
 
 def almost_unstable_vertex(stats: MssStats, side: str, delta) -> Optional[tuple]:
@@ -238,10 +236,9 @@ def almost_unstable_vertex(stats: MssStats, side: str, delta) -> Optional[tuple]
     return None
 
 
-def conjecture_check(g: BipartiteGraph, delta=0,
-                     cap: int = DEFAULT_CANDIDATE_CAP) -> ConjectureVerdict:
+def conjecture_check(g: BipartiteGraph, delta=0) -> ConjectureVerdict:
     """Up-to-delta verdict for both sides from a single enumeration."""
-    return verdict_from_stats(mss_stats(g, cap), g.edge_count() == 0, delta)
+    return verdict_from_stats(mss_stats(g), g.edge_count() == 0, delta)
 
 
 def verdict_from_stats(stats: MssStats, vacuous: bool, delta=0) -> ConjectureVerdict:
@@ -272,62 +269,6 @@ def count_left_at_most(stats: MssStats, threshold) -> int:
     """Number of maximal stable sets with |A∩L| <= threshold."""
     thr = Fraction(threshold)
     return sum(c for k, c in enumerate(stats.left_hist) if k <= thr)
-
-
-FOUND = "found"
-ABSENT = "absent"
-BUDGET_EXHAUSTED = "budget_exhausted"
-
-
-@dataclass(frozen=True)
-class MatchingSearch:
-    """Backtracking outcome: `absent` is definite (the search space was
-    exhausted), `budget_exhausted` only means not found within budget."""
-
-    status: str
-    edges: Optional[tuple]
-    explored: int
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-def find_induced_matching(g: BipartiteGraph, k: int, budget: int = 1_000_000) -> MatchingSearch:
-    """Search for k pairwise non-adjacent edges with no cross edges between
-    their endpoints."""
-    if k < 1:
-        raise ValueError("matching size must be >= 1")
-    edges = [(u, v) for u in range(g.m) for v in _bits(g.adj[u])]
-    cols = g.columns()
-    explored = 0
-    found = None
-
-    def visit(start, chosen, blocked_left, blocked_right):
-        nonlocal explored, found
-        if len(chosen) == k:
-            found = tuple(chosen)
-            return True
-        for idx in range(start, len(edges)):
-            if len(chosen) + (len(edges) - idx) < k:
-                return False
-            explored += 1
-            if explored > budget:
-                raise _BudgetExceeded()
-            u, v = edges[idx]
-            if blocked_left >> u & 1 or blocked_right >> v & 1:
-                continue
-            if visit(idx + 1, chosen + [(u, v)],
-                     blocked_left | cols[v], blocked_right | g.adj[u]):
-                return True
-        return False
-
-    try:
-        if visit(0, [], 0, 0):
-            return MatchingSearch(FOUND, found, explored)
-        return MatchingSearch(ABSENT, None, explored)
-    except _BudgetExceeded:
-        return MatchingSearch(BUDGET_EXHAUSTED, None, explored)
 
 
 def brute_force_mss(g: BipartiteGraph):

@@ -97,9 +97,9 @@ def frankl_check(family: SetFamily):
     return best_elem, frequency, 2 * best_count >= len(family.members)
 
 
-def parse_family(text: str, ground_size: int = None) -> SetFamily:
+def parse_family(text: str) -> SetFamily:
     """One set per line as comma-separated element indices; '-' is the empty
-    set.  The ground size defaults to max element + 1."""
+    set.  The ground size is max element + 1."""
     masks = []
     max_elem = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -125,9 +125,7 @@ def parse_family(text: str, ground_size: int = None) -> SetFamily:
         masks.append(mask)
     if not masks:
         raise FamilyParseError("no sets in input")
-    if ground_size is None:
-        ground_size = max(max_elem + 1, 1)
-    return SetFamily(ground_size, tuple(masks))
+    return SetFamily(max(max_elem + 1, 1), tuple(masks))
 
 
 def serialize_family(family: SetFamily) -> str:

@@ -25,6 +25,7 @@ from .mss import CapExceeded
 
 DEFAULT_ALPHA = 0.45
 CAMPAIGN_SIDE_CAP = 28
+CI_Z = 4.0  # every confidence radius is this many standard deviations wide
 CONSISTENT = "consistent"
 VIOLATED = "violated"
 INFORMATIONAL = "informational"
@@ -53,20 +54,14 @@ class Regime(enum.Enum):
     LARGE_LEFT = "LargeLeft"
 
 
-def classify_regime(m: int, n: int, prob, alpha: float = DEFAULT_ALPHA,
-                    delta: float = None) -> Regime:
+def classify_regime(m: int, n: int, prob, alpha: float = DEFAULT_ALPHA) -> Regime:
     """Total, deterministic classification; ties go to the earlier band in
     the precedence order ConstantRight, MatchingSaturated, GiganticRight,
     EntropyBand, HoeffdingBand, Balanced, LargeLeft.
-
-    When alpha is None it is derived from delta as max(1/16, 1/2 - delta/4),
-    the choice the gigantic-right argument makes internally.
     """
     prob = as_prob(prob).require_interior()
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got ({m}, {n})")
-    if alpha is None:
-        alpha = max(1.0 / 16.0, 0.5 - (delta or 0.0) / 4.0)
     if not 1.0 / 16.0 <= alpha < 0.5:
         raise ValueError(f"alpha must lie in [1/16, 1/2), got {alpha}")
     consts = bounds.regime_constants(prob)
@@ -137,25 +132,30 @@ class BoundReport:
 CSV_HEADER = "lemma_id,m,n,p,delta,trials,claimed,measured,ci,verdict,seed"
 
 
-def wilson_radius(successes: int, trials: int, z: float = 4.0) -> float:
+def wilson_radius(successes: int, trials: int) -> float:
     """Half-width of the Wilson score interval; stays positive at 0 and 1."""
     if trials <= 0:
         return float("nan")
     phat = successes / trials
-    z2 = z * z
+    z2 = CI_Z * CI_Z
     denom = 1.0 + z2 / trials
-    rad = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
+    rad = CI_Z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
     return rad / denom
 
 
-def binomial_radius(claim: float, trials: int, z: float = 4.0) -> float:
-    """z-sigma radius of a binomial frequency around a known probability."""
-    return z * math.sqrt(claim * (1.0 - claim) / trials)
+def binomial_radius(claim: float, trials: int) -> float:
+    """CI_Z-sigma radius of a binomial frequency around a known probability."""
+    return CI_Z * math.sqrt(claim * (1.0 - claim) / trials)
 
 
 def _check_trials(trials: int):
     if trials < 1:
         raise ValueError("trials must be >= 1")
+
+
+def _check_campaign_side(m: int, n: int, cap: int):
+    if min(m, n) > cap:
+        raise CapExceeded(f"min(m, n) = {min(m, n)} exceeds campaign cap {cap}")
 
 
 def run_average_campaign(m: int, n: int, prob, delta, trials: int, seed: Seed,
@@ -164,16 +164,16 @@ def run_average_campaign(m: int, n: int, prob, delta, trials: int, seed: Seed,
 
     The target probability is asymptotic, so the verdict is informational;
     the report carries the Wilson radius and the exact mean of the averages.
+    cap is the largest min(m, n) the campaign enumerates.
     """
     _check_trials(trials)
     prob = as_prob(prob)
-    if min(m, n) > cap:
-        raise CapExceeded(f"min(m, n) = {min(m, n)} exceeds campaign cap {cap}")
+    _check_campaign_side(m, n, cap)
     threshold = (Fraction(1, 2) + Fraction(delta)) * m
     hits = 0
     total_avg = Fraction(0)
     for t in range(trials):
-        avg = mss.mss_stats(sample_bipartite(m, n, prob, seed.child(t))).left_average()
+        avg = mss.mss_stats(sample_bipartite(m, n, prob, seed.child(t)), cap).left_average()
         total_avg += avg
         if avg <= threshold:
             hits += 1
@@ -181,8 +181,8 @@ def run_average_campaign(m: int, n: int, prob, delta, trials: int, seed: Seed,
                    {"mean_left_avg": total_avg / trials, "hits": hits})
 
 
-def run_conjecture_campaign(m: int, n: int, prob, delta, trials: int, seed: Seed,
-                            cap: int = CAMPAIGN_SIDE_CAP) -> BoundReport:
+def run_conjecture_campaign(m: int, n: int, prob, delta, trials: int,
+                            seed: Seed) -> BoundReport:
     """Frequency of the up-to-delta verdict among non-edgeless samples.
 
     Edgeless samples are counted separately as vacuous.  Any violating graph
@@ -192,8 +192,7 @@ def run_conjecture_campaign(m: int, n: int, prob, delta, trials: int, seed: Seed
     """
     _check_trials(trials)
     prob = as_prob(prob)
-    if min(m, n) > cap:
-        raise CapExceeded(f"min(m, n) = {min(m, n)} exceeds campaign cap {cap}")
+    _check_campaign_side(m, n, CAMPAIGN_SIDE_CAP)
     satisfied = 0
     vacuous = 0
     violations = []
@@ -228,7 +227,7 @@ def _report(lemma_id, m, n, prob, delta, trials, seed, claimed, total, verdict_m
     measured = total / trials
     if verdict_mode == MEAN_AT_MOST:
         var = squares / trials - measured * measured
-        ci = 4.0 * math.sqrt(max(var, 0.0) / trials)
+        ci = CI_Z * math.sqrt(max(var, 0.0) / trials)
         verdict = CONSISTENT if measured - claimed <= ci else VIOLATED
     elif verdict_mode == INFORMATIONAL:
         ci = wilson_radius(total, trials)
@@ -267,14 +266,15 @@ def _mssproba(m, n, prob, params):
 
 def _genupper(m, n, prob, params):
     ell_star, r_star = params["ell_star"], params["r_star"]
-    # hypothesis enforcement happens in verify_lemma; report the raw formula
-    claimed = bounds.genupper_bound(m, n, prob, ell_star, r_star, enforce=False)
+    claimed = bounds.genupper_bound(m, n, prob, ell_star, r_star)
     exact = bounds.expected_stab_at_least(m, n, prob, ell_star, r_star)
     return (claimed, lambda g: mss.stab_at_least_count(g, ell_star, r_star),
             {"exact_expectation": exact})
 
 
 def _genupper_hypothesis(m, n, prob, params):
+    # the geometric series behind genupper_bound needs n q^ell_star <= 1/2;
+    # a direct power keeps exactly representable boundary cases like 2 * 0.25
     z = n * prob.q ** params["ell_star"]
     if z > 0.5:
         raise HypothesisViolation(f"n * q^ell_star = {z:.6g} > 1/2")
@@ -460,19 +460,20 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
           alpha: float = DEFAULT_ALPHA, cap: int = CAMPAIGN_SIDE_CAP):
     """Run the averaging campaign once per (m, n, p, delta) grid point.
 
-    Point i runs on sub-stream seed.child-composed from i, so the table is
-    identical for any worker count.  A point the campaign refuses (over the
+    Point i runs on sub-stream seed.child(i), so the table is identical for
+    any worker count.  A point the campaign refuses (a degenerate p, over the
     cap, outside a hypothesis, invalid parameters) becomes a row with verdict
     `error` instead of aborting the sweep; any other exception propagates.
-    A trial count below 1 refuses the whole sweep.
+    p is checked first, so a degenerate point draws no graph.  A trial count
+    below 1 refuses the whole sweep.
     """
     _check_trials(trials)
 
     def one(item):
         idx, (m, n, p, delta) = item
-        point_seed = Seed(seed.root, (seed.stream << 32) | idx)
         try:
-            report = run_average_campaign(m, n, p, delta, trials, point_seed, cap=cap)
+            as_prob(p).require_interior()
+            report = run_average_campaign(m, n, p, delta, trials, seed.child(idx), cap=cap)
             regime = classify_regime(m, n, p, alpha=alpha).value
             return replace(report, extra={**report.extra, "regime": regime})
         except (CapExceeded, HypothesisViolation, ValueError) as exc:

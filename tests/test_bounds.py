@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import weighted_expectation
-from franklbip import bounds
+from franklbip import bounds, verify
 from franklbip.bounds import (
     HypothesisViolation,
     PairCountSpec,
@@ -30,6 +30,7 @@ from franklbip.bounds import (
     regime_constants,
     stab_tail_table,
 )
+from franklbip.graphs import Seed
 from franklbip.mss import StableSet, is_maximal_stable
 
 
@@ -168,11 +169,17 @@ class TestGenupper:
         assert expected_stab_at_least(4, 2, 0.5, 2, 1) <= bound
 
     def test_boundary_hypothesis_allowed(self):
+        # n q^l* = 2 * 0.25 is exactly 1/2, inside the hypothesis
         assert genupper_bound(10, 2, 0.5, 2, 1) == 1024.0
+        params = {"m": 10, "n": 2, "p": 0.5, "ell_star": 2, "r_star": 1}
+        assert verify.verify_lemma("genupper", params, 1, Seed(0)).claimed == 1024.0
 
     def test_hypothesis_guard(self):
-        with pytest.raises(HypothesisViolation):
-            genupper_bound(4, 3, 0.5, 1, 1)
+        # the formula gives its raw value; the genupper check refuses n q^l* > 1/2
+        assert genupper_bound(4, 3, 0.5, 1, 1) == 48.0
+        params = {"m": 4, "n": 3, "p": 0.5, "ell_star": 1, "r_star": 1}
+        with pytest.raises(HypothesisViolation, match="n \\* q\\^ell_star = 1.5 > 1/2"):
+            verify.verify_lemma("genupper", params, 1, Seed(0))
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_dominance_small_grid(self, p):

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from franklbip import cli, mss
-from franklbip.graphs import matching_graph, parse_graph, serialize_graph
+from franklbip import _pykernels, cli, graphs, mss
+from franklbip.graphs import empty_graph, matching_graph, parse_graph, serialize_graph
 
 
 def run(capsys, *argv):
@@ -112,6 +112,56 @@ class TestStats:
     def test_missing_file_is_io_exit(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "stats", str(tmp_path / "nothere.graph"))
         assert rc == 1
+
+
+@pytest.fixture(params=["compiled", "python"])
+def kernel(request, monkeypatch):
+    impl = request.getfixturevalue("compiled_kernels") if request.param == "compiled" \
+        else _pykernels
+    monkeypatch.setattr(mss, "_impl", impl)
+    monkeypatch.setattr(graphs, "_impl", impl)
+
+
+class TestCap:
+    """--cap is the largest scan side, min(m, n), in stats and sweep alike,
+    and both kernels refuse the same graphs."""
+
+    @staticmethod
+    def empty(tmp_path, side):
+        path = tmp_path / f"empty{side}.graph"
+        path.write_text(serialize_graph(empty_graph(side, side)))
+        return str(path)
+
+    def test_stats_default_is_side_30(self, kernel, capsys, tmp_path):
+        path = self.empty(tmp_path, 31)
+        rc, out, err = run(capsys, "stats", path)
+        assert rc == 3
+        assert out == ""
+        assert err == "refused: scan side 31 exceeds the cap of 30\n"
+        rc, out, _ = run(capsys, "stats", path, "--cap", "31")
+        assert rc == 0
+        assert "\ntotal: 1\n" in out
+        assert '"cap": 31' in out
+
+    def test_stats_cap_stops_at_kernel_limit(self, kernel, capsys, tmp_path):
+        rc, out, _ = run(capsys, "stats", self.empty(tmp_path, 62), "--cap", "70")
+        assert rc == 0
+        assert "\ntotal: 1\n" in out
+        rc, out, err = run(capsys, "stats", self.empty(tmp_path, 63), "--cap", "70")
+        assert rc == 3
+        assert out == ""
+        assert err == "refused: scan side 63 exceeds the cap of 62\n"
+
+    def test_sweep_cap_admits_side_31(self, kernel, capsys, tmp_path):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("m,n,p,delta\n31,31,0.5,0.0\n")
+        rc, out, _ = run(capsys, "sweep", str(grid), "--trials", "2", "--seed", "3",
+                         "--cap", "40")
+        assert rc == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 3
+        assert lines[2].startswith("average,31,31,0.5,0.0,2,1.0,")
+        assert ",informational,3," in lines[2]
 
 
 class TestVerify:
@@ -244,6 +294,14 @@ class TestRegime:
     def test_range_error_usage_exit(self, capsys):
         rc, _, _ = run(capsys, "regime", "-m", "0", "-n", "3", "-p", "0.5")
         assert rc == 2
+
+    def test_no_delta_flag(self, capsys):
+        # the band edges depend on --alpha only
+        rc, out, err = run(capsys, "regime", "-m", "20", "-n", "512", "-p", "0.5",
+                           "--delta", "0.1")
+        assert rc == 2
+        assert out == ""
+        assert "unrecognized arguments: --delta 0.1" in err
 
 
 class TestFrankl:

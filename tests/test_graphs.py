@@ -13,7 +13,6 @@ from franklbip.graphs import (
     ZeroSideError,
     complete_graph,
     empty_graph,
-    induced_subgraph,
     matching_graph,
     parse_graph,
     sample_bipartite,
@@ -128,34 +127,6 @@ class TestSwapSides:
         assert t.adj == (1,)
 
 
-class TestInducedSubgraph:
-    def test_complete_restriction(self):
-        sub = induced_subgraph(complete_graph(3, 2), {0, 1}, {0})
-        assert sub == complete_graph(2, 1)
-
-    def test_full_restriction_is_identity(self):
-        g = sample_bipartite(4, 5, 0.5, Seed(2))
-        assert induced_subgraph(g, range(4), range(5)) == g
-
-    def test_matching_across_the_split_is_edgeless(self):
-        sub = induced_subgraph(matching_graph(4), {0, 1}, {2, 3})
-        assert sub.edge_count() == 0
-
-    @given(graphs())
-    @settings(max_examples=60, deadline=None)
-    def test_never_increases_edges(self, g):
-        sub = induced_subgraph(g, range(g.m), range(max(1, g.n - 1)))
-        assert sub.edge_count() <= g.edge_count()
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ZeroSideError):
-            induced_subgraph(complete_graph(2, 2), set(), {0})
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(IndexError):
-            induced_subgraph(complete_graph(2, 2), {0, 5}, {0})
-
-
 class TestTextFormat:
     def test_perfect_matching_parse(self):
         g = parse_graph("2 2\n10\n01\n")
@@ -213,4 +184,3 @@ class TestConstruction:
     def test_columns_transpose(self):
         g = BipartiteGraph(2, 3, (0b011, 0b100))
         assert g.columns() == (1, 1, 2)
-        assert g.right_adj(2) == 2

@@ -16,9 +16,6 @@ from franklbip.graphs import (
     swap_sides,
 )
 from franklbip.mss import (
-    ABSENT,
-    BUDGET_EXHAUSTED,
-    FOUND,
     CapExceeded,
     StableSet,
     brute_force_mss,
@@ -27,7 +24,6 @@ from franklbip.mss import (
     count_left_at_most,
     count_mss_with_sizes,
     enumerate_mss,
-    find_induced_matching,
     is_maximal_stable,
     left_avg,
     mss_stats,
@@ -84,9 +80,9 @@ class TestEnumerate:
         assert sorted(enumerate_mss(matching_graph(2))) == brute_force_mss(matching_graph(2))
 
     def test_cap(self):
-        g = empty_graph(8, 8)
-        with pytest.raises(CapExceeded):
-            list(enumerate_mss(g, cap=1 << 4))
+        # the default cap is a scan side of 30; the empty graph has one MSS
+        with pytest.raises(CapExceeded, match="scan side 31 exceeds the cap of 30"):
+            enumerate_mss(empty_graph(31, 31))
 
     @given(graphs())
     @settings(max_examples=150, deadline=None)
@@ -404,46 +400,6 @@ class TestTailCounts:
     def test_at_most_complements(self):
         st_ = mss_stats(matching_graph(3))
         assert count_left_at_most(st_, 1) + count_left_at_least(st_, Fraction(3, 2)) == st_.total
-
-
-class TestInducedMatching:
-    def test_full_matching_found(self):
-        res = find_induced_matching(matching_graph(4), 4)
-        assert res.status == FOUND
-        assert sorted(res.edges) == [(0, 0), (1, 1), (2, 2), (3, 3)]
-
-    def test_complete_graph_definite_absence(self):
-        res = find_induced_matching(complete_graph(2, 2), 2)
-        assert res.status == ABSENT
-
-    def test_budget_exhaustion_is_distinct(self):
-        g = complete_graph(4, 4)
-        res = find_induced_matching(g, 4, budget=3)
-        assert res.status == BUDGET_EXHAUSTED
-
-    def test_against_brute_force_pairs(self):
-        # definite answers must match the exhaustive check over edge pairs
-        for i in range(40):
-            g = sample_bipartite(8, 8, 0.3, Seed(55, i))
-            edges = [(u, v) for u in range(8) for v in range(8) if g.has_edge(u, v)]
-            exists = False
-            for a in range(len(edges)):
-                for b in range(a + 1, len(edges)):
-                    (u1, v1), (u2, v2) = edges[a], edges[b]
-                    if u1 == u2 or v1 == v2:
-                        continue
-                    if not g.has_edge(u1, v2) and not g.has_edge(u2, v1):
-                        exists = True
-            res = find_induced_matching(g, 2)
-            assert res.status == (FOUND if exists else ABSENT)
-            if res.status == FOUND:
-                (u1, v1), (u2, v2) = res.edges
-                assert g.has_edge(u1, v1) and g.has_edge(u2, v2)
-                assert not g.has_edge(u1, v2) and not g.has_edge(u2, v1)
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            find_induced_matching(matching_graph(2), 0)
 
 
 class TestBruteForce:

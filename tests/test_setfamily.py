@@ -133,7 +133,7 @@ class TestFamilyText:
 
     def test_round_trip(self):
         fam = union_closure(SetFamily(3, (0b101, 0b010)))
-        assert parse_family(serialize_family(fam), fam.ground_size) == fam
+        assert parse_family(serialize_family(fam)) == fam
 
     def test_parse_errors(self):
         with pytest.raises(FamilyParseError):

@@ -48,10 +48,10 @@ class TestClassifier:
         m, n, p = mnp
         assert classify_regime(m, n, p) is expected
 
-    def test_alpha_derived_from_delta(self):
-        # alpha=None falls back to max(1/16, 1/2 - delta/4) = 0.49 here
-        assert classify_regime(20, 2 ** 10, 0.5, alpha=None, delta=0.04) is Regime.GIGANTIC_RIGHT
-        assert classify_regime(20, 2 ** 9, 0.5, alpha=None, delta=0.04) is Regime.ENTROPY_BAND
+    def test_alpha_sets_gigantic_boundary(self):
+        # log_2(n) = 10 reaches alpha * m = 9.8 at alpha = 0.49, log_2(n) = 9 does not
+        assert classify_regime(20, 2 ** 10, 0.5, alpha=0.49) is Regime.GIGANTIC_RIGHT
+        assert classify_regime(20, 2 ** 9, 0.5, alpha=0.49) is Regime.ENTROPY_BAND
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
@@ -93,7 +93,8 @@ class TestAverageCampaign:
             run_average_campaign(30, 30, 0.5, 0.0, 1, Seed(1))
 
     def test_brute_force_engine_gives_identical_report(self, monkeypatch):
-        def brute_stats(g):
+        def brute_stats(g, cap):
+            assert cap == verify.CAMPAIGN_SIDE_CAP
             sets = brute_force_mss(g)
             hist = [0] * (g.m + 1)
             for s in sets:
@@ -375,6 +376,22 @@ class TestSweep:
         assert reps[0].verdict == verify.INFORMATIONAL
         assert reps[1].verdict == verify.ERROR
         assert "CapExceeded" in reps[1].extra["error"]
+
+    def test_degenerate_point_draws_nothing(self, monkeypatch):
+        draws = []
+        real = verify.sample_bipartite
+
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "sample_bipartite", counting)
+        # the second point is over the cap as well; its degenerate p is reported
+        reps = sweep([(3, 3, 1.0, 0.0), (40, 40, 0.0, 0.0)], 5, Seed(42))
+        assert [r.verdict for r in reps] == [verify.ERROR, verify.ERROR]
+        assert reps[0].extra["error"] == "ValueError: p=1.0 is degenerate; need 0 < p < 1"
+        assert reps[1].extra["error"] == "ValueError: p=0.0 is degenerate; need 0 < p < 1"
+        assert draws == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unexpected_errors_propagate(self, monkeypatch, workers):
