@@ -14,13 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .graphs import EdgeProbability, as_prob
+from .graphs import EdgeProbability, HypothesisViolation, as_prob
 
 LOG_SPACE_CUTOFF = 700.0
-
-
-class HypothesisViolation(ValueError):
-    """A bound was requested outside the hypothesis that makes it valid."""
 
 
 class ProbBound(NamedTuple):

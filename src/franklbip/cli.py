@@ -1,6 +1,14 @@
 """Command-line surface: sampling, stats, bound checks, sweeps, regime
 classification and set-family checks.
 
+Each subcommand imports only the modules it runs: `sample` needs `graphs`
+alone, `stats` adds `mss`, `frankl` adds `setfamily`, and `verify`, `sweep`
+and `regime` add `verify` and `bounds` (and, through `verify`, `mss`).
+`concurrent.futures` is imported only by a sweep with `--workers` above 1.
+The errors that main() maps to exit codes are all defined in `graphs`, and
+the parser defaults that other modules define are read from them only once
+the subcommand that needs them is chosen.
+
 Exit codes: 0 success, 1 I/O or input-format failure, 2 usage, 3 refusal
 (hypothesis violation, a scan side over the cap, or a closed form out of
 floating-point range).  `--cap` is the largest scan side min(m, n) in
@@ -13,18 +21,27 @@ not part of the echo: equal configs must produce byte-identical tables.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 
-from . import bounds, mss, setfamily, verify
-from .bounds import HypothesisViolation, RegimeParams
-from .graphs import (GraphParseError, Seed, ZeroSideError, as_prob, parse_graph,
-                     sample_bipartite, serialize_graph)
-from .mss import CapExceeded
-from .setfamily import FamilyParseError
+from .graphs import (CapExceeded, FamilyParseError, GraphParseError, HypothesisViolation,
+                     Seed, ZeroSideError, as_prob, parse_graph, sample_bipartite,
+                     serialize_graph)
 
 SEED_ENV = "FRANKLBIP_SEED"
+
+
+class _ModuleDefault:
+    """A parser default defined in another module of this package; main()
+    reads it after parsing, so building the parser imports nothing more."""
+
+    def __init__(self, module: str, name: str):
+        self.module, self.name = module, name
+
+    def value(self):
+        return getattr(importlib.import_module("." + self.module, __package__), self.name)
 
 
 def _resolve_seed(args) -> Seed:
@@ -69,6 +86,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import mss
+
     with open(args.graph) as fh:
         g = parse_graph(fh.read())
     stats = mss.mss_stats(g, cap=args.cap)
@@ -103,6 +122,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     seed = _resolve_seed(args)
     params = {
         "m": args.m, "n": args.n, "p": args.p, "delta": args.delta,
@@ -144,6 +165,8 @@ def _read_grid(path):
 
 
 def cmd_sweep(args) -> int:
+    from . import verify
+
     seed = _resolve_seed(args)
     grid = _read_grid(args.grid)
     reports = verify.sweep(grid, args.trials, seed, workers=args.workers,
@@ -158,9 +181,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_regime(args) -> int:
+    from . import bounds, verify
+
     tag = verify.classify_regime(args.m, args.n, args.p, alpha=args.alpha)
     prob = as_prob(args.p)
-    rp = RegimeParams.from_mnp(args.m, args.n, prob)
+    rp = bounds.RegimeParams.from_mnp(args.m, args.n, prob)
     consts = bounds.regime_constants(prob)
     cfg = _echo("regime", _resolve_seed(args), m=args.m, n=args.n, p=args.p,
                 alpha=args.alpha)
@@ -202,6 +227,8 @@ def cmd_regime(args) -> int:
 
 
 def cmd_frankl(args) -> int:
+    from . import setfamily
+
     with open(args.family) as fh:
         family = setfamily.parse_family(fh.read())
     closed = setfamily.union_closure(family) if args.closure else family
@@ -246,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("stats", help="exact stats and conjecture verdict for a graph file")
     pt.add_argument("graph")
     pt.add_argument("--delta", type=float, default=0.0)
-    pt.add_argument("--cap", type=int, default=mss.DEFAULT_CAP,
+    pt.add_argument("--cap", type=int, default=_ModuleDefault("mss", "DEFAULT_CAP"),
                     help="largest scan side, min(m, n)")
     pt.add_argument("--seed", type=int, help="echoed for reproducibility; stats are deterministic")
     pt.add_argument("--format", choices=("table", "json"), default="table")
@@ -259,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("-n", type=int)
     pv.add_argument("-p", type=float)
     pv.add_argument("--delta", type=float, default=0.0)
-    pv.add_argument("--alpha", type=float, default=verify.DEFAULT_ALPHA)
+    pv.add_argument("--alpha", type=float, default=_ModuleDefault("verify", "DEFAULT_ALPHA"))
     pv.add_argument("--l", dest="ell", type=int)
     pv.add_argument("--r", dest="r", type=int)
     pv.add_argument("--l-star", dest="ell_star", type=int)
@@ -279,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--trials", type=int, required=True)
     pw.add_argument("--seed", type=int)
     pw.add_argument("--workers", type=int, default=1)
-    pw.add_argument("--alpha", type=float, default=verify.DEFAULT_ALPHA)
-    pw.add_argument("--cap", type=int, default=verify.CAMPAIGN_SIDE_CAP,
+    pw.add_argument("--alpha", type=float, default=_ModuleDefault("verify", "DEFAULT_ALPHA"))
+    pw.add_argument("--cap", type=int, default=_ModuleDefault("verify", "CAMPAIGN_SIDE_CAP"),
                     help="largest scan side, min(m, n), of a grid point; larger points "
                          "become error rows")
     pw.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -291,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("-m", type=int, required=True)
     pr.add_argument("-n", type=int, required=True)
     pr.add_argument("-p", type=float, required=True)
-    pr.add_argument("--alpha", type=float, default=verify.DEFAULT_ALPHA)
+    pr.add_argument("--alpha", type=float, default=_ModuleDefault("verify", "DEFAULT_ALPHA"))
     pr.add_argument("--seed", type=int, help="echoed only; classification is deterministic")
     pr.add_argument("--format", choices=("table", "json"), default="table")
     pr.add_argument("-o", "--output")
@@ -315,6 +342,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    for key, value in list(vars(args).items()):
+        if isinstance(value, _ModuleDefault):
+            setattr(args, key, value.value())
     try:
         return args.func(args)
     except (HypothesisViolation, CapExceeded) as exc:

@@ -41,6 +41,22 @@ class GraphParseError(ValueError):
     """Malformed graph text (bad header, row count, row width or character)."""
 
 
+# The three errors below belong to mss, bounds and setfamily, which re-export
+# them under these names.  They are defined here so that cli can map every
+# error to its exit code while importing only the modules a subcommand runs.
+
+class CapExceeded(RuntimeError):
+    """The requested scan side is larger than the cap."""
+
+
+class HypothesisViolation(ValueError):
+    """A bound was requested outside the hypothesis that makes it valid."""
+
+
+class FamilyParseError(ValueError):
+    """Malformed set-family text."""
+
+
 @dataclass(frozen=True)
 class EdgeProbability:
     """Edge probability p together with its complement q = 1 - p.

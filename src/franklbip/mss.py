@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 from . import _pykernels
 # graphs chooses the kernel, compiled or pure Python, for the sampler and
 # for the subset scans here alike.
-from .graphs import KERNEL, BipartiteGraph, _impl  # noqa: F401
+from .graphs import KERNEL, BipartiteGraph, CapExceeded, _impl  # noqa: F401
 
 # The cap is the largest scan side: min(m, n), or m for the free-part scan.
 DEFAULT_CAP = 30
@@ -30,10 +30,6 @@ DEFAULT_CAP = 30
 # are 64-bit), so the cap never goes past it and both kernels refuse alike.
 MAX_SCAN_SIDE = 62
 BRUTE_FORCE_LIMIT = 24
-
-
-class CapExceeded(RuntimeError):
-    """The requested scan side is larger than the cap."""
 
 
 class StableSet(NamedTuple):
@@ -157,34 +153,29 @@ def enumerate_mss(g: BipartiteGraph) -> list:
 def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> MssStats:
     """Aggregate counts without storing sets; memory stays O(m + n).
     Refuses a scan side min(m, n) above cap."""
-    stats, _ = _scan(g, None, cap)
-    return stats
-
-
-def count_mss_with_sizes(g: BipartiteGraph, ell: int, r: int) -> int:
-    """Exact number of maximal stable sets S with |S∩L| = ell and |S∩R| = r."""
-    _, sel = _scan(g, (ell, r), DEFAULT_CAP)
-    return sel
-
-
-def _scan(g: BipartiteGraph, sel, cap):
-    rows, s, t, swapped = _scan_layout(g)
-    _check_cap(s, cap)
-    sel_k = sel_f = -1
-    if sel is not None:
-        ell, r = sel
-        sel_k, sel_f = (r, ell) if swapped else (ell, r)
-    total, k_hist, f_hist, scan_counts, other_counts, sel_count = _impl.scan_stats(
-        rows, s, t, sel_k, sel_f
-    )
+    swapped, (total, k_hist, f_hist, scan_counts, other_counts, _) = _scan(g, cap)
     if swapped:
         left_hist, lvc, rvc = f_hist, other_counts, scan_counts
     else:
         left_hist, lvc, rvc = k_hist, scan_counts, other_counts
     # both kernels return Python ints, so no per-element conversion
-    stats = MssStats(total=total, left_hist=tuple(left_hist),
-                     left_vertex_counts=tuple(lvc), right_vertex_counts=tuple(rvc))
-    return stats, sel_count
+    return MssStats(total=total, left_hist=tuple(left_hist),
+                    left_vertex_counts=tuple(lvc), right_vertex_counts=tuple(rvc))
+
+
+def count_mss_with_sizes(g: BipartiteGraph, ell: int, r: int) -> int:
+    """Exact number of maximal stable sets S with |S∩L| = ell and |S∩R| = r."""
+    _, (*_, sel_count) = _scan(g, DEFAULT_CAP, ell, r)
+    return sel_count
+
+
+def _scan(g: BipartiteGraph, cap: int, ell: int = -1, r: int = -1):
+    """(swapped, the kernel's scan_stats tuple) for the smaller side; the
+    tuple's last entry counts the sets with |S∩L| = ell and |S∩R| = r."""
+    rows, s, t, swapped = _scan_layout(g)
+    _check_cap(s, cap)
+    sel_k, sel_f = (r, ell) if swapped else (ell, r)
+    return swapped, _impl.scan_stats(rows, s, t, sel_k, sel_f)
 
 
 def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int) -> int:

@@ -4,7 +4,8 @@ element-frequency checks on small ground sets.
 Families are sorted lists of bitmasks over a ground set of at most 20
 elements; the closure is the fixed point of pairwise unions, computed with
 a worklist.  This layer is an independent sanity check and is deliberately
-not wired to the graph machinery.
+not wired to the graph machinery; it takes only its parse error from
+`graphs`, where cli finds it without importing this module.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .graphs import FamilyParseError
+
 GROUND_CAP = 20
-
-
-class FamilyParseError(ValueError):
-    """Malformed set-family text."""
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -62,8 +61,7 @@ def classify_regime(m: int, n: int, prob, alpha: float = DEFAULT_ALPHA) -> Regim
     prob = as_prob(prob).require_interior()
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got ({m}, {n})")
-    if not 1.0 / 16.0 <= alpha < 0.5:
-        raise ValueError(f"alpha must lie in [1/16, 1/2), got {alpha}")
+    _check_alpha(alpha)
     consts = bounds.regime_constants(prob)
     if n <= consts.c_right:
         return Regime.CONSTANT_RIGHT
@@ -79,6 +77,11 @@ def classify_regime(m: int, n: int, prob, alpha: float = DEFAULT_ALPHA) -> Regim
     if math.log(m) / prob.log_inv_q <= float(n) ** 0.2:
         return Regime.BALANCED
     return Regime.LARGE_LEFT
+
+
+def _check_alpha(alpha: float):
+    if not 1.0 / 16.0 <= alpha < 0.5:
+        raise ValueError(f"alpha must lie in [1/16, 1/2), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -465,9 +468,11 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
     cap, outside a hypothesis, invalid parameters) becomes a row with verdict
     `error` instead of aborting the sweep; any other exception propagates.
     p is checked first, so a degenerate point draws no graph.  A trial count
-    below 1 refuses the whole sweep.
+    below 1 or an alpha outside [1/16, 1/2) refuses the whole sweep before
+    any point runs.  The thread pool is imported only for workers > 1.
     """
     _check_trials(trials)
+    _check_alpha(alpha)
 
     def one(item):
         idx, (m, n, p, delta) = item
@@ -486,6 +491,8 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
 
     items = list(enumerate(grid))
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, items))
     return [one(item) for item in items]

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from franklbip import _pykernels, graphs, mss
 from franklbip.graphs import BipartiteGraph, Seed, sample_bipartite
 
 CORPUS_PS = (0.2, 0.5, 0.8)
@@ -95,3 +96,13 @@ def compiled_kernels(compiled_build):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(params=["compiled", "python"])
+def kernel(request, monkeypatch):
+    """Runs a test once on the compiled kernels and once on the pure-Python
+    twins, for the sampler and the subset scans alike."""
+    impl = request.getfixturevalue("compiled_kernels") if request.param == "compiled" \
+        else _pykernels
+    monkeypatch.setattr(mss, "_impl", impl)
+    monkeypatch.setattr(graphs, "_impl", impl)

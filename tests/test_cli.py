@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from franklbip import _pykernels, cli, graphs, mss
+from franklbip import cli, mss
 from franklbip.graphs import empty_graph, matching_graph, parse_graph, serialize_graph
 
 
@@ -112,14 +112,6 @@ class TestStats:
     def test_missing_file_is_io_exit(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "stats", str(tmp_path / "nothere.graph"))
         assert rc == 1
-
-
-@pytest.fixture(params=["compiled", "python"])
-def kernel(request, monkeypatch):
-    impl = request.getfixturevalue("compiled_kernels") if request.param == "compiled" \
-        else _pykernels
-    monkeypatch.setattr(mss, "_impl", impl)
-    monkeypatch.setattr(graphs, "_impl", impl)
 
 
 class TestCap:
@@ -252,6 +244,14 @@ class TestSweep:
         assert out == ""
         assert err == "usage error: trials must be >= 1\n"
 
+    def test_bad_alpha_usage_exit(self, capsys, tmp_path):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(GRID_TEXT)
+        rc, out, err = run(capsys, "sweep", str(grid), "--trials", "3", "--alpha", "0.7")
+        assert rc == 2
+        assert out == ""
+        assert err == "usage error: alpha must lie in [1/16, 1/2), got 0.7\n"
+
     def test_malformed_grid(self, capsys, tmp_path):
         grid = tmp_path / "grid.csv"
         grid.write_text("m,n\n3,3\n")
@@ -340,46 +340,112 @@ class TestFrankl:
 
 
 # Runs in a child: the subcommands given as JSON lists on its command line,
-# one after the other, then which kernel ran and whether numpy was imported.
+# one after the other, then their exit codes, which kernel ran and which of
+# numpy, concurrent.futures and the franklbip modules were imported.
 CHILD = """
 import json, sys
-from franklbip import cli, mss
-for argv in map(json.loads, sys.argv[1:]):
-    if cli.main(argv) != 0:
-        sys.exit(f"franklbip {argv} failed")
-print(mss.KERNEL, "numpy" in sys.modules)
+from franklbip import cli, graphs
+codes = [cli.main(argv) for argv in map(json.loads, sys.argv[1:])]
+print(json.dumps({"codes": codes, "kernel": graphs.KERNEL, "modules": sorted(
+    name for name in sys.modules
+    if name in ("numpy", "concurrent.futures") or name.startswith("franklbip."))}))
 """
 SAMPLE = ["sample", "-m", "9", "-n", "70", "-p", "0.4", "--seed", "5", "-o"]
+# what `import franklbip.cli` loads from a compiled build; each subcommand adds
+# only the modules it runs
+CLI_MODULES = ["franklbip._kernels", "franklbip._pykernels", "franklbip.cli",
+               "franklbip.graphs"]
+CAMPAIGN_MODULES = ["franklbip.bounds", "franklbip.mss", "franklbip.verify"]
 
 
 class TestCompiledBuild:
-    """The CLI run from a full build, as an installed package runs it."""
+    """The CLI run from a full build, as an installed package runs it, each
+    time in a fresh interpreter, so only what a subcommand imports is loaded."""
 
     @staticmethod
-    def child(compiled_build, *argvs, pure=False):
+    def env(compiled_build, pure=False):
         env = {k: v for k, v in os.environ.items() if k != "FRANKLBIP_PURE_PYTHON"}
         env["PYTHONPATH"] = str(compiled_build)
         if pure:
             env["FRANKLBIP_PURE_PYTHON"] = "1"
-        proc = subprocess.run([sys.executable, "-c", CHILD, *map(json.dumps, argvs)], env=env,
-                              capture_output=True, text=True)
+        return env
+
+    @classmethod
+    def child(cls, compiled_build, *argvs, pure=False):
+        proc = subprocess.run([sys.executable, "-c", CHILD, *map(json.dumps, argvs)],
+                              env=cls.env(compiled_build, pure), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()[-1]
+        return json.loads(proc.stdout.splitlines()[-1])
 
     def test_numpy_stays_unimported(self, compiled_build, tmp_path):
         graph = tmp_path / "g.graph"
-        last = self.child(compiled_build, SAMPLE + [str(graph)], ["stats", str(graph)],
-                          ["stats", str(graph), "--format", "json"])
-        assert last == "compiled False"
+        res = self.child(compiled_build, SAMPLE + [str(graph)], ["stats", str(graph)],
+                         ["stats", str(graph), "--format", "json"])
+        assert res["codes"] == [0, 0, 0]
+        assert res["kernel"] == "compiled"
+        assert "numpy" not in res["modules"]
 
     def test_pure_python_sample_same_bytes(self, compiled_build, tmp_path):
         outputs = []
-        for pure, last in ((False, "compiled False"), (True, "python True")):
+        for pure, kernel in ((False, "compiled"), (True, "python")):
             graph = tmp_path / f"pure-{pure}.graph"
-            assert self.child(compiled_build, SAMPLE + [str(graph)], pure=pure) == last
+            res = self.child(compiled_build, SAMPLE + [str(graph)], pure=pure)
+            assert (res["codes"], res["kernel"]) == ([0], kernel)
+            assert ("numpy" in res["modules"]) == pure
             outputs.append(graph.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith(b"9 70\n")
+
+    @pytest.mark.parametrize("argv,added", [
+        ([], []),
+        (["sample", "-m", "4", "-n", "5", "-p", "0.5"], []),
+        (["stats", "{graph}"], ["franklbip.mss"]),
+        (["stats", "{graph}", "--format", "json"], ["franklbip.mss"]),
+        (["frankl", "{family}", "--closure"], ["franklbip.setfamily"]),
+        (["verify", "mssproba", "-m", "4", "-n", "4", "-p", "0.5", "--l", "1", "--r", "1",
+          "--trials", "5"], CAMPAIGN_MODULES),
+        (["regime", "-m", "20", "-n", "1048576", "-p", "0.5"], CAMPAIGN_MODULES),
+        (["sweep", "{grid}", "--trials", "2"], CAMPAIGN_MODULES),
+        (["sweep", "{grid}", "--trials", "2", "--workers", "2"],
+         ["concurrent.futures", *CAMPAIGN_MODULES]),
+    ], ids=["import", "sample", "stats", "stats-json", "frankl", "verify", "regime", "sweep",
+            "sweep-2-workers"])
+    def test_subcommand_imports_only_what_it_runs(self, compiled_build, tmp_path, argv, added):
+        files = {"graph": tmp_path / "g.graph", "family": tmp_path / "fam.txt",
+                 "grid": tmp_path / "grid.csv"}
+        files["graph"].write_text(serialize_graph(matching_graph(3)))
+        files["family"].write_text("0\n1\n")
+        files["grid"].write_text(GRID_TEXT)
+        argv = [arg.format(**files) for arg in argv]
+        res = self.child(compiled_build, *([argv] if argv else []))
+        assert res["codes"] == ([0] if argv else [])
+        assert res["modules"] == sorted(CLI_MODULES + added)
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["stats", "{empty31}"], 3, "refused: scan side 31 exceeds the cap of 30"),
+        (["verify", "genupper", "-m", "4", "-n", "3", "-p", "0.5", "--l-star", "1",
+          "--r-star", "1", "--trials", "5"], 3, "refused: n * q^ell_star = 1.5 > 1/2"),
+        (["frankl", "{badfamily}"], 1, "error: "),
+        (["sample", "-m", "0", "-n", "3", "-p", "0.5"], 2,
+         "usage error: need m >= 1 and n >= 1, got m=0, n=3"),
+        (["sweep", "{grid}", "--trials", "3", "--alpha", "0.7"], 2,
+         "usage error: alpha must lie in [1/16, 1/2), got 0.7"),
+    ], ids=["stats-cap", "verify-refused", "frankl-malformed", "sample-zero-side",
+            "sweep-bad-alpha"])
+    def test_exit_codes(self, compiled_build, tmp_path, argv, code, message):
+        # the error class is raised by a module main() never imported itself
+        files = {"empty31": tmp_path / "e31.graph", "badfamily": tmp_path / "bad.txt",
+                 "grid": tmp_path / "grid.csv"}
+        files["empty31"].write_text(serialize_graph(empty_graph(31, 31)))
+        files["badfamily"].write_text("a,b\n")
+        files["grid"].write_text(GRID_TEXT)
+        proc = subprocess.run(
+            [sys.executable, "-m", "franklbip.cli", *(arg.format(**files) for arg in argv)],
+            env=self.env(compiled_build), capture_output=True, text=True)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(message)
+        assert "Traceback" not in proc.stderr
 
 
 class TestUsage:

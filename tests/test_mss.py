@@ -30,6 +30,7 @@ from franklbip.mss import (
     almost_unstable_vertex,
     verdict_from_stats,
 )
+from franklbip.setfamily import SetFamily, union_closure
 
 
 @st.composite
@@ -437,3 +438,31 @@ class TestAveragingLemmas:
             small = count_left_at_most(st_, (1 - nu) * Fraction(m, 2))
             if small >= large / nu:
                 assert st_.left_average() <= (Fraction(1, 2) + delta) * m
+
+
+# seeded sides up to 12, on both sides of the swap (the scan runs over the
+# smaller side), and sparse, even and dense graphs
+CLOSURE_GRAPHS = [(m, n, p) for m, n in ((12, 12), (12, 7), (5, 12), (9, 10), (11, 3), (1, 12),
+                                         (12, 1)) for p in (0.3, 0.5, 0.8)]
+
+
+class TestUnionClosureOracle:
+    """mss_stats against setfamily alone.  The maximal stable sets are in
+    bijection with the unions of left neighbourhoods N(A), the right part
+    being R minus the union (arXiv:1212.4175); symmetrically, with the
+    columns, the left part is L minus a union of right neighbourhoods."""
+
+    @staticmethod
+    def closure(neighbourhoods, ground):
+        return union_closure(SetFamily(ground, (0, *neighbourhoods))).members
+
+    @pytest.mark.parametrize("m,n,p", CLOSURE_GRAPHS)
+    def test_counts_match_closure(self, kernel, m, n, p):
+        g = sample_bipartite(m, n, p, Seed(1212, CLOSURE_GRAPHS.index((m, n, p))))
+        stats = mss_stats(g)
+        rows, cols = self.closure(g.adj, n), self.closure(g.columns(), m)
+        assert stats.total == len(rows) == len(cols)
+        assert list(stats.right_vertex_counts) == [
+            stats.total - sum(s >> v & 1 for s in rows) for v in range(n)]
+        assert list(stats.left_vertex_counts) == [
+            stats.total - sum(s >> u & 1 for s in cols) for u in range(m)]

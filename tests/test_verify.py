@@ -393,6 +393,20 @@ class TestSweep:
         assert reps[1].extra["error"] == "ValueError: p=0.0 is degenerate; need 0 < p < 1"
         assert draws == []
 
+    @pytest.mark.parametrize("alpha", [0.7, 0.5, 0.06])
+    def test_bad_alpha_refused_before_any_draw(self, monkeypatch, alpha):
+        draws = []
+        real = verify.sample_bipartite
+
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "sample_bipartite", counting)
+        with pytest.raises(ValueError, match=rf"alpha must lie in \[1/16, 1/2\), got {alpha}"):
+            sweep([(12, 12, 0.5, 0.0), (10, 10, 0.3, 0.0)], 50, Seed(1), alpha=alpha)
+        assert draws == []
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unexpected_errors_propagate(self, monkeypatch, workers):
         def broken(g, cap=None):
