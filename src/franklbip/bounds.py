@@ -1,5 +1,6 @@
 """Closed-form evaluation of the probability and expectation bounds that the
-verifier confronts with Monte Carlo measurements.
+verifier confronts with Monte Carlo measurements, and the classification of
+(m, n, p) into the regime bands of the proof.
 
 Binomial coefficients are computed exactly and converted at the end; products
 of powers switch to exp-of-log-sum evaluation as soon as any factor's log
@@ -9,6 +10,7 @@ the regime thresholds.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +19,7 @@ from typing import NamedTuple, Optional
 from .graphs import EdgeProbability, HypothesisViolation, as_prob
 
 LOG_SPACE_CUTOFF = 700.0
+DEFAULT_ALPHA = 0.45
 
 
 class ProbBound(NamedTuple):
@@ -184,6 +187,50 @@ def regime_constants(prob) -> RegimeConstants:
         c_right=max(20, (ceil3 + 2) ** 2),
         small_mss_c=math.exp(-(2.0 / prob.q + 1.0)),
     )
+
+
+class Regime(enum.Enum):
+    """Which proof-case band the pair (m, n) falls into for a given p, by
+    where log_{1/q}(n) sits relative to m^(1/5), m/16, alpha*m and m^3."""
+
+    CONSTANT_RIGHT = "ConstantRight"
+    MATCHING_SATURATED = "MatchingSaturated"
+    GIGANTIC_RIGHT = "GiganticRight"
+    ENTROPY_BAND = "EntropyBand"
+    HOEFFDING_BAND = "HoeffdingBand"
+    BALANCED = "Balanced"
+    LARGE_LEFT = "LargeLeft"
+
+
+def classify_regime(m: int, n: int, prob, alpha: float = DEFAULT_ALPHA) -> Regime:
+    """Total, deterministic classification; ties go to the earlier band in
+    the precedence order ConstantRight, MatchingSaturated, GiganticRight,
+    EntropyBand, HoeffdingBand, Balanced, LargeLeft.
+    """
+    prob = as_prob(prob).require_interior()
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got ({m}, {n})")
+    _check_alpha(alpha)
+    consts = regime_constants(prob)
+    if n <= consts.c_right:
+        return Regime.CONSTANT_RIGHT
+    x = math.log(n) / prob.log_inv_q
+    if x >= float(m) ** 3:
+        return Regime.MATCHING_SATURATED
+    if x >= alpha * m:
+        return Regime.GIGANTIC_RIGHT
+    if x >= m / 16.0:
+        return Regime.ENTROPY_BAND
+    if x >= float(m) ** 0.2:
+        return Regime.HOEFFDING_BAND
+    if math.log(m) / prob.log_inv_q <= float(n) ** 0.2:
+        return Regime.BALANCED
+    return Regime.LARGE_LEFT
+
+
+def _check_alpha(alpha: float):
+    if not 1.0 / 16.0 <= alpha < 0.5:
+        raise ValueError(f"alpha must lie in [1/16, 1/2), got {alpha}")
 
 
 @dataclass(frozen=True)

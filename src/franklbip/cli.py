@@ -2,8 +2,8 @@
 classification and set-family checks.
 
 Each subcommand imports only the modules it runs: `sample` needs `graphs`
-alone, `stats` adds `mss`, `frankl` adds `setfamily`, and `verify`, `sweep`
-and `regime` add `verify` and `bounds` (and, through `verify`, `mss`).
+alone, `stats` adds `mss`, `frankl` adds `setfamily`, `regime` adds `bounds`,
+and `verify` and `sweep` add `verify`, `bounds` and `mss`.
 `concurrent.futures` is imported only by a sweep with `--workers` above 1.
 The errors that main() maps to exit codes are all defined in `graphs`, and
 the parser defaults that other modules define are read from them only once
@@ -181,9 +181,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_regime(args) -> int:
-    from . import bounds, verify
+    from . import bounds
 
-    tag = verify.classify_regime(args.m, args.n, args.p, alpha=args.alpha)
+    tag = bounds.classify_regime(args.m, args.n, args.p, alpha=args.alpha)
     prob = as_prob(args.p)
     rp = bounds.RegimeParams.from_mnp(args.m, args.n, prob)
     consts = bounds.regime_constants(prob)
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("-n", type=int)
     pv.add_argument("-p", type=float)
     pv.add_argument("--delta", type=float, default=0.0)
-    pv.add_argument("--alpha", type=float, default=_ModuleDefault("verify", "DEFAULT_ALPHA"))
+    pv.add_argument("--alpha", type=float, default=_ModuleDefault("bounds", "DEFAULT_ALPHA"))
     pv.add_argument("--l", dest="ell", type=int)
     pv.add_argument("--r", dest="r", type=int)
     pv.add_argument("--l-star", dest="ell_star", type=int)
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--trials", type=int, required=True)
     pw.add_argument("--seed", type=int)
     pw.add_argument("--workers", type=int, default=1)
-    pw.add_argument("--alpha", type=float, default=_ModuleDefault("verify", "DEFAULT_ALPHA"))
+    pw.add_argument("--alpha", type=float, default=_ModuleDefault("bounds", "DEFAULT_ALPHA"))
     pw.add_argument("--cap", type=int, default=_ModuleDefault("verify", "CAMPAIGN_SIDE_CAP"),
                     help="largest scan side, min(m, n), of a grid point; larger points "
                          "become error rows")
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("-m", type=int, required=True)
     pr.add_argument("-n", type=int, required=True)
     pr.add_argument("-p", type=float, required=True)
-    pr.add_argument("--alpha", type=float, default=_ModuleDefault("verify", "DEFAULT_ALPHA"))
+    pr.add_argument("--alpha", type=float, default=_ModuleDefault("bounds", "DEFAULT_ALPHA"))
     pr.add_argument("--seed", type=int, help="echoed only; classification is deterministic")
     pr.add_argument("--format", choices=("table", "json"), default="table")
     pr.add_argument("-o", "--output")

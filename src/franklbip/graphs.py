@@ -5,13 +5,19 @@ stored from the left side only, one bitmask over R per left vertex.
 Right-side neighbourhoods are recovered by column scan, which is cheap at
 the sizes this package targets (a few dozen vertices per side, a few
 thousand on one side at most).
+
+The value types `EdgeProbability`, `Seed` and `BipartiteGraph` are immutable
+and compare, hash and print by value, as frozen dataclasses would.  A
+campaign builds a Seed and a graph for every trial, so they are light
+instead: Seed is a tuple whose constructor masks both fields to 64 bits, and
+the other two are slotted classes whose constructors check every field.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _pykernels
 
@@ -57,8 +63,45 @@ class FamilyParseError(ValueError):
     """Malformed set-family text."""
 
 
-@dataclass(frozen=True)
-class EdgeProbability:
+class _Value:
+    """Base of the slotted value types: equality, hash and repr by the fields
+    in __slots__, as a frozen dataclass has them.  Assigning or deleting an
+    attribute raises; __init__ sets each field once through the slot's own
+    descriptor, which _slot_setters returns."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the checking constructor
+        return type(self), self._fields()
+
+
+def _slot_setters(cls) -> tuple:
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+class EdgeProbability(_Value):
     """Edge probability p together with its complement q = 1 - p.
 
     Every closed-form bound requires p strictly inside (0, 1).  The sampler
@@ -66,12 +109,12 @@ class EdgeProbability:
     complete bipartite graph; those values are flagged `degenerate`.
     """
 
-    p: float
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not 0.0 <= float(self.p) <= 1.0:
-            raise ValueError(f"edge probability outside [0, 1]: {self.p}")
-        object.__setattr__(self, "p", float(self.p))
+    def __init__(self, p: float):
+        if not 0.0 <= float(p) <= 1.0:
+            raise ValueError(f"edge probability outside [0, 1]: {p}")
+        _set_p(self, float(p))
 
     @property
     def q(self) -> float:
@@ -94,6 +137,9 @@ class EdgeProbability:
         return self
 
 
+(_set_p,) = _slot_setters(EdgeProbability)
+
+
 def as_prob(p) -> EdgeProbability:
     """Coerce a float (or an EdgeProbability) to EdgeProbability."""
     if isinstance(p, EdgeProbability):
@@ -101,29 +147,33 @@ def as_prob(p) -> EdgeProbability:
     return EdgeProbability(p)
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(namedtuple("_SeedFields", ("root", "stream"))):
     """Root key plus a stream index for derived sub-streams.
 
     Equal (root, stream) pairs reproduce identical draws, independent of
-    execution order and thread count.  `child(i)` shifts the stream index
-    left by 32 bits and ors in `i`, so trial indices occupy the low bits
-    and an enclosing sweep's point index the next 32.
+    execution order and thread count.  Both fields are taken modulo 2^64.
+    `child(i)` shifts the stream index left by 32 bits and ors in `i`, so
+    trial indices occupy the low bits and an enclosing sweep's point index
+    the next 32.  A Seed is a tuple, so it also equals the plain tuple
+    (root, stream).
     """
 
-    root: int
-    stream: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "root", int(self.root) & MASK64)
-        object.__setattr__(self, "stream", int(self.stream) & MASK64)
+    def __new__(cls, root: int, stream: int = 0):
+        return tuple.__new__(cls, (int(root) & MASK64, int(stream) & MASK64))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; keep both on the masking constructor
+        return cls(*iterable)
 
     def child(self, index: int) -> "Seed":
-        return Seed(self.root, ((self.stream << 32) | int(index)) & MASK64)
+        # root is masked already and the new stream is masked here
+        return tuple.__new__(Seed, (self.root, ((self.stream << 32) | int(index)) & MASK64))
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(_Value):
     """Bipartite graph on classes L (m vertices) and R (n vertices).
 
     adj[u] has bit v set iff the edge (u, v) is present.  Both sides must be
@@ -131,21 +181,21 @@ class BipartiteGraph:
     immutable and safe to share across threads.
     """
 
-    m: int
-    n: int
-    adj: tuple
+    __slots__ = ("m", "n", "adj")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ZeroSideError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
-        adj = tuple(map(int, self.adj))
-        if len(adj) != self.m:
-            raise ValueError(f"expected {self.m} adjacency rows, got {len(adj)}")
-        limit = 1 << self.n
+    def __init__(self, m: int, n: int, adj: tuple):
+        if m < 1 or n < 1:
+            raise ZeroSideError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+        adj = tuple(map(int, adj))
+        if len(adj) != m:
+            raise ValueError(f"expected {m} adjacency rows, got {len(adj)}")
+        limit = 1 << n
         if min(adj) < 0 or max(adj) >= limit:
             u = next(u for u, row in enumerate(adj) if not 0 <= row < limit)
             raise ValueError(f"adjacency row {u} has bits outside the right side")
-        object.__setattr__(self, "adj", adj)
+        _set_m(self, m)
+        _set_n(self, n)
+        _set_adj(self, adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -166,6 +216,9 @@ class BipartiteGraph:
     def to_json_dict(self) -> dict:
         rows = ["".join("1" if row >> v & 1 else "0" for v in range(self.n)) for row in self.adj]
         return {"m": self.m, "n": self.n, "rows": rows}
+
+
+_set_m, _set_n, _set_adj = _slot_setters(BipartiteGraph)
 
 
 def sample_bipartite(m: int, n: int, prob, seed: Seed) -> BipartiteGraph:

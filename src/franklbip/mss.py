@@ -14,6 +14,7 @@ rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,8 +125,8 @@ def is_maximal_stable(g: BipartiteGraph, s: StableSet) -> bool:
 def _scan_layout(g: BipartiteGraph):
     """Rows, sizes and swap flag for scanning the smaller side."""
     if g.n < g.m:
-        return list(g.columns()), g.n, g.m, True
-    return list(g.adj), g.m, g.n, False
+        return g.columns(), g.n, g.m, True
+    return g.adj, g.m, g.n, False
 
 
 def _check_cap(side: int, cap: int):
@@ -188,20 +189,18 @@ def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int) -> int:
     if not 0 <= ell_star <= g.m or not 0 <= r_star <= g.n:
         raise ValueError("thresholds out of range")
     _check_cap(g.m, DEFAULT_CAP)
-    freq = _impl.scan_free_hist(list(g.adj), g.m, g.n, ell_star)
+    freq = _impl.scan_free_hist(g.adj, g.m, g.n, ell_star)
     tails = _binomial_tails(g.n, r_star)
-    return sum(int(freq[f]) * tails[f] for f in range(g.n + 1))
+    return sum(freq[f] * tails[f] for f in range(g.n + 1))
 
 
-def _binomial_tails(n: int, r_star: int):
-    """tails[f] = number of subsets of an f-element set with >= r_star elements."""
-    tails = []
-    for f in range(n + 1):
-        if r_star <= 0:
-            tails.append(1 << f)
-        else:
-            tails.append(sum(math.comb(f, j) for j in range(r_star, f + 1)))
-    return tails
+@functools.lru_cache(maxsize=256)
+def _binomial_tails(n: int, r_star: int) -> tuple:
+    """tails[f] = number of subsets of an f-element set with >= r_star
+    elements; a campaign asks for the same (n, r_star) on every trial."""
+    if r_star <= 0:
+        return tuple(1 << f for f in range(n + 1))
+    return tuple(sum(math.comb(f, j) for j in range(r_star, f + 1)) for f in range(n + 1))
 
 
 def left_avg(g: BipartiteGraph) -> Fraction:

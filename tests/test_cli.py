@@ -341,21 +341,23 @@ class TestFrankl:
 
 # Runs in a child: the subcommands given as JSON lists on its command line,
 # one after the other, then their exit codes, which kernel ran and which of
-# numpy, concurrent.futures and the franklbip modules were imported.
+# numpy, concurrent.futures, dataclasses and the franklbip modules were imported.
 CHILD = """
 import json, sys
 from franklbip import cli, graphs
 codes = [cli.main(argv) for argv in map(json.loads, sys.argv[1:])]
 print(json.dumps({"codes": codes, "kernel": graphs.KERNEL, "modules": sorted(
     name for name in sys.modules
-    if name in ("numpy", "concurrent.futures") or name.startswith("franklbip."))}))
+    if name in ("numpy", "concurrent.futures", "dataclasses")
+    or name.startswith("franklbip."))}))
 """
 SAMPLE = ["sample", "-m", "9", "-n", "70", "-p", "0.4", "--seed", "5", "-o"]
 # what `import franklbip.cli` loads from a compiled build; each subcommand adds
-# only the modules it runs
+# only the modules it runs.  graphs defines no dataclass, so `sample` runs
+# without the dataclasses module; mss, bounds and setfamily import it.
 CLI_MODULES = ["franklbip._kernels", "franklbip._pykernels", "franklbip.cli",
                "franklbip.graphs"]
-CAMPAIGN_MODULES = ["franklbip.bounds", "franklbip.mss", "franklbip.verify"]
+CAMPAIGN_MODULES = ["dataclasses", "franklbip.bounds", "franklbip.mss", "franklbip.verify"]
 
 
 class TestCompiledBuild:
@@ -399,12 +401,13 @@ class TestCompiledBuild:
     @pytest.mark.parametrize("argv,added", [
         ([], []),
         (["sample", "-m", "4", "-n", "5", "-p", "0.5"], []),
-        (["stats", "{graph}"], ["franklbip.mss"]),
-        (["stats", "{graph}", "--format", "json"], ["franklbip.mss"]),
-        (["frankl", "{family}", "--closure"], ["franklbip.setfamily"]),
+        (["stats", "{graph}"], ["dataclasses", "franklbip.mss"]),
+        (["stats", "{graph}", "--format", "json"], ["dataclasses", "franklbip.mss"]),
+        (["frankl", "{family}", "--closure"], ["dataclasses", "franklbip.setfamily"]),
         (["verify", "mssproba", "-m", "4", "-n", "4", "-p", "0.5", "--l", "1", "--r", "1",
           "--trials", "5"], CAMPAIGN_MODULES),
-        (["regime", "-m", "20", "-n", "1048576", "-p", "0.5"], CAMPAIGN_MODULES),
+        (["regime", "-m", "20", "-n", "1048576", "-p", "0.5"],
+         ["dataclasses", "franklbip.bounds"]),
         (["sweep", "{grid}", "--trials", "2"], CAMPAIGN_MODULES),
         (["sweep", "{grid}", "--trials", "2", "--workers", "2"],
          ["concurrent.futures", *CAMPAIGN_MODULES]),
@@ -430,8 +433,13 @@ class TestCompiledBuild:
          "usage error: need m >= 1 and n >= 1, got m=0, n=3"),
         (["sweep", "{grid}", "--trials", "3", "--alpha", "0.7"], 2,
          "usage error: alpha must lie in [1/16, 1/2), got 0.7"),
+        # the event needs a', so an undefined a' refuses even with --informational
+        (["verify", "lem.hoeffding.exp", "-m", "4", "-n", "2", "-p", "0.9", "--trials", "5",
+          "--informational"], 3, "refused: n is below m^log_{1/q}(m); a' undefined"),
+        (["verify", "asymptotic.lower.bound", "-m", "4", "-n", "2", "-p", "0.9", "--phi",
+          "0.5", "--trials", "5"], 3, "refused: n is below m^log_{1/q}(m); a' undefined"),
     ], ids=["stats-cap", "verify-refused", "frankl-malformed", "sample-zero-side",
-            "sweep-bad-alpha"])
+            "sweep-bad-alpha", "hoeffding-a-prime-informational", "asymptotic-a-prime"])
     def test_exit_codes(self, compiled_build, tmp_path, argv, code, message):
         # the error class is raised by a module main() never imported itself
         files = {"empty31": tmp_path / "e31.graph", "badfamily": tmp_path / "bad.txt",

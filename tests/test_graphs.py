@@ -1,11 +1,15 @@
 import concurrent.futures
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from franklbip.graphs import (
+    MASK64,
     BipartiteGraph,
     EdgeProbability,
     GraphParseError,
@@ -184,3 +188,92 @@ class TestConstruction:
     def test_columns_transpose(self):
         g = BipartiteGraph(2, 3, (0b011, 0b100))
         assert g.columns() == (1, 1, 2)
+
+
+class TestValueTypes:
+    """EdgeProbability, Seed and BipartiteGraph behave as frozen dataclasses
+    do: immutable, equal and hashed by value, printed field by field."""
+
+    VALUES = [
+        (lambda: EdgeProbability(0.25), ("p",)),
+        (lambda: Seed(5, 3), ("root", "stream")),
+        (lambda: BipartiteGraph(2, 3, (0b101, 0b010)), ("m", "n", "adj")),
+    ]
+    IDS = ["prob", "seed", "graph"]
+
+    @pytest.mark.parametrize("make,fields", VALUES, ids=IDS)
+    def test_assignment_raises(self, make, fields):
+        value = make()
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == make()
+
+    @pytest.mark.parametrize("make,fields", VALUES, ids=IDS)
+    def test_equal_values_equal_and_hash_alike(self, make, fields):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert hash(a) == hash(tuple(getattr(a, name) for name in fields))
+
+    @pytest.mark.parametrize("make,fields", VALUES, ids=IDS)
+    def test_repr_matches_dataclass(self, make, fields):
+        value = make()
+        twin = dataclasses.make_dataclass(type(value).__name__, fields, frozen=True)
+        assert repr(value) == repr(twin(*(getattr(value, name) for name in fields)))
+
+    @pytest.mark.parametrize("make,fields", VALUES, ids=IDS)
+    def test_copy_and_pickle_round_trip(self, make, fields):
+        value = make()
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value)
+
+    def test_other_classes_not_equal(self):
+        prob, seed, graph = (make() for make, _ in self.VALUES)
+        assert prob != 0.25 and prob != (0.25,)
+        assert graph != (2, 3, (0b101, 0b010))
+        assert BipartiteGraph(1, 1, (1,)) != EdgeProbability(1.0)
+        for value in (prob, graph, 5, "Seed(root=5, stream=3)"):
+            assert seed != value
+        # Seed is a tuple, so it equals the plain tuple of its fields
+        assert seed == (5, 3)
+
+    def test_distinct_values_differ(self):
+        assert EdgeProbability(0.25) != EdgeProbability(0.5)
+        assert Seed(5, 3) != Seed(5, 4)
+        assert BipartiteGraph(1, 2, (1,)) != BipartiteGraph(1, 2, (2,))
+
+    def test_seed_masks_to_64_bits(self):
+        assert Seed(-1) == Seed(MASK64, 0)
+        assert Seed(1 << 64, -2) == Seed(0, MASK64 - 1)
+        assert Seed((1 << 70) + 9, (3 << 64) + 4) == Seed(9, 4)
+        assert Seed(5)._replace(stream=-1).stream == MASK64
+        assert (Seed(-1).root, Seed(-1).stream) == (MASK64, 0)
+
+    def test_seed_child_composes(self):
+        assert Seed(7).child(3) == Seed(7, 3)
+        assert Seed(7, 2).child(3) == Seed(7, (2 << 32) | 3)
+        assert Seed(7).child(3).child(5) == Seed(7, (3 << 32) | 5)
+        # the shifted stream keeps its low 64 bits
+        assert Seed(7, MASK64).child(1) == Seed(7, (MASK64 << 32 | 1) & MASK64)
+        assert type(Seed(7).child(1)) is Seed
+
+    def test_probability_nan_refused(self):
+        with pytest.raises(ValueError, match="outside"):
+            EdgeProbability(float("nan"))
+
+    def test_probability_stored_as_float(self):
+        assert type(EdgeProbability(1).p) is float
+        assert EdgeProbability(1) == EdgeProbability(1.0)
+
+    def test_graph_rows_stored_as_int_tuple(self):
+        g = BipartiteGraph(2, 2, [True, 2])
+        assert g.adj == (1, 2) and type(g.adj) is tuple
+        assert [type(row) for row in g.adj] == [int, int]

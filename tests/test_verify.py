@@ -267,6 +267,18 @@ class TestVerifyLemma:
                 Seed(1),
             )
 
+    @pytest.mark.parametrize("lemma,params", [
+        ("lem.hoeffding.exp", {"m": 4, "n": 2, "p": 0.9}),
+        ("asymptotic.lower.bound", {"m": 4, "n": 2, "p": 0.9, "phi": 0.5}),
+    ], ids=["hoeffding", "asymptotic"])
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "informational"])
+    def test_undefined_a_prime_refused_in_both_modes(self, lemma, params, strict):
+        # the event counts sets with a left side of a', so it cannot run without
+        # one; in strict mode hoeffding's own hypothesis refuses first
+        match = "a' undefined" if not strict or lemma == "asymptotic.lower.bound" else None
+        with pytest.raises(HypothesisViolation, match=match):
+            verify_lemma(lemma, params, 5, Seed(1), strict=strict)
+
     def test_informational_mode_runs_outside_hypothesis(self):
         rep = verify_lemma(
             "squpperbound", {"m": 4, "n": 3000, "p": 0.5}, 5, Seed(1), strict=False
