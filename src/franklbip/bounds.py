@@ -109,11 +109,17 @@ def pr_maximal_stable(m: int, n: int, prob, ell: int, r: int) -> float:
     prob = as_prob(prob).require_interior()
     if not 0 <= ell <= m or not 0 <= r <= n:
         raise ValueError(f"(ell, r)=({ell}, {r}) out of range for ({m}, {n})")
+    return _maximal_product(m, n, prob, ell, r)
+
+
+def _maximal_product(m: int, n: int, prob: EdgeProbability, ell: int, r: int,
+                     prefactor=1.0) -> float:
+    """prefactor * q^(ell*r) * (1 - q^r)^(m - ell) * (1 - q^ell)^(n - r); the
+    caller checks the ranges."""
     lnq = math.log(prob.q)
-    one_minus_qr = -math.expm1(r * lnq)
-    one_minus_ql = -math.expm1(ell * lnq)
     return _pow_product(
-        [(prob.q, ell * r), (one_minus_qr, m - ell), (one_minus_ql, n - r)]
+        [(prob.q, ell * r), (-math.expm1(r * lnq), m - ell), (-math.expm1(ell * lnq), n - r)],
+        prefactor,
     )
 
 
@@ -189,6 +195,13 @@ def regime_constants(prob) -> RegimeConstants:
     )
 
 
+def regime_thresholds(m: int, alpha: float = DEFAULT_ALPHA) -> dict:
+    """The values of log_{1/q}(n) at which the proof cases change, by name,
+    in the order `franklbip regime` prints them.  alpha is not checked."""
+    return {"m^(1/5)": float(m) ** 0.2, "m/16": m / 16.0, "alpha*m": alpha * m,
+            "m/2": m / 2.0, "m^3": float(m) ** 3}
+
+
 class Regime(enum.Enum):
     """Which proof-case band the pair (m, n) falls into for a given p, by
     where log_{1/q}(n) sits relative to m^(1/5), m/16, alpha*m and m^3."""
@@ -215,13 +228,14 @@ def classify_regime(m: int, n: int, prob, alpha: float = DEFAULT_ALPHA) -> Regim
     if n <= consts.c_right:
         return Regime.CONSTANT_RIGHT
     x = math.log(n) / prob.log_inv_q
-    if x >= float(m) ** 3:
+    t = regime_thresholds(m, alpha)
+    if x >= t["m^3"]:
         return Regime.MATCHING_SATURATED
-    if x >= alpha * m:
+    if x >= t["alpha*m"]:
         return Regime.GIGANTIC_RIGHT
-    if x >= m / 16.0:
+    if x >= t["m/16"]:
         return Regime.ENTROPY_BAND
-    if x >= float(m) ** 0.2:
+    if x >= t["m^(1/5)"]:
         return Regime.HOEFFDING_BAND
     if math.log(m) / prob.log_inv_q <= float(n) ** 0.2:
         return Regime.BALANCED
@@ -284,7 +298,7 @@ def exp_small_mss_lower(params: RegimeParams) -> FlaggedValue:
             "need m >= log_{1/q}(n) and n >= log_{1/q}(m)"
         )
     a, b = params.a, params.b
-    c = math.exp(-(2.0 / params.prob.q + 1.0))
+    c = regime_constants(params.prob).small_mss_c
     log_val = math.log(c) + math.log(math.comb(m, a))
     if b > 0:
         log_val -= b * math.log(b)
@@ -299,13 +313,7 @@ def expected_small_mss(m: int, n: int, prob, a: int, b: int) -> float:
     prob = as_prob(prob).require_interior()
     if not 0 <= a <= m or not 0 <= b <= n:
         raise ValueError(f"(a, b)=({a}, {b}) out of range for ({m}, {n})")
-    lnq = math.log(prob.q)
-    one_minus_qb = -math.expm1(b * lnq)
-    one_minus_qa = -math.expm1(a * lnq)
-    return _pow_product(
-        [(prob.q, a * b), (one_minus_qb, m - a), (one_minus_qa, n - b)],
-        prefactor=math.comb(m, a) * math.comb(n, b),
-    )
+    return _maximal_product(m, n, prob, a, b, math.comb(m, a) * math.comb(n, b))
 
 
 @dataclass(frozen=True)

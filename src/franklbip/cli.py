@@ -12,7 +12,8 @@ the subcommand that needs them is chosen.
 Exit codes: 0 success, 1 I/O or input-format failure, 2 usage, 3 refusal
 (hypothesis violation, a scan side over the cap, or a closed form out of
 floating-point range).  `--cap` is the largest scan side min(m, n) in
-`stats` and in `sweep` alike.  Machine outputs start with a
+`stats` and in `sweep` alike, and both default to `mss.DEFAULT_CAP`, the
+cap every check and campaign applies.  Machine outputs start with a
 config echo carrying the resolved seed, so every run is reproducible from
 its own output.  The worker count is an execution detail and deliberately
 not part of the echo: equal configs must produce byte-identical tables.
@@ -42,6 +43,9 @@ class _ModuleDefault:
 
     def value(self):
         return getattr(importlib.import_module("." + self.module, __package__), self.name)
+
+    def __str__(self):  # the %(default)s of a help text
+        return str(self.value())
 
 
 def _resolve_seed(args) -> Seed:
@@ -187,6 +191,7 @@ def cmd_regime(args) -> int:
     prob = as_prob(args.p)
     rp = bounds.RegimeParams.from_mnp(args.m, args.n, prob)
     consts = bounds.regime_constants(prob)
+    thresholds = bounds.regime_thresholds(args.m, args.alpha)
     cfg = _echo("regime", _resolve_seed(args), m=args.m, n=args.n, p=args.p,
                 alpha=args.alpha)
     if args.format == "json":
@@ -199,13 +204,7 @@ def cmd_regime(args) -> int:
             "b": rp.b,
             "a_prime": rp.a_prime,
             "lambda": rp.lam,
-            "thresholds": {
-                "m^(1/5)": float(args.m) ** 0.2,
-                "m/16": args.m / 16.0,
-                "alpha*m": args.alpha * args.m,
-                "m/2": args.m / 2.0,
-                "m^3": float(args.m) ** 3,
-            },
+            "thresholds": thresholds,
             "c_right": consts.c_right,
             "r_star": consts.r_star,
         }
@@ -216,11 +215,8 @@ def cmd_regime(args) -> int:
     lines.append(f"log_1/q(n): {rp.log_n!r}  log_1/q(m): {rp.log_m!r}")
     aprime = rp.a_prime if rp.a_prime is not None else "-"
     lines.append(f"a: {rp.a}  b: {rp.b}  a_prime: {aprime}  lambda: {rp.lam!r}")
-    lines.append(
-        "thresholds vs log_1/q(n): "
-        f"m^(1/5)={float(args.m) ** 0.2!r}  m/16={args.m / 16.0!r}  "
-        f"alpha*m={args.alpha * args.m!r}  m/2={args.m / 2.0!r}  m^3={float(args.m) ** 3!r}"
-    )
+    lines.append("thresholds vs log_1/q(n): "
+                 + "  ".join(f"{name}={value!r}" for name, value in thresholds.items()))
     lines.append(f"c_right: {consts.c_right}  r_star: {consts.r_star}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -274,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("graph")
     pt.add_argument("--delta", type=float, default=0.0)
     pt.add_argument("--cap", type=int, default=_ModuleDefault("mss", "DEFAULT_CAP"),
-                    help="largest scan side, min(m, n)")
+                    help="largest scan side, min(m, n) (default: %(default)s)")
     pt.add_argument("--seed", type=int, help="echoed for reproducibility; stats are deterministic")
     pt.add_argument("--format", choices=("table", "json"), default="table")
     pt.add_argument("-o", "--output")
@@ -307,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--seed", type=int)
     pw.add_argument("--workers", type=int, default=1)
     pw.add_argument("--alpha", type=float, default=_ModuleDefault("bounds", "DEFAULT_ALPHA"))
-    pw.add_argument("--cap", type=int, default=_ModuleDefault("verify", "CAMPAIGN_SIDE_CAP"),
+    pw.add_argument("--cap", type=int, default=_ModuleDefault("mss", "DEFAULT_CAP"),
                     help="largest scan side, min(m, n), of a grid point; larger points "
-                         "become error rows")
+                         "become error rows (default: %(default)s)")
     pw.add_argument("--format", choices=("csv", "json"), default="csv")
     pw.add_argument("-o", "--output")
     pw.set_defaults(func=cmd_sweep)

@@ -197,9 +197,6 @@ class BipartiteGraph(_Value):
         _set_n(self, n)
         _set_adj(self, adj)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj)
 
@@ -214,8 +211,7 @@ class BipartiteGraph(_Value):
         return tuple(cols)
 
     def to_json_dict(self) -> dict:
-        rows = ["".join("1" if row >> v & 1 else "0" for v in range(self.n)) for row in self.adj]
-        return {"m": self.m, "n": self.n, "rows": rows}
+        return {"m": self.m, "n": self.n, "rows": [_row_text(row, self.n) for row in self.adj]}
 
 
 _set_m, _set_n, _set_adj = _slot_setters(BipartiteGraph)
@@ -240,12 +236,14 @@ def swap_sides(g: BipartiteGraph) -> BipartiteGraph:
     return BipartiteGraph(g.n, g.m, g.columns())
 
 
+def _row_text(row: int, n: int) -> str:
+    """Row as n characters in {0,1}; character v is edge (u, v)."""
+    return "".join("1" if row >> v & 1 else "0" for v in range(n))
+
+
 def serialize_graph(g: BipartiteGraph) -> str:
     """Canonical text form: header "m n", then m rows of n characters in {0,1}."""
-    lines = [f"{g.m} {g.n}"]
-    for row in g.adj:
-        lines.append("".join("1" if row >> v & 1 else "0" for v in range(g.n)))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{g.m} {g.n}", *(_row_text(row, g.n) for row in g.adj)]) + "\n"
 
 
 def parse_graph(text: str) -> BipartiteGraph:

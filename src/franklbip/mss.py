@@ -129,7 +129,8 @@ def _scan_layout(g: BipartiteGraph):
     return g.adj, g.m, g.n, False
 
 
-def _check_cap(side: int, cap: int):
+def _check_cap(side: int, cap: int = DEFAULT_CAP):
+    """The cap check and refusal text of every enumeration path."""
     limit = min(cap, MAX_SCAN_SIDE)
     if side > limit:
         raise CapExceeded(f"scan side {side} exceeds the cap of {limit}")
@@ -139,7 +140,7 @@ def enumerate_mss(g: BipartiteGraph) -> list:
     """Every maximal stable set exactly once (order unspecified), through
     the pure-Python walk."""
     rows, s, t, swapped = _scan_layout(g)
-    _check_cap(s, DEFAULT_CAP)
+    _check_cap(s)
     out = []
 
     def leaf(chosen, free):
@@ -188,7 +189,7 @@ def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int) -> int:
     """
     if not 0 <= ell_star <= g.m or not 0 <= r_star <= g.n:
         raise ValueError("thresholds out of range")
-    _check_cap(g.m, DEFAULT_CAP)
+    _check_cap(g.m)
     freq = _impl.scan_free_hist(g.adj, g.m, g.n, ell_star)
     tails = _binomial_tails(g.n, r_star)
     return sum(freq[f] * tails[f] for f in range(g.n + 1))

@@ -5,7 +5,8 @@ frequency or an expectation with exact integer/rational reduction, and
 confronts it with the matching closed form from `bounds`.  Asymptotic
 claims (those that only hold beyond unspecified size thresholds) are
 reported with verdict "informational": finite-size runs can measure them
-but not refute them.
+but not refute them.  The enumeration cap is `mss`'s: a campaign refuses a
+point whose smaller side exceeds it through `mss`'s check, before any draw.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from . import bounds, mss
 # this module's name, so a patched verify.classify_regime is what runs
 from .bounds import (DEFAULT_ALPHA, HypothesisViolation, Regime,  # noqa: F401
                      RegimeParams, _check_alpha, classify_regime)
-from .graphs import Seed, as_prob, sample_bipartite, serialize_graph
-from .mss import CapExceeded
+from .graphs import CapExceeded, Seed, as_prob, sample_bipartite, serialize_graph
 
-CAMPAIGN_SIDE_CAP = 28
 CI_Z = 4.0  # every confidence radius is this many standard deviations wide
 CONSISTENT = "consistent"
 VIOLATED = "violated"
@@ -113,22 +112,17 @@ def _check_trials(trials: int):
         raise ValueError("trials must be >= 1")
 
 
-def _check_campaign_side(m: int, n: int, cap: int):
-    if min(m, n) > cap:
-        raise CapExceeded(f"min(m, n) = {min(m, n)} exceeds campaign cap {cap}")
-
-
 def run_average_campaign(m: int, n: int, prob, delta, trials: int, seed: Seed,
-                         cap: int = CAMPAIGN_SIDE_CAP) -> BoundReport:
+                         cap: int = mss.DEFAULT_CAP) -> BoundReport:
     """Frequency of left-avg(G) <= (1/2 + delta) m over seeded samples.
 
     The target probability is asymptotic, so the verdict is informational;
     the report carries the Wilson radius and the exact mean of the averages.
-    cap is the largest min(m, n) the campaign enumerates.
+    cap is the largest scan side, min(m, n), the campaign enumerates.
     """
     _check_trials(trials)
     prob = as_prob(prob)
-    _check_campaign_side(m, n, cap)
+    mss._check_cap(min(m, n), cap)
     threshold = (Fraction(1, 2) + Fraction(delta)) * m
     hits = 0
     total_avg = Fraction(0)
@@ -152,7 +146,7 @@ def run_conjecture_campaign(m: int, n: int, prob, delta, trials: int,
     """
     _check_trials(trials)
     prob = as_prob(prob)
-    _check_campaign_side(m, n, CAMPAIGN_SIDE_CAP)
+    mss._check_cap(min(m, n))
     satisfied = 0
     vacuous = 0
     violations = []
@@ -283,7 +277,7 @@ def _squpperbound(m, n, prob, params):
 
 def _squpper_hypothesis(m, n, prob, params):
     alpha = params.get("alpha", DEFAULT_ALPHA)
-    if math.log(n) / prob.log_inv_q > alpha * m:
+    if math.log(n) / prob.log_inv_q > bounds.regime_thresholds(m, alpha)["alpha*m"]:
         raise HypothesisViolation(f"needs n <= q^(-alpha m) with alpha={alpha}")
 
 
@@ -297,7 +291,7 @@ def _superpoly(m, n, prob, params):
 def _superpoly_hypothesis(m, n, prob, params):
     if math.log(m) / prob.log_inv_q > float(n) ** 0.2:
         raise HypothesisViolation("needs m <= q^(-n^(1/5))")
-    if math.log(n) / prob.log_inv_q > float(m) ** 0.2:
+    if math.log(n) / prob.log_inv_q > bounds.regime_thresholds(m)["m^(1/5)"]:
         raise HypothesisViolation("needs n <= q^(-m^(1/5))")
 
 
@@ -340,8 +334,10 @@ def _asymptotic_lower(m, n, prob, params):
 
 def _asymptotic_hypothesis(m, n, prob, params):
     x = math.log(n) / prob.log_inv_q
-    if not m / 16.0 <= x <= m / 2.0:
+    t = bounds.regime_thresholds(m)
+    if not t["m/16"] <= x <= t["m/2"]:
         raise HypothesisViolation("needs q^(-m/16) <= n <= q^(-m/2)")
+    _with_a_prime(m, n, prob)
 
 
 def _veryverylargeside(m, n, prob, params):
@@ -418,7 +414,7 @@ def verify_lemma(lemma_id: str, params: dict, trials: int, seed: Seed,
 # --- sweeps -----------------------------------------------------------------
 
 def sweep(grid, trials: int, seed: Seed, workers: int = 1,
-          alpha: float = DEFAULT_ALPHA, cap: int = CAMPAIGN_SIDE_CAP):
+          alpha: float = DEFAULT_ALPHA, cap: int = mss.DEFAULT_CAP):
     """Run the averaging campaign once per (m, n, p, delta) grid point.
 
     Point i runs on sub-stream seed.child(i), so the table is identical for

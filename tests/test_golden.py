@@ -1,21 +1,31 @@
-"""Golden outputs of every named check and of a sweep, on both kernels.
+"""Golden outputs of every named check and of a sweep, on both kernels, and
+of `franklbip regime`.
 
-tests/fixtures/verify_golden.json holds the CSV and JSON text of each case
-below.  A refusal is recorded as its exception text.  To record the fixture
-again after an intended output change, run
+tests/fixtures/verify_golden.json holds the CSV and JSON text of each check
+and sweep case below; a refusal is recorded as its exception text.
+tests/fixtures/regime_golden.json holds the table and JSON text of `regime`
+for each point of tests/fixtures/regime_grid.csv (one per band) and for one
+non-default alpha.  To record both fixtures again after an intended output
+change, run
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the name of every case whose recorded bytes changed.
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from franklbip import _pykernels, graphs, mss, verify
+from franklbip import _pykernels, cli, graphs, mss, verify
 from franklbip.graphs import Seed
 
-FIXTURE = Path(__file__).parent / "fixtures" / "verify_golden.json"
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE = FIXTURES / "verify_golden.json"
+REGIME_FIXTURE = FIXTURES / "regime_golden.json"
 
 # name -> (check id, params, trials, seed, strict)
 LEMMA_CASES = {
@@ -48,7 +58,7 @@ LEMMA_CASES = {
 }
 
 # a cap refusal, a regime refusal (p = 1 is not interior) and mixed shapes
-SWEEP_GRID = [(3, 3, 0.5, 0.0), (4, 2, 0.5, 0.1), (10, 8, 0.3, 0.05), (30, 30, 0.5, 0.0),
+SWEEP_GRID = [(3, 3, 0.5, 0.0), (4, 2, 0.5, 0.1), (10, 8, 0.3, 0.05), (31, 31, 0.5, 0.0),
               (3, 3, 1.0, 0.0), (2, 4, 0.8, 0.0)]
 SWEEP_TRIALS, SWEEP_SEED, SWEEP_WORKERS = 5, 42, 2
 
@@ -68,6 +78,25 @@ def render(name):
 
 
 CASE_NAMES = [*LEMMA_CASES, "sweep"]
+
+# name -> `franklbip regime` arguments
+REGIME_CASES = {
+    f"{m}x{n}@{p}": ("-m", m, "-n", n, "-p", p)
+    for m, n, p, _ in (line.split(",") for line in
+                       (FIXTURES / "regime_grid.csv").read_text().split()[1:])
+}
+# alpha = 0.49 moves this point from EntropyBand to GiganticRight
+REGIME_CASES["20x1024@0.5-alpha0.49"] = ("-m", "20", "-n", "1024", "-p", "0.5",
+                                         "--alpha", "0.49")
+
+
+def render_regime(name):
+    out = {}
+    for fmt in ("table", "json"):
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            assert cli.main(["regime", *REGIME_CASES[name], "--seed", "0", "--format", fmt]) == 0
+        out[fmt] = buf.getvalue()
+    return out
 
 
 @pytest.fixture(params=["compiled", "python"])
@@ -93,5 +122,31 @@ def test_cases_cover_every_check(golden):
     assert sorted(golden) == sorted(CASE_NAMES)
 
 
+@pytest.fixture(scope="module")
+def regime_golden():
+    return json.loads(REGIME_FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("name", REGIME_CASES)
+def test_regime_matches_golden(regime_golden, name):
+    assert render_regime(name) == regime_golden[name]
+
+
+def test_regime_cases_cover_every_band(regime_golden):
+    tags = {json.loads(case["json"])["regime"] for case in regime_golden.values()}
+    assert tags == {tag.value for tag in verify.Regime}
+    assert sorted(regime_golden) == sorted(REGIME_CASES)
+
+
+def record(path, rendered):
+    """Write the fixture and print the names of the cases whose bytes changed."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    for name in sorted(old.keys() | rendered.keys()):
+        if old.get(name) != rendered.get(name):
+            print(f"{path.name}: {name}")
+    path.write_text(json.dumps(rendered, indent=1) + "\n")
+
+
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps({name: render(name) for name in CASE_NAMES}, indent=1) + "\n")
+    record(FIXTURE, {name: render(name) for name in CASE_NAMES})
+    record(REGIME_FIXTURE, {name: render_regime(name) for name in REGIME_CASES})

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from franklbip import mss, verify
 from franklbip.bounds import HypothesisViolation
-from franklbip.graphs import Seed
+from franklbip.graphs import Seed, as_prob, sample_bipartite
 from franklbip.mss import CapExceeded, brute_force_mss
 from franklbip.verify import (
     Regime,
@@ -90,11 +90,11 @@ class TestAverageCampaign:
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceeded):
-            run_average_campaign(30, 30, 0.5, 0.0, 1, Seed(1))
+            run_average_campaign(31, 31, 0.5, 0.0, 1, Seed(1))
 
     def test_brute_force_engine_gives_identical_report(self, monkeypatch):
         def brute_stats(g, cap):
-            assert cap == verify.CAMPAIGN_SIDE_CAP
+            assert cap == mss.DEFAULT_CAP
             sets = brute_force_mss(g)
             hist = [0] * (g.m + 1)
             for s in sets:
@@ -216,6 +216,46 @@ def test_trials_below_one_refused_before_sampling(monkeypatch, run, trials):
         run(trials)
 
 
+def _sweep_point(side):
+    """One sweep point of the given side, its error row raised again."""
+    (rep,) = sweep([(side, side, 0.5, 0.0)], 1, Seed(1))
+    if rep.verdict == verify.ERROR:
+        kind, _, text = rep.extra["error"].partition(": ")
+        assert kind == "CapExceeded"
+        raise CapExceeded(text)
+
+
+# every path that enumerates, each called with one square side at p = 1/2
+CAP_PATHS = {
+    "stats": lambda side: mss.mss_stats(sample_bipartite(side, side, 0.5, Seed(1))),
+    "largeleftupper": lambda side: verify_lemma(
+        "largeleftupper", {"m": side, "n": side, "p": 0.5}, 1, Seed(1), strict=False),
+    "average": lambda side: run_average_campaign(side, side, 0.5, 0.0, 1, Seed(1)),
+    "conjecture": lambda side: run_conjecture_campaign(side, side, 0.5, 0.0, 1, Seed(1)),
+    "sweep": _sweep_point,
+}
+
+
+class TestOneCap:
+    """Every enumeration path applies mss's cap, with mss's refusal text."""
+
+    @pytest.mark.parametrize("path", CAP_PATHS)
+    def test_default_cap(self, kernel, path):
+        cap = mss.DEFAULT_CAP
+        CAP_PATHS[path](cap)
+        with pytest.raises(CapExceeded) as exc:
+            CAP_PATHS[path](cap + 1)
+        assert str(exc.value) == f"scan side {cap + 1} exceeds the cap of {cap}"
+
+    @pytest.mark.parametrize("path", ["average", "conjecture", "sweep"])
+    def test_over_cap_campaign_draws_nothing(self, monkeypatch, path):
+        draws = []
+        monkeypatch.setattr(verify, "sample_bipartite", lambda *args: draws.append(args))
+        with pytest.raises(CapExceeded):
+            CAP_PATHS[path](mss.DEFAULT_CAP + 1)
+        assert draws == []
+
+
 class TestVerifyLemma:
     def test_mssproba_consistent(self):
         rep = verify_lemma(
@@ -278,6 +318,12 @@ class TestVerifyLemma:
         match = "a' undefined" if not strict or lemma == "asymptotic.lower.bound" else None
         with pytest.raises(HypothesisViolation, match=match):
             verify_lemma(lemma, params, 5, Seed(1), strict=strict)
+
+    def test_asymptotic_hypothesis_refuses_undefined_a_prime(self):
+        # log_{1/q}(2) = 0.30 lies in [m/16, m/2], but n = 2 is below m^log_{1/q}(m)
+        hypothesis = verify._CHECKS["asymptotic.lower.bound"].hypothesis
+        with pytest.raises(HypothesisViolation, match="a' undefined"):
+            hypothesis(4, 2, as_prob(0.9), {"m": 4, "n": 2, "p": 0.9, "phi": 0.5})
 
     def test_informational_mode_runs_outside_hypothesis(self):
         rep = verify_lemma(
