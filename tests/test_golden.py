@@ -1,8 +1,8 @@
 """Golden outputs of every named check and of a sweep, on both kernels, and
 of `franklbip regime`.
 
-tests/fixtures/verify_golden.json holds the CSV and JSON text of each check
-and sweep case below; a refusal is recorded as its exception text.
+tests/fixtures/verify_golden.json holds the CSV and JSON text of each check,
+campaign and sweep case below; a refusal is recorded as its exception text.
 tests/fixtures/regime_golden.json holds the table and JSON text of `regime`
 for each point of tests/fixtures/regime_grid.csv (one per band) and for one
 non-default alpha.  To record both fixtures again after an intended output
@@ -57,6 +57,12 @@ LEMMA_CASES = {
                            5, 28, False),
 }
 
+# name -> (campaign function, m, n, p, delta, trials, seed)
+CAMPAIGN_CASES = {
+    "average": ("run_average_campaign", 7, 5, 0.4, 0.05, 30, 29),
+    "conjecture": ("run_conjecture_campaign", 3, 2, 0.3, 0.1, 40, 30),
+}
+
 # a cap refusal, a regime refusal (p = 1 is not interior) and mixed shapes
 SWEEP_GRID = [(3, 3, 0.5, 0.0), (4, 2, 0.5, 0.1), (10, 8, 0.3, 0.05), (31, 31, 0.5, 0.0),
               (3, 3, 1.0, 0.0), (2, 4, 0.8, 0.0)]
@@ -69,6 +75,11 @@ def render(name):
                                workers=SWEEP_WORKERS)
         return {"csv": verify.reports_to_csv(reports, with_regime=True),
                 "json": verify.reports_to_json(reports)}
+    if name in CAMPAIGN_CASES:
+        campaign, *args, seed = CAMPAIGN_CASES[name]
+        report = getattr(verify, campaign)(*args, Seed(seed))
+        return {"csv": verify.reports_to_csv([report]),
+                "json": verify.reports_to_json([report])}
     lemma, params, trials, seed, strict = LEMMA_CASES[name]
     try:
         report = verify.verify_lemma(lemma, dict(params), trials, Seed(seed), strict=strict)
@@ -77,7 +88,7 @@ def render(name):
     return {"csv": verify.reports_to_csv([report]), "json": verify.reports_to_json([report])}
 
 
-CASE_NAMES = [*LEMMA_CASES, "sweep"]
+CASE_NAMES = [*LEMMA_CASES, *CAMPAIGN_CASES, "sweep"]
 
 # name -> `franklbip regime` arguments
 REGIME_CASES = {

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from franklbip.mss import (
     left_avg,
     mss_stats,
     almost_unstable_vertex,
+    stab_at_least_count,
     verdict_from_stats,
 )
 from franklbip.setfamily import SetFamily, union_closure
@@ -383,6 +385,55 @@ def serialize_fail(g):
     from franklbip.graphs import serialize_graph
 
     return f"violation would be a counterexample:\n{serialize_graph(g)}"
+
+
+def brute_stab_at_least(g, ell_star, r_star):
+    """Stable pairs (A, B) with |A| >= ell_star and |B| >= r_star, counted by
+    trying every A and every B."""
+    count = 0
+    for a_mask in range(1 << g.m):
+        if a_mask.bit_count() < ell_star:
+            continue
+        covered = 0
+        for u in range(g.m):
+            if a_mask >> u & 1:
+                covered |= g.adj[u]
+        count += sum(1 for b_mask in range(1 << g.n)
+                     if b_mask.bit_count() >= r_star and b_mask & covered == 0)
+    return count
+
+
+class TestStabAtLeastCount:
+    """stab_at_least_count against brute force and against the closed-form
+    expectation, with the smaller side on the left, on the right and neither."""
+
+    @pytest.mark.parametrize("m,n", [(3, 6), (5, 5), (7, 2), (6, 4), (1, 5), (4, 1)])
+    @pytest.mark.parametrize("p", [0.3, 0.6])
+    def test_matches_brute_force(self, kernel, m, n, p):
+        g = sample_bipartite(m, n, p, Seed(1302, m * 16 + n))
+        for ell_star in range(m + 1):
+            for r_star in range(n + 1):
+                assert stab_at_least_count(g, ell_star, r_star) == \
+                    brute_stab_at_least(g, ell_star, r_star), (ell_star, r_star)
+
+    @pytest.mark.parametrize("m,n,p", [(2, 6, 0.5), (3, 4, 0.3), (4, 3, 0.6), (6, 2, 0.5),
+                                       (3, 3, 0.7)])
+    def test_expectation_matches_closed_form(self, m, n, p):
+        from conftest import weighted_expectation
+
+        from franklbip.bounds import expected_stab_at_least
+
+        pairs = [(ell_star, r_star) for ell_star in range(m + 1) for r_star in range(n + 1)]
+        got = weighted_expectation(m, n, p, lambda g: np.array(
+            [stab_at_least_count(g, *pair) for pair in pairs], dtype=float))
+        for pair, value in zip(pairs, got):
+            assert value == pytest.approx(expected_stab_at_least(m, n, p, *pair), rel=1e-9), pair
+
+    def test_thresholds_out_of_range(self):
+        g = sample_bipartite(3, 4, 0.5, Seed(1))
+        for ell_star, r_star in ((4, 0), (0, 5), (-1, 0)):
+            with pytest.raises(ValueError, match="thresholds out of range"):
+                stab_at_least_count(g, ell_star, r_star)
 
 
 class TestTailCounts:
