@@ -237,9 +237,15 @@ def classify_regime(m: int, n: int, prob, alpha: float = DEFAULT_ALPHA) -> Regim
         return Regime.ENTROPY_BAND
     if x >= t["m^(1/5)"]:
         return Regime.HOEFFDING_BAND
-    if math.log(m) / prob.log_inv_q <= float(n) ** 0.2:
+    log_m, fifth_root_n = _large_left_sides(m, n, prob)
+    if log_m <= fifth_root_n:
         return Regime.BALANCED
     return Regime.LARGE_LEFT
+
+
+def _large_left_sides(m: int, n: int, prob) -> tuple:
+    """(log_{1/q}(m), n^(1/5)); LargeLeft is where the first exceeds the second."""
+    return math.log(m) / prob.log_inv_q, float(n) ** 0.2
 
 
 def _check_alpha(alpha: float):

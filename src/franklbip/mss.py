@@ -25,7 +25,7 @@ from . import _pykernels
 # for the subset scans here alike.
 from .graphs import KERNEL, BipartiteGraph, CapExceeded, _impl  # noqa: F401
 
-# The cap is the largest scan side: min(m, n), or m for the free-part scan.
+# The cap is the largest scan side, min(m, n), of every scan.
 DEFAULT_CAP = 30
 # _kernels.c refuses a scan side above its MAX_SCAN_SIDE of 62 (its counters
 # are 64-bit), so the cap never goes past it and both kernels refuse alike.
@@ -122,8 +122,9 @@ def is_maximal_stable(g: BipartiteGraph, s: StableSet) -> bool:
     return True
 
 
-def _scan_layout(g: BipartiteGraph):
-    """Rows, sizes and swap flag for scanning the smaller side."""
+def _scan_layout(g: BipartiteGraph, cap: int = DEFAULT_CAP):
+    """Rows, sizes and swap flag for scanning the smaller side, up to cap."""
+    _check_cap(min(g.m, g.n), cap)
     if g.n < g.m:
         return g.columns(), g.n, g.m, True
     return g.adj, g.m, g.n, False
@@ -140,7 +141,6 @@ def enumerate_mss(g: BipartiteGraph) -> list:
     """Every maximal stable set exactly once (order unspecified), through
     the pure-Python walk."""
     rows, s, t, swapped = _scan_layout(g)
-    _check_cap(s)
     out = []
 
     def leaf(chosen, free):
@@ -174,8 +174,7 @@ def count_mss_with_sizes(g: BipartiteGraph, ell: int, r: int) -> int:
 def _scan(g: BipartiteGraph, cap: int, ell: int = -1, r: int = -1):
     """(swapped, the kernel's scan_stats tuple) for the smaller side; the
     tuple's last entry counts the sets with |S∩L| = ell and |S∩R| = r."""
-    rows, s, t, swapped = _scan_layout(g)
-    _check_cap(s, cap)
+    rows, s, t, swapped = _scan_layout(g, cap)
     sel_k, sel_f = (r, ell) if swapped else (ell, r)
     return swapped, _impl.scan_stats(rows, s, t, sel_k, sel_f)
 
@@ -184,24 +183,24 @@ def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int) -> int:
     """Number of stable pairs (A, B), not necessarily maximal, with
     |A| >= ell_star on the left and |B| >= r_star on the right.
 
-    Scans the left side regardless of which side is smaller, since the two
-    thresholds are not symmetric.
+    Scans the smaller side, with the thresholds swapped if that is the right.
     """
     if not 0 <= ell_star <= g.m or not 0 <= r_star <= g.n:
         raise ValueError("thresholds out of range")
-    _check_cap(g.m)
-    freq = _impl.scan_free_hist(g.adj, g.m, g.n, ell_star)
-    tails = _binomial_tails(g.n, r_star)
-    return sum(freq[f] * tails[f] for f in range(g.n + 1))
+    rows, s, t, swapped = _scan_layout(g)
+    lo_scan, lo_other = (r_star, ell_star) if swapped else (ell_star, r_star)
+    freq = _impl.scan_free_hist(rows, s, t, lo_scan)
+    tails = _binomial_tails(t, lo_other)
+    return sum(freq[f] * tails[f] for f in range(t + 1))
 
 
 @functools.lru_cache(maxsize=256)
-def _binomial_tails(n: int, r_star: int) -> tuple:
-    """tails[f] = number of subsets of an f-element set with >= r_star
-    elements; a campaign asks for the same (n, r_star) on every trial."""
-    if r_star <= 0:
-        return tuple(1 << f for f in range(n + 1))
-    return tuple(sum(math.comb(f, j) for j in range(r_star, f + 1)) for f in range(n + 1))
+def _binomial_tails(t: int, lo: int) -> tuple:
+    """tails[f] = number of subsets of an f-element set with >= lo elements,
+    for f <= t; a campaign asks for the same (t, lo) on every trial."""
+    if lo <= 0:
+        return tuple(1 << f for f in range(t + 1))
+    return tuple(sum(math.comb(f, j) for j in range(lo, f + 1)) for f in range(t + 1))
 
 
 def left_avg(g: BipartiteGraph) -> Fraction:
@@ -222,9 +221,16 @@ def almost_unstable_vertex(stats: MssStats, side: str, delta) -> Optional[tuple]
         return None
     best_v = min(range(len(counts)), key=lambda v: (counts[v], v))
     frac = Fraction(counts[best_v], stats.total)
-    if frac <= Fraction(1, 2) + Fraction(delta):
+    if frac <= Fraction(1, 2) + _exact_delta(delta):
         return best_v, frac
     return None
+
+
+def _exact_delta(delta) -> Fraction:
+    """delta as an exact rational; a non-finite delta is refused."""
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    return Fraction(delta)
 
 
 def conjecture_check(g: BipartiteGraph, delta=0) -> ConjectureVerdict:
@@ -235,11 +241,12 @@ def conjecture_check(g: BipartiteGraph, delta=0) -> ConjectureVerdict:
 def verdict_from_stats(stats: MssStats, vacuous: bool, delta=0) -> ConjectureVerdict:
     """Up-to-delta verdict from statistics already enumerated; vacuous marks
     an edgeless graph, which satisfies the conjecture trivially."""
+    delta = _exact_delta(delta)
     lw = almost_unstable_vertex(stats, "left", delta)
     rw = almost_unstable_vertex(stats, "right", delta)
     satisfied = vacuous or (lw is not None and rw is not None)
     return ConjectureVerdict(
-        delta=Fraction(delta),
+        delta=delta,
         left_witness=lw,
         right_witness=rw,
         satisfied=satisfied,

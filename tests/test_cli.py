@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from franklbip import cli, mss
-from franklbip.graphs import empty_graph, matching_graph, parse_graph, serialize_graph
+from franklbip import cli, mss, verify
+from franklbip.graphs import Seed, empty_graph, matching_graph, parse_graph, serialize_graph
 
 
 def run(capsys, *argv):
@@ -204,6 +204,18 @@ class TestVerify:
         assert rc == 2
         assert out == ""
         assert err == "usage error: trials must be >= 1\n"
+
+    @pytest.mark.parametrize("lemma,args", [
+        ("average", (7, 5, 0.4, 0.05)), ("conjecture", (3, 2, 0.3, 0.1))])
+    def test_campaign_rows(self, capsys, lemma, args):
+        # `verify average` and `verify conjecture` report what the campaigns report
+        m, n, p, delta = map(str, args)
+        rc, out, _ = run(capsys, "verify", lemma, "-m", m, "-n", n, "-p", p, "--delta", delta,
+                         "--trials", "30", "--seed", "29", "--format", "json")
+        assert rc == 0
+        campaign = getattr(verify, f"run_{lemma}_campaign")
+        want = verify.reports_to_json([campaign(*args, 30, Seed(29))])
+        assert json.loads(out)["reports"] == json.loads(want)["reports"]
 
     def test_closed_form_overflow_refusal_exit(self, capsys):
         # the exact genupper expectation overflows a float at n = 1500
@@ -438,13 +450,17 @@ class TestCompiledBuild:
           "--informational"], 3, "refused: n is below m^log_{1/q}(m); a' undefined"),
         (["verify", "asymptotic.lower.bound", "-m", "4", "-n", "2", "-p", "0.9", "--phi",
           "0.5", "--trials", "5"], 3, "refused: n is below m^log_{1/q}(m); a' undefined"),
+        (["stats", "{matching}", "--delta=inf"], 2, "usage error: delta must be finite, got inf"),
+        (["stats", "{matching}", "--delta=nan"], 2, "usage error: delta must be finite, got nan"),
     ], ids=["stats-cap", "verify-refused", "frankl-malformed", "sample-zero-side",
-            "sweep-bad-alpha", "hoeffding-a-prime-informational", "asymptotic-a-prime"])
+            "sweep-bad-alpha", "hoeffding-a-prime-informational", "asymptotic-a-prime",
+            "stats-delta-inf", "stats-delta-nan"])
     def test_exit_codes(self, compiled_build, tmp_path, argv, code, message):
         # the error class is raised by a module main() never imported itself
         files = {"empty31": tmp_path / "e31.graph", "badfamily": tmp_path / "bad.txt",
-                 "grid": tmp_path / "grid.csv"}
+                 "grid": tmp_path / "grid.csv", "matching": tmp_path / "m3.graph"}
         files["empty31"].write_text(serialize_graph(empty_graph(31, 31)))
+        files["matching"].write_text(serialize_graph(matching_graph(3)))
         files["badfamily"].write_text("a,b\n")
         files["grid"].write_text(GRID_TEXT)
         proc = subprocess.run(

@@ -129,7 +129,8 @@ def test_output_matches_golden(kernel, golden, name):
 
 
 def test_cases_cover_every_check(golden):
-    assert {case[0] for case in LEMMA_CASES.values()} == set(verify.known_lemmas())
+    lemmas = {case[0] for case in LEMMA_CASES.values()} | set(CAMPAIGN_CASES)
+    assert lemmas == set(verify.known_lemmas())
     assert sorted(golden) == sorted(CASE_NAMES)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,14 @@ class TestAverageCampaign:
         monkeypatch.setattr(mss, "mss_stats", brute_stats)
         slow = run_average_campaign(6, 6, 0.5, 0.05, 30, Seed(9))
         assert fast == slow
+
+
+def test_readme_lists_every_check():
+    from conftest import ROOT
+
+    section = (ROOT / "README.md").read_text().split("### Named checks\n", 1)[1]
+    section = section.split("\n#", 1)[0]
+    assert sorted(re.findall(r"^- `([^`]+)`", section, re.M)) == verify.known_lemmas()
 
 
 class TestConjectureCampaign:
@@ -236,8 +245,71 @@ CAP_PATHS = {
 }
 
 
+# one point per registered check, run with strict=False
+ROW_POINTS = {
+    "mssproba": {"m": 6, "n": 6, "p": 0.5, "ell": 2, "r": 2},
+    "genupper": {"m": 8, "n": 2, "p": 0.5, "ell_star": 3, "r_star": 1},
+    "indmatchings": {"k": 3, "p": 0.5},
+    "constrightside": {"m": 6, "n": 2, "p": 0.5},
+    "veryverylargeside": {"m": 3, "n": 24, "p": 0.5},
+    "largeleftupper": {"m": 16, "n": 6, "p": 0.5},
+    "squpperbound": {"m": 10, "n": 16, "p": 0.5},
+    "superpoly.lower.bound": {"m": 12, "n": 12, "p": 0.9},
+    "lem.hoeffding.exp": {"m": 4, "n": 100, "p": 0.9},
+    "asymptotic.lower.bound": {"m": 4, "n": 100, "p": 0.9, "phi": 0.5},
+    "average": {"m": 7, "n": 5, "p": 0.4, "delta": 0.05},
+    "conjecture": {"m": 3, "n": 2, "p": 0.3, "delta": 0.1},
+}
+SCANNING_ROWS = [lemma for lemma in ROW_POINTS if verify._CHECKS[lemma].scans]
+# a smaller side of 31 for each row that scans; a' needs n >= m^log_{1/q}(m)
+OVER_CAP_SIDES = {lemma: {"m": 31, "n": 31} for lemma in SCANNING_ROWS}
+OVER_CAP_SIDES["genupper"] = {"m": 40, "n": 31}
+OVER_CAP_SIDES["lem.hoeffding.exp"] = OVER_CAP_SIDES["asymptotic.lower.bound"] = {
+    "m": 31, "n": 200}
+
+
+def test_row_points_cover_every_check():
+    assert sorted(ROW_POINTS) == verify.known_lemmas()
+
+
+@pytest.mark.parametrize("lemma", ROW_POINTS)
+def test_scans_flag_matches_the_event(monkeypatch, lemma):
+    # one trial enumerates exactly when the row says it scans
+    calls = []
+    for name in ("scan_stats", "scan_free_hist"):
+        real = getattr(mss._impl, name)
+        monkeypatch.setattr(mss._impl, name,
+                            lambda *args, _real=real: calls.append(args) or _real(*args))
+    verify_lemma(lemma, dict(ROW_POINTS[lemma]), 1, Seed(1), strict=False)
+    assert bool(calls) == verify._CHECKS[lemma].scans
+
+
 class TestOneCap:
     """Every enumeration path applies mss's cap, with mss's refusal text."""
+
+    @pytest.mark.parametrize("lemma", SCANNING_ROWS)
+    def test_over_cap_row_refused_before_any_draw(self, monkeypatch, lemma):
+        draws = []
+        monkeypatch.setattr(verify, "sample_bipartite", lambda *args: draws.append(args))
+        params = {**ROW_POINTS[lemma], **OVER_CAP_SIDES[lemma]}
+        with pytest.raises(CapExceeded, match="^scan side 31 exceeds the cap of 30$"):
+            verify_lemma(lemma, params, 3, Seed(1), strict=False)
+        assert draws == []
+
+    def test_genupper_scans_the_smaller_side(self, kernel):
+        # m = 40 is over the cap, but the scan walks the 3 right vertices
+        params = {"m": 40, "n": 3, "p": 0.5, "ell_star": 3, "r_star": 1}
+        rep = verify_lemma("genupper", params, 20, Seed(40))
+        assert rep.verdict == verify.CONSISTENT
+        g = sample_bipartite(40, 3, 0.5, Seed(41))
+        cols = g.columns()
+        # pairs (A, B): for each B with |B| >= 1, every A of >= 3 vertices off N(B)
+        want = 0
+        for b_mask in range(1, 8):
+            free = 40 - sum(1 for u in range(40)
+                            if any(b_mask >> v & 1 and cols[v] >> u & 1 for v in range(3)))
+            want += sum(math.comb(free, j) for j in range(3, free + 1))
+        assert mss.stab_at_least_count(g, 3, 1) == want
 
     @pytest.mark.parametrize("path", CAP_PATHS)
     def test_default_cap(self, kernel, path):
@@ -430,10 +502,14 @@ class TestSweep:
         assert a == b
 
     def test_errors_become_rows(self):
-        reps = sweep([(3, 3, 0.5, 0.0), (40, 40, 0.5, 0.0)], 2, Seed(1))
+        reps = sweep([(3, 3, 0.5, 0.0), (40, 40, 0.5, 0.0), (4, 4, 0.5, math.inf),
+                      (4, 4, 0.5, math.nan)], 2, Seed(1))
         assert reps[0].verdict == verify.INFORMATIONAL
         assert reps[1].verdict == verify.ERROR
         assert "CapExceeded" in reps[1].extra["error"]
+        assert [r.verdict for r in reps[2:]] == [verify.ERROR] * 2
+        assert reps[2].extra["error"] == "ValueError: delta must be finite, got inf"
+        assert reps[3].extra["error"] == "ValueError: delta must be finite, got nan"
 
     def test_degenerate_point_draws_nothing(self, monkeypatch):
         draws = []
