@@ -5,6 +5,9 @@ Each subcommand imports only the modules it runs: `sample` needs `graphs`
 alone, `stats` adds `mss`, `frankl` adds `setfamily`, `regime` adds `bounds`,
 and `verify` and `sweep` add `verify`, `bounds` and `mss`.
 `concurrent.futures` is imported only by a sweep with `--workers` above 1.
+`verify.sweep` makes that pool once per worker count and reuses it for every
+later sweep in the process (a forked child drops it and makes its own); one
+CLI call sweeps once, and the pool's threads exit with the interpreter.
 The errors that main() maps to exit codes are all defined in `graphs`, and
 the parser defaults that other modules define are read from them only once
 the subcommand that needs them is chosen.

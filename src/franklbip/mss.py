@@ -165,9 +165,9 @@ def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> MssStats:
                     left_vertex_counts=tuple(lvc), right_vertex_counts=tuple(rvc))
 
 
-def count_mss_with_sizes(g: BipartiteGraph, ell: int, r: int) -> int:
+def count_mss_with_sizes(g: BipartiteGraph, ell: int, r: int, cap: int = DEFAULT_CAP) -> int:
     """Exact number of maximal stable sets S with |S∩L| = ell and |S∩R| = r."""
-    _, (*_, sel_count) = _scan(g, DEFAULT_CAP, ell, r)
+    _, (*_, sel_count) = _scan(g, cap, ell, r)
     return sel_count
 
 
@@ -179,7 +179,8 @@ def _scan(g: BipartiteGraph, cap: int, ell: int = -1, r: int = -1):
     return swapped, _impl.scan_stats(rows, s, t, sel_k, sel_f)
 
 
-def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int) -> int:
+def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
+                        cap: int = DEFAULT_CAP) -> int:
     """Number of stable pairs (A, B), not necessarily maximal, with
     |A| >= ell_star on the left and |B| >= r_star on the right.
 
@@ -187,7 +188,7 @@ def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int) -> int:
     """
     if not 0 <= ell_star <= g.m or not 0 <= r_star <= g.n:
         raise ValueError("thresholds out of range")
-    rows, s, t, swapped = _scan_layout(g)
+    rows, s, t, swapped = _scan_layout(g, cap)
     lo_scan, lo_other = (r_star, ell_star) if swapped else (ell_star, r_star)
     freq = _impl.scan_free_hist(rows, s, t, lo_scan)
     tails = _binomial_tails(t, lo_other)
@@ -233,9 +234,9 @@ def _exact_delta(delta) -> Fraction:
     return Fraction(delta)
 
 
-def conjecture_check(g: BipartiteGraph, delta=0) -> ConjectureVerdict:
+def conjecture_check(g: BipartiteGraph, delta=0, cap: int = DEFAULT_CAP) -> ConjectureVerdict:
     """Up-to-delta verdict for both sides from a single enumeration."""
-    return verdict_from_stats(mss_stats(g), g.edge_count() == 0, delta)
+    return verdict_from_stats(mss_stats(g, cap), g.edge_count() == 0, delta)
 
 
 def verdict_from_stats(stats: MssStats, vacuous: bool, delta=0) -> ConjectureVerdict:

@@ -11,8 +11,10 @@ them.  A row that scans refuses a smaller side over `mss`'s cap first.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -142,6 +144,11 @@ def _mean_at_most(claimed, extra):
     return summary
 
 
+def _cap(params):
+    """The largest scan side a row's event enumerates."""
+    return params.get("cap", mss.DEFAULT_CAP)
+
+
 class CheckSpec(NamedTuple):
     """One named check.  The first three names in `needs` give the sample
     sides and p.  setup(m, n, prob, params) returns the per-graph event and
@@ -167,7 +174,8 @@ def _genupper(m, n, prob, params):
     ell_star, r_star = params["ell_star"], params["r_star"]
     claimed = bounds.genupper_bound(m, n, prob, ell_star, r_star)
     exact = bounds.expected_stab_at_least(m, n, prob, ell_star, r_star)
-    return (lambda g: mss.stab_at_least_count(g, ell_star, r_star),
+    cap = _cap(params)
+    return (lambda g: mss.stab_at_least_count(g, ell_star, r_star, cap),
             _mean_at_most(claimed, {"exact_expectation": exact}))
 
 
@@ -198,16 +206,17 @@ def _constrightside(m, n, prob, params):
     return lambda g: full in g.adj, _frequency(bounds.dominating_vertex_prob(m, n, prob))
 
 
-def _few_left_at_least(size, limit, **extra):
+def _few_left_at_least(cap, size, limit, **extra):
     """Setup result of an asymptotic check whose event is: at most `limit`
     maximal stable sets have a left part of at least `size`."""
-    return (lambda g: mss.count_left_at_least(mss.mss_stats(g), size) <= limit,
+    return (lambda g: mss.count_left_at_least(mss.mss_stats(g, cap), size) <= limit,
             _informational({"count_limit": limit, **extra}))
 
 
 def _largeleftupper(m, n, prob, params):
     r_star = bounds.regime_constants(prob).r_star
-    return _few_left_at_least(Fraction(m, 3), float(n) ** r_star, r_star=r_star)
+    return _few_left_at_least(_cap(params), Fraction(m, 3), float(n) ** r_star,
+                              r_star=r_star)
 
 
 def _largeleft_hypothesis(m, n, prob, params):
@@ -218,7 +227,7 @@ def _largeleft_hypothesis(m, n, prob, params):
 
 def _squpperbound(m, n, prob, params):
     exponent = math.log(4.0) / prob.log_inv_q  # log_q(1/4) = log_{1/q}(4)
-    return _few_left_at_least(Fraction(m, 2), 2.0 * float(n) ** exponent)
+    return _few_left_at_least(_cap(params), Fraction(m, 2), 2.0 * float(n) ** exponent)
 
 
 def _squpper_hypothesis(m, n, prob, params):
@@ -230,7 +239,8 @@ def _squpper_hypothesis(m, n, prob, params):
 def _superpoly(m, n, prob, params):
     rp = RegimeParams.from_mnp(m, n, prob)
     expectation = bounds.expected_small_mss(m, n, prob, rp.a, rp.b)
-    return (lambda g: mss.count_mss_with_sizes(g, rp.a, rp.b) > 0.5 * expectation,
+    cap = _cap(params)
+    return (lambda g: mss.count_mss_with_sizes(g, rp.a, rp.b, cap) > 0.5 * expectation,
             _informational({"a": rp.a, "b": rp.b, "expectation": expectation}))
 
 
@@ -250,10 +260,10 @@ def _with_a_prime(m, n, prob):
     return rp
 
 
-def _many_left_of_size(size, threshold, **extra):
+def _many_left_of_size(cap, size, threshold, **extra):
     """Setup result of an asymptotic check whose event is: at least
     `threshold` maximal stable sets have a left part of exactly `size`."""
-    return (lambda g: mss.mss_stats(g).left_hist[size] >= threshold,
+    return (lambda g: mss.mss_stats(g, cap).left_hist[size] >= threshold,
             _informational({"a_prime": size, **extra, "count_threshold": threshold}))
 
 
@@ -261,7 +271,7 @@ def _hoeffding_exp(m, n, prob, params):
     rp = _with_a_prime(m, n, prob)
     c = bounds.regime_constants(prob).small_mss_c
     threshold = c * math.comb(m, rp.a_prime) * (float(rp.b) ** (-rp.b) if rp.b else 1.0)
-    return _many_left_of_size(rp.a_prime, threshold, b=rp.b)
+    return _many_left_of_size(_cap(params), rp.a_prime, threshold, b=rp.b)
 
 
 def _hoeffding_hypothesis(m, n, prob, params):
@@ -276,7 +286,7 @@ def _asymptotic_lower(m, n, prob, params):
     rp = _with_a_prime(m, n, prob)
     phi = params["phi"]
     threshold = 2.0 ** ((1.0 - phi) * bounds.binary_entropy(min(rp.lam, 1.0)) * m)
-    return _many_left_of_size(rp.a_prime, threshold, lam=rp.lam)
+    return _many_left_of_size(_cap(params), rp.a_prime, threshold, lam=rp.lam)
 
 
 def _asymptotic_hypothesis(m, n, prob, params):
@@ -288,17 +298,17 @@ def _asymptotic_hypothesis(m, n, prob, params):
 
 
 def _veryverylargeside(m, n, prob, params):
-    target = 1 << m
+    target, cap = 1 << m, _cap(params)
 
     def saturated(g):
-        stats = mss.mss_stats(g)
+        stats = mss.mss_stats(g, cap)
         return stats.total == target and stats.left_average() == Fraction(m, 2)
 
     return saturated, _informational({"target_total": target})
 
 
 def _average(m, n, prob, params):
-    cap = params.get("cap", mss.DEFAULT_CAP)
+    cap = _cap(params)
     threshold = (Fraction(1, 2) + mss._exact_delta(params["delta"])) * m
 
     def summary(averages):
@@ -310,10 +320,10 @@ def _average(m, n, prob, params):
 
 
 def _conjecture(m, n, prob, params):
-    delta = mss._exact_delta(params["delta"])
+    delta, cap = mss._exact_delta(params["delta"]), _cap(params)
 
     def event(g):
-        verdict = mss.conjecture_check(g, delta)
+        verdict = mss.conjecture_check(g, delta, cap)
         # None if vacuous, True if satisfied, and a violating graph itself
         return None if verdict.vacuous else verdict.satisfied or g
 
@@ -360,8 +370,8 @@ def verify_lemma(lemma_id: str, params: dict, trials: int, seed: Seed,
     parameter raises MissingParameter in either mode, before the hypothesis
     is looked at.  lem.hoeffding.exp and asymptotic.lower.bound refuse an
     undefined a' in either mode, since their event needs it.  A row that
-    scans refuses min(m, n) over the cap (params["cap"] for `average`) after
-    its setup, before the first draw."""
+    scans enumerates with the cap params["cap"] (default mss.DEFAULT_CAP),
+    and refuses min(m, n) over it after its setup, before the first draw."""
     if lemma_id not in _CHECKS:
         raise UnknownLemma(f"unknown check {lemma_id!r}; known: {', '.join(known_lemmas())}")
     spec = _CHECKS[lemma_id]
@@ -381,7 +391,7 @@ def verify_lemma(lemma_id: str, params: dict, trials: int, seed: Seed,
             outside = True
     event, summary = spec.setup(m, n, prob, params)
     if spec.scans:
-        mss._check_cap(min(m, n), params.get("cap", mss.DEFAULT_CAP))
+        mss._check_cap(min(m, n), _cap(params))
     claimed, measured, ci, verdict, extra = summary(
         [event(sample_bipartite(m, n, prob, seed.child(t))) for t in range(trials)])
     if outside:
@@ -410,7 +420,13 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
     `error` instead of aborting the sweep; any other exception propagates.
     p is checked first, so a degenerate point draws no graph.  A trial count
     below 1 or an alpha outside [1/16, 1/2) refuses the whole sweep before
-    any point runs.  The thread pool is imported only for workers > 1.
+    any point runs.  For workers > 1 the calling thread waits while a pool
+    of that many threads runs the points; the pool is made, and
+    `concurrent.futures` imported, on the first such sweep, then reused by
+    every later sweep with the same worker count.  A forked child drops the
+    pools it inherits and makes its own.  If a point raises, the points not
+    yet started are dropped and the running ones finish before the error
+    propagates.
     """
     _check_trials(trials)
     _check_alpha(alpha)
@@ -432,11 +448,33 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
 
     items = list(enumerate(grid))
     if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+        pool = _pool(workers)
+        futures = [pool.submit(one, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            from concurrent.futures import wait
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, items))
+            # as a pool's shutdown would: drop the points not yet started and
+            # let the running ones finish before the error reaches the caller
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
     return [one(item) for item in items]
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int):
+    """The thread pool of every sweep with this worker count, made on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+# a forked child inherits the pools but none of their threads
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def reports_to_csv(reports, config: dict = None, with_regime: bool = False) -> str:
@@ -451,7 +489,20 @@ def reports_to_csv(reports, config: dict = None, with_regime: bool = False) -> s
 
 
 def reports_to_json(reports, config: dict = None) -> str:
+    """Strict JSON: a non-finite float (an error row's claimed, measured and
+    ci, say, or an echoed delta of inf) is written as null."""
     payload = {"reports": [rep.to_json_dict() for rep in reports]}
     if config is not None:
         payload = {"config": config, **payload}
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    return json.dumps(_finite_or_null(payload), indent=2, sort_keys=False,
+                      allow_nan=False) + "\n"
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(val) for key, val in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(val) for val in value]
+    return value

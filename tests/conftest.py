@@ -13,6 +13,7 @@ build exists.
 
 import importlib.machinery
 import importlib.util
+import json
 import shutil
 import subprocess
 import sys
@@ -106,3 +107,11 @@ def kernel(request, monkeypatch):
         else _pykernels
     monkeypatch.setattr(mss, "_impl", impl)
     monkeypatch.setattr(graphs, "_impl", impl)
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, as strict parsers do."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import strict_json
 from franklbip import _pykernels, cli, graphs, mss, verify
 from franklbip.graphs import Seed
 
@@ -132,6 +133,12 @@ def test_cases_cover_every_check(golden):
     lemmas = {case[0] for case in LEMMA_CASES.values()} | set(CAMPAIGN_CASES)
     assert lemmas == set(verify.known_lemmas())
     assert sorted(golden) == sorted(CASE_NAMES)
+
+
+def test_json_is_strict(golden):
+    for case in golden.values():
+        if "json" in case:
+            strict_json(case["json"])
 
 
 @pytest.fixture(scope="module")

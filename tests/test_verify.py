@@ -1,12 +1,18 @@
 import json
 import math
+import os
 import re
+import signal
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_json
 from franklbip import mss, verify
 from franklbip.bounds import HypothesisViolation
 from franklbip.graphs import Seed, as_prob, sample_bipartite
@@ -143,7 +149,8 @@ class TestConjectureCampaign:
         assert math.isnan(rep.measured)
 
     def test_brute_force_engine_gives_identical_report(self, monkeypatch):
-        def brute_check(g, delta):
+        def brute_check(g, delta, cap):
+            assert cap == mss.DEFAULT_CAP
             sets = brute_force_mss(g)
             hist = [0] * (g.m + 1)
             for s in sets:
@@ -318,6 +325,19 @@ class TestOneCap:
         with pytest.raises(CapExceeded) as exc:
             CAP_PATHS[path](cap + 1)
         assert str(exc.value) == f"scan side {cap + 1} exceeds the cap of {cap}"
+
+    @pytest.mark.parametrize("lemma", SCANNING_ROWS)
+    def test_caller_cap_reaches_the_event(self, monkeypatch, lemma):
+        # a cap of 40 lets a smaller side of 31 through the runner and the event alike
+        draws = []
+        real = verify.sample_bipartite
+        monkeypatch.setattr(verify, "sample_bipartite",
+                            lambda *args: draws.append(args) or real(*args))
+        params = {**ROW_POINTS[lemma], **OVER_CAP_SIDES[lemma], "cap": 40}
+        if lemma == "genupper":
+            params["r_star"] = 30  # the free-part scan visits 32 subsets, not 2^31
+        rep = verify_lemma(lemma, params, 3, Seed(1), strict=False)
+        assert (rep.lemma_id, rep.trials, len(draws)) == (lemma, 3, 3)
 
     @pytest.mark.parametrize("path", ["average", "conjecture", "sweep"])
     def test_over_cap_campaign_draws_nothing(self, monkeypatch, path):
@@ -543,12 +563,103 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unexpected_errors_propagate(self, monkeypatch, workers):
+        from test_golden import FIXTURE, SWEEP_GRID, SWEEP_SEED, SWEEP_TRIALS
+
         def broken(g, cap=None):
             raise RuntimeError("kernel fault")
 
+        started, running, lock = [], [0], threading.Lock()
+        real = verify.run_average_campaign
+
+        def counting(*args, **kwargs):
+            with lock:
+                first = not started
+                started.append(args)
+                running[0] += 1
+            try:
+                if not first:
+                    time.sleep(0.05)  # still running when the first point raises
+                return real(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+
         monkeypatch.setattr(mss, "mss_stats", broken)
+        monkeypatch.setattr(verify, "run_average_campaign", counting)
+        grid = self.GRID3 * 3
         with pytest.raises(RuntimeError, match="kernel fault"):
-            sweep(self.GRID3, 2, Seed(1), workers=workers)
+            sweep(grid, 2, Seed(1), workers=workers)
+        # the points not started were dropped, and none still runs
+        assert running == [0]
+        assert len(started) < len(grid)
+        monkeypatch.undo()
+        # the pool outlives the error
+        reps = sweep(SWEEP_GRID, SWEEP_TRIALS, Seed(SWEEP_SEED), workers=2)
+        golden = json.loads(FIXTURE.read_text())["sweep"]
+        assert reports_to_csv(reps, with_regime=True) == golden["csv"]
+
+    def test_two_worker_sweeps_reuse_one_pool(self, monkeypatch):
+        threads = set()
+        real = verify.run_average_campaign
+
+        def recording(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "run_average_campaign", recording)
+        counts = []
+        for _ in range(20):
+            sweep(self.GRID3, 2, Seed(1), workers=2)
+            counts.append(threading.active_count())
+        assert counts == counts[:1] * 20
+        # at most two pool threads ran every point while the calling thread waited
+        assert len(threads) <= 2 and threading.current_thread() not in threads
+
+    def test_concurrent_sweeps_share_the_pools(self):
+        # callers on several threads submit to the same pools at once
+        want = reports_to_csv(sweep(self.GRID3, 3, Seed(5)), with_regime=True)
+        got = []
+
+        def caller(workers):
+            for _ in range(10):
+                got.append(reports_to_csv(sweep(self.GRID3, 3, Seed(5), workers=workers),
+                                          with_regime=True))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(w,)) for w in (2, 8, 2, 8)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert got == [want] * 40
+
+    def test_forked_child_sweeps_with_its_own_pool(self):
+        want = reports_to_csv(sweep(self.GRID3, 5, Seed(42), workers=2), with_regime=True)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                signal.alarm(10)  # a child waiting on the pool it inherited dies here
+                got = reports_to_csv(sweep(self.GRID3, 5, Seed(42), workers=2),
+                                     with_regime=True)
+                with os.fdopen(write_fd, "w") as fh:
+                    fh.write(got)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        with os.fdopen(read_fd) as fh:
+            got = fh.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert got == want
 
     def test_bytes_identical_across_kernels_and_workers(self, compiled_kernels, monkeypatch):
         from franklbip import _pykernels, graphs
@@ -560,7 +671,7 @@ class TestSweep:
             # the sampler switches with the scan kernel, as FRANKLBIP_PURE_PYTHON does
             monkeypatch.setattr(mss, "_impl", impl)
             monkeypatch.setattr(graphs, "_impl", impl)
-            for workers in (1, 2):
+            for workers in (1, 2, 8):
                 reps = sweep(grid, 6, Seed(11), workers=workers)
                 outputs.add((reports_to_csv(reps, with_regime=True), reports_to_json(reps)))
         assert len(outputs) == 1
@@ -591,3 +702,22 @@ class TestReportFormats:
             assert key in row
         # exact rationals serialize as strings
         assert isinstance(row["mean_left_avg"], str)
+
+    def test_json_is_strict(self):
+        # error rows, an all-vacuous conjecture and an echoed delta of inf
+        reps = sweep([(3, 3, 0.5, 0.0), (31, 31, 0.5, 0.0), (3, 3, 1.0, 0.0),
+                      (4, 4, 0.5, math.inf), (4, 4, 0.5, math.nan)], 2, Seed(1), workers=2)
+        vacuous = run_conjecture_campaign(2, 2, 0.0, 0.0, 4, Seed(7))
+        mssproba = verify_lemma("mssproba", {"m": 4, "n": 4, "p": 0.5, "ell": 1, "r": 1,
+                                             "delta": math.inf}, 4, Seed(1))
+        rows = strict_json(reports_to_json(reps, config={"delta": math.inf}))
+        assert rows["config"] == {"delta": None}
+        assert [row["verdict"] for row in rows["reports"]] == [verify.INFORMATIONAL] + \
+            [verify.ERROR] * 4
+        for row in rows["reports"][1:]:
+            assert (row["claimed"], row["measured"], row["ci"]) == (None, None, None)
+        assert [row["delta"] for row in rows["reports"][3:]] == [None, None]
+        assert strict_json(reports_to_json([vacuous]))["reports"][0]["measured"] is None
+        assert strict_json(reports_to_json([mssproba]))["reports"][0]["delta"] is None
+        # CSV keeps the repr of each float
+        assert ",nan,nan,nan,error," in reports_to_csv(reps)
