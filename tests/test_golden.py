@@ -1,12 +1,13 @@
 """Golden outputs of every named check and of a sweep, on both kernels, and
-of `franklbip regime`.
+of `franklbip regime`, `stats` and `frankl`.
 
 tests/fixtures/verify_golden.json holds the CSV and JSON text of each check,
 campaign and sweep case below; a refusal is recorded as its exception text.
 tests/fixtures/regime_golden.json holds the table and JSON text of `regime`
 for each point of tests/fixtures/regime_grid.csv (one per band) and for one
-non-default alpha.  To record both fixtures again after an intended output
-change, run
+non-default alpha.  tests/fixtures/cli_golden.json holds the table and JSON
+text of `stats` and `frankl` on the graph and family files beside it.  To
+record the three fixtures again after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -27,6 +28,7 @@ from franklbip.graphs import Seed
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE = FIXTURES / "verify_golden.json"
 REGIME_FIXTURE = FIXTURES / "regime_golden.json"
+CLI_FIXTURE = FIXTURES / "cli_golden.json"
 
 # name -> (check id, params, trials, seed, strict)
 LEMMA_CASES = {
@@ -102,13 +104,30 @@ REGIME_CASES["20x1024@0.5-alpha0.49"] = ("-m", "20", "-n", "1024", "-p", "0.5",
                                          "--alpha", "0.49")
 
 
-def render_regime(name):
+# name -> `franklbip` arguments; the files are named relative to FIXTURES,
+# so the echoed path is the same on every checkout
+CLI_CASES = {
+    "stats-sampled": ("stats", "sampled_6x5.graph", "--cap", "40", "--delta", "0.1"),
+    # left averages 1 and 3; the edgeless graph is vacuous
+    "stats-complete": ("stats", "complete_2x2.graph"),
+    "stats-empty": ("stats", "empty_3x2.graph"),
+    # element 0 lies in every member: frequency 1
+    "frankl-chain": ("frankl", "chain.family"),
+    "frankl-closure": ("frankl", "generators.family", "--closure"),
+}
+
+
+def render_cli(argv):
     out = {}
     for fmt in ("table", "json"):
-        with contextlib.redirect_stdout(io.StringIO()) as buf:
-            assert cli.main(["regime", *REGIME_CASES[name], "--seed", "0", "--format", fmt]) == 0
+        with contextlib.chdir(FIXTURES), contextlib.redirect_stdout(io.StringIO()) as buf:
+            assert cli.main([*argv, "--seed", "0", "--format", fmt]) == 0
         out[fmt] = buf.getvalue()
     return out
+
+
+def render_regime(name):
+    return render_cli(("regime", *REGIME_CASES[name]))
 
 
 @pytest.fixture(params=["compiled", "python"])
@@ -157,6 +176,22 @@ def test_regime_cases_cover_every_band(regime_golden):
     assert sorted(regime_golden) == sorted(REGIME_CASES)
 
 
+@pytest.fixture(scope="module")
+def cli_golden():
+    return json.loads(CLI_FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("name", CLI_CASES)
+def test_cli_matches_golden(kernel, cli_golden, name):
+    assert render_cli(CLI_CASES[name]) == cli_golden[name]
+
+
+def test_cli_cases_are_recorded(cli_golden):
+    assert sorted(cli_golden) == sorted(CLI_CASES)
+    for case in cli_golden.values():
+        strict_json(case["json"])
+
+
 def record(path, rendered):
     """Write the fixture and print the names of the cases whose bytes changed."""
     old = json.loads(path.read_text()) if path.exists() else {}
@@ -169,3 +204,4 @@ def record(path, rendered):
 if __name__ == "__main__":
     record(FIXTURE, {name: render(name) for name in CASE_NAMES})
     record(REGIME_FIXTURE, {name: render_regime(name) for name in REGIME_CASES})
+    record(CLI_FIXTURE, {name: render_cli(argv) for name, argv in CLI_CASES.items()})
