@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .graphs import EdgeProbability, HypothesisViolation, as_prob
+# DEFAULT_ALPHA is defined in graphs, so that cli reads it without this module
+from .graphs import DEFAULT_ALPHA, EdgeProbability, HypothesisViolation, as_prob  # noqa: F401
 
 LOG_SPACE_CUTOFF = 700.0
-DEFAULT_ALPHA = 0.45
 
 
 class ProbBound(NamedTuple):
@@ -70,15 +70,6 @@ def _pow_product(factors, prefactor=1.0) -> float:
     return out
 
 
-def markov_bound(expectation: float, alpha: float) -> ProbBound:
-    """Tail bound E/alpha for a nonnegative variable."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if expectation < 0:
-        raise ValueError(f"expectation must be nonnegative, got {expectation}")
-    return _prob_bound(expectation / alpha)
-
-
 def chebyshev_bound(variance: float, lam: float) -> ProbBound:
     """Deviation bound sigma^2 / lambda^2."""
     if lam <= 0:
@@ -86,18 +77,6 @@ def chebyshev_bound(variance: float, lam: float) -> ProbBound:
     if variance < 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
     return _prob_bound(variance / (lam * lam))
-
-
-def hoeffding_bound(s: int, rho: float, lam: float) -> float:
-    """One-sided tail exp(-2 lambda^2 / (s rho^2)) for a sum of s independent
-    variables each ranged in [0, rho]."""
-    if s < 1:
-        raise ValueError(f"need at least one variable, got s={s}")
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return math.exp(-2.0 * lam * lam / (s * rho * rho))
 
 
 def pr_maximal_stable(m: int, n: int, prob, ell: int, r: int) -> float:

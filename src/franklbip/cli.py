@@ -8,15 +8,16 @@ and `verify` and `sweep` add `verify`, `bounds` and `mss`.
 `verify.sweep` makes that pool once per worker count and reuses it for every
 later sweep in the process (a forked child drops it and makes its own); one
 CLI call sweeps once, and the pool's threads exit with the interpreter.
-The errors that main() maps to exit codes are all defined in `graphs`, and
-the parser defaults that other modules define are read from them only once
-the subcommand that needs them is chosen.
+The errors that main() maps to exit codes, and the `--cap` and `--alpha`
+defaults `DEFAULT_CAP` and `DEFAULT_ALPHA` (which `mss` and `bounds`
+re-export), are all defined in `graphs`, so building the parser imports
+nothing more.
 
 Exit codes: 0 success, 1 I/O or input-format failure, 2 usage, 3 refusal
 (hypothesis violation, a scan side over the cap, or a closed form out of
 floating-point range).  `--cap` is the largest scan side min(m, n) in
-`stats` and in `sweep` alike, and both default to `mss.DEFAULT_CAP`, the
-cap every check and campaign applies.  Machine outputs start with a
+`stats` and in `sweep` alike, and both default to `DEFAULT_CAP`, the cap
+every check and campaign applies.  Machine outputs start with a
 config echo carrying the resolved seed, so every run is reproducible from
 its own output.  The worker count is an execution detail and deliberately
 not part of the echo: equal configs must produce byte-identical tables.
@@ -25,30 +26,15 @@ not part of the echo: equal configs must produce byte-identical tables.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import sys
 
-from .graphs import (CapExceeded, FamilyParseError, GraphParseError, HypothesisViolation,
-                     Seed, ZeroSideError, as_prob, parse_graph, sample_bipartite,
-                     serialize_graph)
+from .graphs import (DEFAULT_ALPHA, DEFAULT_CAP, CapExceeded, FamilyParseError,
+                     GraphParseError, HypothesisViolation, Seed, ZeroSideError, as_prob,
+                     fraction_text, parse_graph, sample_bipartite, serialize_graph)
 
 SEED_ENV = "FRANKLBIP_SEED"
-
-
-class _ModuleDefault:
-    """A parser default defined in another module of this package; main()
-    reads it after parsing, so building the parser imports nothing more."""
-
-    def __init__(self, module: str, name: str):
-        self.module, self.name = module, name
-
-    def value(self):
-        return getattr(importlib.import_module("." + self.module, __package__), self.name)
-
-    def __str__(self):  # the %(default)s of a help text
-        return str(self.value())
 
 
 def _resolve_seed(args) -> Seed:
@@ -108,7 +94,7 @@ def cmd_stats(args) -> int:
             "graph": g.to_json_dict(),
             "edges": g.edge_count(),
             "stats": stats.to_json_dict(),
-            "left_avg": f"{avg.numerator}/{avg.denominator}",
+            "left_avg": fraction_text(avg),
             "verdict": verdict.to_json_dict(),
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
@@ -240,7 +226,7 @@ def cmd_frankl(args) -> int:
             "members": len(closed),
             "ground_size": closed.ground_size,
             "best_element": best,
-            "frequency": f"{freq.numerator}/{freq.denominator}",
+            "frequency": fraction_text(freq),
             "satisfied": satisfied,
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
@@ -272,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("stats", help="exact stats and conjecture verdict for a graph file")
     pt.add_argument("graph")
     pt.add_argument("--delta", type=float, default=0.0)
-    pt.add_argument("--cap", type=int, default=_ModuleDefault("mss", "DEFAULT_CAP"),
+    pt.add_argument("--cap", type=int, default=DEFAULT_CAP,
                     help="largest scan side, min(m, n) (default: %(default)s)")
     pt.add_argument("--seed", type=int, help="echoed for reproducibility; stats are deterministic")
     pt.add_argument("--format", choices=("table", "json"), default="table")
@@ -285,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("-n", type=int)
     pv.add_argument("-p", type=float)
     pv.add_argument("--delta", type=float, default=0.0)
-    pv.add_argument("--alpha", type=float, default=_ModuleDefault("bounds", "DEFAULT_ALPHA"))
+    pv.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     pv.add_argument("--l", dest="ell", type=int)
     pv.add_argument("--r", dest="r", type=int)
     pv.add_argument("--l-star", dest="ell_star", type=int)
@@ -305,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--trials", type=int, required=True)
     pw.add_argument("--seed", type=int)
     pw.add_argument("--workers", type=int, default=1)
-    pw.add_argument("--alpha", type=float, default=_ModuleDefault("bounds", "DEFAULT_ALPHA"))
-    pw.add_argument("--cap", type=int, default=_ModuleDefault("mss", "DEFAULT_CAP"),
+    pw.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    pw.add_argument("--cap", type=int, default=DEFAULT_CAP,
                     help="largest scan side, min(m, n), of a grid point; larger points "
                          "become error rows (default: %(default)s)")
     pw.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -317,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("-m", type=int, required=True)
     pr.add_argument("-n", type=int, required=True)
     pr.add_argument("-p", type=float, required=True)
-    pr.add_argument("--alpha", type=float, default=_ModuleDefault("bounds", "DEFAULT_ALPHA"))
+    pr.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     pr.add_argument("--seed", type=int, help="echoed only; classification is deterministic")
     pr.add_argument("--format", choices=("table", "json"), default="table")
     pr.add_argument("-o", "--output")
@@ -341,9 +327,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    for key, value in list(vars(args).items()):
-        if isinstance(value, _ModuleDefault):
-            setattr(args, key, value.value())
     try:
         return args.func(args)
     except (HypothesisViolation, CapExceeded) as exc:

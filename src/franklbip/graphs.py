@@ -47,9 +47,14 @@ class GraphParseError(ValueError):
     """Malformed graph text (bad header, row count, row width or character)."""
 
 
-# The three errors below belong to mss, bounds and setfamily, which re-export
-# them under these names.  They are defined here so that cli can map every
-# error to its exit code while importing only the modules a subcommand runs.
+# The two defaults and three errors below belong to mss, bounds and
+# setfamily, which re-export them under these names.  They are defined here
+# so that cli can build its parser and map every error to its exit code
+# while importing only the modules a subcommand runs.
+
+DEFAULT_CAP = 30  # the largest scan side, min(m, n), of every scan
+DEFAULT_ALPHA = 0.45  # the alpha of the regime bands' alpha*m threshold
+
 
 class CapExceeded(RuntimeError):
     """The requested scan side is larger than the cap."""
@@ -61,6 +66,12 @@ class HypothesisViolation(ValueError):
 
 class FamilyParseError(ValueError):
     """Malformed set-family text."""
+
+
+def fraction_text(x) -> str:
+    """An exact rational as every JSON output writes it: "num/den", so an
+    integer k is "k/1"."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 class _Value:

@@ -22,11 +22,11 @@ from typing import NamedTuple, Optional
 
 from . import _pykernels
 # graphs chooses the kernel, compiled or pure Python, for the sampler and
-# for the subset scans here alike.
-from .graphs import KERNEL, BipartiteGraph, CapExceeded, _impl  # noqa: F401
+# for the subset scans here alike, and defines DEFAULT_CAP, the cap of
+# every scan, so that cli reads it without importing this module.
+from .graphs import (DEFAULT_CAP, KERNEL, BipartiteGraph, CapExceeded,  # noqa: F401
+                     _impl, fraction_text)
 
-# The cap is the largest scan side, min(m, n), of every scan.
-DEFAULT_CAP = 30
 # _kernels.c refuses a scan side above its MAX_SCAN_SIDE of 62 (its counters
 # are 64-bit), so the cap never goes past it and both kernels refuse alike.
 MAX_SCAN_SIDE = 62
@@ -90,10 +90,10 @@ class ConjectureVerdict:
             if w is None:
                 return None
             v, frac = w
-            return {"vertex": v, "fraction": f"{frac.numerator}/{frac.denominator}"}
+            return {"vertex": v, "fraction": fraction_text(frac)}
 
         return {
-            "delta": f"{self.delta.numerator}/{self.delta.denominator}",
+            "delta": fraction_text(self.delta),
             "left_witness": wit(self.left_witness),
             "right_witness": wit(self.right_witness),
             "satisfied": self.satisfied,

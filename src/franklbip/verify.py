@@ -24,7 +24,8 @@ from . import bounds, mss
 # this module's name, so a patched verify.classify_regime is what runs
 from .bounds import (DEFAULT_ALPHA, HypothesisViolation, Regime,  # noqa: F401
                      RegimeParams, _check_alpha, classify_regime)
-from .graphs import CapExceeded, Seed, as_prob, sample_bipartite, serialize_graph
+from .graphs import (CapExceeded, Seed, as_prob, fraction_text, sample_bipartite,
+                     serialize_graph)
 
 CI_Z = 4.0  # every confidence radius is this many standard deviations wide
 CONSISTENT = "consistent"
@@ -61,24 +62,24 @@ class BoundReport:
     extra: dict = field(default_factory=dict, compare=False)
 
     def csv_row(self, with_regime: bool = False) -> str:
-        cells = [
-            self.lemma_id, str(self.m), str(self.n), repr(self.p),
-            repr(self.delta), str(self.trials), repr(self.claimed),
-            repr(self.measured), repr(self.ci), self.verdict, str(self.seed),
-        ]
+        # str of a float is its repr
+        cells = [str(getattr(self, name)) for name in _COLUMNS]
         if with_regime:
             cells.append(str(self.extra.get("regime", "")))
         return ",".join(cells)
 
     def to_json_dict(self) -> dict:
-        # the fields in declaration order, then the extras
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
+        # the columns, then the extras
+        out = {name: getattr(self, name) for name in _COLUMNS}
         for key, val in self.extra.items():
-            out[key] = str(val) if isinstance(val, Fraction) else val
+            out[key] = fraction_text(val) if isinstance(val, Fraction) else val
         return out
 
 
-CSV_HEADER = "lemma_id,m,n,p,delta,trials,claimed,measured,ci,verdict,seed"
+# the fields but extra, in declaration order: the CSV columns and the first
+# keys of each JSON report
+_COLUMNS = tuple(f.name for f in fields(BoundReport) if f.name != "extra")
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def wilson_radius(successes: int, trials: int) -> float:

@@ -21,9 +21,7 @@ from franklbip.bounds import (
     expected_small_mss,
     expected_stab_at_least,
     genupper_bound,
-    hoeffding_bound,
     induced_matching_prob,
-    markov_bound,
     pair_expectation_B,
     pair_ratio_diagnostic,
     pr_maximal_stable,
@@ -35,23 +33,6 @@ from franklbip.mss import StableSet, is_maximal_stable
 
 
 class TestTailInequalities:
-    def test_markov_direct_ratio(self):
-        assert markov_bound(2, 4).raw == 0.5
-
-    def test_markov_zero_expectation(self):
-        assert markov_bound(0, 1).raw == 0.0
-
-    def test_markov_spot(self):
-        assert markov_bound(4.566, 16).raw == pytest.approx(0.2854, abs=1e-4)
-
-    def test_markov_saturation(self):
-        b = markov_bound(5, 2)
-        assert b.saturated and b.clamped == 1.0 and b.raw == 2.5
-
-    def test_markov_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            markov_bound(1, 0)
-
     def test_chebyshev_quarter(self):
         assert chebyshev_bound(1, 2).raw == 0.25
 
@@ -64,21 +45,6 @@ class TestTailInequalities:
     def test_chebyshev_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
             chebyshev_bound(1, -1)
-
-    def test_hoeffding_single_variable(self):
-        assert hoeffding_bound(1, 1, 0.1) == pytest.approx(math.exp(-0.02))
-
-    def test_hoeffding_large_lambda_vanishes(self):
-        assert hoeffding_bound(1, 1, 1e9) == 0.0
-
-    def test_hoeffding_spot(self):
-        assert hoeffding_bound(4, 2, 2) == pytest.approx(math.exp(-0.5))
-
-    def test_hoeffding_rejects(self):
-        with pytest.raises(ValueError):
-            hoeffding_bound(0, 1, 1)
-        with pytest.raises(ValueError):
-            hoeffding_bound(1, -1, 1)
 
 
 class TestMaximalStableProbability:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from franklbip import cli, mss, verify
+from franklbip import bounds, cli, mss, verify
 from franklbip.graphs import Seed, empty_graph, matching_graph, parse_graph, serialize_graph
 
 
@@ -217,6 +217,12 @@ class TestVerify:
         want = verify.reports_to_json([campaign(*args, 30, Seed(29))])
         assert json.loads(out)["reports"] == json.loads(want)["reports"]
 
+    def test_json_integer_mean_is_num_over_den(self, capsys):
+        rc, out, _ = run(capsys, "verify", "average", "-m", "2", "-n", "4", "-p", "0.8",
+                         "--trials", "5", "--seed", "42", "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["reports"][0]["mean_left_avg"] == "1/1"
+
     def test_closed_form_overflow_refusal_exit(self, capsys):
         # the exact genupper expectation overflows a float at n = 1500
         rc, out, err = run(capsys, "verify", "genupper", "-m", "12", "-n", "1500",
@@ -237,6 +243,15 @@ class TestSweep:
         lines = out.strip().split("\n")
         assert len(lines) == 5  # config + header + 3 rows
         assert lines[1].endswith(",regime")
+
+    def test_json_integer_mean_is_num_over_den(self, capsys, tmp_path):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(GRID_TEXT)
+        rc, out, _ = run(capsys, "sweep", str(grid), "--trials", "5", "--seed", "42",
+                         "--format", "json")
+        assert rc == 0
+        row = json.loads(out)["reports"][2]
+        assert (row["m"], row["n"], row["p"], row["mean_left_avg"]) == (2, 4, 0.8, "1/1")
 
     def test_reruns_byte_identical(self, capsys, tmp_path):
         grid = tmp_path / "grid.csv"
@@ -475,6 +490,16 @@ class TestCompiledBuild:
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert cli.main([]) == 2
+
+    def test_defaults_are_the_module_constants(self):
+        parse = cli.build_parser().parse_args
+        stats = parse(["stats", "g.graph"])
+        sweep = parse(["sweep", "grid.csv", "--trials", "1"])
+        verify_ = parse(["verify", "average", "--trials", "1"])
+        regime = parse(["regime", "-m", "2", "-n", "2", "-p", "0.5"])
+        assert stats.cap is mss.DEFAULT_CAP and sweep.cap is mss.DEFAULT_CAP
+        for args in (verify_, sweep, regime):
+            assert args.alpha is bounds.DEFAULT_ALPHA
 
     def test_bad_flag(self, capsys):
         assert cli.main(["sample", "--bogus"]) == 2

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from conftest import strict_json
-from franklbip import _pykernels, cli, graphs, mss, verify
+from franklbip import cli, verify
 from franklbip.graphs import Seed
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -128,14 +128,6 @@ def render_cli(argv):
 
 def render_regime(name):
     return render_cli(("regime", *REGIME_CASES[name]))
-
-
-@pytest.fixture(params=["compiled", "python"])
-def kernel(request, monkeypatch):
-    impl = request.getfixturevalue("compiled_kernels") if request.param == "compiled" \
-        else _pykernels
-    monkeypatch.setattr(mss, "_impl", impl)
-    monkeypatch.setattr(graphs, "_impl", impl)
 
 
 @pytest.fixture(scope="module")

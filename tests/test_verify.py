@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -685,7 +686,7 @@ class TestSweep:
 
 class TestReportFormats:
     def test_csv_shape(self):
-        reps = sweep(self.GRID3 if hasattr(self, "GRID3") else [(3, 3, 0.5, 0.0)], 3, Seed(2))
+        reps = sweep([(3, 3, 0.5, 0.0)], 3, Seed(2))
         text = reports_to_csv(reps, config={"subcommand": "sweep", "seed": 2}, with_regime=True)
         lines = text.strip().split("\n")
         assert lines[0].startswith("# config: ")
@@ -702,6 +703,21 @@ class TestReportFormats:
             assert key in row
         # exact rationals serialize as strings
         assert isinstance(row["mean_left_avg"], str)
+
+    def test_exact_rationals_are_num_over_den(self):
+        # an integer k is written "k/1", as every other JSON writer writes it
+        rep = verify.BoundReport("average", 2, 4, 0.8, 0.0, 5, 1.0, 1.0, 0.5,
+                                 verify.INFORMATIONAL, 42,
+                                 extra={"one": Fraction(1), "half": Fraction(1, 2), "hits": 5})
+        row = rep.to_json_dict()
+        assert (row["one"], row["half"], row["hits"]) == ("1/1", "1/2", 5)
+
+    def test_columns_are_the_fields(self):
+        rep = sweep([(3, 3, 0.5, 0.0)], 3, Seed(2))[0]
+        header = verify.CSV_HEADER.split(",")
+        assert header == [f.name for f in dataclasses.fields(rep)][:-1]
+        assert list(rep.to_json_dict())[:len(header)] == header
+        assert rep.csv_row().split(",") == [str(getattr(rep, name)) for name in header]
 
     def test_json_is_strict(self):
         # error rows, an all-vacuous conjecture and an echoed delta of inf
