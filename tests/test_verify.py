@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -711,13 +710,6 @@ class TestReportFormats:
                                  extra={"one": Fraction(1), "half": Fraction(1, 2), "hits": 5})
         row = rep.to_json_dict()
         assert (row["one"], row["half"], row["hits"]) == ("1/1", "1/2", 5)
-
-    def test_columns_are_the_fields(self):
-        rep = sweep([(3, 3, 0.5, 0.0)], 3, Seed(2))[0]
-        header = verify.CSV_HEADER.split(",")
-        assert header == [f.name for f in dataclasses.fields(rep)][:-1]
-        assert list(rep.to_json_dict())[:len(header)] == header
-        assert rep.csv_row().split(",") == [str(getattr(rep, name)) for name in header]
 
     def test_json_is_strict(self):
         # error rows, an all-vacuous conjecture and an echoed delta of inf
