@@ -18,9 +18,10 @@
  * Python object and runs with the interpreter lock released, once per call.
  *
  * Sampler.  Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy
- * as 1, 2, 3", SC'11) run exactly as numpy's Philox bit generator runs it, so
- * a draw is bit-identical to the twin's numpy draw without importing numpy.
- * A draw takes O(m n) ns, so it keeps the interpreter lock.
+ * as 1, 2, 3", SC'11) run step for step as the twin's pure-Python Philox runs
+ * it, which is also how numpy's Philox bit generator runs it, so a draw is
+ * bit-identical to the twin's and to numpy's.  A draw takes O(m n) ns, so it
+ * keeps the interpreter lock.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -386,7 +387,8 @@ static PyObject *sample_rows(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_SetString(PyExc_ValueError, "edge probability outside [0, 1]");
         return NULL;
     }
-    /* OverflowError outside [0, 2^64), as numpy's uint64 key raises. */
+    /* TypeError for a key that is not an int and OverflowError outside
+     * [0, 2^64), as the twin raises. */
     unsigned long long root = PyLong_AsUnsignedLongLong(root_obj);
     if (root == (unsigned long long)-1 && PyErr_Occurred())
         return NULL;

@@ -13,9 +13,20 @@ The compiled walk counts once per subtree (the include branch of u credits
 the leaves below it to u and to the vertices u covers first); scan_stats
 here counts at every leaf, which keeps it a plain reference for the counts.
 
-Sampler.  sample_rows draws with numpy's Philox bit generator, imported only
-when it runs; the compiled twin reproduces that generator bit for bit.
+Sampler.  sample_rows runs Philox4x64-10 (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11) step for step as the compiled twin
+does: the same constants, the 256-bit counter bumped before each block of
+four words, and edge (u, v) present iff (word >> 11) < p 2^53.  That is
+numpy's Philox bit generator followed by random() < p, which the tests use
+as an independent reference.
 """
+
+_MASK64 = (1 << 64) - 1
+_MASK256 = (1 << 256) - 1
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
 
 
 def maximal_pairs(rows, s, t, leaf):
@@ -113,21 +124,49 @@ def scan_free_hist(rows, s, t, lo_k=0):
     return freq
 
 
+def _philox_words(k0, k1):
+    """The Philox4x64-10 words keyed by (k0, k1), counter starting at 0."""
+    round_keys = []
+    for _ in range(10):
+        round_keys.append((k0, k1))
+        k0 = (k0 + _PHILOX_W0) & _MASK64
+        k1 = (k1 + _PHILOX_W1) & _MASK64
+    ctr = 0
+    while True:
+        ctr = (ctr + 1) & _MASK256
+        c0, c1 = ctr & _MASK64, ctr >> 64 & _MASK64
+        c2, c3 = ctr >> 128 & _MASK64, ctr >> 192
+        for k0, k1 in round_keys:
+            p0 = _PHILOX_M0 * c0
+            p1 = _PHILOX_M1 * c2
+            c0, c1, c2, c3 = (p1 >> 64 ^ c1 ^ k0, p1 & _MASK64,
+                              p0 >> 64 ^ c3 ^ k1, p0 & _MASK64)
+        yield c0
+        yield c1
+        yield c2
+        yield c3
+
+
 def sample_rows(m, n, p, root, stream):
     """Adjacency rows of one draw of G(m, n, p), as bitmasks over the n columns.
 
     The stream is Philox4x64-10 keyed by (root, stream), two integers in
-    [0, 2^64), with the counter starting at 0.  Its (u*n + v)-th uniform double
-    decides the edge (u, v): present iff it is below p.
+    [0, 2^64), with the counter starting at 0.  Its (u*n + v)-th word x decides
+    the edge (u, v): present iff the double (x >> 11) 2^-53 is below p.  A key
+    that is not an int raises TypeError and one outside [0, 2^64)
+    OverflowError, as in the compiled twin.
     """
-    import numpy as np
-
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability outside [0, 1]")
-    key = np.array([root, stream], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    bits = (rng.random((m, n)) < p).astype(np.uint8)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return tuple(int.from_bytes(packed[u].tobytes(), "little") for u in range(m))
+    for key in (root, stream):
+        if not isinstance(key, int):
+            raise TypeError(f"key must be an int, not {type(key).__name__}")
+        if not 0 <= key <= _MASK64:
+            raise OverflowError(f"key {key} outside [0, 2^64)")
+    # scaling both sides of random() < p by 2^53 is exact
+    threshold = p * 9007199254740992.0
+    words = _philox_words(root, stream)
+    return tuple(sum(1 << v for v in range(n) if next(words) >> 11 < threshold)
+                 for _ in range(m))

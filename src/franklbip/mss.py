@@ -30,7 +30,6 @@ from .graphs import (DEFAULT_CAP, KERNEL, BipartiteGraph, CapExceeded,  # noqa: 
 # _kernels.c refuses a scan side above its MAX_SCAN_SIDE of 62 (its counters
 # are 64-bit), so the cap never goes past it and both kernels refuse alike.
 MAX_SCAN_SIDE = 62
-BRUTE_FORCE_LIMIT = 24
 
 
 class StableSet(NamedTuple):
@@ -268,34 +267,3 @@ def count_left_at_most(stats: MssStats, threshold) -> int:
     """Number of maximal stable sets with |A∩L| <= threshold."""
     thr = Fraction(threshold)
     return sum(c for k, c in enumerate(stats.left_hist) if k <= thr)
-
-
-def brute_force_mss(g: BipartiteGraph):
-    """Filter all 2^(m+n) vertex subsets; the independent test oracle.
-
-    Vectorised over subsets: S is maximal stable iff for every vertex v,
-    membership of v is the complement of 'v has a neighbour in S'.
-    """
-    import numpy as np
-
-    total_bits = g.m + g.n
-    if total_bits > BRUTE_FORCE_LIMIT:
-        raise CapExceeded(f"brute force limited to m+n <= {BRUTE_FORCE_LIMIT}")
-    neigh = [int(g.adj[u]) << g.m for u in range(g.m)]
-    neigh += [int(c) for c in g.columns()]
-    out = []
-    chunk = 1 << 20
-    for base in range(0, 1 << total_bits, chunk):
-        hi = min(base + chunk, 1 << total_bits)
-        subsets = np.arange(base, hi, dtype=np.uint32)
-        valid = np.ones(hi - base, dtype=bool)
-        for v in range(total_bits):
-            in_s = (subsets >> np.uint32(v)) & np.uint32(1)
-            has_nb = (subsets & np.uint32(neigh[v])) != 0
-            valid &= (in_s == 1) ^ has_nb
-        left_mask = (1 << g.m) - 1
-        for s_val in subsets[valid]:
-            s_int = int(s_val)
-            out.append(StableSet(left=s_int & left_mask, right=s_int >> g.m))
-    out.sort()
-    return out

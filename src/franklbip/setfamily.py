@@ -98,7 +98,8 @@ def frankl_check(family: SetFamily):
 
 def parse_family(text: str) -> SetFamily:
     """One set per line as comma-separated element indices; '-' is the empty
-    set.  The ground size is max element + 1."""
+    set.  The ground size is max element + 1.  A negative element, or one at
+    or above GROUND_CAP, is a FamilyParseError naming its line."""
     masks = []
     max_elem = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -119,6 +120,10 @@ def parse_family(text: str) -> SetFamily:
                 ) from None
             if v < 0:
                 raise FamilyParseError(f"line {lineno}: negative element {v}")
+            if v >= GROUND_CAP:
+                raise FamilyParseError(
+                    f"line {lineno}: element {v} outside the ground cap [0, {GROUND_CAP})"
+                )
             max_elem = max(max_elem, v)
             mask |= 1 << v
         masks.append(mask)

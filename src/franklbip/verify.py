@@ -420,17 +420,19 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
     cap, outside a hypothesis, invalid parameters) becomes a row with verdict
     `error` instead of aborting the sweep; any other exception propagates.
     p is checked first, so a degenerate point draws no graph.  A trial count
-    below 1 or an alpha outside [1/16, 1/2) refuses the whole sweep before
-    any point runs.  For workers > 1 the calling thread waits while a pool
-    of that many threads runs the points; the pool is made, and
-    `concurrent.futures` imported, on the first such sweep, then reused by
-    every later sweep with the same worker count.  A forked child drops the
-    pools it inherits and makes its own.  If a point raises, the points not
+    below 1, a worker count below 1 or an alpha outside [1/16, 1/2) refuses
+    the whole sweep with ValueError before any point runs.  For workers > 1
+    the calling thread waits while a pool of that many threads runs the
+    points; the pool is made, and `concurrent.futures` imported, on the
+    first such sweep, then reused by every later sweep with the same worker
+    count.  A forked child drops the pools it inherits and makes its own.  If a point raises, the points not
     yet started are dropped and the running ones finish before the error
     propagates.
     """
     _check_trials(trials)
     _check_alpha(alpha)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     def one(item):
         idx, (m, n, p, delta) = item

@@ -3,7 +3,10 @@
 The weighted-enumeration oracle walks every edge configuration of a small
 random graph model and sums p^edges q^(non-edges) times a statistic; it is
 the ground truth the closed forms are checked against, and it never calls
-the module under test.
+the module under test.  Two more oracles are numpy's: brute_force_mss
+filters every vertex subset of a small graph, and numpy_sample_rows draws
+with numpy's Philox bit generator, the reference both hand-written samplers
+must match bit for bit.
 
 The compiled_build fixture builds the package with the repository's own
 setup.py into a temporary directory, and compiled_kernels loads its C kernels,
@@ -19,13 +22,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from franklbip import _pykernels, graphs, mss
-from franklbip.graphs import BipartiteGraph, Seed, sample_bipartite
+from franklbip.graphs import BipartiteGraph, CapExceeded, Seed, sample_bipartite
+from franklbip.mss import StableSet
 
 CORPUS_PS = (0.2, 0.5, 0.8)
 ROOT = Path(__file__).resolve().parents[1]
+BRUTE_FORCE_LIMIT = 24
 
 
 def all_edge_configs(m, n):
@@ -45,6 +51,44 @@ def config_weight(g, p):
 def weighted_expectation(m, n, p, statistic):
     """E[statistic(G)] by exhaustive enumeration of all 2^(m n) graphs."""
     return sum(config_weight(g, p) * statistic(g) for g in all_edge_configs(m, n))
+
+
+def brute_force_mss(g: BipartiteGraph):
+    """Filter all 2^(m+n) vertex subsets; the independent oracle of enumerate_mss.
+
+    Vectorised over subsets: S is maximal stable iff for every vertex v,
+    membership of v is the complement of 'v has a neighbour in S'.
+    """
+    total_bits = g.m + g.n
+    if total_bits > BRUTE_FORCE_LIMIT:
+        raise CapExceeded(f"brute force limited to m+n <= {BRUTE_FORCE_LIMIT}")
+    neigh = [int(g.adj[u]) << g.m for u in range(g.m)]
+    neigh += [int(c) for c in g.columns()]
+    out = []
+    chunk = 1 << 20
+    for base in range(0, 1 << total_bits, chunk):
+        hi = min(base + chunk, 1 << total_bits)
+        subsets = np.arange(base, hi, dtype=np.uint32)
+        valid = np.ones(hi - base, dtype=bool)
+        for v in range(total_bits):
+            in_s = (subsets >> np.uint32(v)) & np.uint32(1)
+            has_nb = (subsets & np.uint32(neigh[v])) != 0
+            valid &= (in_s == 1) ^ has_nb
+        left_mask = (1 << g.m) - 1
+        for s_val in subsets[valid]:
+            s_int = int(s_val)
+            out.append(StableSet(left=s_int & left_mask, right=s_int >> g.m))
+    out.sort()
+    return out
+
+
+def numpy_sample_rows(m, n, p, root, stream):
+    """sample_rows drawn with numpy: Philox keyed by (root, stream), then
+    edge (u, v) iff the (u*n + v)-th random() is below p."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([root, stream], dtype=np.uint64)))
+    bits = (rng.random((m, n)) < p).astype(np.uint8)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return tuple(int.from_bytes(packed[u].tobytes(), "little") for u in range(m))
 
 
 def small_corpus(count=500, max_total=14, root=1000):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import weighted_expectation
+from conftest import brute_force_mss, weighted_expectation
 from franklbip import cli, mss, verify
 from franklbip.bounds import (
     binary_entropy,
@@ -31,7 +31,6 @@ from franklbip.graphs import Seed, sample_bipartite, serialize_graph
 from franklbip.mss import (
     StableSet,
     almost_unstable_vertex,
-    brute_force_mss,
     conjecture_check,
     count_left_at_least,
     count_left_at_most,

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from franklbip import bounds, cli, mss, verify
-from franklbip.graphs import Seed, empty_graph, matching_graph, parse_graph, serialize_graph
+from franklbip.graphs import (Seed, empty_graph, matching_graph, parse_graph, sample_bipartite,
+                              serialize_graph)
 
 
 def run(capsys, *argv):
@@ -279,6 +280,15 @@ class TestSweep:
         assert out == ""
         assert err == "usage error: alpha must lie in [1/16, 1/2), got 0.7\n"
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_usage_exit(self, capsys, tmp_path, workers):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(GRID_TEXT)
+        rc, out, err = run(capsys, "sweep", str(grid), "--trials", "3", "--workers", workers)
+        assert rc == 2
+        assert out == ""
+        assert err == f"usage error: workers must be >= 1, got {workers}\n"
+
     def test_malformed_grid(self, capsys, tmp_path):
         grid = tmp_path / "grid.csv"
         grid.write_text("m,n\n3,3\n")
@@ -361,14 +371,18 @@ class TestFrankl:
 
     def test_parse_error(self, capsys, tmp_path):
         fam = tmp_path / "fam.txt"
-        fam.write_text("a,b\n")
-        rc, _, _ = run(capsys, "frankl", str(fam))
-        assert rc == 1
+        # an element past the ground cap is malformed input too, not a usage error
+        for text, line in (("a,b\n", 1), ("1\n0,20\n", 2), ("-1\n", 1)):
+            fam.write_text(text)
+            rc, _, err = run(capsys, "frankl", str(fam))
+            assert rc == 1, text
+            assert err.startswith(f"error: line {line}: "), err
 
 
 # Runs in a child: the subcommands given as JSON lists on its command line,
 # one after the other, then their exit codes, which kernel ran and which of
-# numpy, concurrent.futures, dataclasses and the franklbip modules were imported.
+# numpy, concurrent.futures, dataclasses and the franklbip modules were imported,
+# as the last line of its stdout.
 CHILD = """
 import json, sys
 from franklbip import cli, graphs
@@ -378,6 +392,8 @@ print(json.dumps({"codes": codes, "kernel": graphs.KERNEL, "modules": sorted(
     if name in ("numpy", "concurrent.futures", "dataclasses")
     or name.startswith("franklbip."))}))
 """
+# put before CHILD, it makes every import of numpy fail
+WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
 SAMPLE = ["sample", "-m", "9", "-n", "70", "-p", "0.4", "--seed", "5", "-o"]
 # what `import franklbip.cli` loads from a compiled build; each subcommand adds
 # only the modules it runs.  graphs defines no dataclass, so `sample` runs
@@ -400,11 +416,13 @@ class TestCompiledBuild:
         return env
 
     @classmethod
-    def child(cls, compiled_build, *argvs, pure=False):
-        proc = subprocess.run([sys.executable, "-c", CHILD, *map(json.dumps, argvs)],
+    def child(cls, compiled_build, *argvs, pure=False, prelude=""):
+        """CHILD's summary, with the subcommands' own stdout under "stdout"."""
+        proc = subprocess.run([sys.executable, "-c", prelude + CHILD, *map(json.dumps, argvs)],
                               env=cls.env(compiled_build, pure), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout.splitlines()[-1])
+        *out, last = proc.stdout.splitlines(keepends=True)
+        return {**json.loads(last), "stdout": "".join(out)}
 
     def test_numpy_stays_unimported(self, compiled_build, tmp_path):
         graph = tmp_path / "g.graph"
@@ -420,10 +438,28 @@ class TestCompiledBuild:
             graph = tmp_path / f"pure-{pure}.graph"
             res = self.child(compiled_build, SAMPLE + [str(graph)], pure=pure)
             assert (res["codes"], res["kernel"]) == ([0], kernel)
-            assert ("numpy" in res["modules"]) == pure
+            assert "numpy" not in res["modules"]
             outputs.append(graph.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith(b"9 70\n")
+
+    def test_pure_python_runs_without_numpy(self, compiled_build, tmp_path):
+        graph, grid, family = tmp_path / "g.graph", tmp_path / "grid.csv", tmp_path / "fam.txt"
+        graph.write_text(serialize_graph(sample_bipartite(7, 9, 0.5, Seed(3))))
+        grid.write_text(GRID_TEXT)
+        family.write_text("0\n1,2\n3\n")
+        argvs = [SAMPLE[:-1], ["stats", str(graph), "--format", "json"],
+                 ["verify", "mssproba", "-m", "5", "-n", "6", "-p", "0.4", "--l", "2", "--r",
+                  "2", "--trials", "30", "--seed", "8"],
+                 ["verify", "average", "-m", "6", "-n", "70", "-p", "0.5", "--trials", "20"],
+                 ["sweep", str(grid), "--trials", "4", "--workers", "2", "--seed", "9"],
+                 ["frankl", str(family), "--closure", "--format", "json"]]
+        compiled = self.child(compiled_build, *argvs)
+        pure = self.child(compiled_build, *argvs, pure=True, prelude=WITHOUT_NUMPY)
+        assert compiled["codes"] == pure["codes"] == [0] * len(argvs)
+        assert (compiled["kernel"], pure["kernel"]) == ("compiled", "python")
+        assert pure["stdout"] == compiled["stdout"]
+        assert compiled["stdout"].startswith("9 70\n")
 
     @pytest.mark.parametrize("argv,added", [
         ([], []),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_mss, numpy_sample_rows
 from franklbip import _pykernels, mss
 from franklbip.graphs import (
     BipartiteGraph,
@@ -19,7 +20,6 @@ from franklbip.graphs import (
 from franklbip.mss import (
     CapExceeded,
     StableSet,
-    brute_force_mss,
     conjecture_check,
     count_left_at_least,
     count_left_at_most,
@@ -290,18 +290,30 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("p", [0.0, 1.0, 1e-9, 0.5, 1 - 2 ** -53])
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
     def test_sample_rows_match_twin(self, compiled_kernels, n, p):
-        # a grandchild stream, as a sweep point's trial draws it, under a 64-bit root
+        # a grandchild stream, as a sweep point's trial draws it, under a 64-bit
+        # root, and the extreme keys; numpy's Philox is the independent reference
         seed = Seed(2 ** 64 - 3).child(5).child(11)
-        args = (7, n, p, seed.root, seed.stream)
-        rows = compiled_kernels.sample_rows(*args)
-        assert rows == _pykernels.sample_rows(*args)
-        assert type(rows) is tuple and len(rows) == 7 and all(0 <= r < 1 << n for r in rows)
+        for key in ((seed.root, seed.stream), (0, 0), (2 ** 64 - 1, 2 ** 64 - 1),
+                    (0, 2 ** 64 - 1)):
+            args = (7, n, p, *key)
+            rows = compiled_kernels.sample_rows(*args)
+            assert rows == _pykernels.sample_rows(*args) == numpy_sample_rows(*args), key
+            assert type(rows) is tuple and len(rows) == 7 and all(0 <= r < 1 << n for r in rows)
 
     @pytest.mark.parametrize("m,n,p", [(0, 4, 0.5), (4, 0, 0.5), (4, 4, -0.1), (4, 4, math.nan)])
     def test_sample_rows_refusals(self, compiled_kernels, m, n, p):
         for kernel in (compiled_kernels, _pykernels):
             with pytest.raises(ValueError):
                 kernel.sample_rows(m, n, p, 1, 2)
+            # the sides and p are checked before the key
+            with pytest.raises(ValueError):
+                kernel.sample_rows(m, n, p, 1.5, -1)
+            for key, error in ((1.5, TypeError), (np.uint64(1), TypeError), (-1, OverflowError),
+                               (2 ** 64, OverflowError)):
+                with pytest.raises(error):
+                    kernel.sample_rows(4, 4, 0.5, key, 0)
+                with pytest.raises(error):
+                    kernel.sample_rows(4, 4, 0.5, 0, key)
 
 
 class TestLeftAvg:

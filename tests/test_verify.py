@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import strict_json
+from conftest import brute_force_mss, strict_json
 from franklbip import mss, verify
 from franklbip.bounds import HypothesisViolation
 from franklbip.graphs import Seed, as_prob, sample_bipartite
-from franklbip.mss import CapExceeded, brute_force_mss
+from franklbip.mss import CapExceeded
 from franklbip.verify import (
     Regime,
     classify_regime,
@@ -230,6 +230,13 @@ def test_trials_below_one_refused_before_sampling(monkeypatch, run, trials):
     monkeypatch.setattr(verify, "sample_bipartite", None)
     with pytest.raises(ValueError, match="trials must be >= 1"):
         run(trials)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_refused_before_sampling(monkeypatch, workers):
+    monkeypatch.setattr(verify, "sample_bipartite", None)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        sweep([(3, 3, 0.5, 0.0)], 2, Seed(1), workers=workers)
 
 
 def _sweep_point(side):
