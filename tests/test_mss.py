@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_mss, numpy_sample_rows
+from conftest import all_edge_configs, brute_force_mss, numpy_sample_rows
 from franklbip import _pykernels, mss
 from franklbip.graphs import (
     BipartiteGraph,
@@ -66,9 +66,36 @@ class TestIsMaximalStable:
         assert StableSet(0b01, 0b10) in expected
         assert expected == set(brute_force_mss(g))
 
+    @staticmethod
+    def small_graphs():
+        for m in range(1, 4):
+            for n in range(1, 4):
+                yield from all_edge_configs(m, n)
+        for m in range(1, 6):
+            for n in range(1, 6):
+                for i, p in enumerate((0.3, 0.5, 0.8)):
+                    for trial in range(2):
+                        yield sample_bipartite(m, n, p, Seed(57, m * n).child(2 * i + trial))
+
+    def test_every_pair_against_brute_force(self):
+        # every (left, right) mask of every graph up to 3x3 and of seeded samples
+        # up to 5x5, against the subset filter
+        for g in self.small_graphs():
+            found = [StableSet(left, right) for left in range(1 << g.m)
+                     for right in range(1 << g.n)
+                     if is_maximal_stable(g, StableSet(left, right))]
+            assert found == brute_force_mss(g), g
+
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             is_maximal_stable(matching_graph(2), StableSet(0b100, 0))
+        with pytest.raises(IndexError, match="right"):
+            is_maximal_stable(matching_graph(2), StableSet(0, 0b100))
+        with pytest.raises(IndexError, match="right"):
+            is_maximal_stable(matching_graph(2), StableSet(0b11, -1))
+        # the left part is checked first
+        with pytest.raises(IndexError, match="left"):
+            is_maximal_stable(matching_graph(2), StableSet(-1, 0b100))
 
 
 class TestEnumerate:
@@ -378,8 +405,6 @@ class TestConjectureCheck:
 
 
 def test_conjecture_exhaustive_up_to_seven():
-    from conftest import all_edge_configs
-
     checked = 0
     for m in range(1, 7):
         for n in range(1, 8 - m):
