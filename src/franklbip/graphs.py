@@ -11,11 +11,15 @@ and compare, hash and print by value, as frozen dataclasses would.  A
 campaign builds a Seed and a graph for every trial, so they are light
 instead: Seed is a tuple whose constructor masks both fields to 64 bits, and
 the other two are slotted classes whose constructors check every field.
+A sampled graph skips only the constructor's normalisation of its rows to a
+tuple of ints, which the kernels return already; its side, row-count and
+range checks are the constructor's own.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import namedtuple
 
@@ -77,8 +81,9 @@ def fraction_text(x) -> str:
 class _Value:
     """Base of the slotted value types: equality, hash and repr by the fields
     in __slots__, as a frozen dataclass has them.  Assigning or deleting an
-    attribute raises; __init__ sets each field once through the slot's own
-    descriptor, which _slot_setters returns."""
+    attribute raises; each field is set once through the slot's own
+    descriptor, which _slot_setters returns, by __init__ or, for a sampled
+    BipartiteGraph, by _fill."""
 
     __slots__ = ()
 
@@ -188,25 +193,20 @@ class BipartiteGraph(_Value):
     """Bipartite graph on classes L (m vertices) and R (n vertices).
 
     adj[u] has bit v set iff the edge (u, v) is present.  Both sides must be
-    nonempty and no adjacency bit may lie at position >= n.  Instances are
-    immutable and safe to share across threads.
+    nonempty and no adjacency bit may lie at position >= n.  m, n and each
+    row are taken through operator.index, so a bool or a numpy integer is
+    stored as an int and a float or a string raises TypeError.  Instances are
+    immutable and safe to share across threads.  sample_bipartite fills an
+    instance through _fill, the same checks without the normalisation.
     """
 
     __slots__ = ("m", "n", "adj")
 
     def __init__(self, m: int, n: int, adj: tuple):
+        m, n = operator.index(m), operator.index(n)
         if m < 1 or n < 1:
             raise ZeroSideError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-        adj = tuple(map(int, adj))
-        if len(adj) != m:
-            raise ValueError(f"expected {m} adjacency rows, got {len(adj)}")
-        limit = 1 << n
-        if min(adj) < 0 or max(adj) >= limit:
-            u = next(u for u, row in enumerate(adj) if not 0 <= row < limit)
-            raise ValueError(f"adjacency row {u} has bits outside the right side")
-        _set_m(self, m)
-        _set_n(self, n)
-        _set_adj(self, adj)
+        _fill(self, m, n, tuple(map(operator.index, adj)))
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj)
@@ -228,6 +228,20 @@ class BipartiteGraph(_Value):
 _set_m, _set_n, _set_adj = _slot_setters(BipartiteGraph)
 
 
+def _fill(g: BipartiteGraph, m: int, n: int, adj: tuple):
+    """Check the row count and range of adj, a tuple of ints, and set g's
+    fields: the one rule behind every BipartiteGraph, built or sampled."""
+    if len(adj) != m:
+        raise ValueError(f"expected {m} adjacency rows, got {len(adj)}")
+    limit = 1 << n
+    if min(adj) < 0 or max(adj) >= limit:
+        u = next(u for u, row in enumerate(adj) if not 0 <= row < limit)
+        raise ValueError(f"adjacency row {u} has bits outside the right side")
+    _set_m(g, m)
+    _set_n(g, n)
+    _set_adj(g, adj)
+
+
 def sample_bipartite(m: int, n: int, prob, seed: Seed) -> BipartiteGraph:
     """Draw G from the independent-edge model on sides of size m and n.
 
@@ -239,7 +253,11 @@ def sample_bipartite(m: int, n: int, prob, seed: Seed) -> BipartiteGraph:
     if m < 1 or n < 1:
         raise ZeroSideError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     prob = as_prob(prob)
-    return BipartiteGraph(m, n, _impl.sample_rows(m, n, prob.p, seed.root, seed.stream))
+    # both kernels return a tuple of m ints in [0, 2^n), so the constructor's
+    # normalisation is skipped; _fill still checks the count and the range
+    g = object.__new__(BipartiteGraph)
+    _fill(g, m, n, _impl.sample_rows(m, n, prob.p, seed.root, seed.stream))
+    return g
 
 
 def swap_sides(g: BipartiteGraph) -> BipartiteGraph:

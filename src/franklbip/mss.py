@@ -39,15 +39,6 @@ class StableSet(NamedTuple):
     right: int
 
 
-def _bits(mask: int):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 @dataclass(frozen=True)
 class MssStats:
     """Exact aggregate statistics of the maximal stable sets of one graph."""
@@ -102,23 +93,21 @@ class ConjectureVerdict:
 
 def is_maximal_stable(g: BipartiteGraph, s: StableSet) -> bool:
     """True iff s is stable and every outside vertex has a neighbour in s."""
-    if not 0 <= s.left < (1 << g.m):
+    left, right = s.left, s.right
+    if not 0 <= left < (1 << g.m):
         raise IndexError("left part has vertices out of range")
-    if not 0 <= s.right < (1 << g.n):
+    if not 0 <= right < (1 << g.n):
         raise IndexError("right part has vertices out of range")
-    for u in _bits(s.left):
-        if g.adj[u] & s.right:
-            return False
     covered_right = 0
-    for u in _bits(s.left):
-        covered_right |= g.adj[u]
-    out_right = ((1 << g.n) - 1) & ~s.right
-    if out_right & ~covered_right:
-        return False
-    for u in range(g.m):
-        if not s.left >> u & 1 and g.adj[u] & s.right == 0:
-            return False
-    return True
+    for row in g.adj:
+        if left & 1:
+            if row & right:
+                return False  # an edge inside s
+            covered_right |= row
+        elif not row & right:
+            return False  # a left vertex outside s with no neighbour in s
+        left >>= 1
+    return not ((1 << g.n) - 1) & ~right & ~covered_right
 
 
 def _scan_layout(g: BipartiteGraph, cap: int = DEFAULT_CAP):

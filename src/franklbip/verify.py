@@ -93,9 +93,16 @@ def wilson_radius(successes: int, trials: int) -> float:
     return rad / denom
 
 
+# trial t draws on stream (stream << 32) | t, so a trial index of 2^32 or
+# more would spill into the bits of the enclosing sweep point
+MAX_TRIALS = 1 << 32
+
+
 def _check_trials(trials: int):
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be <= 2^32 = {MAX_TRIALS}")
 
 
 def run_average_campaign(m: int, n: int, prob, delta, trials: int, seed: Seed,
@@ -420,8 +427,9 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
     cap, outside a hypothesis, invalid parameters) becomes a row with verdict
     `error` instead of aborting the sweep; any other exception propagates.
     p is checked first, so a degenerate point draws no graph.  A trial count
-    below 1, a worker count below 1 or an alpha outside [1/16, 1/2) refuses
-    the whole sweep with ValueError before any point runs.  For workers > 1
+    below 1 or above 2^32, a worker count below 1 or an alpha outside
+    [1/16, 1/2) refuses the whole sweep with ValueError before any point
+    runs.  For workers > 1
     the calling thread waits while a pool of that many threads runs the
     points; the pool is made, and `concurrent.futures` imported, on the
     first such sweep, then reused by every later sweep with the same worker

@@ -206,6 +206,16 @@ class TestVerify:
         assert out == ""
         assert err == "usage error: trials must be >= 1\n"
 
+    def test_trials_over_two_to_the_32_usage_exit(self, capsys, monkeypatch):
+        # refused before the first draw, so a sampler that fails the test is
+        # never called
+        monkeypatch.setattr(verify, "sample_bipartite", None)
+        rc, out, err = run(capsys, "verify", "mssproba", "-m", "4", "-n", "4", "-p", "0.5",
+                           "--l", "1", "--r", "1", "--trials", "4294967297")
+        assert rc == 2
+        assert out == ""
+        assert err == "usage error: trials must be <= 2^32 = 4294967296\n"
+
     @pytest.mark.parametrize("lemma,args", [
         ("average", (7, 5, 0.4, 0.05)), ("conjecture", (3, 2, 0.3, 0.1))])
     def test_campaign_rows(self, capsys, lemma, args):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,6 +181,19 @@ class TestConstruction:
     def test_bits_confined_to_right_side(self):
         with pytest.raises(ValueError):
             BipartiteGraph(1, 2, (4,))
+
+    @pytest.mark.parametrize("m,n,adj", [
+        (1, 2, (1.9,)), (1, 2, ("3",)), (1, 2, (1.0,)), (2, 2, (1, None)),
+        (1.0, 2, (1,)), (1, 2.0, (1,)), ("1", 2, (1,)), (1, "2", (1,)),
+    ])
+    def test_non_integer_input_refused(self, m, n, adj):
+        with pytest.raises(TypeError):
+            BipartiteGraph(m, n, adj)
+
+    def test_bool_and_numpy_integers_accepted(self):
+        g = BipartiteGraph(np.int64(2), np.uint8(2), (True, np.uint64(2)))
+        assert g == BipartiteGraph(2, 2, (1, 2))
+        assert [type(v) for v in (g.m, g.n, *g.adj)] == [int] * 4
 
     def test_json_dict(self):
         d = matching_graph(2).to_json_dict()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import all_edge_configs, brute_force_mss, numpy_sample_rows
 from franklbip import _pykernels, mss
+from franklbip import graphs as graph_module
 from franklbip.graphs import (
     BipartiteGraph,
     Seed,
@@ -314,18 +315,33 @@ class TestCompiledKernel:
         with pytest.raises(ValueError, match="row count"):
             kernel([0, 0], 3, 4)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, 1e-9, 0.5, 1 - 2 ** -53])
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    # a grandchild stream, as a sweep point's trial draws it, under a 64-bit
+    # root, and the extreme keys
+    SAMPLE_KEYS = (tuple(Seed(2 ** 64 - 3).child(5).child(11)), (0, 0),
+                   (2 ** 64 - 1, 2 ** 64 - 1), (0, 2 ** 64 - 1))
+    SAMPLE_NS = (1, 63, 64, 65, 130)
+    SAMPLE_PS = (0.0, 1.0, 1e-9, 0.5, 1 - 2 ** -53)
+
+    @pytest.mark.parametrize("p", SAMPLE_PS)
+    @pytest.mark.parametrize("n", SAMPLE_NS)
     def test_sample_rows_match_twin(self, compiled_kernels, n, p):
-        # a grandchild stream, as a sweep point's trial draws it, under a 64-bit
-        # root, and the extreme keys; numpy's Philox is the independent reference
-        seed = Seed(2 ** 64 - 3).child(5).child(11)
-        for key in ((seed.root, seed.stream), (0, 0), (2 ** 64 - 1, 2 ** 64 - 1),
-                    (0, 2 ** 64 - 1)):
+        # numpy's Philox is the independent reference
+        for key in self.SAMPLE_KEYS:
             args = (7, n, p, *key)
             rows = compiled_kernels.sample_rows(*args)
             assert rows == _pykernels.sample_rows(*args) == numpy_sample_rows(*args), key
             assert type(rows) is tuple and len(rows) == 7 and all(0 <= r < 1 << n for r in rows)
+
+    @pytest.mark.parametrize("p", SAMPLE_PS)
+    @pytest.mark.parametrize("n", SAMPLE_NS)
+    def test_sample_rows_are_graph_rows(self, kernel, n, p):
+        # sample_bipartite fills its graph with these rows unnormalised, which
+        # holds only if each is already a plain int in [0, 2^n)
+        for key in self.SAMPLE_KEYS:
+            rows = graph_module._impl.sample_rows(7, n, p, *key)
+            assert type(rows) is tuple and len(rows) == 7, key
+            assert all(type(row) is int and 0 <= row < 1 << n for row in rows), key
+            assert sample_bipartite(7, n, p, Seed(*key)) == BipartiteGraph(7, n, rows), key
 
     @pytest.mark.parametrize("m,n,p", [(0, 4, 0.5), (4, 0, 0.5), (4, 4, -0.1), (4, 4, math.nan)])
     def test_sample_rows_refusals(self, compiled_kernels, m, n, p):

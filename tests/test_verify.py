@@ -218,18 +218,38 @@ def test_classifier_totality_over_seeded_tuples():
         assert isinstance(classify_regime(m, n, p, alpha=alpha), Regime)
 
 
-@pytest.mark.parametrize("trials", [0, -3])
-@pytest.mark.parametrize("run", [
+# each entry point that takes a trial count
+EVERY_TRIAL_RUNNER = pytest.mark.parametrize("run", [
     lambda trials: verify_lemma("mssproba", {"m": 4, "n": 4, "p": 0.5, "ell": 1, "r": 1},
                                 trials, Seed(1)),
     lambda trials: run_average_campaign(3, 3, 0.5, 0.0, trials, Seed(1)),
     lambda trials: run_conjecture_campaign(3, 3, 0.5, 0.0, trials, Seed(1)),
     lambda trials: sweep([(3, 3, 0.5, 0.0), (40, 40, 0.5, 0.0)], trials, Seed(1)),
 ], ids=["verify_lemma", "average", "conjecture", "sweep"])
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@EVERY_TRIAL_RUNNER
 def test_trials_below_one_refused_before_sampling(monkeypatch, run, trials):
     monkeypatch.setattr(verify, "sample_bipartite", None)
     with pytest.raises(ValueError, match="trials must be >= 1"):
         run(trials)
+
+
+@EVERY_TRIAL_RUNNER
+def test_trials_over_two_to_the_32_refused_before_sampling(monkeypatch, run):
+    # trial 2^32 of point 0 would draw on the stream of trial 0 of point 1
+    assert Seed(1).child(0).child(2 ** 32) == Seed(1).child(1).child(0)
+    calls = []
+
+    def counting_sampler(*args):
+        calls.append(args)
+        return sample_bipartite(*args)
+
+    monkeypatch.setattr(verify, "sample_bipartite", counting_sampler)
+    with pytest.raises(ValueError, match=r"trials must be <= 2\^32 = 4294967296"):
+        run(2 ** 32 + 1)
+    assert calls == []
 
 
 @pytest.mark.parametrize("workers", [0, -3])
