@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -20,26 +19,6 @@ from typing import NamedTuple, Optional
 from .graphs import DEFAULT_ALPHA, EdgeProbability, HypothesisViolation, as_prob  # noqa: F401
 
 LOG_SPACE_CUTOFF = 700.0
-
-
-class ProbBound(NamedTuple):
-    """A probability bound: raw value, value clamped to [0, 1], and whether
-    the raw value exceeded 1 (the bound is then vacuous but still reported)."""
-
-    raw: float
-    clamped: float
-    saturated: bool
-
-
-class FlaggedValue(NamedTuple):
-    """A bound value plus a degeneracy flag for edge-case conventions."""
-
-    value: float
-    degenerate: bool
-
-
-def _prob_bound(raw: float) -> ProbBound:
-    return ProbBound(raw, min(raw, 1.0), raw > 1.0)
 
 
 def _pow_product(factors, prefactor=1.0) -> float:
@@ -70,13 +49,13 @@ def _pow_product(factors, prefactor=1.0) -> float:
     return out
 
 
-def chebyshev_bound(variance: float, lam: float) -> ProbBound:
-    """Deviation bound sigma^2 / lambda^2."""
+def chebyshev_bound(variance: float, lam: float) -> float:
+    """Deviation bound sigma^2 / lambda^2, unclamped: above 1 it is vacuous."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     if variance < 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
-    return _prob_bound(variance / (lam * lam))
+    return variance / (lam * lam)
 
 
 def pr_maximal_stable(m: int, n: int, prob, ell: int, r: int) -> float:
@@ -232,8 +211,7 @@ def _check_alpha(alpha: float):
         raise ValueError(f"alpha must lie in [1/16, 1/2), got {alpha}")
 
 
-@dataclass(frozen=True)
-class RegimeParams:
+class RegimeParams(NamedTuple):
     """(m, n, p) plus the derived logarithmic quantities every regime
     comparison uses.  a_prime is None when n < m^log_{1/q}(m), where the
     split of the right side into m^log_{1/q}(m) pieces is impossible."""
@@ -272,25 +250,27 @@ class RegimeParams:
         return cls(m, n, prob, log_n, log_m, a, b, a_prime, log_n / m)
 
 
-def exp_small_mss_lower(params: RegimeParams) -> FlaggedValue:
+def exp_small_mss_lower(params: RegimeParams) -> float:
     """Asymptotic lower bound c * C(m, a) * b^(-b) on the expected number of
     maximal stable sets with left part a and right part b, where
-    c = exp(-(2/q + 1)).  Flagged degenerate when a or b is 0 (convention
-    0^0 = 1), which only happens below the bound's intended scale."""
-    m, n = params.m, params.n
-    if params.log_n > m or params.log_m > n:
+    c = exp(-(2/q + 1)) and 0^0 = 1 when b is 0."""
+    if params.log_n > params.m or params.log_m > params.n:
         raise HypothesisViolation(
             "need m >= log_{1/q}(n) and n >= log_{1/q}(m)"
         )
-    a, b = params.a, params.b
-    c = regime_constants(params.prob).small_mss_c
-    log_val = math.log(c) + math.log(math.comb(m, a))
-    if b > 0:
-        log_val -= b * math.log(b)
-    value = math.exp(log_val) if abs(log_val) > LOG_SPACE_CUTOFF else (
-        c * math.comb(m, a) * (float(b) ** (-b) if b > 0 else 1.0)
-    )
-    return FlaggedValue(value, degenerate=(a == 0 or b == 0))
+    return _small_mss_product(params.prob, params.m, params.a, params.b)
+
+
+def _small_mss_product(prob: EdgeProbability, m: int, a: int, b: int) -> float:
+    """c * C(m, a) * b^(-b) with c = exp(-(2/q + 1)) and 0^0 = 1, in floats
+    in that order while C(m, a) converts to a float, else as exp of the log
+    sum with log c = -(2/q + 1), since c alone may underflow to 0.  The
+    callers check their own hypotheses."""
+    c, comb = regime_constants(prob).small_mss_c, math.comb(m, a)
+    try:
+        return c * comb * float(b) ** -b
+    except OverflowError:  # C(m, a) is past the float range
+        return math.exp(-(2.0 / prob.q + 1.0) + math.log(comb) - (b * math.log(b) if b else 0.0))
 
 
 def expected_small_mss(m: int, n: int, prob, a: int, b: int) -> float:
@@ -301,31 +281,17 @@ def expected_small_mss(m: int, n: int, prob, a: int, b: int) -> float:
     return _maximal_product(m, n, prob, a, b, math.comb(m, a) * math.comb(n, b))
 
 
-@dataclass(frozen=True)
-class PairCountSpec:
-    """Overlap pattern (i, j) for ordered pairs of stable sets that both have
-    a left vertices and b right vertices."""
-
-    i: int
-    j: int
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not 0 <= self.i <= self.a:
-            raise ValueError(f"need 0 <= i <= a, got i={self.i}, a={self.a}")
-        if not 0 <= self.j <= self.b:
-            raise ValueError(f"need 0 <= j <= b, got j={self.j}, b={self.b}")
-
-
-def pair_expectation_B(spec: PairCountSpec, m: int, n: int, prob) -> float:
-    """Expected number of ordered pairs (S, T) of stable sets with the given
-    sizes and overlap pattern:
+def pair_expectation_B(m: int, n: int, prob, a: int, b: int, i: int, j: int) -> float:
+    """Expected number of ordered pairs (S, T) of stable sets that both have
+    a left and b right vertices, and share i left and j right vertices:
 
         C(m,i) C(m-i,a-i) C(m-a,a-i) C(n,j) C(n-j,b-j) C(n-b,b-j) q^(2ab-ij)
     """
+    if not 0 <= i <= a:
+        raise ValueError(f"need 0 <= i <= a, got i={i}, a={a}")
+    if not 0 <= j <= b:
+        raise ValueError(f"need 0 <= j <= b, got j={j}, b={b}")
     prob = as_prob(prob).require_interior()
-    i, j, a, b = spec.i, spec.j, spec.a, spec.b
     if a > m or b > n:
         raise ValueError(f"(a, b)=({a}, {b}) out of range for ({m}, {n})")
     pref = (
@@ -333,13 +299,6 @@ def pair_expectation_B(spec: PairCountSpec, m: int, n: int, prob) -> float:
         * math.comb(n, j) * math.comb(n - j, b - j) * math.comb(n - b, b - j)
     )
     return _pow_product([(prob.q, 2 * a * b - i * j)], prefactor=pref)
-
-
-def pair_ratio_diagnostic(spec: PairCountSpec, m: int, n: int, prob) -> float:
-    """Diagnostic ratio B_ij / E^2 with E the expected count of maximal
-    stable sets of sizes (a, b); reported, never asserted."""
-    e = expected_small_mss(m, n, prob, spec.a, spec.b)
-    return pair_expectation_B(spec, m, n, prob) / (e * e)
 
 
 def binary_entropy(kappa: float) -> float:

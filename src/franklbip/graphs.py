@@ -248,8 +248,10 @@ def sample_bipartite(m: int, n: int, prob, seed: Seed) -> BipartiteGraph:
     Each of the m*n edges is present independently with probability p under
     the counter-based stream identified by `seed`; the draw for edge (u, v)
     is the (u*n + v)-th variate of that stream, so results are bit-identical
-    across runs and thread counts.
+    across runs and thread counts.  m and n are taken through
+    operator.index, as BipartiteGraph takes them.
     """
+    m, n = operator.index(m), operator.index(n)
     if m < 1 or n < 1:
         raise ZeroSideError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     prob = as_prob(prob)

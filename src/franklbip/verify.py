@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
@@ -277,8 +278,7 @@ def _many_left_of_size(cap, size, threshold, **extra):
 
 def _hoeffding_exp(m, n, prob, params):
     rp = _with_a_prime(m, n, prob)
-    c = bounds.regime_constants(prob).small_mss_c
-    threshold = c * math.comb(m, rp.a_prime) * (float(rp.b) ** (-rp.b) if rp.b else 1.0)
+    threshold = bounds._small_mss_product(prob, m, rp.a_prime, rp.b)
     return _many_left_of_size(_cap(params), rp.a_prime, threshold, b=rp.b)
 
 
@@ -379,7 +379,8 @@ def verify_lemma(lemma_id: str, params: dict, trials: int, seed: Seed,
     is looked at.  lem.hoeffding.exp and asymptotic.lower.bound refuse an
     undefined a' in either mode, since their event needs it.  A row that
     scans enumerates with the cap params["cap"] (default mss.DEFAULT_CAP),
-    and refuses min(m, n) over it after its setup, before the first draw."""
+    and refuses min(m, n) over it after its setup, before the first draw.
+    m and n are taken through operator.index, so the report holds ints."""
     if lemma_id not in _CHECKS:
         raise UnknownLemma(f"unknown check {lemma_id!r}; known: {', '.join(known_lemmas())}")
     spec = _CHECKS[lemma_id]
@@ -388,7 +389,7 @@ def verify_lemma(lemma_id: str, params: dict, trials: int, seed: Seed,
         if params.get(name) is None:
             raise MissingParameter(f"check needs parameter {name!r}")
     m, n, p = (params[name] for name in spec.needs[:3])
-    prob = as_prob(p)
+    m, n, prob = operator.index(m), operator.index(n), as_prob(p)
     outside = False
     if spec.hypothesis is not None:
         try:
@@ -426,7 +427,9 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
     any worker count.  A point the campaign refuses (a degenerate p, over the
     cap, outside a hypothesis, invalid parameters) becomes a row with verdict
     `error` instead of aborting the sweep; any other exception propagates.
-    p is checked first, so a degenerate point draws no graph.  A trial count
+    A point's m and n go through operator.index before the point runs, so
+    every row holds ints and a float side raises TypeError.  Then p is
+    checked, so a degenerate point draws no graph.  A trial count
     below 1 or above 2^32, a worker count below 1 or an alpha outside
     [1/16, 1/2) refuses the whole sweep with ValueError before any point
     runs.  For workers > 1
@@ -444,6 +447,7 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
 
     def one(item):
         idx, (m, n, p, delta) = item
+        m, n = operator.index(m), operator.index(n)
         try:
             as_prob(p).require_interior()
             report = run_average_campaign(m, n, p, delta, trials, seed.child(idx), cap=cap)

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,6 @@ from conftest import weighted_expectation
 from franklbip import bounds, verify
 from franklbip.bounds import (
     HypothesisViolation,
-    PairCountSpec,
     RegimeParams,
     binary_entropy,
     binom_entropy_lower,
@@ -23,24 +25,23 @@ from franklbip.bounds import (
     genupper_bound,
     induced_matching_prob,
     pair_expectation_B,
-    pair_ratio_diagnostic,
     pr_maximal_stable,
     regime_constants,
     stab_tail_table,
 )
-from franklbip.graphs import Seed
+from franklbip.graphs import Seed, as_prob
 from franklbip.mss import StableSet, is_maximal_stable
 
 
 class TestTailInequalities:
     def test_chebyshev_quarter(self):
-        assert chebyshev_bound(1, 2).raw == 0.25
+        assert chebyshev_bound(1, 2) == 0.25
 
     def test_chebyshev_zero_variance(self):
-        assert chebyshev_bound(0, 3.7).raw == 0.0
+        assert chebyshev_bound(0, 3.7) == 0.0
 
     def test_chebyshev_spot(self):
-        assert chebyshev_bound(9, 3 * 1.5).raw == pytest.approx(4 / 9)
+        assert chebyshev_bound(9, 3 * 1.5) == pytest.approx(4 / 9)
 
     def test_chebyshev_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
@@ -165,16 +166,49 @@ class TestSmallMssExpectation:
         rp = RegimeParams.from_mnp(64, 64, 0.5)
         assert math.exp(-5) == pytest.approx(0.0067379, abs=1e-7)
         val = exp_small_mss_lower(rp)
-        assert not val.degenerate
-        assert val.value == pytest.approx(
-            math.exp(-5) * math.comb(64, 6) * 6.0 ** -6, rel=1e-9
-        )
-        assert val.value == pytest.approx(10.83, abs=0.01)
+        assert val == pytest.approx(math.exp(-5) * math.comb(64, 6) * 6.0 ** -6, rel=1e-9)
+        assert val == pytest.approx(10.83, abs=0.01)
 
-    def test_degenerate_flag_when_b_zero(self):
-        rp = RegimeParams.from_mnp(8, 8, 0.9)
-        val = exp_small_mss_lower(rp)
-        assert val.degenerate
+    def test_b_zero_gives_c_times_comb(self):
+        # 0^0 = 1: with b = 0 the bound is c * C(m, a)
+        rp = RegimeParams.from_mnp(8, 40, 0.9)
+        assert (rp.a, rp.b) == (1, 0)
+        assert exp_small_mss_lower(rp) == regime_constants(0.9).small_mss_c * 8
+
+    @pytest.mark.parametrize("p", [0.99, 0.997, 0.998, 0.999, 1 - 2 ** -20])
+    def test_finite_near_p_one(self, p):
+        # c = exp(-(2/q + 1)) underflows to 0 from p = .998 on
+        val = exp_small_mss_lower(RegimeParams.from_mnp(8, 40, p))
+        assert type(val) is float and math.isfinite(val) and val >= 0.0
+
+    def test_comb_past_float_range(self):
+        # C(2000, 230) is no float, but c * C(2000, 230) * 10^-10 is one
+        rp = RegimeParams.from_mnp(2000, 2 ** 230, 0.5)
+        assert (rp.a, rp.b) == (230, 10)
+        with pytest.raises(OverflowError):
+            float(math.comb(2000, 230))
+        want = math.exp(-5 + math.log(math.comb(2000, 230)) - 10 * math.log(10))
+        assert exp_small_mss_lower(rp) == pytest.approx(want, rel=1e-12)
+
+    def test_one_formula_with_lem_hoeffding_exp(self):
+        # the lem.hoeffding.exp threshold is the expression it had inline,
+        # bit for bit, p = .9972-.9973 (subnormal c) included
+        ps = [k / 10 for k in range(1, 10)] + [0.99, 0.999]
+        ps += [0.9972 + k * 1e-5 for k in range(11)]
+        for p in ps:
+            prob = as_prob(p)
+            c = regime_constants(prob).small_mss_c
+            for m in range(1, 31):
+                for b in range(12):
+                    for a in range(m + 1):
+                        old = c * math.comb(m, a) * (float(b) ** (-b) if b else 1.0)
+                        got = bounds._small_mss_product(prob, m, a, b)
+                        assert repr(got) == repr(old), (p, m, a, b)
+        for p in (0.9, 0.9972, 0.99725, 0.9973):
+            rp = RegimeParams.from_mnp(4, 100, p)
+            _, summary = verify._CHECKS["lem.hoeffding.exp"].setup(4, 100, as_prob(p), {})
+            assert summary([True])[4]["count_threshold"] == bounds._small_mss_product(
+                as_prob(p), 4, rp.a_prime, rp.b)
 
     def test_precondition(self):
         # m far below log_{1/q}(n)
@@ -201,13 +235,11 @@ class TestSmallMssExpectation:
 
 class TestPairExpectation:
     def test_coincident_pair_collapses(self):
-        spec = PairCountSpec(i=2, j=2, a=2, b=2)
         want = math.comb(6, 2) * math.comb(6, 2) * 0.5 ** 4
-        assert pair_expectation_B(spec, 6, 6, 0.5) == pytest.approx(want)
+        assert pair_expectation_B(6, 6, 0.5, a=2, b=2, i=2, j=2) == pytest.approx(want)
 
     def test_disjoint_pair_spot(self):
-        spec = PairCountSpec(i=0, j=0, a=2, b=2)
-        assert pair_expectation_B(spec, 6, 6, 0.5) == pytest.approx(8100 / 256)
+        assert pair_expectation_B(6, 6, 0.5, a=2, b=2, i=0, j=0) == pytest.approx(8100 / 256)
 
     def test_against_config_enumeration(self):
         # expected ordered pairs of stable (2,1)-sets with overlap (i, j)
@@ -231,19 +263,16 @@ class TestPairExpectation:
             return count
 
         for i, j in [(0, 0), (1, 0), (2, 1), (1, 1)]:
-            spec = PairCountSpec(i=i, j=j, a=2, b=1)
             oracle = weighted_expectation(3, 3, 0.4, lambda g: pair_count(g, i, j, 2, 1))
-            assert pair_expectation_B(spec, 3, 3, 0.4) == pytest.approx(
+            assert pair_expectation_B(3, 3, 0.4, 2, 1, i, j) == pytest.approx(
                 oracle, rel=1e-9
             ), (i, j)
 
-    def test_ratio_diagnostic_positive(self):
-        spec = PairCountSpec(i=1, j=0, a=2, b=2)
-        assert pair_ratio_diagnostic(spec, 6, 6, 0.5) > 0
-
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            PairCountSpec(i=3, j=0, a=2, b=2)
+        with pytest.raises(ValueError, match="need 0 <= i <= a, got i=3, a=2"):
+            pair_expectation_B(6, 6, 0.5, a=2, b=2, i=3, j=0)
+        with pytest.raises(ValueError, match="need 0 <= j <= b, got j=-1, b=2"):
+            pair_expectation_B(6, 6, 0.5, a=2, b=2, i=0, j=-1)
 
 
 class TestEntropy:
@@ -410,3 +439,25 @@ class TestRegimeParams:
     def test_rejects_degenerate_p(self):
         with pytest.raises(ValueError):
             RegimeParams.from_mnp(4, 4, 1.0)
+
+
+# public closed forms with no caller under src/, each checked by tests here
+TEST_ONLY = {"chebyshev_bound", "exp_small_mss_lower", "pair_expectation_B", "stab_tail_table",
+             "binom_entropy_lower", "binom_tail_upper", "binom_tail_exact"}
+
+
+def test_every_public_closed_form_has_a_caller_or_is_test_only():
+    # the public functions perfbench/tracing.py wraps: each one is read by
+    # name somewhere under src/ or is listed in TEST_ONLY
+    public = {name for name, fn in vars(bounds).items()
+              if inspect.isfunction(fn) and fn.__module__ == bounds.__name__
+              and not name.startswith("_")}
+    used = set()
+    for path in Path(bounds.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert TEST_ONLY <= public
+    assert public - used <= TEST_ONLY, sorted(public - used - TEST_ONLY)

@@ -406,8 +406,9 @@ print(json.dumps({"codes": codes, "kernel": graphs.KERNEL, "modules": sorted(
 WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
 SAMPLE = ["sample", "-m", "9", "-n", "70", "-p", "0.4", "--seed", "5", "-o"]
 # what `import franklbip.cli` loads from a compiled build; each subcommand adds
-# only the modules it runs.  graphs defines no dataclass, so `sample` runs
-# without the dataclasses module; mss, bounds and setfamily import it.
+# only the modules it runs.  graphs and bounds define no dataclass, so
+# `sample` and `regime` run without the dataclasses module; mss, setfamily
+# and verify import it.
 CLI_MODULES = ["franklbip._kernels", "franklbip._pykernels", "franklbip.cli",
                "franklbip.graphs"]
 CAMPAIGN_MODULES = ["dataclasses", "franklbip.bounds", "franklbip.mss", "franklbip.verify"]
@@ -479,8 +480,7 @@ class TestCompiledBuild:
         (["frankl", "{family}", "--closure"], ["dataclasses", "franklbip.setfamily"]),
         (["verify", "mssproba", "-m", "4", "-n", "4", "-p", "0.5", "--l", "1", "--r", "1",
           "--trials", "5"], CAMPAIGN_MODULES),
-        (["regime", "-m", "20", "-n", "1048576", "-p", "0.5"],
-         ["dataclasses", "franklbip.bounds"]),
+        (["regime", "-m", "20", "-n", "1048576", "-p", "0.5"], ["franklbip.bounds"]),
         (["sweep", "{grid}", "--trials", "2"], CAMPAIGN_MODULES),
         (["sweep", "{grid}", "--trials", "2", "--workers", "2"],
          ["concurrent.futures", *CAMPAIGN_MODULES]),

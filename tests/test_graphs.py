@@ -1,6 +1,7 @@
 import concurrent.futures
 import copy
 import dataclasses
+import json
 import math
 import pickle
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from franklbip import graphs as graph_module
 from franklbip.graphs import (
     MASK64,
     BipartiteGraph,
@@ -83,6 +85,14 @@ class TestSampling:
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(lambda s: sample_bipartite(5, 5, 0.4, s), seeds))
         assert serial == threaded
+
+    def test_numpy_integer_sides_stored_as_int(self, kernel):
+        g = sample_bipartite(np.int64(3), np.int64(4), 0.5, Seed(1))
+        assert g == BipartiteGraph(3, 4, graph_module._impl.sample_rows(3, 4, 0.5, 1, 0))
+        assert type(g.m) is int and type(g.n) is int
+        assert json.loads(json.dumps(g.to_json_dict()))["m"] == 3
+        with pytest.raises(TypeError):
+            sample_bipartite(3.0, 4, 0.5, Seed(1))
 
     def test_zero_side_rejected(self):
         with pytest.raises(ZeroSideError):

@@ -8,6 +8,7 @@ import threading
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -485,6 +486,19 @@ class TestVerifyLemma:
         assert rep.verdict == verify.INFORMATIONAL
         assert rep.extra["a_prime"] == 1
 
+    def test_hoeffding_exp_near_p_one(self):
+        # c = exp(-(2/q + 1)) is 0.0 at p = .999, so the threshold is 0.0
+        rep = verify_lemma("lem.hoeffding.exp", {"m": 4, "n": 100, "p": 0.999}, 10, Seed(19))
+        assert rep.verdict == verify.INFORMATIONAL
+        assert rep.extra["count_threshold"] == 0.0
+
+    def test_numpy_integer_sides_give_int_report(self):
+        params = {"m": np.int64(4), "n": np.int64(3), "p": 0.5, "ell": 1, "r": 1}
+        rep = verify_lemma("mssproba", params, 20, Seed(2))
+        assert type(rep.m) is int and type(rep.n) is int
+        assert rep == verify_lemma("mssproba", {**params, "m": 4, "n": 3}, 20, Seed(2))
+        assert strict_json(reports_to_json([rep]))["reports"][0]["m"] == 4
+
     def test_asymptotic_lower_smoke(self):
         rep = verify_lemma(
             "asymptotic.lower.bound", {"m": 4, "n": 100, "p": 0.9, "phi": 0.5}, 40, Seed(20)
@@ -494,7 +508,7 @@ class TestVerifyLemma:
 
     def test_mc_pair_counts_match_closed_form(self):
         # sampled mean of ordered stable-pair counts vs the closed form
-        from franklbip.bounds import PairCountSpec, pair_expectation_B
+        from franklbip.bounds import pair_expectation_B
         from franklbip.graphs import sample_bipartite
 
         m = n = 5
@@ -523,7 +537,7 @@ class TestVerifyLemma:
                     if (s[0] & t2[0]).bit_count() == i and (s[1] & t2[1]).bit_count() == j
                 )
         for i, j in spec_pairs:
-            want = pair_expectation_B(PairCountSpec(i=i, j=j, a=a, b=b), m, n, 0.5)
+            want = pair_expectation_B(m, n, 0.5, a, b, i, j)
             got = sums[(i, j)] / trials
             # pair counts are heavy-tailed; allow a generous sampling margin
             assert abs(got - want) <= max(0.2 * want, 6 * math.sqrt(want / trials)), (
@@ -547,6 +561,17 @@ class TestSweep:
         a = reports_to_csv(sweep(self.GRID3, 5, Seed(42), workers=1), with_regime=True)
         b = reports_to_csv(sweep(self.GRID3, 5, Seed(42), workers=8), with_regime=True)
         assert a == b
+
+    def test_numpy_integer_sides_give_int_rows(self):
+        # a run row, a cap refusal and a degenerate p, each serialisable
+        grid = [(np.int64(3), np.int64(4), 0.5, 0.0), (np.int64(31), np.int64(31), 0.5, 0.0),
+                (np.int64(3), np.int64(4), 1.0, 0.0)]
+        reps = sweep(grid, 3, Seed(5))
+        assert [r.verdict for r in reps] == [verify.INFORMATIONAL, verify.ERROR, verify.ERROR]
+        assert all(type(r.m) is int and type(r.n) is int for r in reps)
+        plain = sweep([(int(m), int(n), p, d) for m, n, p, d in grid], 3, Seed(5))
+        assert reports_to_json(reps) == reports_to_json(plain)
+        assert len(strict_json(reports_to_json(reps))["reports"]) == 3
 
     def test_errors_become_rows(self):
         reps = sweep([(3, 3, 0.5, 0.0), (40, 40, 0.5, 0.0), (4, 4, 0.5, math.inf),
