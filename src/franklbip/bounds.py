@@ -19,6 +19,8 @@ from typing import NamedTuple, Optional
 from .graphs import DEFAULT_ALPHA, EdgeProbability, HypothesisViolation, as_prob  # noqa: F401
 
 LOG_SPACE_CUTOFF = 700.0
+# the least int that float() refuses: halfway from the largest double to 2^1024
+_FLOAT_INT_LIMIT = (1 << 1024) - (1 << 970)
 
 
 def _pow_product(factors, prefactor=1.0) -> float:
@@ -238,7 +240,8 @@ class RegimeParams(NamedTuple):
         b = math.floor(log_m)
         ln_k = log_m * math.log(m)  # ln of m^log_{1/q}(m)
         a_prime = None
-        if ln_k <= LOG_SPACE_CUTOFF and float(n) != math.inf:
+        # int(n), not float(n): an n past the float range takes the log branch
+        if ln_k <= LOG_SPACE_CUTOFF and int(n) < _FLOAT_INT_LIMIT:
             chunk = math.floor(n / math.exp(ln_k))
             if chunk >= 1:
                 a_prime = math.floor(math.log(chunk) / scale)

@@ -13,7 +13,9 @@ instead: Seed is a tuple whose constructor masks both fields to 64 bits, and
 the other two are slotted classes whose constructors check every field.
 A sampled graph skips only the constructor's normalisation of its rows to a
 tuple of ints, which the kernels return already; its side, row-count and
-range checks are the constructor's own.
+range checks are the constructor's own.  `mss.ConjectureVerdict` and
+`setfamily.SetFamily` are slotted classes on the same base, so those
+modules need no `dataclasses` for them.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ class _Value:
     in __slots__, as a frozen dataclass has them.  Assigning or deleting an
     attribute raises; each field is set once through the slot's own
     descriptor, which _slot_setters returns, by __init__ or, for a sampled
-    BipartiteGraph, by _fill."""
+    BipartiteGraph, by _fill.  copy and pickle pass the fields to __init__
+    positionally, so a subclass's __init__ takes them in __slots__ order."""
 
     __slots__ = ()
 
@@ -262,11 +265,6 @@ def sample_bipartite(m: int, n: int, prob, seed: Seed) -> BipartiteGraph:
     return g
 
 
-def swap_sides(g: BipartiteGraph) -> BipartiteGraph:
-    """Exchange the two sides; (u, v) becomes (v, u).  Involutive."""
-    return BipartiteGraph(g.n, g.m, g.columns())
-
-
 def _row_text(row: int, n: int) -> str:
     """Row as n characters in {0,1}; character v is edge (u, v)."""
     return "".join("1" if row >> v & 1 else "0" for v in range(n))
@@ -304,17 +302,3 @@ def parse_graph(text: str) -> BipartiteGraph:
             raise GraphParseError(f"row {i} has illegal characters {sorted(bad)}")
         rows.append(sum(1 << v for v, ch in enumerate(line) if ch == "1"))
     return BipartiteGraph(m, n, tuple(rows))
-
-
-def complete_graph(m: int, n: int) -> BipartiteGraph:
-    full = (1 << n) - 1
-    return BipartiteGraph(m, n, tuple(full for _ in range(m)))
-
-
-def empty_graph(m: int, n: int) -> BipartiteGraph:
-    return BipartiteGraph(m, n, tuple(0 for _ in range(m)))
-
-
-def matching_graph(k: int) -> BipartiteGraph:
-    """Perfect matching u_i v_i on k + k vertices."""
-    return BipartiteGraph(k, k, tuple(1 << i for i in range(k)))

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import _pykernels
 # graphs chooses the kernel, compiled or pure Python, for the sampler and
 # for the subset scans here alike, and defines DEFAULT_CAP, the cap of
 # every scan, so that cli reads it without importing this module.
 from .graphs import (DEFAULT_CAP, KERNEL, BipartiteGraph, CapExceeded,  # noqa: F401
-                     _impl, fraction_text)
+                     _impl, _slot_setters, _Value, fraction_text)
 
 # _kernels.c refuses a scan side above its MAX_SCAN_SIDE of 62 (its counters
 # are 64-bit), so the cap never goes past it and both kernels refuse alike.
@@ -39,7 +38,7 @@ class StableSet(NamedTuple):
     right: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # perfbench/selftest.py corrupts one with dataclasses.replace
 class MssStats:
     """Exact aggregate statistics of the maximal stable sets of one graph."""
 
@@ -61,19 +60,21 @@ class MssStats:
         }
 
 
-@dataclass(frozen=True)
-class ConjectureVerdict:
+class ConjectureVerdict(_Value):
     """Outcome of the up-to-delta check on both bipartition classes.
 
     satisfied means both sides exhibit a vertex of containment fraction at
     most 1/2 + delta; edgeless graphs are vacuously satisfied and flagged.
+    Immutable, and equal, hashed and printed by value.
     """
 
-    delta: Fraction
-    left_witness: Optional[tuple]
-    right_witness: Optional[tuple]
-    satisfied: bool
-    vacuous: bool = False
+    __slots__ = ("delta", "left_witness", "right_witness", "satisfied", "vacuous")
+
+    def __init__(self, delta: Fraction, left_witness: Optional[tuple],
+                 right_witness: Optional[tuple], satisfied: bool, vacuous: bool = False):
+        for set_field, value in zip(_VERDICT_SETTERS, (delta, left_witness, right_witness,
+                                                       satisfied, vacuous)):
+            set_field(self, value)
 
     def to_json_dict(self) -> dict:
         def wit(w):
@@ -89,6 +90,9 @@ class ConjectureVerdict:
             "satisfied": self.satisfied,
             "vacuous": self.vacuous,
         }
+
+
+_VERDICT_SETTERS = _slot_setters(ConjectureVerdict)
 
 
 def is_maximal_stable(g: BipartiteGraph, s: StableSet) -> bool:
@@ -123,21 +127,6 @@ def _check_cap(side: int, cap: int = DEFAULT_CAP):
     limit = min(cap, MAX_SCAN_SIDE)
     if side > limit:
         raise CapExceeded(f"scan side {side} exceeds the cap of {limit}")
-
-
-def enumerate_mss(g: BipartiteGraph) -> list:
-    """Every maximal stable set exactly once (order unspecified), through
-    the pure-Python walk."""
-    rows, s, t, swapped = _scan_layout(g)
-    out = []
-
-    def leaf(chosen, free):
-        a_mask = sum(1 << u for u in chosen)
-        out.append(StableSet(left=free, right=a_mask) if swapped
-                   else StableSet(left=a_mask, right=free))
-
-    _pykernels.maximal_pairs(rows, s, t, leaf)
-    return out
 
 
 def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> MssStats:
@@ -192,6 +181,7 @@ def _binomial_tails(t: int, lo: int) -> tuple:
     return tuple(sum(math.comb(f, j) for j in range(lo, f + 1)) for f in range(t + 1))
 
 
+# no caller under src/: perfbench/tracing.py wraps it by name
 def left_avg(g: BipartiteGraph) -> Fraction:
     """Average size of the left part over all maximal stable sets, exact."""
     return mss_stats(g).left_average()
@@ -252,6 +242,7 @@ def count_left_at_least(stats: MssStats, threshold) -> int:
     return sum(c for k, c in enumerate(stats.left_hist) if k >= thr)
 
 
+# no caller under src/: perfbench/tracing.py wraps it by name
 def count_left_at_most(stats: MssStats, threshold) -> int:
     """Number of maximal stable sets with |A∩L| <= threshold."""
     thr = Fraction(threshold)

@@ -10,35 +10,37 @@ not wired to the graph machinery; it takes only its parse error from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import FamilyParseError
+from .graphs import FamilyParseError, _slot_setters, _Value
 
 GROUND_CAP = 20
 
 
-@dataclass(frozen=True)
-class SetFamily:
-    """Deduplicated family of subsets of {0, ..., ground_size - 1}."""
+class SetFamily(_Value):
+    """Deduplicated family of subsets of {0, ..., ground_size - 1}, its
+    members sorted.  Immutable, and equal, hashed and printed by value."""
 
-    ground_size: int
-    members: tuple
+    __slots__ = ("ground_size", "members")
 
-    def __post_init__(self):
-        if not 1 <= self.ground_size <= GROUND_CAP:
+    def __init__(self, ground_size: int, members: tuple):
+        if not 1 <= ground_size <= GROUND_CAP:
             raise ValueError(
-                f"ground size must be in [1, {GROUND_CAP}], got {self.ground_size}"
+                f"ground size must be in [1, {GROUND_CAP}], got {ground_size}"
             )
-        members = tuple(sorted(set(int(x) for x in self.members)))
-        limit = 1 << self.ground_size
+        members = tuple(sorted(set(int(x) for x in members)))
+        limit = 1 << ground_size
         for mask in members:
             if not 0 <= mask < limit:
                 raise ValueError(f"member {mask} has elements outside the ground set")
-        object.__setattr__(self, "members", members)
+        _set_ground_size(self, ground_size)
+        _set_members(self, members)
 
     def __len__(self):
         return len(self.members)
+
+
+_set_ground_size, _set_members = _slot_setters(SetFamily)
 
 
 def union_closure(generators: SetFamily) -> SetFamily:
@@ -130,18 +132,3 @@ def parse_family(text: str) -> SetFamily:
     if not masks:
         raise FamilyParseError("no sets in input")
     return SetFamily(max(max_elem + 1, 1), tuple(masks))
-
-
-def serialize_family(family: SetFamily) -> str:
-    lines = []
-    for mask in family.members:
-        if mask == 0:
-            lines.append("-")
-        else:
-            elems = []
-            while mask:
-                low = mask & -mask
-                elems.append(str(low.bit_length() - 1))
-                mask ^= low
-            lines.append(",".join(elems))
-    return "\n".join(lines) + "\n"

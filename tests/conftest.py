@@ -1,4 +1,4 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, independent oracles and test-only helpers.
 
 The weighted-enumeration oracle walks every edge configuration of a small
 random graph model and sums p^edges q^(non-edges) times a statistic; it is
@@ -7,6 +7,10 @@ the module under test.  Two more oracles are numpy's: brute_force_mss
 filters every vertex subset of a small graph, and numpy_sample_rows draws
 with numpy's Philox bit generator, the reference both hand-written samplers
 must match bit for bit.
+
+The graph builders, swap_sides, serialize_family and enumerate_mss (every
+MSS itself, from the pure-Python walk the twin's scan_stats runs) are used
+by tests alone, so they live here rather than in the package.
 
 The compiled_build fixture builds the package with the repository's own
 setup.py into a temporary directory, and compiled_kernels loads its C kernels,
@@ -51,6 +55,57 @@ def config_weight(g, p):
 def weighted_expectation(m, n, p, statistic):
     """E[statistic(G)] by exhaustive enumeration of all 2^(m n) graphs."""
     return sum(config_weight(g, p) * statistic(g) for g in all_edge_configs(m, n))
+
+
+def complete_graph(m, n):
+    full = (1 << n) - 1
+    return BipartiteGraph(m, n, tuple(full for _ in range(m)))
+
+
+def empty_graph(m, n):
+    return BipartiteGraph(m, n, tuple(0 for _ in range(m)))
+
+
+def matching_graph(k):
+    """Perfect matching u_i v_i on k + k vertices."""
+    return BipartiteGraph(k, k, tuple(1 << i for i in range(k)))
+
+
+def swap_sides(g):
+    """Exchange the two sides; (u, v) becomes (v, u).  Involutive."""
+    return BipartiteGraph(g.n, g.m, g.columns())
+
+
+def serialize_family(family):
+    """Inverse of setfamily.parse_family: one member per line, its elements
+    comma-separated in increasing order, and '-' for the empty set."""
+    lines = []
+    for mask in family.members:
+        if mask == 0:
+            lines.append("-")
+        else:
+            elems = []
+            while mask:
+                low = mask & -mask
+                elems.append(str(low.bit_length() - 1))
+                mask ^= low
+            lines.append(",".join(elems))
+    return "\n".join(lines) + "\n"
+
+
+def enumerate_mss(g):
+    """Every maximal stable set exactly once (order unspecified), through
+    the pure-Python walk; refuses a scan side over mss.DEFAULT_CAP."""
+    rows, s, t, swapped = mss._scan_layout(g)
+    out = []
+
+    def leaf(chosen, free):
+        a_mask = sum(1 << u for u in chosen)
+        out.append(StableSet(left=free, right=a_mask) if swapped
+                   else StableSet(left=a_mask, right=free))
+
+    _pykernels.maximal_pairs(rows, s, t, leaf)
+    return out
 
 
 def brute_force_mss(g: BipartiteGraph):

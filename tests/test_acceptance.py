@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_force_mss, weighted_expectation
+from conftest import brute_force_mss, enumerate_mss, weighted_expectation
 from franklbip import cli, mss, verify
 from franklbip.bounds import (
     binary_entropy,
@@ -34,7 +34,6 @@ from franklbip.mss import (
     conjecture_check,
     count_left_at_least,
     count_left_at_most,
-    enumerate_mss,
     is_maximal_stable,
     mss_stats,
 )

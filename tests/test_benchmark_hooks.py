@@ -1,14 +1,17 @@
 """The traced benchmark (perfbench/tracing.py) wraps franklbip functions by
-name.  Installing its tracer on the source package here makes a renamed or
-deleted entry point fail the test suite instead of the benchmark run."""
+name, and its self-test (perfbench/selftest.py) corrupts real results with
+dataclasses.replace.  Both are run on the source package here, so a renamed
+entry point or a result type that is no longer a dataclass fails the test
+suite instead of the benchmark run."""
 
+import dataclasses
 import importlib.util
 
 import pytest
 
 from conftest import ROOT
 from franklbip import mss, verify
-from franklbip.graphs import Seed
+from franklbip.graphs import Seed, sample_bipartite
 
 
 def load_tracing():
@@ -59,3 +62,16 @@ def test_verify_lemma_draws_each_trial_through_module_name(monkeypatch, lemma, p
     report = verify.verify_lemma(lemma, params, 7, Seed(3))
     assert report.trials == 7
     assert seeds == [Seed(3).child(t) for t in range(7)]
+
+
+def test_selftest_can_replace_fields_of_real_results():
+    # the three dataclasses.replace calls of perfbench/selftest.py
+    stats = mss.mss_stats(sample_bipartite(9, 11, 0.3, Seed(7, 1)))
+    bad = dataclasses.replace(stats, total=stats.total + 1)
+    assert (bad.total, bad.left_hist) == (stats.total + 1, stats.left_hist)
+    rep = verify.verify_lemma("mssproba", {"m": 6, "n": 6, "p": 0.5, "ell": 2, "r": 2}, 30,
+                              Seed(99))
+    wrong = dataclasses.replace(rep, measured=rep.measured + 1 / 30)
+    assert wrong.measured == rep.measured + 1 / 30 and wrong.claimed == rep.claimed
+    extra = dict(rep.extra, hits=1)
+    assert dataclasses.replace(rep, extra=extra).extra == extra

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
+from conftest import empty_graph, matching_graph
 from franklbip import bounds, cli, mss, verify
-from franklbip.graphs import (Seed, empty_graph, matching_graph, parse_graph, sample_bipartite,
-                              serialize_graph)
+from franklbip.graphs import Seed, parse_graph, sample_bipartite, serialize_graph
 
 
 def run(capsys, *argv):
@@ -338,6 +338,13 @@ class TestRegime:
         assert payload["a"] == 30
         assert payload["thresholds"]["m^3"] == 8.0
 
+    def test_n_past_float_range(self, capsys):
+        # n = 10^400 cannot be a float; a' comes from the log branch
+        rc, out, err = run(capsys, "regime", "-m", "4", "-n", str(10 ** 400), "-p", "0.9")
+        assert (rc, err) == (0, "")
+        assert "regime: MatchingSaturated" in out
+        assert "a: 399  b: 0  a_prime: 399  " in out
+
     def test_range_error_usage_exit(self, capsys):
         rc, _, _ = run(capsys, "regime", "-m", "0", "-n", "3", "-p", "0.5")
         assert rc == 2
@@ -406,9 +413,9 @@ print(json.dumps({"codes": codes, "kernel": graphs.KERNEL, "modules": sorted(
 WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
 SAMPLE = ["sample", "-m", "9", "-n", "70", "-p", "0.4", "--seed", "5", "-o"]
 # what `import franklbip.cli` loads from a compiled build; each subcommand adds
-# only the modules it runs.  graphs and bounds define no dataclass, so
-# `sample` and `regime` run without the dataclasses module; mss, setfamily
-# and verify import it.
+# only the modules it runs.  graphs, bounds and setfamily define no
+# dataclass, so `sample`, `regime` and `frankl` run without the dataclasses
+# module; mss and verify import it for MssStats and BoundReport.
 CLI_MODULES = ["franklbip._kernels", "franklbip._pykernels", "franklbip.cli",
                "franklbip.graphs"]
 CAMPAIGN_MODULES = ["dataclasses", "franklbip.bounds", "franklbip.mss", "franklbip.verify"]
@@ -477,7 +484,7 @@ class TestCompiledBuild:
         (["sample", "-m", "4", "-n", "5", "-p", "0.5"], []),
         (["stats", "{graph}"], ["dataclasses", "franklbip.mss"]),
         (["stats", "{graph}", "--format", "json"], ["dataclasses", "franklbip.mss"]),
-        (["frankl", "{family}", "--closure"], ["dataclasses", "franklbip.setfamily"]),
+        (["frankl", "{family}", "--closure"], ["franklbip.setfamily"]),
         (["verify", "mssproba", "-m", "4", "-n", "4", "-p", "0.5", "--l", "1", "--r", "1",
           "--trials", "5"], CAMPAIGN_MODULES),
         (["regime", "-m", "20", "-n", "1048576", "-p", "0.5"], ["franklbip.bounds"]),

@@ -4,12 +4,14 @@ import dataclasses
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import complete_graph, empty_graph, matching_graph, swap_sides
 from franklbip import graphs as graph_module
 from franklbip.graphs import (
     MASK64,
@@ -18,14 +20,12 @@ from franklbip.graphs import (
     GraphParseError,
     Seed,
     ZeroSideError,
-    complete_graph,
-    empty_graph,
-    matching_graph,
     parse_graph,
     sample_bipartite,
     serialize_graph,
-    swap_sides,
 )
+from franklbip.mss import ConjectureVerdict
+from franklbip.setfamily import SetFamily
 
 
 @st.composite
@@ -215,15 +215,19 @@ class TestConstruction:
 
 
 class TestValueTypes:
-    """EdgeProbability, Seed and BipartiteGraph behave as frozen dataclasses
-    do: immutable, equal and hashed by value, printed field by field."""
+    """EdgeProbability, Seed, BipartiteGraph, SetFamily and ConjectureVerdict
+    behave as frozen dataclasses do: immutable, equal and hashed by value,
+    printed field by field."""
 
     VALUES = [
         (lambda: EdgeProbability(0.25), ("p",)),
         (lambda: Seed(5, 3), ("root", "stream")),
         (lambda: BipartiteGraph(2, 3, (0b101, 0b010)), ("m", "n", "adj")),
+        (lambda: SetFamily(3, (0b110, 0b001, 0b110)), ("ground_size", "members")),
+        (lambda: ConjectureVerdict(Fraction(1, 10), (0, Fraction(1, 2)), None, False),
+         ("delta", "left_witness", "right_witness", "satisfied", "vacuous")),
     ]
-    IDS = ["prob", "seed", "graph"]
+    IDS = ["prob", "seed", "graph", "family", "verdict"]
 
     @pytest.mark.parametrize("make,fields", VALUES, ids=IDS)
     def test_assignment_raises(self, make, fields):
@@ -260,7 +264,7 @@ class TestValueTypes:
             assert twin == value and type(twin) is type(value)
 
     def test_other_classes_not_equal(self):
-        prob, seed, graph = (make() for make, _ in self.VALUES)
+        prob, seed, graph, family, verdict = (make() for make, _ in self.VALUES)
         assert prob != 0.25 and prob != (0.25,)
         assert graph != (2, 3, (0b101, 0b010))
         assert BipartiteGraph(1, 1, (1,)) != EdgeProbability(1.0)
@@ -268,6 +272,8 @@ class TestValueTypes:
             assert seed != value
         # Seed is a tuple, so it equals the plain tuple of its fields
         assert seed == (5, 3)
+        assert family != (3, (0b001, 0b110)) and family != verdict
+        assert verdict != (Fraction(1, 10), (0, Fraction(1, 2)), None, False, False)
 
     def test_distinct_values_differ(self):
         assert EdgeProbability(0.25) != EdgeProbability(0.5)

@@ -6,18 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_edge_configs, brute_force_mss, numpy_sample_rows
+from conftest import (all_edge_configs, brute_force_mss, complete_graph, empty_graph,
+                      enumerate_mss, matching_graph, numpy_sample_rows, swap_sides)
 from franklbip import _pykernels, mss
 from franklbip import graphs as graph_module
-from franklbip.graphs import (
-    BipartiteGraph,
-    Seed,
-    complete_graph,
-    empty_graph,
-    matching_graph,
-    sample_bipartite,
-    swap_sides,
-)
+from franklbip.graphs import BipartiteGraph, Seed, sample_bipartite
 from franklbip.mss import (
     CapExceeded,
     StableSet,
@@ -25,7 +18,6 @@ from franklbip.mss import (
     count_left_at_least,
     count_left_at_most,
     count_mss_with_sizes,
-    enumerate_mss,
     is_maximal_stable,
     left_avg,
     mss_stats,

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import serialize_family
 from franklbip.setfamily import (
     FamilyParseError,
     SetFamily,
     frankl_check,
     is_union_closed,
     parse_family,
-    serialize_family,
     union_closure,
 )
 

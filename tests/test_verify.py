@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_mss, strict_json
+from conftest import all_edge_configs, brute_force_mss, strict_json
 from franklbip import mss, verify
 from franklbip.bounds import HypothesisViolation
 from franklbip.graphs import Seed, as_prob, sample_bipartite
@@ -466,6 +466,18 @@ class TestVerifyLemma:
         rep = verify_lemma("veryverylargeside", {"m": 3, "n": 512, "p": 0.5}, 25, Seed(15))
         assert rep.verdict == verify.INFORMATIONAL
         assert rep.measured >= 0.8
+
+    def test_saturated_total_has_left_average_half(self, kernel):
+        # veryverylargeside's event reads the total alone: on every graph up
+        # to 3x4 and 4x3, a total of 2^m comes with a left average of m/2
+        saturated = 0
+        for m, n in ((m, n) for m in range(1, 5) for n in range(1, 5) if m * n <= 12):
+            for g in all_edge_configs(m, n):
+                stats = mss.mss_stats(g)
+                if stats.total == 1 << m:
+                    saturated += 1
+                    assert stats.left_average() == Fraction(m, 2), g
+        assert saturated == 318
 
     def test_largeleftupper_smoke(self):
         rep = verify_lemma("largeleftupper", {"m": 16, "n": 6, "p": 0.5}, 50, Seed(16))
