@@ -204,8 +204,10 @@ def classify_regime(m: int, n: int, prob, alpha: float = DEFAULT_ALPHA) -> Regim
 
 
 def _large_left_sides(m: int, n: int, prob) -> tuple:
-    """(log_{1/q}(m), n^(1/5)); LargeLeft is where the first exceeds the second."""
-    return math.log(m) / prob.log_inv_q, float(n) ** 0.2
+    """(log_{1/q}(m), n^(1/5)); LargeLeft is where the first exceeds the second.
+    An n past the float range takes its fifth root from its log."""
+    fifth_root_n = float(n) ** 0.2 if int(n) < _FLOAT_INT_LIMIT else math.exp(math.log(n) / 5)
+    return math.log(m) / prob.log_inv_q, fifth_root_n
 
 
 def _check_alpha(alpha: float):
@@ -216,7 +218,10 @@ def _check_alpha(alpha: float):
 class RegimeParams(NamedTuple):
     """(m, n, p) plus the derived logarithmic quantities every regime
     comparison uses.  a_prime is None when n < m^log_{1/q}(m), where the
-    split of the right side into m^log_{1/q}(m) pieces is impossible."""
+    split of the right side into m^log_{1/q}(m) pieces is impossible.  While
+    the split size K = m ** log_{1/q}(m) is a finite float, a_prime is
+    floor(log_{1/q}(floor(n / K))) exactly for that K, with p read as the
+    shortest decimal of its float; past it, a_prime comes from logarithms."""
 
     m: int
     n: int
@@ -240,17 +245,59 @@ class RegimeParams(NamedTuple):
         b = math.floor(log_m)
         ln_k = log_m * math.log(m)  # ln of m^log_{1/q}(m)
         a_prime = None
-        # int(n), not float(n): an n past the float range takes the log branch
-        if ln_k <= LOG_SPACE_CUTOFF and int(n) < _FLOAT_INT_LIMIT:
-            chunk = math.floor(n / math.exp(ln_k))
+        if ln_k <= LOG_SPACE_CUTOFF:
+            # exact for any int n, which float(n) would round or refuse
+            chunk = math.floor(Fraction(n) / Fraction(float(m) ** log_m))
             if chunk >= 1:
-                a_prime = math.floor(math.log(chunk) / scale)
+                a_prime = _floor_log(chunk, prob)
         else:
             # astronomical split size: floor loses nothing at this scale
             approx = (math.log(n) - ln_k) / scale
             if approx >= 0:
                 a_prime = math.floor(approx)
         return cls(m, n, prob, log_n, log_m, a, b, a_prime, log_n / m)
+
+
+def _floor_log(chunk: int, prob: EdgeProbability) -> int:
+    """floor(log_{1/q}(chunk)) for an int chunk >= 1, exact for q = 1 - p
+    with p read as the shortest decimal of its float (0.9 is 9/10): the float
+    estimate moves by one where chunk * q^a says it is off."""
+    q = 1 - Fraction(repr(prob.p))
+    a = math.floor(math.log(chunk) / prob.log_inv_q)
+    if not _reaches(chunk, q, a):
+        return a - 1
+    return a + 1 if _reaches(chunk, q, a + 1) else a
+
+
+def _reaches(chunk: int, q: Fraction, a: int) -> bool:
+    """Whether chunk * q^a >= 1, decided exactly.  The a-th powers of q's
+    numerator and denominator are bracketed to `bits` bits, and bits doubles
+    until the brackets decide, so they are written out in full only when a
+    near tie needs every bit."""
+    bits = 64
+    while True:
+        n_lo, n_hi, n_shift = _pow_bracket(q.numerator, a, bits)
+        d_lo, d_hi, d_shift = _pow_bracket(q.denominator, a, bits)
+        low = min(n_shift, d_shift)
+        if chunk * n_lo << n_shift - low >= d_hi << d_shift - low:
+            return True
+        if chunk * n_hi << n_shift - low < d_lo << d_shift - low:
+            return False
+        bits *= 2
+
+
+def _pow_bracket(base: int, a: int, bits: int) -> tuple:
+    """(lo, hi, shift) with lo * 2^shift <= base^a <= hi * 2^shift, where lo
+    and hi keep at most `bits` bits; both are base^a while it fits."""
+    lo = hi = 1
+    shift = 0
+    for digit in bin(a)[2:]:
+        lo, hi, shift = lo * lo, hi * hi, 2 * shift
+        if digit == "1":
+            lo, hi = lo * base, hi * base
+        cut = max(hi.bit_length() - bits, 0)
+        lo, hi, shift = lo >> cut, -(-hi >> cut), shift + cut
+    return lo, hi, shift
 
 
 def exp_small_mss_lower(params: RegimeParams) -> float:

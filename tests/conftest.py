@@ -166,14 +166,20 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def compiled_build(tmp_path_factory):
-    """Directory holding franklbip built from this checkout, compiled kernels included.
+    """Directory holding franklbip built from this checkout, compiled kernels
+    and the bytecode of every module included.
 
     Skips only without a C compiler.  The egg-info goes to the temporary
     directory too, so the build writes nothing into the checkout.
     """
+    return build_package(tmp_path_factory.mktemp("build"))
+
+
+def build_package(out):
+    """Build franklbip from this checkout with its setup.py into out/lib, the
+    egg-info into out; return out/lib.  Skips only without a C compiler."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    out = tmp_path_factory.mktemp("build")
     proc = subprocess.run(
         [sys.executable, "setup.py", "-q", "egg_info", "--egg-base", str(out),
          "build", "--build-base", str(out / "tmp"), "--build-lib", str(out / "lib")],

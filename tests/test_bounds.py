@@ -442,19 +442,22 @@ class TestRegimeParams:
             RegimeParams.from_mnp(4, 4, 1.0)
 
     def test_n_past_float_range_takes_log_branch(self):
-        # float() refuses these n; log_10(n / 4^log_10(4)) is 307.89 at
-        # n = 2^1024, far from an integer, so a' is 307 on either side of it
+        # float() refuses these n, and the chunk is taken from the int n;
+        # log_10(n / 4^log_10(4)) is 307.89 at n = 2^1024, far from an
+        # integer, so a' is 307 on either side of it
         for n in ((1 << 1024) - 1, 1 << 1024, (1 << 1024) + 1):
             rp = RegimeParams.from_mnp(4, n, 0.9)
             assert (rp.a, rp.a_prime) == (308, 307)
         assert RegimeParams.from_mnp(4, 10 ** 400, 0.9).a_prime == 399
 
     @pytest.mark.parametrize("m,p,a_prime", [
-        (4, 0.9, 307), (4, 0.5, 1020), (20, 0.5, 1005), (3, 0.3, 1980), (7, 0.75, 510),
+        (4, 0.9, 307), (4, 0.5, 1019), (20, 0.5, 1005), (3, 0.3, 1980), (7, 0.75, 510),
     ])
     def test_largest_float_n_keeps_float_branch(self, m, p, a_prime):
-        # a_prime as the float(n) != inf guard gave it, at the last ints that
-        # float() converts; the limit is exactly where float() starts to refuse
+        # a_prime at the last ints that float() converts, as the float
+        # branch gave it, but at (4, 0.5): there n // 16 is just below
+        # 2^1020, and the float floor said 1020; the limit is exactly where
+        # float() starts to refuse
         limit = bounds._FLOAT_INT_LIMIT
         assert float(limit - 1) == sys.float_info.max
         with pytest.raises(OverflowError):
@@ -465,6 +468,47 @@ class TestRegimeParams:
     def test_float_n_keeps_float_branch(self):
         for n in (1000.0, np.float64(1000.0), 1e300):
             assert RegimeParams.from_mnp(4, n, 0.9) == RegimeParams.from_mnp(4, int(n), 0.9)
+
+    @pytest.mark.parametrize("n,a_prime", [
+        (16 * ((1 << 50) - 1) + 15, 49), (16 << 50, 50),
+        ((1 << 1024) - 1, 1019), (1 << 1024, 1020), ((1 << 1024) + 1, 1020),
+    ], ids=["2^54-1", "2^54", "2^1024-1", "2^1024", "2^1024+1"])
+    def test_a_prime_exact_below_a_power_of_two(self, n, a_prime):
+        # at p = 1/2 the split size 4^log_2(4) is 16, so a' is the bit length
+        # of n // 16 less one; the float floor said 50 and 1020 just below
+        assert a_prime == (n // 16).bit_length() - 1
+        assert RegimeParams.from_mnp(4, n, 0.5).a_prime == a_prime
+
+    @pytest.mark.parametrize("n,a_prime", [
+        (1000, 3), (999, 2), (10 ** 20 - 1, 19), (10 ** 20, 20), (10 ** 120, 120),
+    ], ids=["10^3", "999", "10^20-1", "10^20", "10^120"])
+    def test_a_prime_reads_p_as_its_decimal(self, n, a_prime):
+        # m = 1 makes the split size 1, so a' is floor(log_10(n)) at p = 0.9:
+        # q is 1/10, not the float 1 - 0.9 just below it; the float floor
+        # said 2 at 1000, 20 at 10^20 - 1 and 119 at 10^120
+        assert RegimeParams.from_mnp(1, n, 0.9).a_prime == a_prime
+
+    @pytest.mark.parametrize("m,n,p,a_prime", [
+        (4, 100, 0.9, 1), (20, 1048576, 0.5, 1), (3, 10 ** 6, 0.3, 29), (7, 1 << 200, 0.75, 98),
+        (16, 10 ** 9, 0.15, None), (2, 1000, 0.8, 4), (5, 12345678901234567890, 0.5, 58),
+        (4, 10 ** 400, 0.9, 399),
+    ], ids=["4x100", "20x2^20", "3x10^6", "7x2^200", "16x10^9", "2x1000", "5x1.2e19",
+            "4x10^400"])
+    def test_a_prime_kept_where_float_floor_is_right(self, m, n, p, a_prime):
+        assert RegimeParams.from_mnp(m, n, p).a_prime == a_prime
+
+    @pytest.mark.parametrize("p", [0.5, 0.75, 0.9, 0.3, 0.15, 0.01, 0.001])
+    def test_floor_log_against_fraction_powers(self, p):
+        # chunks on and beside q^-a, which is exact at p = 0.5, 0.75 and 0.9;
+        # past 64 bits the powers in q^a are cut to a bracket
+        prob = bounds.as_prob(p)
+        q = 1 - Fraction(str(p))
+        for a in (0, 1, 2, 7, 50, 400, 3000):
+            power = math.ceil(q ** -a)
+            for chunk in (power - 1, power, power + 1):
+                if chunk >= 1:
+                    got = bounds._floor_log(chunk, prob)
+                    assert chunk * q ** got >= 1 > chunk * q ** (got + 1), (a, chunk)
 
 
 # the public names with no caller under src/, each with the reason it stays

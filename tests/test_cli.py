@@ -1,11 +1,14 @@
+import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import empty_graph, matching_graph
+from conftest import ROOT, build_package, empty_graph, matching_graph
 from franklbip import bounds, cli, mss, verify
 from franklbip.graphs import Seed, parse_graph, sample_bipartite, serialize_graph
 
@@ -339,11 +342,19 @@ class TestRegime:
         assert payload["thresholds"]["m^3"] == 8.0
 
     def test_n_past_float_range(self, capsys):
-        # n = 10^400 cannot be a float; a' comes from the log branch
+        # n = 10^400 cannot be a float; a' comes from the int n
         rc, out, err = run(capsys, "regime", "-m", "4", "-n", str(10 ** 400), "-p", "0.9")
         assert (rc, err) == (0, "")
         assert "regime: MatchingSaturated" in out
         assert "a: 399  b: 0  a_prime: 399  " in out
+
+    def test_balanced_with_n_past_float_range(self, capsys):
+        # n^(1/5) decides the band here, and float(2^1100) would overflow
+        rc, out, err = run(capsys, "regime", "-m", str(10 ** 16), "-n", str(1 << 1100),
+                           "-p", "0.5")
+        assert (rc, err) == (0, "")
+        assert "regime: Balanced" in out
+        assert "a: 1100  b: 53  a_prime: -  " in out
 
     def test_range_error_usage_exit(self, capsys):
         rc, _, _ = run(capsys, "regime", "-m", "0", "-n", "3", "-p", "0.5")
@@ -411,6 +422,17 @@ print(json.dumps({"codes": codes, "kernel": graphs.KERNEL, "modules": sorted(
 """
 # put before CHILD, it makes every import of numpy fail
 WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+# put before CHILD, it prints at exit, as the last line of stderr, the JSON
+# list of the source files that imports compiled rather than loaded as bytecode
+FROM_SOURCE = """
+import atexit, importlib.machinery, json, sys
+from_source, to_code = [], importlib.machinery.SourceFileLoader.source_to_code
+def source_to_code(self, data, path, *args, **kwargs):
+    from_source.append(path)
+    return to_code(self, data, path, *args, **kwargs)
+importlib.machinery.SourceFileLoader.source_to_code = source_to_code
+atexit.register(lambda: print(json.dumps(from_source), file=sys.stderr))
+"""
 SAMPLE = ["sample", "-m", "9", "-n", "70", "-p", "0.4", "--seed", "5", "-o"]
 # what `import franklbip.cli` loads from a compiled build; each subcommand adds
 # only the modules it runs.  graphs, bounds and setfamily define no
@@ -427,20 +449,70 @@ class TestCompiledBuild:
 
     @staticmethod
     def env(compiled_build, pure=False):
+        # no child writes bytecode, so each one sees the build as it was built
         env = {k: v for k, v in os.environ.items() if k != "FRANKLBIP_PURE_PYTHON"}
         env["PYTHONPATH"] = str(compiled_build)
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
         if pure:
             env["FRANKLBIP_PURE_PYTHON"] = "1"
         return env
 
     @classmethod
     def child(cls, compiled_build, *argvs, pure=False, prelude=""):
-        """CHILD's summary, with the subcommands' own stdout under "stdout"."""
+        """CHILD's summary, with the subcommands' own stdout under "stdout"
+        and the child's stderr under "stderr"."""
         proc = subprocess.run([sys.executable, "-c", prelude + CHILD, *map(json.dumps, argvs)],
                               env=cls.env(compiled_build, pure), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         *out, last = proc.stdout.splitlines(keepends=True)
-        return {**json.loads(last), "stdout": "".join(out)}
+        return {**json.loads(last), "stdout": "".join(out), "stderr": proc.stderr}
+
+    def test_every_subcommand_runs_from_bytecode(self, compiled_build, tmp_path):
+        package = compiled_build / "franklbip"
+        sources = sorted(package.glob("*.py"))
+        assert [path.name for path in sources
+                if not Path(importlib.util.cache_from_source(path)).is_file()] == []
+        graph, grid, family = tmp_path / "g.graph", tmp_path / "grid.csv", tmp_path / "fam.txt"
+        grid.write_text(GRID_TEXT)
+        family.write_text("0\n1,2\n")
+        argvs = [SAMPLE + [str(graph)], ["stats", str(graph)],
+                 ["regime", "-m", "20", "-n", "1048576", "-p", "0.5"],
+                 ["verify", "mssproba", "-m", "4", "-n", "4", "-p", "0.5", "--l", "1", "--r", "1",
+                  "--trials", "5"],
+                 ["frankl", str(family), "--closure"], ["sweep", str(grid), "--trials", "2"]]
+        res = self.child(compiled_build, *argvs, prelude=FROM_SOURCE)
+        assert res["codes"] == [0] * len(argvs)
+        assert {"franklbip." + path.stem for path in sources} - {"franklbip.__init__"} \
+            <= set(res["modules"])
+        from_source = json.loads(res["stderr"].splitlines()[-1])
+        assert [path for path in from_source if path.startswith(str(package))] == []
+
+    def test_edited_module_is_compiled_again(self, compiled_build, tmp_path):
+        # the copy keeps graphs.py's mtime, so only the size tells its .pyc
+        # that the source changed
+        lib = tmp_path / "lib"
+        shutil.copytree(compiled_build, lib)
+        source = lib / "franklbip" / "graphs.py"
+        assert Path(importlib.util.cache_from_source(source)).is_file()
+        stat = source.stat()
+        with source.open("a") as fh:
+            fh.write('\nEDITED = "after the build"\n')
+        os.utime(source, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        proc = subprocess.run([sys.executable, "-c", "from franklbip import graphs; "
+                               "print(graphs.EDITED)"],
+                              env=self.env(lib), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "after the build\n"), proc.stderr
+
+    def test_build_writes_nothing_into_src(self, tmp_path):
+        # perfbench names its build by a digest of src/, which the build must
+        # not change
+        def files():
+            return {path.relative_to(ROOT / "src"): path.is_file() and path.read_bytes()
+                    for path in (ROOT / "src").rglob("*")}
+
+        before = files()
+        build_package(tmp_path)
+        assert files() == before
 
     def test_numpy_stays_unimported(self, compiled_build, tmp_path):
         graph = tmp_path / "g.graph"

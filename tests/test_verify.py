@@ -79,6 +79,20 @@ class TestClassifier:
     def test_huge_n_stays_in_log_domain(self):
         assert classify_regime(3, 10 ** 500, 0.5) is Regime.MATCHING_SATURATED
 
+    def test_n_past_float_range_reaches_balanced(self):
+        # log_2(n) = 1100 is below m^(1/5) = 1585, so n^(1/5) decides, and
+        # float(n) would overflow
+        assert classify_regime(10 ** 16, 1 << 1100, 0.5) is Regime.BALANCED
+        assert classify_regime(10 ** 16, (1 << 1024) - 1, 0.5) is Regime.BALANCED
+
+    @pytest.mark.parametrize("lemma,message", [
+        ("largeleftupper", "needs m >= q^(-n^(1/5))"),
+        ("superpoly.lower.bound", "needs n <= q^(-m^(1/5))"),
+    ], ids=["largeleftupper", "superpoly"])
+    def test_hypotheses_take_n_past_float_range(self, lemma, message):
+        with pytest.raises(HypothesisViolation, match=re.escape(message)):
+            verify_lemma(lemma, {"m": 4, "n": 1 << 1100, "p": 0.5}, 1, Seed(0))
+
 
 class TestAverageCampaign:
     def test_complete_fixture_hits_half_exactly(self):
@@ -497,6 +511,22 @@ class TestVerifyLemma:
         rep = verify_lemma("lem.hoeffding.exp", {"m": 4, "n": 100, "p": 0.9}, 40, Seed(19))
         assert rep.verdict == verify.INFORMATIONAL
         assert rep.extra["a_prime"] == 1
+
+    def test_hoeffding_exp_refuses_n_past_q_to_minus_m(self):
+        # n = 2^129 passes n >= m^(2 log_2 m) = 2^98 but not n <= 2^128; a
+        # check that let it through would refuse only at the cap, with
+        # CapExceeded
+        with pytest.raises(HypothesisViolation, match=re.escape("needs n <= q^(-m)")):
+            verify_lemma("lem.hoeffding.exp", {"m": 128, "n": 1 << 129, "p": 0.5}, 1, Seed(0))
+
+    @pytest.mark.parametrize("count,hit", [(1, False), (2, False), (3, True)])
+    def test_superpoly_event_is_strictly_above_half_expectation(self, monkeypatch, count,
+                                                                hit):
+        # E/2 is 2: the event is count > E/2, so a count of exactly 2 misses
+        monkeypatch.setattr(verify.bounds, "expected_small_mss", lambda *args: 4.0)
+        monkeypatch.setattr(mss, "count_mss_with_sizes", lambda *args: count)
+        event, _ = verify._CHECKS["superpoly.lower.bound"].setup(12, 12, as_prob(0.9), {})
+        assert event(sample_bipartite(12, 12, 0.9, Seed(1))) is hit
 
     def test_hoeffding_exp_near_p_one(self):
         # c = exp(-(2/q + 1)) is 0.0 at p = .999, so the threshold is 0.0
