@@ -1,12 +1,13 @@
 """Golden outputs of every named check and of a sweep, on both kernels, and
-of `franklbip regime`, `stats` and `frankl`.
+of every `franklbip` subcommand.
 
 tests/fixtures/verify_golden.json holds the CSV and JSON text of each check,
 campaign and sweep case below; a refusal is recorded as its exception text.
 tests/fixtures/regime_golden.json holds the table and JSON text of `regime`
 for each point of tests/fixtures/regime_grid.csv (one per band) and for one
 non-default alpha.  tests/fixtures/cli_golden.json holds the table and JSON
-text of `stats` and `frankl` on the graph and family files beside it.  To
+text of `stats` and `frankl` on the graph and family files beside it, and the
+stdout and stderr of `sample`, `verify` and `sweep` calls.  To
 record the three fixtures again after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -117,6 +118,35 @@ CLI_CASES = {
 }
 
 
+# name -> full `franklbip` arguments of a call recorded as its stdout and
+# stderr; sweep_grid.csv holds SWEEP_GRID, so it has a cap refusal and a p = 1 row
+CALL_CASES = {
+    # the echo goes to stderr, so stdout stays a graph
+    "sample": ("sample", "-m", "5", "-n", "4", "-p", "0.5", "--seed", "7"),
+    "verify-csv": ("verify", "mssproba", "-m", "6", "-n", "6", "-p", "0.5", "--l", "2",
+                   "--r", "2", "--trials", "100", "--seed", "11"),
+    "verify-json": ("verify", "genupper", "-m", "8", "-n", "2", "-p", "0.5", "--l-star", "3",
+                    "--r-star", "1", "--trials", "50", "--seed", "12", "--format", "json"),
+    "verify-indmatchings": ("verify", "indmatchings", "--k", "3", "-p", "0.5", "--delta",
+                            "0.1", "--trials", "100", "--seed", "13"),
+    "verify-informational": ("verify", "asymptotic.lower.bound", "-m", "4", "-n", "1000",
+                             "-p", "0.9", "--phi", "0.5", "--alpha", "0.3", "--trials", "30",
+                             "--seed", "26", "--informational"),
+    "sweep-csv-1": ("sweep", "sweep_grid.csv", "--trials", "5", "--seed", "42"),
+    "sweep-csv-2": ("sweep", "sweep_grid.csv", "--trials", "5", "--seed", "42",
+                    "--workers", "2"),
+    "sweep-json": ("sweep", "sweep_grid.csv", "--trials", "5", "--seed", "42", "--cap", "9",
+                   "--format", "json"),
+}
+
+
+def render_call(argv):
+    with contextlib.chdir(FIXTURES), contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(list(argv)) == 0
+    return {"stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def render_cli(argv):
     out = {}
     for fmt in ("table", "json"):
@@ -178,10 +208,22 @@ def test_cli_matches_golden(kernel, cli_golden, name):
     assert render_cli(CLI_CASES[name]) == cli_golden[name]
 
 
+@pytest.mark.parametrize("name", CALL_CASES)
+def test_cli_call_matches_golden(kernel, cli_golden, name):
+    assert render_call(CALL_CASES[name]) == cli_golden[name]
+
+
 def test_cli_cases_are_recorded(cli_golden):
-    assert sorted(cli_golden) == sorted(CLI_CASES)
-    for case in cli_golden.values():
-        strict_json(case["json"])
+    assert sorted(cli_golden) == sorted([*CLI_CASES, *CALL_CASES])
+    for name in CLI_CASES:
+        strict_json(cli_golden[name]["json"])
+    for name, argv in CALL_CASES.items():
+        if "json" in argv:
+            strict_json(cli_golden[name]["stdout"])
+
+
+def test_sweep_call_is_the_same_for_any_worker_count(cli_golden):
+    assert cli_golden["sweep-csv-1"] == cli_golden["sweep-csv-2"]
 
 
 def record(path, rendered):
@@ -196,4 +238,5 @@ def record(path, rendered):
 if __name__ == "__main__":
     record(FIXTURE, {name: render(name) for name in CASE_NAMES})
     record(REGIME_FIXTURE, {name: render_regime(name) for name in REGIME_CASES})
-    record(CLI_FIXTURE, {name: render_cli(argv) for name, argv in CLI_CASES.items()})
+    record(CLI_FIXTURE, {**{name: render_cli(argv) for name, argv in CLI_CASES.items()},
+                         **{name: render_call(argv) for name, argv in CALL_CASES.items()}})
