@@ -217,11 +217,15 @@ def _check_alpha(alpha: float):
 
 class RegimeParams(NamedTuple):
     """(m, n, p) plus the derived logarithmic quantities every regime
-    comparison uses.  a_prime is None when n < m^log_{1/q}(m), where the
-    split of the right side into m^log_{1/q}(m) pieces is impossible.  While
-    the split size K = m ** log_{1/q}(m) is a finite float, a_prime is
-    floor(log_{1/q}(floor(n / K))) exactly for that K, with p read as the
-    shortest decimal of its float; past it, a_prime comes from logarithms."""
+    comparison uses.  a, b and a_prime are exact floors of log_{1/q}, with p
+    read as the shortest decimal of its float: a of n, b of m, and a_prime of
+    floor(n / K), the size of each piece when the right side is split into K
+    pieces.  K stands for m^log_{1/q}(m) and is the dyadic rational
+    2^(log_{1/q}(m) * log2(m)), its exponent a float and the power exact.
+    The floors are exact while the float log_{1/q} of n is off by less
+    than one, which holds unless p is tiny and n astronomical.
+    a_prime is None when n < K, where no split is possible.  m and n are
+    vertex counts: a whole float is read as its int."""
 
     m: int
     n: int
@@ -236,26 +240,19 @@ class RegimeParams(NamedTuple):
     @classmethod
     def from_mnp(cls, m: int, n: int, prob) -> "RegimeParams":
         prob = as_prob(prob).require_interior()
-        if m < 1 or n < 1:
-            raise ValueError(f"need m, n >= 1, got ({m}, {n})")
-        scale = prob.log_inv_q
-        log_n = math.log(n) / scale
-        log_m = math.log(m) / scale
-        a = math.floor(log_n)
-        b = math.floor(log_m)
-        ln_k = log_m * math.log(m)  # ln of m^log_{1/q}(m)
-        a_prime = None
-        if ln_k <= LOG_SPACE_CUTOFF:
-            # exact for any int n, which float(n) would round or refuse
-            chunk = math.floor(Fraction(n) / Fraction(float(m) ** log_m))
-            if chunk >= 1:
-                a_prime = _floor_log(chunk, prob)
-        else:
-            # astronomical split size: floor loses nothing at this scale
-            approx = (math.log(n) - ln_k) / scale
-            if approx >= 0:
-                a_prime = math.floor(approx)
-        return cls(m, n, prob, log_n, log_m, a, b, a_prime, log_n / m)
+        if m < 1 or n < 1 or m % 1 or n % 1:
+            raise ValueError(f"need whole m, n >= 1, got ({m}, {n})")
+        m, n = int(m), int(n)
+        log_n = math.log(n) / prob.log_inv_q
+        log_m = math.log(m) / prob.log_inv_q
+        exponent = log_m * math.log2(m)
+        whole = math.floor(exponent)
+        # K >= 2^whole, so a K longer than n is not written out
+        chunk = n // (Fraction(2.0 ** (exponent - whole)) * (1 << whole)) \
+            if whole < n.bit_length() else 0
+        a_prime = _floor_log(chunk, prob) if chunk >= 1 else None
+        return cls(m, n, prob, log_n, log_m, _floor_log(n, prob), _floor_log(m, prob),
+                   a_prime, log_n / m)
 
 
 def _floor_log(chunk: int, prob: EdgeProbability) -> int:

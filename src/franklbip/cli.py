@@ -36,6 +36,15 @@ from .graphs import (DEFAULT_ALPHA, DEFAULT_CAP, CapExceeded, FamilyParseError,
 
 SEED_ENV = "FRANKLBIP_SEED"
 
+# name -> (flag, type, default) of every parameter a `verify` check reads
+VERIFY_PARAMS = {
+    "m": ("-m", int, None), "n": ("-n", int, None), "p": ("-p", float, None),
+    "delta": ("--delta", float, 0.0), "alpha": ("--alpha", float, DEFAULT_ALPHA),
+    "ell": ("--l", int, None), "r": ("--r", int, None),
+    "ell_star": ("--l-star", int, None), "r_star": ("--r-star", int, None),
+    "k": ("--k", int, None), "phi": ("--phi", float, None),
+}
+
 
 def _resolve_seed(args) -> Seed:
     if args.seed is not None:
@@ -60,6 +69,26 @@ def _emit(text: str, path):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write(args, cfg: dict, payload: dict, lines: list) -> int:
+    """Write a table subcommand's output: the echo and payload as JSON, or
+    the echo line and then lines."""
+    if args.format == "json":
+        _emit(json.dumps({"config": cfg, **payload}, indent=2) + "\n", args.output)
+    else:
+        _emit("\n".join(["config: " + json.dumps(cfg, sort_keys=True), *lines]) + "\n",
+              args.output)
+    return 0
+
+
+def _write_reports(args, cfg: dict, reports, with_regime: bool = False) -> int:
+    """Write the report rows of `verify` or `sweep` as CSV or JSON."""
+    from .verify import reports_to_csv, reports_to_json
+
+    _emit(reports_to_json(reports, cfg) if args.format == "json"
+          else reports_to_csv(reports, cfg, with_regime), args.output)
+    return 0
 
 
 def cmd_sample(args) -> int:
@@ -88,52 +117,38 @@ def cmd_stats(args) -> int:
     avg = stats.left_average()
     cfg = _echo("stats", _resolve_seed(args), graph=args.graph, delta=args.delta,
                 cap=args.cap, format=args.format)
-    if args.format == "json":
-        payload = {
-            "config": cfg,
-            "graph": g.to_json_dict(),
-            "edges": g.edge_count(),
-            "stats": stats.to_json_dict(),
-            "left_avg": fraction_text(avg),
-            "verdict": verdict.to_json_dict(),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
-    lines = ["config: " + json.dumps(cfg, sort_keys=True)]
-    lines.append(f"m: {g.m}  n: {g.n}  edges: {g.edge_count()}")
-    lines.append(f"total: {stats.total}")
-    lines.append("left_hist: " + ",".join(str(c) for c in stats.left_hist))
-    lines.append(f"left_avg: {avg}")
+    payload = {
+        "graph": g.to_json_dict(),
+        "edges": g.edge_count(),
+        "stats": stats.to_json_dict(),
+        "left_avg": fraction_text(avg),
+        "verdict": verdict.to_json_dict(),
+    }
     state = "vacuous" if verdict.vacuous else (
         "satisfied" if verdict.satisfied else "VIOLATED")
-    lines.append(f"conjecture(delta={args.delta}): {state}")
+    lines = [
+        f"m: {g.m}  n: {g.n}  edges: {g.edge_count()}",
+        f"total: {stats.total}",
+        "left_hist: " + ",".join(str(c) for c in stats.left_hist),
+        f"left_avg: {avg}",
+        f"conjecture(delta={args.delta}): {state}",
+    ]
     for side, wit in (("left", verdict.left_witness), ("right", verdict.right_witness)):
         if wit is not None:
             lines.append(f"  {side} witness: vertex {wit[0]}, fraction {wit[1]}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return _write(args, cfg, payload, lines)
 
 
 def cmd_verify(args) -> int:
     from . import verify
 
     seed = _resolve_seed(args)
-    params = {
-        "m": args.m, "n": args.n, "p": args.p, "delta": args.delta,
-        "alpha": args.alpha, "ell": args.ell, "r": args.r,
-        "ell_star": args.ell_star, "r_star": args.r_star,
-        "k": args.k, "phi": args.phi,
-    }
+    params = {name: getattr(args, name) for name in VERIFY_PARAMS}
     report = verify.verify_lemma(args.lemma, params, args.trials, seed,
                                  strict=not args.informational)
     cfg = _echo("verify", seed, lemma=args.lemma, trials=args.trials,
-                format=args.format,
-                **{k: v for k, v in params.items() if v is not None})
-    if args.format == "json":
-        _emit(verify.reports_to_json([report], cfg), args.output)
-    else:
-        _emit(verify.reports_to_csv([report], cfg), args.output)
-    return 0
+                format=args.format, **params)
+    return _write_reports(args, cfg, [report])
 
 
 def _read_grid(path):
@@ -166,11 +181,7 @@ def cmd_sweep(args) -> int:
                            alpha=args.alpha, cap=args.cap)
     cfg = _echo("sweep", seed, grid=args.grid, trials=args.trials,
                 alpha=args.alpha, cap=args.cap, format=args.format)
-    if args.format == "json":
-        _emit(verify.reports_to_json(reports, cfg), args.output)
-    else:
-        _emit(verify.reports_to_csv(reports, cfg, with_regime=True), args.output)
-    return 0
+    return _write_reports(args, cfg, reports, with_regime=True)
 
 
 def cmd_regime(args) -> int:
@@ -183,32 +194,27 @@ def cmd_regime(args) -> int:
     thresholds = bounds.regime_thresholds(args.m, args.alpha)
     cfg = _echo("regime", _resolve_seed(args), m=args.m, n=args.n, p=args.p,
                 alpha=args.alpha)
-    if args.format == "json":
-        payload = {
-            "config": cfg,
-            "regime": tag.value,
-            "log_n": rp.log_n,
-            "log_m": rp.log_m,
-            "a": rp.a,
-            "b": rp.b,
-            "a_prime": rp.a_prime,
-            "lambda": rp.lam,
-            "thresholds": thresholds,
-            "c_right": consts.c_right,
-            "r_star": consts.r_star,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
-    lines = ["config: " + json.dumps(cfg, sort_keys=True)]
-    lines.append(f"regime: {tag.value}")
-    lines.append(f"log_1/q(n): {rp.log_n!r}  log_1/q(m): {rp.log_m!r}")
+    payload = {
+        "regime": tag.value,
+        "log_n": rp.log_n,
+        "log_m": rp.log_m,
+        "a": rp.a,
+        "b": rp.b,
+        "a_prime": rp.a_prime,
+        "lambda": rp.lam,
+        "thresholds": thresholds,
+        "c_right": consts.c_right,
+        "r_star": consts.r_star,
+    }
     aprime = rp.a_prime if rp.a_prime is not None else "-"
-    lines.append(f"a: {rp.a}  b: {rp.b}  a_prime: {aprime}  lambda: {rp.lam!r}")
-    lines.append("thresholds vs log_1/q(n): "
-                 + "  ".join(f"{name}={value!r}" for name, value in thresholds.items()))
-    lines.append(f"c_right: {consts.c_right}  r_star: {consts.r_star}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return _write(args, cfg, payload, [
+        f"regime: {tag.value}",
+        f"log_1/q(n): {rp.log_n!r}  log_1/q(m): {rp.log_m!r}",
+        f"a: {rp.a}  b: {rp.b}  a_prime: {aprime}  lambda: {rp.lam!r}",
+        "thresholds vs log_1/q(n): "
+        + "  ".join(f"{name}={value!r}" for name, value in thresholds.items()),
+        f"c_right: {consts.c_right}  r_star: {consts.r_star}",
+    ])
 
 
 def cmd_frankl(args) -> int:
@@ -220,24 +226,19 @@ def cmd_frankl(args) -> int:
     best, freq, satisfied = setfamily.frankl_check(closed)
     cfg = _echo("frankl", _resolve_seed(args), family=args.family,
                 closure=args.closure, format=args.format)
-    if args.format == "json":
-        payload = {
-            "config": cfg,
-            "members": len(closed),
-            "ground_size": closed.ground_size,
-            "best_element": best,
-            "frequency": fraction_text(freq),
-            "satisfied": satisfied,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
-    lines = ["config: " + json.dumps(cfg, sort_keys=True)]
-    lines.append(f"members: {len(closed)}  ground: {closed.ground_size}")
-    lines.append(f"best element: {best}")
-    lines.append(f"frequency: {freq}")
-    lines.append(f"satisfied: {str(satisfied).lower()}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    payload = {
+        "members": len(closed),
+        "ground_size": closed.ground_size,
+        "best_element": best,
+        "frequency": fraction_text(freq),
+        "satisfied": satisfied,
+    }
+    return _write(args, cfg, payload, [
+        f"members: {len(closed)}  ground: {closed.ground_size}",
+        f"best element: {best}",
+        f"frequency: {freq}",
+        f"satisfied: {str(satisfied).lower()}",
+    ])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,17 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="Monte Carlo check of one named bound")
     pv.add_argument("lemma")
-    pv.add_argument("-m", type=int)
-    pv.add_argument("-n", type=int)
-    pv.add_argument("-p", type=float)
-    pv.add_argument("--delta", type=float, default=0.0)
-    pv.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    pv.add_argument("--l", dest="ell", type=int)
-    pv.add_argument("--r", dest="r", type=int)
-    pv.add_argument("--l-star", dest="ell_star", type=int)
-    pv.add_argument("--r-star", dest="r_star", type=int)
-    pv.add_argument("--k", type=int)
-    pv.add_argument("--phi", type=float)
+    for name, (flag, kind, default) in VERIFY_PARAMS.items():
+        pv.add_argument(flag, dest=name, type=kind, default=default)
     pv.add_argument("--trials", type=int, required=True)
     pv.add_argument("--seed", type=int)
     pv.add_argument("--informational", action="store_true",

@@ -115,11 +115,23 @@ def is_maximal_stable(g: BipartiteGraph, s: StableSet) -> bool:
 
 
 def _scan_layout(g: BipartiteGraph, cap: int = DEFAULT_CAP):
-    """Rows, sizes and swap flag for scanning the smaller side, up to cap."""
+    """Rows, sizes and orientation for scanning the smaller side, up to cap.
+
+    The orientation orders a (left, right) pair as (scan side, other side);
+    it is the identity or a swap, so it also maps a (scan, other) result back.
+    """
     _check_cap(min(g.m, g.n), cap)
     if g.n < g.m:
-        return g.columns(), g.n, g.m, True
-    return g.adj, g.m, g.n, False
+        return g.columns(), g.n, g.m, _swap
+    return g.adj, g.m, g.n, _keep
+
+
+def _keep(left, right):
+    return left, right
+
+
+def _swap(left, right):
+    return right, left
 
 
 def _check_cap(side: int, cap: int = DEFAULT_CAP):
@@ -132,11 +144,9 @@ def _check_cap(side: int, cap: int = DEFAULT_CAP):
 def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> MssStats:
     """Aggregate counts without storing sets; memory stays O(m + n).
     Refuses a scan side min(m, n) above cap."""
-    swapped, (total, k_hist, f_hist, scan_counts, other_counts, _) = _scan(g, cap)
-    if swapped:
-        left_hist, lvc, rvc = f_hist, other_counts, scan_counts
-    else:
-        left_hist, lvc, rvc = k_hist, scan_counts, other_counts
+    orient, (total, k_hist, f_hist, scan_counts, other_counts, _) = _scan(g, cap)
+    left_hist, _ = orient(k_hist, f_hist)
+    lvc, rvc = orient(scan_counts, other_counts)
     # both kernels return Python ints, so no per-element conversion
     return MssStats(total=total, left_hist=tuple(left_hist),
                     left_vertex_counts=tuple(lvc), right_vertex_counts=tuple(rvc))
@@ -149,11 +159,10 @@ def count_mss_with_sizes(g: BipartiteGraph, ell: int, r: int, cap: int = DEFAULT
 
 
 def _scan(g: BipartiteGraph, cap: int, ell: int = -1, r: int = -1):
-    """(swapped, the kernel's scan_stats tuple) for the smaller side; the
+    """(orientation, the kernel's scan_stats tuple) for the smaller side; the
     tuple's last entry counts the sets with |S∩L| = ell and |S∩R| = r."""
-    rows, s, t, swapped = _scan_layout(g, cap)
-    sel_k, sel_f = (r, ell) if swapped else (ell, r)
-    return swapped, _impl.scan_stats(rows, s, t, sel_k, sel_f)
+    rows, s, t, orient = _scan_layout(g, cap)
+    return orient, _impl.scan_stats(rows, s, t, *orient(ell, r))
 
 
 def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
@@ -165,8 +174,8 @@ def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
     """
     if not 0 <= ell_star <= g.m or not 0 <= r_star <= g.n:
         raise ValueError("thresholds out of range")
-    rows, s, t, swapped = _scan_layout(g, cap)
-    lo_scan, lo_other = (r_star, ell_star) if swapped else (ell_star, r_star)
+    rows, s, t, orient = _scan_layout(g, cap)
+    lo_scan, lo_other = orient(ell_star, r_star)
     freq = _impl.scan_free_hist(rows, s, t, lo_scan)
     tails = _binomial_tails(t, lo_other)
     return sum(freq[f] * tails[f] for f in range(t + 1))

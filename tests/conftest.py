@@ -96,13 +96,11 @@ def serialize_family(family):
 def enumerate_mss(g):
     """Every maximal stable set exactly once (order unspecified), through
     the pure-Python walk; refuses a scan side over mss.DEFAULT_CAP."""
-    rows, s, t, swapped = mss._scan_layout(g)
+    rows, s, t, orient = mss._scan_layout(g)
     out = []
 
     def leaf(chosen, free):
-        a_mask = sum(1 << u for u in chosen)
-        out.append(StableSet(left=free, right=a_mask) if swapped
-                   else StableSet(left=a_mask, right=free))
+        out.append(StableSet(*orient(sum(1 << u for u in chosen), free)))
 
     _pykernels.maximal_pairs(rows, s, t, leaf)
     return out

@@ -492,10 +492,32 @@ class TestRegimeParams:
         (4, 100, 0.9, 1), (20, 1048576, 0.5, 1), (3, 10 ** 6, 0.3, 29), (7, 1 << 200, 0.75, 98),
         (16, 10 ** 9, 0.15, None), (2, 1000, 0.8, 4), (5, 12345678901234567890, 0.5, 58),
         (4, 10 ** 400, 0.9, 399),
+        # K is about 2^(6.9e11), some 86 GB as an int, and is not written out
+        (10 ** 300, 10 ** 6, 1e-6, None),
     ], ids=["4x100", "20x2^20", "3x10^6", "7x2^200", "16x10^9", "2x1000", "5x1.2e19",
-            "4x10^400"])
+            "4x10^400", "10^300x10^6"])
     def test_a_prime_kept_where_float_floor_is_right(self, m, n, p, a_prime):
         assert RegimeParams.from_mnp(m, n, p).a_prime == a_prime
+
+    @pytest.mark.parametrize("m,n,p,field,value,oracle", [
+        (4, (1 << 50) - 1, 0.5, "a", 49, lambda m, n: n.bit_length() - 1),
+        ((1 << 50) - 1, 100, 0.5, "b", 49, lambda m, n: m.bit_length() - 1),
+        (4, 10 ** 20 - 1, 0.9, "a", 19, lambda m, n: len(str(n)) - 1),
+        (4, 10 ** 400, 0.9, "a", 400, lambda m, n: len(str(n)) - 1),
+        # the split size is 2^1024 here, past e^700
+        (1 << 32, (1 << 1100) - 1, 0.5, "a_prime", 75,
+         lambda m, n: (n >> 1024).bit_length() - 1),
+    ], ids=["a@2^50-1", "b@2^50-1", "a@10^20-1", "a@10^400", "a_prime@2^1100-1"])
+    def test_floors_exact_on_and_below_powers(self, m, n, p, field, value, oracle):
+        # one float floor or another said 50, 50, 20, 399 and 76 here
+        assert oracle(m, n) == value
+        assert getattr(RegimeParams.from_mnp(m, n, p), field) == value
+
+    def test_split_size_is_a_dyadic_power(self):
+        # K = 2^(log_{1/q}(m) log2(m)) is 2^1024 at m = 2^32 and p = 1/2, so
+        # a' is defined from n = 2^1024 on
+        assert RegimeParams.from_mnp(1 << 32, (1 << 1024) - 1, 0.5).a_prime is None
+        assert RegimeParams.from_mnp(1 << 32, 1 << 1024, 0.5).a_prime == 0
 
     @pytest.mark.parametrize("p", [0.5, 0.75, 0.9, 0.3, 0.15, 0.01, 0.001])
     def test_floor_log_against_fraction_powers(self, p):
@@ -509,6 +531,24 @@ class TestRegimeParams:
                 if chunk >= 1:
                     got = bounds._floor_log(chunk, prob)
                     assert chunk * q ** got >= 1 > chunk * q ** (got + 1), (a, chunk)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: chebyshev_bound(-1.0, 1.0), "variance must be nonnegative, got -1.0"),
+    (lambda: expected_stab_at_least(3, 3, 0.5, 4, 0), "thresholds out of range"),
+    (lambda: genupper_bound(3, 3, 0.5, 0, 4), "thresholds out of range"),
+    (lambda: RegimeParams.from_mnp(0, 4, 0.5), "need whole m, n >= 1, got (0, 4)"),
+    (lambda: RegimeParams.from_mnp(4, 2.5, 0.5), "need whole m, n >= 1, got (4, 2.5)"),
+    (lambda: expected_small_mss(3, 3, 0.5, 4, 0), "(a, b)=(4, 0) out of range for (3, 3)"),
+    (lambda: pair_expectation_B(3, 3, 0.5, 4, 1, 0, 0), "(a, b)=(4, 1) out of range for (3, 3)"),
+    (lambda: binom_tail_exact(4, Fraction(1, 2)), "need 1/2 < gamma < 1, got 1/2"),
+    (lambda: induced_matching_prob(0, 0.5), "need k >= 1, got 0"),
+], ids=["chebyshev", "stab-at-least", "genupper", "from_mnp", "from_mnp-whole",
+        "small-mss", "pair-B", "tail-exact", "induced-matching"])
+def test_range_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # the public names with no caller under src/, each with the reason it stays

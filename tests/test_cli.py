@@ -308,6 +308,17 @@ class TestSweep:
         rc, _, _ = run(capsys, "sweep", str(grid), "--trials", "2")
         assert rc == 1
 
+    @pytest.mark.parametrize("text,message", [
+        ("# a comment alone\n\n", "grid file {grid} is empty"),
+        ("m,n,p,delta\n3,3,0.5\n", "grid line 2: expected 4 cells, got 3"),
+        ("m,n,p,delta\n3,three,0.5,0\n", "grid line 2: malformed numbers in '3,three,0.5,0'"),
+    ], ids=["empty", "cell-count", "malformed-number"])
+    def test_grid_refusals(self, capsys, tmp_path, text, message):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(text)
+        rc, out, err = run(capsys, "sweep", str(grid), "--trials", "2")
+        assert (rc, out, err) == (1, "", f"error: {message.format(grid=grid)}\n")
+
     def test_fixture_grid_covers_regimes(self, capsys, tmp_path):
         import pathlib
 
@@ -320,6 +331,11 @@ class TestSweep:
             "ConstantRight", "LargeLeft", "Balanced", "HoeffdingBand",
             "EntropyBand", "GiganticRight", "MatchingSaturated",
         }
+
+
+def test_verify_params_cover_every_check():
+    needed = {name for spec in verify._CHECKS.values() for name in spec.needs}
+    assert needed <= set(cli.VERIFY_PARAMS)
 
 
 class TestRegime:
@@ -342,11 +358,18 @@ class TestRegime:
         assert payload["thresholds"]["m^3"] == 8.0
 
     def test_n_past_float_range(self, capsys):
-        # n = 10^400 cannot be a float; a' comes from the int n
+        # n = 10^400 cannot be a float; a and a' come from the int n, and
+        # 10^400 is (1/q)^400 exactly, so a is 400
         rc, out, err = run(capsys, "regime", "-m", "4", "-n", str(10 ** 400), "-p", "0.9")
         assert (rc, err) == (0, "")
         assert "regime: MatchingSaturated" in out
-        assert "a: 399  b: 0  a_prime: 399  " in out
+        assert "a: 400  b: 0  a_prime: 399  " in out
+
+    def test_a_exact_just_below_a_power_of_two(self, capsys):
+        # log_2(2^50 - 1) is 50 in floats; a is the exact floor
+        rc, out, err = run(capsys, "regime", "-m", "4", "-n", str((1 << 50) - 1), "-p", "0.5")
+        assert (rc, err) == (0, "")
+        assert "a: 49  b: 2  a_prime: 45  " in out
 
     def test_balanced_with_n_past_float_range(self, capsys):
         # n^(1/5) decides the band here, and float(2^1100) would overflow
@@ -486,6 +509,10 @@ class TestCompiledBuild:
             <= set(res["modules"])
         from_source = json.loads(res["stderr"].splitlines()[-1])
         assert [path for path in from_source if path.startswith(str(package))] == []
+
+    def test_build_ships_no_c_source(self, compiled_build):
+        # the compiled extension stands in for _kernels.c, which stays in src/
+        assert [path.name for path in compiled_build.rglob("*.c")] == []
 
     def test_edited_module_is_compiled_again(self, compiled_build, tmp_path):
         # the copy keeps graphs.py's mtime, so only the size tells its .pyc

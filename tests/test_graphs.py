@@ -182,11 +182,19 @@ class TestTextFormat:
         with pytest.raises(ZeroSideError):
             parse_graph("0 2\n")
 
+    def test_empty_input(self):
+        with pytest.raises(GraphParseError, match="empty input"):
+            parse_graph("")
+
 
 class TestConstruction:
     def test_row_count_must_match(self):
         with pytest.raises(ValueError):
             BipartiteGraph(2, 2, (1,))
+
+    def test_zero_side_refused(self):
+        with pytest.raises(ZeroSideError, match="need m >= 1 and n >= 1, got m=0, n=3"):
+            BipartiteGraph(0, 3, ())
 
     def test_bits_confined_to_right_side(self):
         with pytest.raises(ValueError):

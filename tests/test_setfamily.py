@@ -107,6 +107,10 @@ class TestFranklCheck:
         with pytest.raises(ValueError, match="union-closed"):
             frankl_check(SetFamily(2, (0b01, 0b10)))
 
+    def test_rejects_empty_family(self):
+        with pytest.raises(ValueError, match="family is empty"):
+            frankl_check(SetFamily(1, ()))
+
     def test_rejects_empty_set_family(self):
         with pytest.raises(ValueError, match="empty set"):
             frankl_check(SetFamily(1, (0,)))
@@ -130,6 +134,12 @@ class TestFamilyText:
     def test_parse_empty_set_dash(self):
         fam = parse_family("-\n0,1\n")
         assert fam.members == (0, 0b11)
+        # no element is named, so the ground set is {0}
+        assert parse_family("-\n") == SetFamily(1, (0,))
+
+    def test_member_outside_ground_set(self):
+        with pytest.raises(ValueError, match="member 4 has elements outside the ground set"):
+            SetFamily(2, (1, 4))
 
     def test_round_trip(self):
         fam = union_closure(SetFamily(3, (0b101, 0b010)))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import all_edge_configs, brute_force_mss, strict_json
 from franklbip import mss, verify
 from franklbip.bounds import HypothesisViolation
-from franklbip.graphs import Seed, as_prob, sample_bipartite
+from franklbip.graphs import BipartiteGraph, Seed, as_prob, sample_bipartite
 from franklbip.mss import CapExceeded
 from franklbip.verify import (
     Regime,
@@ -527,6 +527,24 @@ class TestVerifyLemma:
         monkeypatch.setattr(mss, "count_mss_with_sizes", lambda *args: count)
         event, _ = verify._CHECKS["superpoly.lower.bound"].setup(12, 12, as_prob(0.9), {})
         assert event(sample_bipartite(12, 12, 0.9, Seed(1))) is hit
+
+    def test_largeleftupper_counts_left_parts_of_at_least_a_third(self):
+        # one right vertex joined to 9 of 12 left vertices: the MSS are the
+        # whole left side and that vertex with the other 3, whose left part is
+        # m/4 < m/3; n^r_star is 1, so the event holds at m/3 but not at m/4
+        g = BipartiteGraph(12, 1, (1,) * 9 + (0,) * 3)
+        stats = mss.mss_stats(g)
+        assert [mss.count_left_at_least(stats, Fraction(12, k)) for k in (3, 4)] == [1, 2]
+        event, _ = verify._CHECKS["largeleftupper"].setup(12, 1, as_prob(0.5), {})
+        assert event(g) is True
+
+    @pytest.mark.parametrize("radii,verdict", [(0.9, verify.CONSISTENT), (1.5, verify.VIOLATED)])
+    def test_mean_at_most_allows_one_radius(self, radii, verdict):
+        # 8 zeros and 8 twos: mean 1, variance 1 and radius CI_Z / 4 = 1; the
+        # claimed bound sits `radii` radii below the mean
+        summary = verify._mean_at_most(1.0 - radii, {})
+        _, measured, ci, got, _ = summary([0] * 8 + [2] * 8)
+        assert (measured, ci, got) == (1.0, verify.CI_Z / 4, verdict)
 
     def test_hoeffding_exp_near_p_one(self):
         # c = exp(-(2/q + 1)) is 0.0 at p = .999, so the threshold is 0.0
