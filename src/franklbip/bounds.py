@@ -222,8 +222,8 @@ class RegimeParams(NamedTuple):
     floor(n / K), the size of each piece when the right side is split into K
     pieces.  K stands for m^log_{1/q}(m) and is the dyadic rational
     2^(log_{1/q}(m) * log2(m)), its exponent a float and the power exact.
-    The floors are exact while the float log_{1/q} of n is off by less
-    than one, which holds unless p is tiny and n astronomical.
+    The floors are exact while log_{1/q}(n) is below about 2^50; past that,
+    as at p = 1e-20, their float estimate may be more than one off.
     a_prime is None when n < K, where no split is possible.  m and n are
     vertex counts: a whole float is read as its int."""
 

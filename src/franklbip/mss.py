@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -114,24 +115,17 @@ def is_maximal_stable(g: BipartiteGraph, s: StableSet) -> bool:
     return not ((1 << g.n) - 1) & ~right & ~covered_right
 
 
-def _scan_layout(g: BipartiteGraph, cap: int = DEFAULT_CAP):
-    """Rows, sizes and orientation for scanning the smaller side, up to cap.
+# the two orientations of a scan: each orders a (left, right) pair as (scan
+# side, other side), and is its own inverse, so it maps a result back too
+_KEEP, _SWAP = tuple, operator.itemgetter(1, 0)
 
-    The orientation orders a (left, right) pair as (scan side, other side);
-    it is the identity or a swap, so it also maps a (scan, other) result back.
-    """
+
+def _scan_layout(g: BipartiteGraph, cap: int = DEFAULT_CAP):
+    """Rows, sizes and orientation for scanning the smaller side, up to cap."""
     _check_cap(min(g.m, g.n), cap)
     if g.n < g.m:
-        return g.columns(), g.n, g.m, _swap
-    return g.adj, g.m, g.n, _keep
-
-
-def _keep(left, right):
-    return left, right
-
-
-def _swap(left, right):
-    return right, left
+        return g.columns(), g.n, g.m, _SWAP
+    return g.adj, g.m, g.n, _KEEP
 
 
 def _check_cap(side: int, cap: int = DEFAULT_CAP):
@@ -145,8 +139,8 @@ def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> MssStats:
     """Aggregate counts without storing sets; memory stays O(m + n).
     Refuses a scan side min(m, n) above cap."""
     orient, (total, k_hist, f_hist, scan_counts, other_counts, _) = _scan(g, cap)
-    left_hist, _ = orient(k_hist, f_hist)
-    lvc, rvc = orient(scan_counts, other_counts)
+    left_hist, _ = orient((k_hist, f_hist))
+    lvc, rvc = orient((scan_counts, other_counts))
     # both kernels return Python ints, so no per-element conversion
     return MssStats(total=total, left_hist=tuple(left_hist),
                     left_vertex_counts=tuple(lvc), right_vertex_counts=tuple(rvc))
@@ -162,7 +156,7 @@ def _scan(g: BipartiteGraph, cap: int, ell: int = -1, r: int = -1):
     """(orientation, the kernel's scan_stats tuple) for the smaller side; the
     tuple's last entry counts the sets with |S∩L| = ell and |S∩R| = r."""
     rows, s, t, orient = _scan_layout(g, cap)
-    return orient, _impl.scan_stats(rows, s, t, *orient(ell, r))
+    return orient, _impl.scan_stats(rows, s, t, *orient((ell, r)))
 
 
 def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
@@ -175,7 +169,7 @@ def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
     if not 0 <= ell_star <= g.m or not 0 <= r_star <= g.n:
         raise ValueError("thresholds out of range")
     rows, s, t, orient = _scan_layout(g, cap)
-    lo_scan, lo_other = orient(ell_star, r_star)
+    lo_scan, lo_other = orient((ell_star, r_star))
     freq = _impl.scan_free_hist(rows, s, t, lo_scan)
     tails = _binomial_tails(t, lo_other)
     return sum(freq[f] * tails[f] for f in range(t + 1))

@@ -100,7 +100,7 @@ def enumerate_mss(g):
     out = []
 
     def leaf(chosen, free):
-        out.append(StableSet(*orient(sum(1 << u for u in chosen), free)))
+        out.append(StableSet(*orient((sum(1 << u for u in chosen), free))))
 
     _pykernels.maximal_pairs(rows, s, t, leaf)
     return out
