@@ -217,15 +217,14 @@ def _check_alpha(alpha: float):
 
 class RegimeParams(NamedTuple):
     """(m, n, p) plus the derived logarithmic quantities every regime
-    comparison uses.  a, b and a_prime are exact floors of log_{1/q}, with p
-    read as the shortest decimal of its float: a of n, b of m, and a_prime of
+    comparison uses.  a, b and a_prime are floors of log_{1/q}, with p read
+    as the shortest decimal of its float: a of n, b of m, and a_prime of
     floor(n / K), the size of each piece when the right side is split into K
-    pieces.  K stands for m^log_{1/q}(m) and is the dyadic rational
-    2^(log_{1/q}(m) * log2(m)), its exponent a float and the power exact.
-    The floors are exact while log_{1/q}(n) is below about 2^50; past that,
-    as at p = 1e-20, their float estimate may be more than one off.
-    a_prime is None when n < K, where no split is possible.  m and n are
-    vertex counts: a whole float is read as its int."""
+    pieces.  They are exact while log_{1/q}(n) is below about 2^50 (not so
+    at p = 1e-20, say).  K stands for m^log_{1/q}(m) and is the dyadic
+    rational 2^(log_{1/q}(m) * log2(m)), its exponent a float and the power
+    exact.  a_prime is None when n < K, where no split is possible.  m and n
+    are vertex counts: a whole float is read as its int."""
 
     m: int
     n: int
