@@ -4,8 +4,7 @@ verifier confronts with Monte Carlo measurements, and the classification of
 
 Binomial coefficients are computed exactly and converted at the end; products
 of powers switch to exp-of-log-sum evaluation as soon as any factor's log
-magnitude passes LOG_SPACE_CUTOFF, since quantities like q**(m**3) appear in
-the regime thresholds.
+magnitude passes LOG_SPACE_CUTOFF.
 """
 
 from __future__ import annotations
@@ -96,29 +95,6 @@ def expected_stab_at_least(m: int, n: int, prob, ell_star: int, r_star: int) -> 
         for r in range(r_star, n + 1):
             terms.append(cm * math.comb(n, r) * math.exp(ell * r * lnq))
     return math.fsum(terms)
-
-
-def stab_tail_table(m: int, n: int, prob):
-    """T[ell_star][r_star] = expected_stab_at_least(m, n, p, ell_star, r_star)
-    for every threshold pair, built by double suffix accumulation in O(m n).
-
-    Equal to the per-pair sums up to float accumulation order; grid sweeps
-    should use this instead of m*n separate calls.
-    """
-    prob = as_prob(prob).require_interior()
-    lnq = math.log(prob.q)
-    inner = []
-    for ell in range(m + 1):
-        row = [0.0] * (n + 2)
-        for r in range(n, -1, -1):
-            row[r] = row[r + 1] + math.comb(n, r) * math.exp(ell * r * lnq)
-        inner.append(row)
-    table = [[0.0] * (n + 1) for _ in range(m + 2)]
-    for ell in range(m, -1, -1):
-        cm = math.comb(m, ell)
-        for r_star in range(n + 1):
-            table[ell][r_star] = table[ell + 1][r_star] + cm * inner[ell][r_star]
-    return table[: m + 1]
 
 
 def genupper_bound(m: int, n: int, prob, ell_star: int, r_star: int) -> float:
@@ -220,11 +196,10 @@ class RegimeParams(NamedTuple):
     comparison uses.  a, b and a_prime are floors of log_{1/q}, with p read
     as the shortest decimal of its float: a of n, b of m, and a_prime of
     floor(n / K), the size of each piece when the right side is split into K
-    pieces.  They are exact while log_{1/q}(n) is below about 2^50 (not so
-    at p = 1e-20, say).  K stands for m^log_{1/q}(m) and is the dyadic
-    rational 2^(log_{1/q}(m) * log2(m)), its exponent a float and the power
-    exact.  a_prime is None when n < K, where no split is possible.  m and n
-    are vertex counts: a whole float is read as its int."""
+    pieces.  They are exact at every size.  K stands for m^log_{1/q}(m) and
+    is the dyadic rational 2^(log_{1/q}(m) * log2(m)), its exponent a float
+    and the power exact.  a_prime is None when n < K, where no split is
+    possible.  m and n are vertex counts: a whole float is read as its int."""
 
     m: int
     n: int
@@ -249,20 +224,32 @@ class RegimeParams(NamedTuple):
         # K >= 2^whole, so a K longer than n is not written out
         chunk = n // (Fraction(2.0 ** (exponent - whole)) * (1 << whole)) \
             if whole < n.bit_length() else 0
-        a_prime = _floor_log(chunk, prob) if chunk >= 1 else None
-        return cls(m, n, prob, log_n, log_m, _floor_log(n, prob), _floor_log(m, prob),
-                   a_prime, log_n / m)
+        # ln(1/q) = log1p(p/q), where p and q share a denominator
+        p_exact = Fraction(repr(prob.p))
+        q = 1 - p_exact
+        log_inv_q = math.log1p(p_exact.numerator / q.numerator)
+        a_prime = _floor_log(chunk, q, log_inv_q) if chunk >= 1 else None
+        return cls(m, n, prob, log_n, log_m, _floor_log(n, q, log_inv_q),
+                   _floor_log(m, q, log_inv_q), a_prime, log_n / m)
 
 
-def _floor_log(chunk: int, prob: EdgeProbability) -> int:
-    """floor(log_{1/q}(chunk)) for an int chunk >= 1, exact for q = 1 - p
-    with p read as the shortest decimal of its float (0.9 is 9/10): the float
-    estimate moves by one where chunk * q^a says it is off."""
-    q = 1 - Fraction(repr(prob.p))
-    a = math.floor(math.log(chunk) / prob.log_inv_q)
-    if not _reaches(chunk, q, a):
-        return a - 1
-    return a + 1 if _reaches(chunk, q, a + 1) else a
+def _floor_log(chunk: int, q: Fraction, log_inv_q: float) -> int:
+    """floor(log_{1/q}(chunk)) for an int chunk >= 1 and an exact q in
+    (0, 1), where log_inv_q is ln(1/q) to a relative error under 2^-50.  The
+    float estimate log(chunk) / log_inv_q is then within a relative 2^-40 of
+    log_{1/q}(chunk); bisection from that interval, widened by one on each
+    side, keeps chunk * q^lo >= 1 > chunk * q^hi."""
+    estimate = math.log(chunk) / log_inv_q
+    spread = estimate * 2.0 ** -40 + 1.0
+    hi = math.floor(estimate + spread) + 1
+    lo = max(math.floor(estimate - spread), 0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _reaches(chunk, q, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _reaches(chunk: int, q: Fraction, a: int) -> bool:
@@ -358,34 +345,6 @@ def binary_entropy(kappa: float) -> float:
     return kappa * math.log2(1.0 / kappa) + (1.0 - kappa) * math.log2(1.0 / (1.0 - kappa))
 
 
-def binom_entropy_lower(m: int, k: int) -> float:
-    """Lower bound 2^(H(k/m) m) / (m+1) on the binomial coefficient C(m, k)."""
-    if not 0 < k < m:
-        raise ValueError(f"need 0 < k < m, got k={k}, m={m}")
-    return _pow_product([(2.0, binary_entropy(k / m) * m)]) / (m + 1)
-
-
-def binom_tail_upper(m: int, gamma) -> float:
-    """Upper bound 2^(H(1-gamma) m) on the binomial tail from ceil(gamma m).
-
-    Pass gamma as a Fraction when it sits on a multiple of 1/m; the exact
-    companion binom_tail_exact uses the same convention.
-    """
-    gamma = float(gamma)
-    if not 0.5 < gamma < 1.0:
-        raise ValueError(f"need 1/2 < gamma < 1, got {gamma}")
-    return _pow_product([(2.0, binary_entropy(1.0 - gamma) * m)])
-
-
-def binom_tail_exact(m: int, gamma) -> int:
-    """Exact tail sum of C(m, i) for i >= ceil(gamma m)."""
-    g = Fraction(gamma)
-    if not Fraction(1, 2) < g < 1:
-        raise ValueError(f"need 1/2 < gamma < 1, got {gamma}")
-    start = math.ceil(g * m)
-    return sum(math.comb(m, i) for i in range(start, m + 1))
-
-
 def induced_matching_prob(k: int, prob) -> float:
     """Probability that a fixed k x k block forms a perfect induced matching:
     k! p^k q^(k^2 - k)."""
@@ -405,7 +364,5 @@ def dominating_vertex_prob(m: int, n: int, prob) -> float:
         return 1.0
     if prob.p == 0.0:
         return 0.0
-    log_pn = n * math.log(prob.p)
     # 1 - (1 - p^n)^m with expm1/log1p to survive tiny p^n
-    one_minus_pn_log = math.log1p(-math.exp(log_pn)) if log_pn > -745 else 0.0
-    return -math.expm1(m * one_minus_pn_log)
+    return -math.expm1(m * math.log1p(-math.exp(n * math.log(prob.p))))

@@ -179,8 +179,6 @@ def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
 def _binomial_tails(t: int, lo: int) -> tuple:
     """tails[f] = number of subsets of an f-element set with >= lo elements,
     for f <= t; a campaign asks for the same (t, lo) on every trial."""
-    if lo <= 0:
-        return tuple(1 << f for f in range(t + 1))
     return tuple(sum(math.comb(f, j) for j in range(lo, f + 1)) for f in range(t + 1))
 
 
@@ -199,8 +197,6 @@ def almost_unstable_vertex(stats: MssStats, side: str, delta) -> Optional[tuple]
         counts = stats.right_vertex_counts
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if not counts:
-        return None
     best_v = min(range(len(counts)), key=lambda v: (counts[v], v))
     frac = Fraction(counts[best_v], stats.total)
     if frac <= Fraction(1, 2) + _exact_delta(delta):

@@ -144,11 +144,12 @@ def _informational(extra):
 
 
 def _mean_at_most(claimed, extra):
-    """Summary of a per-graph count whose mean the claim bounds from above."""
+    """Summary of a per-graph count whose mean the claim bounds from above;
+    the counts are ints, so n * sum(x^2) - sum(x)^2 is exact and never negative."""
     def summary(values):
-        measured = sum(values) / len(values)
-        var = sum(x * x for x in values) / len(values) - measured * measured
-        ci = CI_Z * math.sqrt(max(var, 0.0) / len(values))
+        n, total = len(values), sum(values)
+        measured = total / n
+        ci = CI_Z * math.sqrt((n * sum(x * x for x in values) - total * total) / n ** 3)
         return claimed, measured, ci, CONSISTENT if measured - claimed <= ci else VIOLATED, extra
     return summary
 

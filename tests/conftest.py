@@ -8,9 +8,11 @@ filters every vertex subset of a small graph, and numpy_sample_rows draws
 with numpy's Philox bit generator, the reference both hand-written samplers
 must match bit for bit.
 
-The graph builders, swap_sides, serialize_family and enumerate_mss (every
-MSS itself, from the pure-Python walk the twin's scan_stats runs) are used
-by tests alone, so they live here rather than in the package.
+The graph builders, swap_sides, serialize_family, enumerate_mss (every
+MSS itself, from the pure-Python walk the twin's scan_stats runs) and
+stab_tail_table (the exact expectations behind genupper at every threshold
+pair at once) are used by tests alone, so they live here rather than in the
+package.
 
 The compiled_build fixture builds the package with the repository's own
 setup.py into a temporary directory, and compiled_kernels loads its C kernels,
@@ -21,6 +23,7 @@ build exists.
 import importlib.machinery
 import importlib.util
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -55,6 +58,25 @@ def config_weight(g, p):
 def weighted_expectation(m, n, p, statistic):
     """E[statistic(G)] by exhaustive enumeration of all 2^(m n) graphs."""
     return sum(config_weight(g, p) * statistic(g) for g in all_edge_configs(m, n))
+
+
+def stab_tail_table(m, n, p):
+    """T[ell_star][r_star] = bounds.expected_stab_at_least(m, n, p, ell_star,
+    r_star) for every threshold pair, up to float accumulation order, by
+    double suffix accumulation in O(m n) in place of m n double sums."""
+    lnq = math.log(1.0 - p)
+    inner = []
+    for ell in range(m + 1):
+        row = [0.0] * (n + 2)
+        for r in range(n, -1, -1):
+            row[r] = row[r + 1] + math.comb(n, r) * math.exp(ell * r * lnq)
+        inner.append(row)
+    table = [[0.0] * (n + 1) for _ in range(m + 2)]
+    for ell in range(m, -1, -1):
+        cm = math.comb(m, ell)
+        for r_star in range(n + 1):
+            table[ell][r_star] = table[ell + 1][r_star] + cm * inner[ell][r_star]
+    return table[: m + 1]
 
 
 def complete_graph(m, n):

@@ -13,19 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_force_mss, enumerate_mss, weighted_expectation
+from conftest import brute_force_mss, enumerate_mss, stab_tail_table, weighted_expectation
 from franklbip import cli, mss, verify
 from franklbip.bounds import (
-    binary_entropy,
-    binom_entropy_lower,
-    binom_tail_exact,
-    binom_tail_upper,
     dominating_vertex_prob,
     expected_stab_at_least,
     genupper_bound,
     induced_matching_prob,
     pr_maximal_stable,
-    stab_tail_table,
 )
 from franklbip.graphs import Seed, sample_bipartite, serialize_graph
 from franklbip.mss import (
@@ -107,23 +102,6 @@ def test_criterion_03_expectation_dominance():
     _report(3, violations == 0,
             f"exact double sum <= 2^(m+1)(n q^l*)^r* on all {pairs} in-hypothesis "
             f"grid points up to m,n=30 ({violations} exceptions)")
-
-
-def test_criterion_04_entropy_bounds():
-    tail_bad = 0
-    for m in range(1, 31):
-        for num in range(11, 20):  # gamma = 0.55 .. 0.95 step 0.05, exactly
-            gamma = Fraction(num, 20)
-            if binom_tail_exact(m, gamma) > binom_tail_upper(m, gamma):
-                tail_bad += 1
-    coeff_bad = 0
-    for m in range(2, 61):
-        for k in range(1, m):
-            if math.comb(m, k) < binom_entropy_lower(m, k):
-                coeff_bad += 1
-    _report(4, tail_bad == 0 and coeff_bad == 0,
-            f"binomial tail <= 2^(H(1-gamma)m) for m<=30 and C(m,k) >= "
-            f"2^(H(k/m)m)/(m+1) for m<=60 ({tail_bad}+{coeff_bad} exceptions)")
 
 
 def test_criterion_05_averaging_identities(corpus):

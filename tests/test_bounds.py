@@ -1,4 +1,5 @@
 import ast
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -6,18 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import weighted_expectation
+from conftest import stab_tail_table, weighted_expectation
 from franklbip import bounds, verify
 from franklbip.bounds import (
     HypothesisViolation,
     RegimeParams,
     binary_entropy,
-    binom_entropy_lower,
-    binom_tail_exact,
-    binom_tail_upper,
     chebyshev_bound,
     dominating_vertex_prob,
     exp_small_mss_lower,
@@ -28,7 +26,6 @@ from franklbip.bounds import (
     pair_expectation_B,
     pr_maximal_stable,
     regime_constants,
-    stab_tail_table,
 )
 from franklbip.graphs import Seed, as_prob
 from franklbip.mss import StableSet, is_maximal_stable
@@ -301,47 +298,6 @@ class TestEntropy:
             binary_entropy(1.5)
 
 
-class TestBinomialBounds:
-    def test_entropy_lower_spot(self):
-        assert binom_entropy_lower(10, 5) == pytest.approx(1024 / 11)
-        assert binom_entropy_lower(10, 5) <= math.comb(10, 5)
-
-    def test_entropy_lower_four_two(self):
-        assert binom_entropy_lower(4, 2) == pytest.approx(16 / 5)
-        assert binom_entropy_lower(4, 2) <= 6
-
-    def test_entropy_lower_midpoint_formula(self):
-        assert binom_entropy_lower(12, 6) == pytest.approx(2 ** 12 / 13)
-
-    def test_entropy_lower_everywhere(self):
-        for m in range(2, 61):
-            for k in range(1, m):
-                assert math.comb(m, k) >= binom_entropy_lower(m, k), (m, k)
-
-    def test_tail_upper_spot(self):
-        assert binom_tail_exact(10, Fraction(7, 10)) == 176
-        assert binom_tail_upper(10, 0.7) == pytest.approx(
-            2 ** (binary_entropy(0.3) * 10)
-        )
-        assert 176 <= binom_tail_upper(10, 0.7)
-
-    def test_tail_upper_near_one_keeps_top_term(self):
-        assert binom_tail_exact(12, Fraction(99, 100)) == 1
-        assert binom_tail_upper(12, 0.99) >= 1.0
-
-    def test_tail_dominance_sweep(self):
-        for m in range(1, 31):
-            for num in range(55, 100, 5):
-                gamma = Fraction(num, 100)
-                assert binom_tail_exact(m, gamma) <= binom_tail_upper(m, gamma), (m, gamma)
-
-    def test_range_checks(self):
-        with pytest.raises(ValueError):
-            binom_entropy_lower(5, 0)
-        with pytest.raises(ValueError):
-            binom_tail_upper(5, 0.5)
-
-
 class TestInducedMatchingProb:
     def test_single_edge(self):
         assert induced_matching_prob(1, 0.37) == pytest.approx(0.37)
@@ -406,6 +362,22 @@ class TestDominatingVertex:
     def test_degenerate_edges(self):
         assert dominating_vertex_prob(4, 3, 1.0) == 1.0
         assert dominating_vertex_prob(4, 3, 0.0) == 0.0
+
+    def test_underflowing_power_gives_positive_zero(self):
+        # 0.5^2000 underflows to 0, so the probability is 0.0, not -0.0
+        assert math.copysign(1.0, dominating_vertex_prob(10, 2000, 0.5)) == 1.0
+
+
+@given(m=st.integers(1, 10 ** 6), n=st.integers(1, 10 ** 4), p=st.floats(1e-9, 1 - 1e-9),
+       left=st.floats(0, 1), right=st.floats(0, 1), k=st.integers(1, 300))
+@example(m=10, n=2000, p=0.5, left=0.5, right=0.5, k=10)
+@settings(max_examples=200, deadline=None)
+def test_probabilities_are_positive_floats_in_unit_interval(m, n, p, left, right, k):
+    values = (pr_maximal_stable(m, n, p, round(left * m), round(right * n)),
+              induced_matching_prob(k, p), dominating_vertex_prob(m, n, p))
+    for value in values:
+        assert type(value) is float and 0.0 <= value <= 1.0
+        assert math.copysign(1.0, value) == 1.0
 
 
 class TestLogSpaceEvaluation:
@@ -507,11 +479,24 @@ class TestRegimeParams:
         # the split size is 2^1024 here, past e^700
         (1 << 32, (1 << 1100) - 1, 0.5, "a_prime", 75,
          lambda m, n: (n >> 1024).bit_length() - 1),
-    ], ids=["a@2^50-1", "b@2^50-1", "a@10^20-1", "a@10^400", "a_prime@2^1100-1"])
+        # q is 10^-16, where 1 - p in floats is 2^-53, about 1.1e-16
+        (1, 10 ** 5936 - 1, 0.9999999999999999, "a", 370,
+         lambda m, n: next(a for a in range(n) if 10 ** (16 * a + 16) > n)),
+    ], ids=["a@2^50-1", "b@2^50-1", "a@10^20-1", "a@10^400", "a_prime@2^1100-1",
+            "a@10^5936-1,p=1-1e-16"])
     def test_floors_exact_on_and_below_powers(self, m, n, p, field, value, oracle):
         # one float floor or another said 50, 50, 20, 399 and 76 here
         assert oracle(m, n) == value
         assert getattr(RegimeParams.from_mnp(m, n, p), field) == value
+
+    @pytest.mark.parametrize("m,n,p", [(4, 10 ** 6, 1e-20), (4, 10 ** 30, 1e-17)])
+    def test_floors_exact_at_tiny_p(self, m, n, p):
+        # log_{1/q}(n) is about 1.4e21 and 6.9e18, far past a float's precision
+        with decimal.localcontext(prec=100):
+            log_inv_q = -(1 - decimal.Decimal(repr(p))).ln()
+            want = [int(decimal.Decimal(x).ln() / log_inv_q) for x in (n, m)]
+        rp = RegimeParams.from_mnp(m, n, p)
+        assert [rp.a, rp.b] == want
 
     def test_split_size_is_a_dyadic_power(self):
         # K = 2^(log_{1/q}(m) log2(m)) is 2^1024 at m = 2^32 and p = 1/2, so
@@ -529,7 +514,7 @@ class TestRegimeParams:
             power = math.ceil(q ** -a)
             for chunk in (power - 1, power, power + 1):
                 if chunk >= 1:
-                    got = bounds._floor_log(chunk, prob)
+                    got = bounds._floor_log(chunk, q, prob.log_inv_q)
                     assert chunk * q ** got >= 1 > chunk * q ** (got + 1), (a, chunk)
 
 
@@ -541,10 +526,9 @@ class TestRegimeParams:
     (lambda: RegimeParams.from_mnp(4, 2.5, 0.5), "need whole m, n >= 1, got (4, 2.5)"),
     (lambda: expected_small_mss(3, 3, 0.5, 4, 0), "(a, b)=(4, 0) out of range for (3, 3)"),
     (lambda: pair_expectation_B(3, 3, 0.5, 4, 1, 0, 0), "(a, b)=(4, 1) out of range for (3, 3)"),
-    (lambda: binom_tail_exact(4, Fraction(1, 2)), "need 1/2 < gamma < 1, got 1/2"),
     (lambda: induced_matching_prob(0, 0.5), "need k >= 1, got 0"),
 ], ids=["chebyshev", "stab-at-least", "genupper", "from_mnp", "from_mnp-whole",
-        "small-mss", "pair-B", "tail-exact", "induced-matching"])
+        "small-mss", "pair-B", "induced-matching"])
 def test_range_refusals(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -553,9 +537,8 @@ def test_range_refusals(call, message):
 
 # the public names with no caller under src/, each with the reason it stays
 NO_CALLER = {
-    **dict.fromkeys(("chebyshev_bound", "exp_small_mss_lower", "pair_expectation_B",
-                     "stab_tail_table", "binom_entropy_lower", "binom_tail_upper",
-                     "binom_tail_exact"), "test-only: a closed form checked by tests"),
+    **dict.fromkeys(("chebyshev_bound", "exp_small_mss_lower", "pair_expectation_B"),
+                    "test-only: ROADMAP item 6's second-moment rows confront them"),
     **dict.fromkeys(("left_avg", "count_left_at_most"),
                     "benchmark hook: perfbench/tracing.py wraps it by name"),
     "run_conjecture_campaign": "documented API: README, Python API",

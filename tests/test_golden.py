@@ -16,8 +16,10 @@ which prints the name of every case whose recorded bytes changed.
 """
 
 import contextlib
+import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -132,6 +134,9 @@ CALL_CASES = {
     "verify-informational": ("verify", "asymptotic.lower.bound", "-m", "4", "-n", "1000",
                              "-p", "0.9", "--phi", "0.5", "--alpha", "0.3", "--trials", "30",
                              "--seed", "26", "--informational"),
+    # p^n underflows to 0, so claimed and ci are 0.0
+    "verify-constrightside-underflow": ("verify", "constrightside", "-m", "10", "-n", "2000",
+                                        "-p", "0.5", "--trials", "3", "--seed", "14"),
     "sweep-csv-1": ("sweep", "sweep_grid.csv", "--trials", "5", "--seed", "42"),
     "sweep-csv-2": ("sweep", "sweep_grid.csv", "--trials", "5", "--seed", "42",
                     "--workers", "2"),
@@ -224,6 +229,38 @@ def test_cli_cases_are_recorded(cli_golden):
 
 def test_sweep_call_is_the_same_for_any_worker_count(cli_golden):
     assert cli_golden["sweep-csv-1"] == cli_golden["sweep-csv-2"]
+
+
+def negative_zeros(text):
+    """The negative zeros among the numbers of text read as JSON, or else
+    among its cells read as CSV."""
+    found = []
+
+    def number(literal):
+        if literal.startswith("-") and float(literal) == 0:
+            found.append(literal)
+        return literal
+
+    try:
+        json.loads(text, parse_int=number, parse_float=number)
+    except ValueError:
+        for row in csv.reader(io.StringIO(text)):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                if value == 0 and math.copysign(1.0, value) < 0:
+                    found.append(cell)
+    return found
+
+
+def test_no_negative_zero_is_recorded():
+    assert negative_zeros("x,y\n-0.0,0.0\n") == negative_zeros('{"x": [-0.0, 0]}') == ["-0.0"]
+    for path in sorted(FIXTURES.glob("*_golden.json")):
+        for name, case in json.loads(path.read_text()).items():
+            for key, text in case.items():
+                assert not negative_zeros(text), (path.name, name, key)
 
 
 def record(path, rendered):

@@ -546,6 +546,13 @@ class TestVerifyLemma:
         _, measured, ci, got, _ = summary([0] * 8 + [2] * 8)
         assert (measured, ci, got) == (1.0, verify.CI_Z / 4, verdict)
 
+    def test_mean_at_most_radius_is_exact_for_large_counts(self):
+        # counts 2^40 and 2^40 + 1 have variance 1/4, so the radius is
+        # CI_Z / sqrt(32); E[X^2] - E[X]^2 in floats cancels to 0 here
+        summary = verify._mean_at_most(0.0, {})
+        _, _, ci, _, _ = summary([1 << 40, (1 << 40) + 1] * 4)
+        assert ci == verify.CI_Z * math.sqrt(1 / 32)
+
     def test_hoeffding_exp_near_p_one(self):
         # c = exp(-(2/q + 1)) is 0.0 at p = .999, so the threshold is 0.0
         rep = verify_lemma("lem.hoeffding.exp", {"m": 4, "n": 100, "p": 0.999}, 10, Seed(19))
