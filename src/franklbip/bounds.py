@@ -224,10 +224,9 @@ class RegimeParams(NamedTuple):
         # K >= 2^whole, so a K longer than n is not written out
         chunk = n // (Fraction(2.0 ** (exponent - whole)) * (1 << whole)) \
             if whole < n.bit_length() else 0
-        # ln(1/q) = log1p(p/q), where p and q share a denominator
-        p_exact = Fraction(repr(prob.p))
-        q = 1 - p_exact
-        log_inv_q = math.log1p(p_exact.numerator / q.numerator)
+        # ln(1/q) = log1p((1 - q) / q) rounds one int division and one log1p
+        q = 1 - Fraction(repr(prob.p))
+        log_inv_q = math.log1p((q.denominator - q.numerator) / q.numerator)
         a_prime = _floor_log(chunk, q, log_inv_q) if chunk >= 1 else None
         return cls(m, n, prob, log_n, log_m, _floor_log(n, q, log_inv_q),
                    _floor_log(m, q, log_inv_q), a_prime, log_n / m)
