@@ -12,16 +12,19 @@
  * each other-side vertex u covers first.  A vertex is free at a leaf exactly
  * when no vertex of A covers it, so other_counts = total - covered, and
  * leaves only update the two size histograms.  Rows are packed into
- * W = max(1, ceil(t / 64)) words each, masked to the t bits of the other
- * side.  One walk body is compiled twice: with W = 1, where the coverage
- * stays in a register, and with W read at run time.  The walk touches no
- * Python object and runs with the interpreter lock released, once per call.
+ * W = word_count(t) words each, masked to the t bits of the other side.  One
+ * walk body is compiled twice: with W = 1, where the coverage stays in a
+ * register, and with W read at run time.  The walk touches no Python object
+ * and runs with the interpreter lock released, once per call.
  *
  * Sampler.  Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy
  * as 1, 2, 3", SC'11) run step for step as the twin's pure-Python Philox runs
  * it, which is also how numpy's Philox bit generator runs it, so a draw is
  * bit-identical to the twin's and to numpy's.  A draw takes O(m n) ns, so it
- * keeps the interpreter lock.
+ * keeps the interpreter lock, and a campaign makes one call per trial, so the
+ * call takes its five arguments positionally (METH_FASTCALL), a row of up to
+ * STACK_WORDS words lives on the stack, and each edge bit is set without a
+ * branch.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -32,6 +35,14 @@
 typedef uint64_t u64;
 
 #define MAX_SCAN_SIDE 62
+#define STACK_WORDS 4   /* sample_rows keeps rows of up to 256 bits on the stack */
+
+/* Words in a packed row of `bits` bits: ceil(bits / 64), and at least one, so
+ * word 0 always exists.  The scans and the sampler all pack by this rule. */
+static inline Py_ssize_t word_count(Py_ssize_t bits)
+{
+    return bits > 64 ? (bits + 63) / 64 : 1;
+}
 
 typedef struct {
     int s, W;
@@ -155,11 +166,11 @@ static void free_hist_visit(FreeCtx *c, int u, int k)
 /* numpy's state after Philox(key=...): counter 0 and an empty buffer, so the
  * counter is incremented, with carry, before each block of four words. */
 typedef struct {
-    u64 ctr[4], key[2], out[4];
-    int used;
+    u64 ctr[4], key[2];
 } Philox;
 
-static void philox_block(Philox *g)
+/* The next block of four words, into out. */
+static inline void philox_block(Philox *g, u64 *out)
 {
     for (int i = 0; i < 4 && ++g->ctr[i] == 0; i++)
         ;
@@ -177,18 +188,10 @@ static void philox_block(Philox *g)
         c2 = (u64)(p0 >> 64) ^ c3 ^ k1;
         c3 = (u64)p0;
     }
-    g->out[0] = c0;
-    g->out[1] = c1;
-    g->out[2] = c2;
-    g->out[3] = c3;
-    g->used = 0;
-}
-
-static inline u64 philox_next(Philox *g)
-{
-    if (g->used == 4)
-        philox_block(g);
-    return g->out[g->used++];
+    out[0] = c0;
+    out[1] = c1;
+    out[2] = c2;
+    out[3] = c3;
 }
 
 /* --- Python boundary ------------------------------------------------------ */
@@ -282,7 +285,7 @@ static PyObject *scan_stats(PyObject *self, PyObject *args, PyObject *kwargs)
                                      &rows, &s, &t, &sel_k, &sel_f)
             || check_sides(rows, s, t) < 0)
         return NULL;
-    int W = t > 64 ? (t + 63) / 64 : 1;   /* word 0 always exists */
+    int W = (int)word_count(t);
     /* One zeroed block: full, adj, nbstack, then the four count arrays. */
     u64 *buf = calloc((size_t)W * (2 * s + 2) + 2 * ((size_t)s + t + 1), sizeof(u64));
     if (buf == NULL)
@@ -333,7 +336,7 @@ static PyObject *scan_free_hist(PyObject *self, PyObject *args, PyObject *kwargs
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oii|i", kwlist, &rows, &s, &t, &lo_k)
             || check_sides(rows, s, t) < 0)
         return NULL;
-    int W = t / 64 + (t % 64 != 0);
+    int W = (int)word_count(t);
     /* One zeroed block: full, adj, nbstack, freq. */
     u64 *buf = calloc((size_t)W * (2 * s + 2) + (size_t)t + 1, sizeof(u64));
     if (buf == NULL)
@@ -367,17 +370,26 @@ static PyObject *words_to_long(const u64 *words, Py_ssize_t W, PyObject *sixty_f
 }
 
 PyDoc_STRVAR(sample_rows_doc,
-"sample_rows(m, n, p, root, stream)\n--\n\n"
+"sample_rows(m, n, p, root, stream, /)\n--\n\n"
 "Compiled counterpart of _pykernels.sample_rows (same contract).");
 
-static PyObject *sample_rows(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *sample_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static char *kwlist[] = {"m", "n", "p", "root", "stream", NULL};
-    Py_ssize_t m, n;
-    double p;
-    PyObject *root_obj, *stream_obj;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nndOO", kwlist,
-                                     &m, &n, &p, &root_obj, &stream_obj))
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "sample_rows() takes exactly 5 positional arguments "
+                     "(%zd given)", nargs);
+        return NULL;
+    }
+    /* m and n as the "n" format takes them (TypeError for a float), p as
+     * the "d" format does. */
+    Py_ssize_t m = PyNumber_AsSsize_t(args[0], PyExc_OverflowError);
+    if (m == -1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t n = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    double p = PyFloat_AsDouble(args[2]);
+    if (p == -1.0 && PyErr_Occurred())
         return NULL;
     if (m < 1 || n < 1) {
         PyErr_SetString(PyExc_ValueError, "need m >= 1 and n >= 1");
@@ -389,27 +401,39 @@ static PyObject *sample_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     /* TypeError for a key that is not an int and OverflowError outside
      * [0, 2^64), as the twin raises. */
-    unsigned long long root = PyLong_AsUnsignedLongLong(root_obj);
+    unsigned long long root = PyLong_AsUnsignedLongLong(args[3]);
     if (root == (unsigned long long)-1 && PyErr_Occurred())
         return NULL;
-    unsigned long long stream = PyLong_AsUnsignedLongLong(stream_obj);
+    unsigned long long stream = PyLong_AsUnsignedLongLong(args[4]);
     if (stream == (unsigned long long)-1 && PyErr_Occurred())
         return NULL;
-    Py_ssize_t W = n / 64 + (n % 64 != 0);
-    u64 *words = malloc((size_t)W * sizeof(u64));
+    Py_ssize_t W = word_count(n);
+    u64 stack_words[STACK_WORDS];
+    u64 *words = W <= STACK_WORDS ? stack_words : malloc((size_t)W * sizeof(u64));
     if (words == NULL)
         return PyErr_NoMemory();
     PyObject *sixty_four = PyLong_FromLong(64);
     PyObject *rows = sixty_four ? PyTuple_New(m) : NULL;
     /* numpy's random() is (x >> 11) * 2^-53; scaling both sides by 2^53 is
-     * exact, so this is the same test as random() < p. */
+     * exact, so this is the same test as random() < p.  Its 0/1 outcome is
+     * shifted into place, so no branch depends on the draw. */
     const double threshold = p * 9007199254740992.0;
-    Philox g = {.key = {root, stream}, .used = 4};
+    Philox g = {.key = {root, stream}};
+    u64 block[4];
+    int used = 4;   /* words of block already drawn */
     for (Py_ssize_t u = 0; rows != NULL && u < m; u++) {
-        memset(words, 0, (size_t)W * sizeof(u64));
-        for (Py_ssize_t v = 0; v < n; v++)
-            if ((double)(philox_next(&g) >> 11) < threshold)
-                words[v >> 6] |= (u64)1 << (v & 63);
+        for (Py_ssize_t wd = 0; wd < W; wd++) {
+            const int bits = n - 64 * wd < 64 ? (int)(n - 64 * wd) : 64;
+            u64 word = 0;
+            for (int b = 0; b < bits; b++) {
+                if (used == 4) {
+                    philox_block(&g, block);
+                    used = 0;
+                }
+                word |= (u64)((double)(block[used++] >> 11) < threshold) << b;
+            }
+            words[wd] = word;
+        }
         PyObject *row = words_to_long(words, W, sixty_four);
         if (row == NULL)
             Py_CLEAR(rows);
@@ -417,7 +441,8 @@ static PyObject *sample_rows(PyObject *self, PyObject *args, PyObject *kwargs)
             PyTuple_SET_ITEM(rows, u, row);
     }
     Py_XDECREF(sixty_four);
-    free(words);
+    if (words != stack_words)
+        free(words);
     return rows;
 }
 
@@ -426,8 +451,7 @@ static PyMethodDef kernel_methods[] = {
      METH_VARARGS | METH_KEYWORDS, scan_stats_doc},
     {"scan_free_hist", (PyCFunction)(void (*)(void))scan_free_hist,
      METH_VARARGS | METH_KEYWORDS, scan_free_hist_doc},
-    {"sample_rows", (PyCFunction)(void (*)(void))sample_rows,
-     METH_VARARGS | METH_KEYWORDS, sample_rows_doc},
+    {"sample_rows", (PyCFunction)(void (*)(void))sample_rows, METH_FASTCALL, sample_rows_doc},
     {NULL, NULL, 0, NULL},
 };
 

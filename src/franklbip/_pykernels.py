@@ -147,14 +147,15 @@ def _philox_words(k0, k1):
         yield c3
 
 
-def sample_rows(m, n, p, root, stream):
+def sample_rows(m, n, p, root, stream, /):
     """Adjacency rows of one draw of G(m, n, p), as bitmasks over the n columns.
 
     The stream is Philox4x64-10 keyed by (root, stream), two integers in
     [0, 2^64), with the counter starting at 0.  Its (u*n + v)-th word x decides
     the edge (u, v): present iff the double (x >> 11) 2^-53 is below p.  A key
     that is not an int raises TypeError and one outside [0, 2^64)
-    OverflowError, as in the compiled twin.
+    OverflowError, as in the compiled twin.  Like the compiled twin, it takes
+    its arguments positionally only.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")

@@ -164,19 +164,32 @@ def classify_regime(m: int, n: int, prob, alpha: float = DEFAULT_ALPHA) -> Regim
     if n <= consts.c_right:
         return Regime.CONSTANT_RIGHT
     x = math.log(n) / prob.log_inv_q
+    # x's relative error: _floor_log's bound, plus the gap between ln(1/q)
+    # of the float p and of its shortest decimal, half an ulp of p apart
+    slack = x * (2.0 ** -40 + 2.0 ** -50 * prob.p / (prob.q * prob.log_inv_q))
     t = regime_thresholds(m, alpha)
-    if x >= t["m^3"]:
+    if _log_reaches(n, prob, x, slack, t["m^3"]):
         return Regime.MATCHING_SATURATED
-    if x >= t["alpha*m"]:
+    if _log_reaches(n, prob, x, slack, t["alpha*m"]):
         return Regime.GIGANTIC_RIGHT
-    if x >= t["m/16"]:
+    if _log_reaches(n, prob, x, slack, t["m/16"]):
         return Regime.ENTROPY_BAND
-    if x >= t["m^(1/5)"]:
+    if _log_reaches(n, prob, x, slack, t["m^(1/5)"]):
         return Regime.HOEFFDING_BAND
     log_m, fifth_root_n = _large_left_sides(m, n, prob)
     if log_m <= fifth_root_n:
         return Regime.BALANCED
     return Regime.LARGE_LEFT
+
+
+def _log_reaches(n: int, prob: EdgeProbability, x: float, slack: float, edge: float) -> bool:
+    """Whether log_{1/q}(n) >= edge, where x is its float estimate, within
+    slack of it.  Near an integer-valued edge, the exact floor decides, the
+    one RegimeParams.from_mnp takes a from, so an n on an exact power of 1/q
+    reaches that edge; elsewhere x does."""
+    if abs(x - edge) > slack or not edge.is_integer():
+        return x >= edge
+    return _floor_log(n, *_exact_q(prob)) >= edge
 
 
 def _large_left_sides(m: int, n: int, prob) -> tuple:
@@ -224,12 +237,18 @@ class RegimeParams(NamedTuple):
         # K >= 2^whole, so a K longer than n is not written out
         chunk = n // (Fraction(2.0 ** (exponent - whole)) * (1 << whole)) \
             if whole < n.bit_length() else 0
-        # ln(1/q) = log1p((1 - q) / q) rounds one int division and one log1p
-        q = 1 - Fraction(repr(prob.p))
-        log_inv_q = math.log1p((q.denominator - q.numerator) / q.numerator)
+        q, log_inv_q = _exact_q(prob)
         a_prime = _floor_log(chunk, q, log_inv_q) if chunk >= 1 else None
         return cls(m, n, prob, log_n, log_m, _floor_log(n, q, log_inv_q),
                    _floor_log(m, q, log_inv_q), a_prime, log_n / m)
+
+
+def _exact_q(prob: EdgeProbability) -> tuple:
+    """(q, ln(1/q)) with p read as the shortest decimal of its float: q an
+    exact Fraction, and ln(1/q) = log1p((1 - q) / q), which rounds one int
+    division and one log1p, so its relative error is under 2^-50."""
+    q = 1 - Fraction(repr(prob.p))
+    return q, math.log1p((q.denominator - q.numerator) / q.numerator)
 
 
 def _floor_log(chunk: int, q: Fraction, log_inv_q: float) -> int:

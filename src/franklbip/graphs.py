@@ -24,6 +24,7 @@ import math
 import operator
 import os
 from collections import namedtuple
+from itertools import repeat
 
 from . import _pykernels
 
@@ -43,6 +44,10 @@ else:
         KERNEL = "python"
 
 MASK64 = (1 << 64) - 1
+# A child stream is its parent's stream shifted left by 32 bits with the child
+# index in the low 32, so an index of 2^32 or more would spill into the
+# parent's bits: trial 2^32 of sweep point 0 would draw as trial 0 of point 1.
+MAX_TRIALS = 1 << 32
 
 
 class ZeroSideError(ValueError):
@@ -173,8 +178,9 @@ class Seed(namedtuple("_SeedFields", ("root", "stream"))):
     execution order and thread count.  Both fields are taken modulo 2^64.
     `child(i)` shifts the stream index left by 32 bits and ors in `i`, so
     trial indices occupy the low bits and an enclosing sweep's point index
-    the next 32.  A Seed is a tuple, so it also equals the plain tuple
-    (root, stream).
+    the next 32.  `children(count)` yields the first count children and
+    shifts the stream once for all of them.  A Seed is a tuple, so it also
+    equals the plain tuple (root, stream).
     """
 
     __slots__ = ()
@@ -187,9 +193,23 @@ class Seed(namedtuple("_SeedFields", ("root", "stream"))):
         # _replace builds through _make; keep both on the masking constructor
         return cls(*iterable)
 
+    def _shifted(self) -> int:
+        """The stream of child 0: this stream shifted left by 32 bits, masked."""
+        return self.stream << 32 & MASK64
+
     def child(self, index: int) -> "Seed":
         # root is masked already and the new stream is masked here
-        return tuple.__new__(Seed, (self.root, ((self.stream << 32) | int(index)) & MASK64))
+        return tuple.__new__(Seed, (self.root, (self._shifted() | int(index)) & MASK64))
+
+    def children(self, count: int):
+        """An iterator over child(0), ..., child(count - 1).  A count above
+        MAX_TRIALS raises ValueError at once, since child(2^32) would share
+        its stream with a child of the next stream."""
+        if count > MAX_TRIALS:
+            raise ValueError(f"count must be <= 2^32 = {MAX_TRIALS}, got {count}")
+        base = self._shifted()
+        # base | i is base + i for i < 2^32
+        return map(tuple.__new__, repeat(Seed), zip(repeat(self.root), range(base, base + count)))
 
 
 class BipartiteGraph(_Value):

@@ -25,7 +25,7 @@ from . import bounds, mss
 # this module's name, so a patched verify.classify_regime is what runs
 from .bounds import (DEFAULT_ALPHA, HypothesisViolation, Regime,  # noqa: F401
                      RegimeParams, _check_alpha, classify_regime)
-from .graphs import (CapExceeded, Seed, as_prob, fraction_text, sample_bipartite,
+from .graphs import (MAX_TRIALS, CapExceeded, Seed, as_prob, fraction_text, sample_bipartite,
                      serialize_graph)
 
 CI_Z = 4.0  # every confidence radius is this many standard deviations wide
@@ -92,11 +92,6 @@ def wilson_radius(successes: int, trials: int) -> float:
     denom = 1.0 + z2 / trials
     rad = CI_Z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
     return rad / denom
-
-
-# trial t draws on stream (stream << 32) | t, so a trial index of 2^32 or
-# more would spill into the bits of the enclosing sweep point
-MAX_TRIALS = 1 << 32
 
 
 def _check_trials(trials: int):
@@ -401,8 +396,11 @@ def verify_lemma(lemma_id: str, params: dict, trials: int, seed: Seed,
     event, summary = spec.setup(m, n, prob, params)
     if spec.scans:
         mss._check_cap(min(m, n), _cap(params))
+    # read once per call: a wrapper put on verify.sample_bipartite before the
+    # call (a tracer, say) draws every trial of it, one graph per trial
+    draw = sample_bipartite
     claimed, measured, ci, verdict, extra = summary(
-        [event(sample_bipartite(m, n, prob, seed.child(t))) for t in range(trials)])
+        [event(draw(m, n, prob, s)) for s in seed.children(trials)])
     if outside:
         verdict, extra = INFORMATIONAL, {**extra, "outside_hypothesis": True}
     return BoundReport(

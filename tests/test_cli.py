@@ -365,6 +365,13 @@ class TestRegime:
         assert "regime: MatchingSaturated" in out
         assert "a: 400  b: 0  a_prime: 399  " in out
 
+    def test_band_edge_on_a_power_of_one_over_q(self, capsys):
+        # 1000 = (1/q)^3 exactly at p = .9, so log_{1/q}(n) reaches m/16 = 3
+        rc, out, err = run(capsys, "regime", "-m", "48", "-n", "1000", "-p", "0.9")
+        assert (rc, err) == (0, "")
+        assert "regime: EntropyBand" in out
+        assert "a: 3  " in out
+
     def test_a_exact_just_below_a_power_of_two(self, capsys):
         # log_2(2^50 - 1) is 50 in floats; a is the exact floor
         rc, out, err = run(capsys, "regime", "-m", "4", "-n", str((1 << 50) - 1), "-p", "0.5")

@@ -303,6 +303,23 @@ class TestValueTypes:
         assert Seed(7, MASK64).child(1) == Seed(7, (MASK64 << 32 | 1) & MASK64)
         assert type(Seed(7).child(1)) is Seed
 
+    @pytest.mark.parametrize("stream", [0, (1 << 32) - 1, MASK64])
+    def test_seed_children_are_the_children(self, stream):
+        seed = Seed(7, stream)
+        for count in (0, 1, 5):
+            kids = list(seed.children(count))
+            assert kids == [seed.child(t) for t in range(count)]
+            assert all(type(kid) is Seed for kid in kids)
+
+    def test_seed_children_refuse_more_than_two_to_the_32(self):
+        # child(2^32) would draw on the stream of the next stream's child 0;
+        # the refusal comes at the call, before any child is made
+        assert Seed(1).child(0).child(1 << 32) == Seed(1).child(1).child(0)
+        assert graph_module.MAX_TRIALS == 1 << 32
+        assert next(Seed(1).children(1 << 32)) == Seed(1).child(0)
+        with pytest.raises(ValueError, match=r"count must be <= 2\^32"):
+            Seed(1).children((1 << 32) + 1)
+
     def test_probability_nan_refused(self):
         with pytest.raises(ValueError, match="outside"):
             EdgeProbability(float("nan"))

@@ -311,7 +311,9 @@ class TestCompiledKernel:
     # root, and the extreme keys
     SAMPLE_KEYS = (tuple(Seed(2 ** 64 - 3).child(5).child(11)), (0, 0),
                    (2 ** 64 - 1, 2 ** 64 - 1), (0, 2 ** 64 - 1))
-    SAMPLE_NS = (1, 63, 64, 65, 130)
+    # 256 and 257 bits: the last row the compiled sampler keeps on the stack
+    # and the first it allocates
+    SAMPLE_NS = (1, 63, 64, 65, 130, 256, 257)
     SAMPLE_PS = (0.0, 1.0, 1e-9, 0.5, 1 - 2 ** -53)
 
     @pytest.mark.parametrize("p", SAMPLE_PS)
@@ -349,6 +351,19 @@ class TestCompiledKernel:
                     kernel.sample_rows(4, 4, 0.5, key, 0)
                 with pytest.raises(error):
                     kernel.sample_rows(4, 4, 0.5, 0, key)
+
+
+    def test_sample_rows_take_positional_arguments_only(self, compiled_kernels):
+        for kernel in (compiled_kernels, _pykernels):
+            assert kernel.sample_rows(2, 3, 0.5, 1, 2) == _pykernels.sample_rows(2, 3, 0.5, 1, 2)
+            with pytest.raises(TypeError):
+                kernel.sample_rows(2, 3, 0.5, 1, stream=2)
+            with pytest.raises(TypeError):
+                kernel.sample_rows(m=2, n=3, p=0.5, root=1, stream=2)
+            with pytest.raises(TypeError):
+                kernel.sample_rows(2, 3, 0.5, 1, 2, 0)
+            with pytest.raises(TypeError):
+                kernel.sample_rows(2, 3, 0.5, 1)
 
 
 class TestLeftAvg:

@@ -61,6 +61,20 @@ class TestClassifier:
         assert classify_regime(20, 2 ** 10, 0.5, alpha=0.49) is Regime.GIGANTIC_RIGHT
         assert classify_regime(20, 2 ** 9, 0.5, alpha=0.49) is Regime.ENTROPY_BAND
 
+    @pytest.mark.parametrize("m,n,p,expected", [
+        # log_{1/q}(1000) is 3 = m/16 exactly at p = .9, and x is 2.9999999999999996
+        (48, 1000, 0.9, Regime.ENTROPY_BAND),
+        (48, 1001, 0.9, Regime.ENTROPY_BAND),
+        (48, 999, 0.9, Regime.HOEFFDING_BAND),
+        # q is 10^-16 for the shortest decimal of p, but 2^-53 for the float p,
+        # so x is 1.0028 at n = 10^16 - 1 and 1.0000000000000002 at n = 10^16
+        (1, 10 ** 16 - 1, 0.9999999999999999, Regime.GIGANTIC_RIGHT),
+        (1, 10 ** 16, 0.9999999999999999, Regime.MATCHING_SATURATED),
+    ], ids=["48-1000-power", "48-1001", "48-999", "near-one-below", "near-one-power"])
+    def test_integer_edge_decided_by_exact_floor(self, m, n, p, expected):
+        # ties go to the earlier band
+        assert classify_regime(m, n, p) is expected
+
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
             classify_regime(4, 4, 0.5, alpha=0.5)
