@@ -22,9 +22,10 @@
  * it, which is also how numpy's Philox bit generator runs it, so a draw is
  * bit-identical to the twin's and to numpy's.  A draw takes O(m n) ns, so it
  * keeps the interpreter lock, and a campaign makes one call per trial, so the
- * call takes its five arguments positionally (METH_FASTCALL), a row of up to
- * STACK_WORDS words lives on the stack, and each edge bit is set without a
- * branch.
+ * call takes its six arguments positionally (METH_FASTCALL), a row of up to
+ * STACK_WORDS words lives on the stack, each edge bit is set without a branch,
+ * and it returns the graph, checked as BipartiteGraph checks it and filled
+ * through the class's slot descriptors, with no Python code run per draw.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -35,7 +36,7 @@
 typedef uint64_t u64;
 
 #define MAX_SCAN_SIDE 62
-#define STACK_WORDS 4   /* sample_rows keeps rows of up to 256 bits on the stack */
+#define STACK_WORDS 4   /* the sampler keeps rows of up to 256 bits on the stack */
 
 /* Words in a packed row of `bits` bits: ceil(bits / 64), and at least one, so
  * word 0 always exists.  The scans and the sampler all pack by this rule. */
@@ -275,7 +276,7 @@ static void degree_order(const u64 *rows, int s, int W, int *order)
     }
 }
 
-static PyObject *scan_stats(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "s", "t", "sel_k", "sel_f", NULL};
     PyObject *rows, *result = NULL;
@@ -328,7 +329,7 @@ PyDoc_STRVAR(scan_free_hist_doc,
 "scan_free_hist(rows, s, t, lo_k=0)\n--\n\n"
 "Compiled counterpart of _pykernels.scan_free_hist (same contract).");
 
-static PyObject *scan_free_hist(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *scan_free_hist(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"rows", "s", "t", "lo_k", NULL};
     PyObject *rows, *result = NULL;
@@ -369,26 +370,29 @@ static PyObject *words_to_long(const u64 *words, Py_ssize_t W, PyObject *sixty_f
     return acc;
 }
 
-PyDoc_STRVAR(sample_rows_doc,
-"sample_rows(m, n, p, root, stream, /)\n--\n\n"
-"Compiled counterpart of _pykernels.sample_rows (same contract).");
+/* Interned "m", "n" and "adj": the slots sample_graph fills. */
+static PyObject *field_names[3];
 
-static PyObject *sample_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+PyDoc_STRVAR(sample_graph_doc,
+"sample_graph(cls, m, n, p, root, stream, /)\n--\n\n"
+"Compiled counterpart of _pykernels.sample_graph (same contract).");
+
+static PyObject *sample_graph(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 5) {
-        PyErr_Format(PyExc_TypeError, "sample_rows() takes exactly 5 positional arguments "
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "sample_graph() takes exactly 6 positional arguments "
                      "(%zd given)", nargs);
         return NULL;
     }
     /* m and n as the "n" format takes them (TypeError for a float), p as
      * the "d" format does. */
-    Py_ssize_t m = PyNumber_AsSsize_t(args[0], PyExc_OverflowError);
+    Py_ssize_t m = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
     if (m == -1 && PyErr_Occurred())
         return NULL;
-    Py_ssize_t n = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
+    Py_ssize_t n = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
     if (n == -1 && PyErr_Occurred())
         return NULL;
-    double p = PyFloat_AsDouble(args[2]);
+    double p = PyFloat_AsDouble(args[3]);
     if (p == -1.0 && PyErr_Occurred())
         return NULL;
     if (m < 1 || n < 1) {
@@ -401,17 +405,32 @@ static PyObject *sample_rows(PyObject *self, PyObject *const *args, Py_ssize_t n
     }
     /* TypeError for a key that is not an int and OverflowError outside
      * [0, 2^64), as the twin raises. */
-    unsigned long long root = PyLong_AsUnsignedLongLong(args[3]);
+    unsigned long long root = PyLong_AsUnsignedLongLong(args[4]);
     if (root == (unsigned long long)-1 && PyErr_Occurred())
         return NULL;
-    unsigned long long stream = PyLong_AsUnsignedLongLong(args[4]);
+    unsigned long long stream = PyLong_AsUnsignedLongLong(args[5]);
     if (stream == (unsigned long long)-1 && PyErr_Occurred())
         return NULL;
+    /* cls's field descriptors, found as attribute lookup on a class finds
+     * them, and held while the draw allocates.  Slots only: setting one runs
+     * no Python code. */
+    PyTypeObject *cls = (PyTypeObject *)args[0];
+    PyObject *descrs[3];
+    for (int i = 0; i < 3; i++) {
+        descrs[i] = PyType_Check(cls) ? _PyType_Lookup(cls, field_names[i]) : NULL;
+        if (descrs[i] == NULL || !Py_IS_TYPE(descrs[i], &PyMemberDescr_Type)) {
+            PyErr_Format(PyExc_TypeError, "sample_graph() needs a class with a slot %R, "
+                         "not %R", field_names[i], cls);
+            return NULL;
+        }
+    }
     Py_ssize_t W = word_count(n);
     u64 stack_words[STACK_WORDS];
     u64 *words = W <= STACK_WORDS ? stack_words : malloc((size_t)W * sizeof(u64));
     if (words == NULL)
         return PyErr_NoMemory();
+    for (int i = 0; i < 3; i++)
+        Py_INCREF(descrs[i]);
     PyObject *sixty_four = PyLong_FromLong(64);
     PyObject *rows = sixty_four ? PyTuple_New(m) : NULL;
     /* numpy's random() is (x >> 11) * 2^-53; scaling both sides by 2^53 is
@@ -434,7 +453,12 @@ static PyObject *sample_rows(PyObject *self, PyObject *const *args, Py_ssize_t n
             }
             words[wd] = word;
         }
-        PyObject *row = words_to_long(words, W, sixty_four);
+        /* BipartiteGraph's range check: only the last word has bits past n */
+        PyObject *row = NULL;
+        if (n % 64 && words[W - 1] >> n % 64)
+            PyErr_Format(PyExc_ValueError, "adjacency row %zd has bits outside the right side", u);
+        else
+            row = words_to_long(words, W, sixty_four);
         if (row == NULL)
             Py_CLEAR(rows);
         else
@@ -443,7 +467,25 @@ static PyObject *sample_rows(PyObject *self, PyObject *const *args, Py_ssize_t n
     Py_XDECREF(sixty_four);
     if (words != stack_words)
         free(words);
-    return rows;
+    /* BipartiteGraph's row-count check, then a new instance whose fields are
+     * set through their descriptors, as graphs._slot_setters sets them. */
+    if (rows != NULL && PyTuple_GET_SIZE(rows) != m) {
+        PyErr_Format(PyExc_ValueError, "expected %zd adjacency rows, got %zd", m,
+                     PyTuple_GET_SIZE(rows));
+        Py_CLEAR(rows);
+    }
+    PyObject *values[3] = {NULL, NULL, rows};
+    if (rows != NULL && (values[0] = PyLong_FromSsize_t(m)) != NULL)
+        values[1] = PyLong_FromSsize_t(n);
+    PyObject *graph = values[1] ? cls->tp_alloc(cls, 0) : NULL;
+    for (int i = 0; graph != NULL && i < 3; i++)
+        if (Py_TYPE(descrs[i])->tp_descr_set(descrs[i], graph, values[i]) < 0)
+            Py_CLEAR(graph);
+    for (int i = 0; i < 3; i++) {
+        Py_XDECREF(values[i]);
+        Py_DECREF(descrs[i]);
+    }
+    return graph;
 }
 
 static PyMethodDef kernel_methods[] = {
@@ -451,7 +493,7 @@ static PyMethodDef kernel_methods[] = {
      METH_VARARGS | METH_KEYWORDS, scan_stats_doc},
     {"scan_free_hist", (PyCFunction)(void (*)(void))scan_free_hist,
      METH_VARARGS | METH_KEYWORDS, scan_free_hist_doc},
-    {"sample_rows", (PyCFunction)(void (*)(void))sample_rows, METH_FASTCALL, sample_rows_doc},
+    {"sample_graph", (PyCFunction)(void (*)(void))sample_graph, METH_FASTCALL, sample_graph_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -465,5 +507,10 @@ static struct PyModuleDef kernel_module = {
 
 PyMODINIT_FUNC PyInit__kernels(void)
 {
+    static const char *names[3] = {"m", "n", "adj"};
+    for (int i = 0; i < 3; i++)
+        if (field_names[i] == NULL
+                && (field_names[i] = PyUnicode_InternFromString(names[i])) == NULL)
+            return NULL;
     return PyModule_Create(&kernel_module);
 }

@@ -13,12 +13,13 @@ The compiled walk counts once per subtree (the include branch of u credits
 the leaves below it to u and to the vertices u covers first); scan_stats
 here counts at every leaf, which keeps it a plain reference for the counts.
 
-Sampler.  sample_rows runs Philox4x64-10 (Salmon et al., "Parallel random
+Sampler.  sample_graph runs Philox4x64-10 (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11) step for step as the compiled twin
 does: the same constants, the 256-bit counter bumped before each block of
 four words, and edge (u, v) present iff (word >> 11) < p 2^53.  That is
 numpy's Philox bit generator followed by random() < p, which the tests use
-as an independent reference.
+as an independent reference.  It returns cls(m, n, rows), checked by the
+constructor; the compiled twin makes the same checks in C.
 """
 
 _MASK64 = (1 << 64) - 1
@@ -147,8 +148,8 @@ def _philox_words(k0, k1):
         yield c3
 
 
-def sample_rows(m, n, p, root, stream, /):
-    """Adjacency rows of one draw of G(m, n, p), as bitmasks over the n columns.
+def sample_graph(cls, m, n, p, root, stream, /):
+    """cls(m, n, rows) for one draw of G(m, n, p); rows are bitmasks over n.
 
     The stream is Philox4x64-10 keyed by (root, stream), two integers in
     [0, 2^64), with the counter starting at 0.  Its (u*n + v)-th word x decides
@@ -169,5 +170,5 @@ def sample_rows(m, n, p, root, stream, /):
     # scaling both sides of random() < p by 2^53 is exact
     threshold = p * 9007199254740992.0
     words = _philox_words(root, stream)
-    return tuple(sum(1 << v for v in range(n) if next(words) >> 11 < threshold)
-                 for _ in range(m))
+    return cls(m, n, tuple(sum(1 << v for v in range(n) if next(words) >> 11 < threshold)
+                           for _ in range(m)))

@@ -50,15 +50,6 @@ def _pow_product(factors, prefactor=1.0) -> float:
     return out
 
 
-def chebyshev_bound(variance: float, lam: float) -> float:
-    """Deviation bound sigma^2 / lambda^2, unclamped: above 1 it is vacuous."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if variance < 0:
-        raise ValueError(f"variance must be nonnegative, got {variance}")
-    return variance / (lam * lam)
-
-
 def pr_maximal_stable(m: int, n: int, prob, ell: int, r: int) -> float:
     """Probability that a fixed vertex set with ell left and r right vertices
     is a maximal stable set of a random graph:
@@ -301,17 +292,6 @@ def _pow_bracket(base: int, a: int, bits: int) -> tuple:
     return lo, hi, shift
 
 
-def exp_small_mss_lower(params: RegimeParams) -> float:
-    """Asymptotic lower bound c * C(m, a) * b^(-b) on the expected number of
-    maximal stable sets with left part a and right part b, where
-    c = exp(-(2/q + 1)) and 0^0 = 1 when b is 0."""
-    if params.log_n > params.m or params.log_m > params.n:
-        raise HypothesisViolation(
-            "need m >= log_{1/q}(n) and n >= log_{1/q}(m)"
-        )
-    return _small_mss_product(params.prob, params.m, params.a, params.b)
-
-
 def _small_mss_product(prob: EdgeProbability, m: int, a: int, b: int) -> float:
     """c * C(m, a) * b^(-b) with c = exp(-(2/q + 1)) and 0^0 = 1, in floats
     in that order while C(m, a) converts to a float, else as exp of the log
@@ -330,26 +310,6 @@ def expected_small_mss(m: int, n: int, prob, a: int, b: int) -> float:
     if not 0 <= a <= m or not 0 <= b <= n:
         raise ValueError(f"(a, b)=({a}, {b}) out of range for ({m}, {n})")
     return _maximal_product(m, n, prob, a, b, math.comb(m, a) * math.comb(n, b))
-
-
-def pair_expectation_B(m: int, n: int, prob, a: int, b: int, i: int, j: int) -> float:
-    """Expected number of ordered pairs (S, T) of stable sets that both have
-    a left and b right vertices, and share i left and j right vertices:
-
-        C(m,i) C(m-i,a-i) C(m-a,a-i) C(n,j) C(n-j,b-j) C(n-b,b-j) q^(2ab-ij)
-    """
-    if not 0 <= i <= a:
-        raise ValueError(f"need 0 <= i <= a, got i={i}, a={a}")
-    if not 0 <= j <= b:
-        raise ValueError(f"need 0 <= j <= b, got j={j}, b={b}")
-    prob = as_prob(prob).require_interior()
-    if a > m or b > n:
-        raise ValueError(f"(a, b)=({a}, {b}) out of range for ({m}, {n})")
-    pref = (
-        math.comb(m, i) * math.comb(m - i, a - i) * math.comb(m - a, a - i)
-        * math.comb(n, j) * math.comb(n - j, b - j) * math.comb(n - b, b - j)
-    )
-    return _pow_product([(prob.q, 2 * a * b - i * j)], prefactor=pref)
 
 
 def binary_entropy(kappa: float) -> float:

@@ -16,34 +16,16 @@ from franklbip.bounds import (
     HypothesisViolation,
     RegimeParams,
     binary_entropy,
-    chebyshev_bound,
     dominating_vertex_prob,
-    exp_small_mss_lower,
     expected_small_mss,
     expected_stab_at_least,
     genupper_bound,
     induced_matching_prob,
-    pair_expectation_B,
     pr_maximal_stable,
     regime_constants,
 )
 from franklbip.graphs import Seed, as_prob
 from franklbip.mss import StableSet, is_maximal_stable
-
-
-class TestTailInequalities:
-    def test_chebyshev_quarter(self):
-        assert chebyshev_bound(1, 2) == 0.25
-
-    def test_chebyshev_zero_variance(self):
-        assert chebyshev_bound(0, 3.7) == 0.0
-
-    def test_chebyshev_spot(self):
-        assert chebyshev_bound(9, 3 * 1.5) == pytest.approx(4 / 9)
-
-    def test_chebyshev_rejects_bad_lambda(self):
-        with pytest.raises(ValueError):
-            chebyshev_bound(1, -1)
 
 
 class TestMaximalStableProbability:
@@ -161,32 +143,30 @@ class TestGenupper:
 
 class TestSmallMssExpectation:
     def test_constant_at_half(self):
-        rp = RegimeParams.from_mnp(64, 64, 0.5)
         assert math.exp(-5) == pytest.approx(0.0067379, abs=1e-7)
-        val = exp_small_mss_lower(rp)
+        val = bounds._small_mss_product(as_prob(0.5), 64, 6, 6)
         assert val == pytest.approx(math.exp(-5) * math.comb(64, 6) * 6.0 ** -6, rel=1e-9)
         assert val == pytest.approx(10.83, abs=0.01)
 
     def test_b_zero_gives_c_times_comb(self):
-        # 0^0 = 1: with b = 0 the bound is c * C(m, a)
-        rp = RegimeParams.from_mnp(8, 40, 0.9)
-        assert (rp.a, rp.b) == (1, 0)
-        assert exp_small_mss_lower(rp) == regime_constants(0.9).small_mss_c * 8
+        # 0^0 = 1: with b = 0 the product is c * C(m, a)
+        assert bounds._small_mss_product(as_prob(0.9), 8, 1, 0) == \
+            regime_constants(0.9).small_mss_c * 8
 
     @pytest.mark.parametrize("p", [0.99, 0.997, 0.998, 0.999, 1 - 2 ** -20])
     def test_finite_near_p_one(self, p):
         # c = exp(-(2/q + 1)) underflows to 0 from p = .998 on
-        val = exp_small_mss_lower(RegimeParams.from_mnp(8, 40, p))
+        rp = RegimeParams.from_mnp(8, 40, p)
+        val = bounds._small_mss_product(as_prob(p), 8, rp.a, rp.b)
         assert type(val) is float and math.isfinite(val) and val >= 0.0
 
     def test_comb_past_float_range(self):
         # C(2000, 230) is no float, but c * C(2000, 230) * 10^-10 is one
-        rp = RegimeParams.from_mnp(2000, 2 ** 230, 0.5)
-        assert (rp.a, rp.b) == (230, 10)
         with pytest.raises(OverflowError):
             float(math.comb(2000, 230))
         want = math.exp(-5 + math.log(math.comb(2000, 230)) - 10 * math.log(10))
-        assert exp_small_mss_lower(rp) == pytest.approx(want, rel=1e-12)
+        assert bounds._small_mss_product(as_prob(0.5), 2000, 230, 10) == \
+            pytest.approx(want, rel=1e-12)
 
     def test_one_formula_with_lem_hoeffding_exp(self):
         # the lem.hoeffding.exp threshold is the expression it had inline,
@@ -208,12 +188,6 @@ class TestSmallMssExpectation:
             assert summary([True])[4]["count_threshold"] == bounds._small_mss_product(
                 as_prob(p), 4, rp.a_prime, rp.b)
 
-    def test_precondition(self):
-        # m far below log_{1/q}(n)
-        rp = RegimeParams.from_mnp(2, 10 ** 6, 0.5)
-        with pytest.raises(HypothesisViolation):
-            exp_small_mss_lower(rp)
-
     def test_expected_small_mss_matches_config_enumeration(self):
         def count_ab(g, a, b):
             c = 0
@@ -229,48 +203,6 @@ class TestSmallMssExpectation:
 
         oracle = weighted_expectation(3, 3, 0.5, lambda g: count_ab(g, 1, 1))
         assert expected_small_mss(3, 3, 0.5, 1, 1) == pytest.approx(oracle, rel=1e-10)
-
-
-class TestPairExpectation:
-    def test_coincident_pair_collapses(self):
-        want = math.comb(6, 2) * math.comb(6, 2) * 0.5 ** 4
-        assert pair_expectation_B(6, 6, 0.5, a=2, b=2, i=2, j=2) == pytest.approx(want)
-
-    def test_disjoint_pair_spot(self):
-        assert pair_expectation_B(6, 6, 0.5, a=2, b=2, i=0, j=0) == pytest.approx(8100 / 256)
-
-    def test_against_config_enumeration(self):
-        # expected ordered pairs of stable (2,1)-sets with overlap (i, j)
-        def pair_count(g, i, j, a, b):
-            sets = []
-            for a_mask in range(1 << g.m):
-                if a_mask.bit_count() != a:
-                    continue
-                nb = 0
-                for u in range(g.m):
-                    if a_mask >> u & 1:
-                        nb |= g.adj[u]
-                for b_mask in range(1 << g.n):
-                    if b_mask.bit_count() == b and b_mask & nb == 0:
-                        sets.append((a_mask, b_mask))
-            count = 0
-            for s in sets:
-                for t in sets:
-                    if (s[0] & t[0]).bit_count() == i and (s[1] & t[1]).bit_count() == j:
-                        count += 1
-            return count
-
-        for i, j in [(0, 0), (1, 0), (2, 1), (1, 1)]:
-            oracle = weighted_expectation(3, 3, 0.4, lambda g: pair_count(g, i, j, 2, 1))
-            assert pair_expectation_B(3, 3, 0.4, 2, 1, i, j) == pytest.approx(
-                oracle, rel=1e-9
-            ), (i, j)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="need 0 <= i <= a, got i=3, a=2"):
-            pair_expectation_B(6, 6, 0.5, a=2, b=2, i=3, j=0)
-        with pytest.raises(ValueError, match="need 0 <= j <= b, got j=-1, b=2"):
-            pair_expectation_B(6, 6, 0.5, a=2, b=2, i=0, j=-1)
 
 
 class TestEntropy:
@@ -519,16 +451,14 @@ class TestRegimeParams:
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: chebyshev_bound(-1.0, 1.0), "variance must be nonnegative, got -1.0"),
     (lambda: expected_stab_at_least(3, 3, 0.5, 4, 0), "thresholds out of range"),
     (lambda: genupper_bound(3, 3, 0.5, 0, 4), "thresholds out of range"),
     (lambda: RegimeParams.from_mnp(0, 4, 0.5), "need whole m, n >= 1, got (0, 4)"),
     (lambda: RegimeParams.from_mnp(4, 2.5, 0.5), "need whole m, n >= 1, got (4, 2.5)"),
     (lambda: expected_small_mss(3, 3, 0.5, 4, 0), "(a, b)=(4, 0) out of range for (3, 3)"),
-    (lambda: pair_expectation_B(3, 3, 0.5, 4, 1, 0, 0), "(a, b)=(4, 1) out of range for (3, 3)"),
     (lambda: induced_matching_prob(0, 0.5), "need k >= 1, got 0"),
-], ids=["chebyshev", "stab-at-least", "genupper", "from_mnp", "from_mnp-whole",
-        "small-mss", "pair-B", "induced-matching"])
+], ids=["stab-at-least", "genupper", "from_mnp", "from_mnp-whole", "small-mss",
+        "induced-matching"])
 def test_range_refusals(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -537,8 +467,6 @@ def test_range_refusals(call, message):
 
 # the public names with no caller under src/, each with the reason it stays
 NO_CALLER = {
-    **dict.fromkeys(("chebyshev_bound", "exp_small_mss_lower", "pair_expectation_B"),
-                    "test-only: ROADMAP item 6's second-moment rows confront them"),
     **dict.fromkeys(("left_avg", "count_left_at_most"),
                     "benchmark hook: perfbench/tracing.py wraps it by name"),
     "run_conjecture_campaign": "documented API: README, Python API",

@@ -88,7 +88,7 @@ class TestSampling:
 
     def test_numpy_integer_sides_stored_as_int(self, kernel):
         g = sample_bipartite(np.int64(3), np.int64(4), 0.5, Seed(1))
-        assert g == BipartiteGraph(3, 4, graph_module._impl.sample_rows(3, 4, 0.5, 1, 0))
+        assert g == graph_module._impl.sample_graph(BipartiteGraph, 3, 4, 0.5, 1, 0)
         assert type(g.m) is int and type(g.n) is int
         assert json.loads(json.dumps(g.to_json_dict()))["m"] == 3
         with pytest.raises(TypeError):
@@ -236,9 +236,15 @@ class TestValueTypes:
          ("delta", "left_witness", "right_witness", "satisfied", "vacuous")),
     ]
     IDS = ["prob", "seed", "graph", "family", "verdict"]
+    # each row with the kernel it runs on; a graph drawn by the compiled
+    # kernel is filled without the constructor
+    ROWS = [pytest.param(make, fields, "python", id=id_)
+            for (make, fields), id_ in zip(VALUES, IDS)] + [
+        pytest.param(lambda: sample_bipartite(2, 3, 0.5, Seed(5, 3)), ("m", "n", "adj"), kernel,
+                     id=f"sampled-{kernel}") for kernel in ("compiled", "python")]
 
-    @pytest.mark.parametrize("make,fields", VALUES, ids=IDS)
-    def test_assignment_raises(self, make, fields):
+    @pytest.mark.parametrize("make,fields,kernel", ROWS, indirect=["kernel"])
+    def test_assignment_raises(self, make, fields, kernel):
         value = make()
         for name in fields:
             with pytest.raises(AttributeError):
@@ -249,8 +255,8 @@ class TestValueTypes:
             value.extra = 1
         assert value == make()
 
-    @pytest.mark.parametrize("make,fields", VALUES, ids=IDS)
-    def test_equal_values_equal_and_hash_alike(self, make, fields):
+    @pytest.mark.parametrize("make,fields,kernel", ROWS, indirect=["kernel"])
+    def test_equal_values_equal_and_hash_alike(self, make, fields, kernel):
         a, b = make(), make()
         assert a is not b
         assert a == b and not a != b
@@ -258,14 +264,14 @@ class TestValueTypes:
         assert len({a, b}) == 1
         assert hash(a) == hash(tuple(getattr(a, name) for name in fields))
 
-    @pytest.mark.parametrize("make,fields", VALUES, ids=IDS)
-    def test_repr_matches_dataclass(self, make, fields):
+    @pytest.mark.parametrize("make,fields,kernel", ROWS, indirect=["kernel"])
+    def test_repr_matches_dataclass(self, make, fields, kernel):
         value = make()
         twin = dataclasses.make_dataclass(type(value).__name__, fields, frozen=True)
         assert repr(value) == repr(twin(*(getattr(value, name) for name in fields)))
 
-    @pytest.mark.parametrize("make,fields", VALUES, ids=IDS)
-    def test_copy_and_pickle_round_trip(self, make, fields):
+    @pytest.mark.parametrize("make,fields,kernel", ROWS, indirect=["kernel"])
+    def test_copy_and_pickle_round_trip(self, make, fields, kernel):
         value = make()
         for twin in (copy.copy(value), copy.deepcopy(value),
                      pickle.loads(pickle.dumps(value))):
@@ -325,6 +331,13 @@ class TestValueTypes:
     def test_probability_stored_as_float(self):
         assert type(EdgeProbability(1).p) is float
         assert EdgeProbability(1) == EdgeProbability(1.0)
+
+    def test_sampled_graph_is_the_built_graph(self, kernel):
+        g = sample_bipartite(np.int64(2), np.uint8(3), 0.5, Seed(5, 3))
+        built = BipartiteGraph(g.m, g.n, g.adj)
+        assert g == built and hash(g) == hash(built) and repr(g) == repr(built)
+        assert type(g) is BipartiteGraph
+        assert [type(v) for v in (g.m, g.n, g.adj, *g.adj)] == [int, int, tuple, int, int]
 
     def test_graph_rows_stored_as_int_tuple(self):
         g = BipartiteGraph(2, 2, [True, 2])

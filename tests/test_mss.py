@@ -1,4 +1,9 @@
 import math
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_edge_configs, brute_force_mss, complete_graph, empty_graph,
+from conftest import (ROOT, all_edge_configs, brute_force_mss, complete_graph, empty_graph,
                       enumerate_mss, matching_graph, numpy_sample_rows, swap_sides)
 from franklbip import _pykernels, mss
 from franklbip import graphs as graph_module
@@ -321,49 +326,119 @@ class TestCompiledKernel:
     def test_sample_rows_match_twin(self, compiled_kernels, n, p):
         # numpy's Philox is the independent reference
         for key in self.SAMPLE_KEYS:
-            args = (7, n, p, *key)
-            rows = compiled_kernels.sample_rows(*args)
-            assert rows == _pykernels.sample_rows(*args) == numpy_sample_rows(*args), key
-            assert type(rows) is tuple and len(rows) == 7 and all(0 <= r < 1 << n for r in rows)
+            args = (BipartiteGraph, 7, n, p, *key)
+            rows = compiled_kernels.sample_graph(*args).adj
+            assert rows == _pykernels.sample_graph(*args).adj == numpy_sample_rows(7, n, p, *key)
 
     @pytest.mark.parametrize("p", SAMPLE_PS)
     @pytest.mark.parametrize("n", SAMPLE_NS)
     def test_sample_rows_are_graph_rows(self, kernel, n, p):
-        # sample_bipartite fills its graph with these rows unnormalised, which
-        # holds only if each is already a plain int in [0, 2^n)
+        # the compiled kernel sets the fields without the constructor, which
+        # holds only if each row is already a plain int in [0, 2^n)
         for key in self.SAMPLE_KEYS:
-            rows = graph_module._impl.sample_rows(7, n, p, *key)
-            assert type(rows) is tuple and len(rows) == 7, key
-            assert all(type(row) is int and 0 <= row < 1 << n for row in rows), key
-            assert sample_bipartite(7, n, p, Seed(*key)) == BipartiteGraph(7, n, rows), key
+            g = graph_module._impl.sample_graph(BipartiteGraph, 7, n, p, *key)
+            assert type(g) is BipartiteGraph and (g.m, g.n) == (7, n), key
+            assert type(g.adj) is tuple and len(g.adj) == 7, key
+            assert all(type(row) is int and 0 <= row < 1 << n for row in g.adj), key
+            assert g == BipartiteGraph(7, n, g.adj) == sample_bipartite(7, n, p, Seed(*key)), key
 
     @pytest.mark.parametrize("m,n,p", [(0, 4, 0.5), (4, 0, 0.5), (4, 4, -0.1), (4, 4, math.nan)])
     def test_sample_rows_refusals(self, compiled_kernels, m, n, p):
         for kernel in (compiled_kernels, _pykernels):
             with pytest.raises(ValueError):
-                kernel.sample_rows(m, n, p, 1, 2)
+                kernel.sample_graph(BipartiteGraph, m, n, p, 1, 2)
             # the sides and p are checked before the key
             with pytest.raises(ValueError):
-                kernel.sample_rows(m, n, p, 1.5, -1)
+                kernel.sample_graph(BipartiteGraph, m, n, p, 1.5, -1)
             for key, error in ((1.5, TypeError), (np.uint64(1), TypeError), (-1, OverflowError),
                                (2 ** 64, OverflowError)):
                 with pytest.raises(error):
-                    kernel.sample_rows(4, 4, 0.5, key, 0)
+                    kernel.sample_graph(BipartiteGraph, 4, 4, 0.5, key, 0)
                 with pytest.raises(error):
-                    kernel.sample_rows(4, 4, 0.5, 0, key)
-
+                    kernel.sample_graph(BipartiteGraph, 4, 4, 0.5, 0, key)
 
     def test_sample_rows_take_positional_arguments_only(self, compiled_kernels):
+        args = (BipartiteGraph, 2, 3, 0.5, 1)
         for kernel in (compiled_kernels, _pykernels):
-            assert kernel.sample_rows(2, 3, 0.5, 1, 2) == _pykernels.sample_rows(2, 3, 0.5, 1, 2)
+            assert kernel.sample_graph(*args, 2) == _pykernels.sample_graph(*args, 2)
             with pytest.raises(TypeError):
-                kernel.sample_rows(2, 3, 0.5, 1, stream=2)
+                kernel.sample_graph(*args, stream=2)
             with pytest.raises(TypeError):
-                kernel.sample_rows(m=2, n=3, p=0.5, root=1, stream=2)
+                kernel.sample_graph(cls=BipartiteGraph, m=2, n=3, p=0.5, root=1, stream=2)
             with pytest.raises(TypeError):
-                kernel.sample_rows(2, 3, 0.5, 1, 2, 0)
+                kernel.sample_graph(*args, 2, 0)
             with pytest.raises(TypeError):
-                kernel.sample_rows(2, 3, 0.5, 1)
+                kernel.sample_graph(*args)
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # setup.py's -O3, where gcc runs the flow analyses behind its
+        # array-bounds and uninitialised-use warnings
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        paths = sysconfig.get_paths()
+        proc = subprocess.run(
+            ["cc", "-Wall", "-Wextra", "-Werror", "-O3", f"-I{paths['include']}",
+             f"-I{paths['platinclude']}", "-c", str(ROOT / "src" / "franklbip" / "_kernels.c"),
+             "-o", str(tmp_path / "_kernels.o")], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    class Partial:
+        __slots__ = ("m", "n")
+
+    class ReadOnly:
+        __slots__ = ("n", "adj")
+        m = property(lambda self: 1)
+
+    class Alien:
+        # BipartiteGraph's own descriptors, which refuse any other instance
+        m, n, adj = (BipartiteGraph.__dict__[name] for name in ("m", "n", "adj"))
+
+    def test_sample_graph_needs_a_slotted_graph_class(self, compiled_kernels):
+        classes = (5, "BipartiteGraph", object, int, tuple, self.Partial, self.ReadOnly,
+                   self.Alien)
+        for kernel in (compiled_kernels, _pykernels):
+            for cls in classes:
+                with pytest.raises(TypeError):
+                    kernel.sample_graph(cls, 2, 3, 0.5, 1, 2)
+        for cls, text in ((5, "'m', not 5"), (self.Partial, "'adj', not <class '.*Partial'>"),
+                          (self.ReadOnly, "'m', not <class '.*ReadOnly'>")):
+            with pytest.raises(TypeError, match=f"needs a class with a slot {text}"):
+                compiled_kernels.sample_graph(cls, 2, 3, 0.5, 1, 2)
+
+        class Sub(BipartiteGraph):
+            pass
+
+        for kernel in (compiled_kernels, _pykernels):
+            g = kernel.sample_graph(Sub, 2, 3, 0.5, 1, 2)
+            assert type(g) is Sub
+            assert g._fields() == sample_bipartite(2, 3, 0.5, Seed(1, 2))._fields()
+
+    def test_sample_graph_leaks_nothing(self, compiled_kernels):
+        # m, n and the rows above 256 are no cached small ints, so a reference
+        # leaked on any of them, on a draw or on a refused fill, grows the
+        # traced memory by at least 28 bytes a call
+        shapes = ((BipartiteGraph, 257, 2), (BipartiteGraph, 2, 300), (self.Alien, 2, 300))
+
+        def calls(count):
+            for t in range(count):
+                try:
+                    compiled_kernels.sample_graph(*shapes[t % 3], 0.5, 1, t)
+                except TypeError:
+                    pass
+
+        # the slot descriptors, held during each call, are no allocation
+        descriptors = [BipartiteGraph.__dict__[name] for name in BipartiteGraph.__slots__]
+        calls(100)
+        refs = [sys.getrefcount(d) for d in descriptors]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            calls(20000)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 20000
+        assert [sys.getrefcount(d) for d in descriptors] == refs
 
 
 class TestLeftAvg:

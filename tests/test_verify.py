@@ -587,45 +587,6 @@ class TestVerifyLemma:
         assert rep.verdict == verify.INFORMATIONAL
         assert rep.extra["lam"] == pytest.approx(0.5)
 
-    def test_mc_pair_counts_match_closed_form(self):
-        # sampled mean of ordered stable-pair counts vs the closed form
-        from franklbip.bounds import pair_expectation_B
-        from franklbip.graphs import sample_bipartite
-
-        m = n = 5
-        a, b = 2, 2
-        trials = 1500
-        spec_pairs = [(0, 0), (1, 1), (2, 2)]
-        sums = {ij: 0 for ij in spec_pairs}
-        for t in range(trials):
-            g = sample_bipartite(m, n, 0.5, Seed(23).child(t))
-            sets = []
-            for a_mask in range(1 << m):
-                if a_mask.bit_count() != a:
-                    continue
-                nb = 0
-                for u in range(m):
-                    if a_mask >> u & 1:
-                        nb |= g.adj[u]
-                for b_mask in range(1 << n):
-                    if b_mask.bit_count() == b and b_mask & nb == 0:
-                        sets.append((a_mask, b_mask))
-            for i, j in spec_pairs:
-                sums[(i, j)] += sum(
-                    1
-                    for s in sets
-                    for t2 in sets
-                    if (s[0] & t2[0]).bit_count() == i and (s[1] & t2[1]).bit_count() == j
-                )
-        for i, j in spec_pairs:
-            want = pair_expectation_B(m, n, 0.5, a, b, i, j)
-            got = sums[(i, j)] / trials
-            # pair counts are heavy-tailed; allow a generous sampling margin
-            assert abs(got - want) <= max(0.2 * want, 6 * math.sqrt(want / trials)), (
-                i, j, got, want,
-            )
-
-
 class TestSweep:
     GRID3 = [(3, 3, 0.5, 0.0), (4, 2, 0.5, 0.1), (2, 4, 0.8, 0.0)]
 
