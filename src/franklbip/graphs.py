@@ -13,9 +13,9 @@ instead: Seed is a tuple whose constructor masks both fields to 64 bits, and
 the other two are slotted classes whose constructors check every field.
 The compiled sampler returns a finished graph: it makes the constructor's
 row-count and range checks in C and sets the fields through the slot
-descriptors, so no Python code runs per draw.  `mss.ConjectureVerdict` and
-`setfamily.SetFamily` are slotted classes on the same base, so those
-modules need no `dataclasses` for them.
+descriptors, so a draw runs no Python past sample_bipartite's side and p
+checks.  `mss.ConjectureVerdict` and `setfamily.SetFamily` are slotted
+classes on the same base, so those modules need no `dataclasses` for them.
 """
 
 from __future__ import annotations
