@@ -158,7 +158,7 @@ def brute_force_mss(g: BipartiteGraph):
 
 
 def numpy_sample_rows(m, n, p, root, stream):
-    """sample_rows drawn with numpy: Philox keyed by (root, stream), then
+    """The rows of sample_graph, drawn with numpy: Philox keyed by (root, stream), then
     edge (u, v) iff the (u*n + v)-th random() is below p."""
     rng = np.random.Generator(np.random.Philox(key=np.array([root, stream], dtype=np.uint64)))
     bits = (rng.random((m, n)) < p).astype(np.uint8)
