@@ -222,19 +222,18 @@ def cmd_frankl(args) -> int:
 
     with open(args.family) as fh:
         family = setfamily.parse_family(fh.read())
-    closed = setfamily.union_closure(family) if args.closure else family
-    best, freq, satisfied = setfamily.frankl_check(closed)
+    members, best, freq, satisfied = setfamily.frankl_check(family, args.closure)
     cfg = _echo("frankl", _resolve_seed(args), family=args.family,
                 closure=args.closure, format=args.format)
     payload = {
-        "members": len(closed),
-        "ground_size": closed.ground_size,
+        "members": members,
+        "ground_size": family.ground_size,
         "best_element": best,
         "frequency": fraction_text(freq),
         "satisfied": satisfied,
     }
     return _write(args, cfg, payload, [
-        f"members: {len(closed)}  ground: {closed.ground_size}",
+        f"members: {members}  ground: {family.ground_size}",
         f"best element: {best}",
         f"frequency: {freq}",
         f"satisfied: {str(satisfied).lower()}",

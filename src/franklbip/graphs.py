@@ -58,12 +58,15 @@ class GraphParseError(ValueError):
     """Malformed graph text (bad header, row count, row width or character)."""
 
 
-# The two defaults and three errors below belong to mss, bounds and
-# setfamily, which re-export them under these names.  They are defined here
-# so that cli can build its parser and map every error to its exit code
-# while importing only the modules a subcommand runs.
+# The two defaults, the scan limit and three errors below belong to mss,
+# bounds and setfamily, which re-export them under these names.  They are
+# defined here so that cli can build its parser and map every error to its
+# exit code while importing only the modules a subcommand runs.
 
 DEFAULT_CAP = 30  # the largest scan side, min(m, n), of every scan
+# _kernels.c refuses a scan side above 62 (its counters are 64-bit), so no cap
+# and no set family's ground set goes past it, and both kernels refuse alike
+MAX_SCAN_SIDE = 62
 DEFAULT_ALPHA = 0.45  # the alpha of the regime bands' alpha*m threshold
 
 

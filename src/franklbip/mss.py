@@ -23,13 +23,10 @@ from typing import NamedTuple, Optional
 
 # graphs chooses the kernel, compiled or pure Python, for the sampler and
 # for the subset scans here alike, and defines DEFAULT_CAP, the cap of
-# every scan, so that cli reads it without importing this module.
-from .graphs import (DEFAULT_CAP, KERNEL, BipartiteGraph, CapExceeded,  # noqa: F401
-                     _impl, _slot_setters, _Value, fraction_text)
-
-# _kernels.c refuses a scan side above its MAX_SCAN_SIDE of 62 (its counters
-# are 64-bit), so the cap never goes past it and both kernels refuse alike.
-MAX_SCAN_SIDE = 62
+# every scan, so that cli reads it without importing this module, and
+# MAX_SCAN_SIDE, the limit of every cap, which setfamily shares.
+from .graphs import (DEFAULT_CAP, KERNEL, MAX_SCAN_SIDE, BipartiteGraph,  # noqa: F401
+                     CapExceeded, _impl, _slot_setters, _Value, fraction_text)
 
 
 class StableSet(NamedTuple):

@@ -1,34 +1,37 @@
-"""Brute-force layer for the original set formulation: union closures and
-element-frequency checks on small ground sets.
+"""Set families and the element-frequency check of the union-closed sets
+conjecture, counted by the MSS subset scan.
 
-Families are sorted lists of bitmasks over a ground set of at most 20
-elements; the closure is the fixed point of pairwise unions, computed with
-a worklist.  This layer is an independent sanity check and is deliberately
-not wired to the graph machinery; it takes only its parse error from
-`graphs`, where cli finds it without importing this module.
+Families are sorted lists of bitmasks over a ground set of at most
+MAX_SCAN_SIDE (62) elements.  By the graph formulation of Bruhn, Charbit,
+Schaudt and Telle (arXiv:1212.4175), in the graph joining each element to
+the nonempty members that hold it, the maximal stable sets are one to one
+with the union closure of those members plus the empty set: the MSS whose
+ground part is A stands for the member "ground minus A".  So one scan of
+the ground set counts the closure and each element's frequency in it.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
-from .graphs import FamilyParseError, _slot_setters, _Value
-
-GROUND_CAP = 20
+from .graphs import (MAX_SCAN_SIDE, BipartiteGraph, FamilyParseError, _impl, _slot_setters,
+                     _Value)
 
 
 class SetFamily(_Value):
     """Deduplicated family of subsets of {0, ..., ground_size - 1}, its
-    members sorted.  Immutable, and equal, hashed and printed by value."""
+    members sorted.  Immutable, and equal, hashed and printed by value.
+    ground_size and each member are taken through operator.index, so a bool
+    is stored as an int and a float or a string raises TypeError."""
 
     __slots__ = ("ground_size", "members")
 
     def __init__(self, ground_size: int, members: tuple):
-        if not 1 <= ground_size <= GROUND_CAP:
-            raise ValueError(
-                f"ground size must be in [1, {GROUND_CAP}], got {ground_size}"
-            )
-        members = tuple(sorted(set(int(x) for x in members)))
+        ground_size = operator.index(ground_size)
+        if not 1 <= ground_size <= MAX_SCAN_SIDE:
+            raise ValueError(f"ground size must be in [1, {MAX_SCAN_SIDE}], got {ground_size}")
+        members = tuple(sorted(set(map(operator.index, members))))
         limit = 1 << ground_size
         for mask in members:
             if not 0 <= mask < limit:
@@ -43,6 +46,7 @@ class SetFamily(_Value):
 _set_ground_size, _set_members = _slot_setters(SetFamily)
 
 
+# no caller under src/: perfbench/tracing.py wraps it by name; the tests' oracle
 def union_closure(generators: SetFamily) -> SetFamily:
     """Smallest union-closed superfamily of the generators."""
     seen = set(generators.members)
@@ -57,51 +61,38 @@ def union_closure(generators: SetFamily) -> SetFamily:
     return SetFamily(generators.ground_size, tuple(sorted(seen)))
 
 
-def is_union_closed(family: SetFamily) -> bool:
-    members = set(family.members)
-    items = family.members
-    for i, a in enumerate(items):
-        for b in items[i:]:
-            if a | b not in members:
-                return False
-    return True
+def frankl_check(family: SetFamily, closure: bool = False):
+    """(members, best_element, frequency, satisfied) for a union-closed
+    family, or for the union closure of any family when closure is set.
 
-
-def frankl_check(family: SetFamily):
-    """Most frequent ground element of a union-closed family.
-
-    Returns (best_element, frequency, satisfied) where satisfied means the
-    element lies in at least half of the members.  Ties break towards the
-    smallest element.  The family {empty set} is excluded by the statement,
-    as is the empty family.
+    members is the size of the family checked, and frequency the exact share
+    of them holding best_element, its most frequent element (ties go to the
+    smallest); satisfied means that share is at least 1/2.  Without closure
+    a family that is not union-closed is refused.  The families {} and
+    {empty set} are excluded by the statement.
     """
-    if not is_union_closed(family):
-        raise ValueError("family is not union-closed")
-    if len(family.members) == 0:
+    if not family.members:
         raise ValueError("family is empty")
     if family.members == (0,):
         raise ValueError("the family containing only the empty set is excluded")
-    universe = 0
-    for mask in family.members:
-        universe |= mask
-    best_elem = None
-    best_count = -1
-    elem = universe
-    while elem:
-        low = elem & -elem
-        v = low.bit_length() - 1
-        count = sum(1 for mask in family.members if mask >> v & 1)
-        if count > best_count:
-            best_elem, best_count = v, count
-        elem ^= low
-    frequency = Fraction(best_count, len(family.members))
-    return best_elem, frequency, 2 * best_count >= len(family.members)
+    has_empty = family.members[0] == 0
+    nonempty = family.members[has_empty:]
+    columns = BipartiteGraph(len(nonempty), family.ground_size, nonempty).columns()
+    # one MSS per member of the closure of the nonempty members, and one for
+    # the empty set; outside[x] counts the MSS whose member lacks x
+    total, _, _, outside, _, _ = _impl.scan_stats(columns, family.ground_size, len(nonempty))
+    members = total - (not has_empty)
+    if not closure and members != len(family.members):
+        raise ValueError("family is not union-closed")
+    best = min(range(family.ground_size), key=outside.__getitem__)
+    count = total - outside[best]
+    return members, best, Fraction(count, members), 2 * count >= members
 
 
 def parse_family(text: str) -> SetFamily:
     """One set per line as comma-separated element indices; '-' is the empty
     set.  The ground size is max element + 1.  A negative element, or one at
-    or above GROUND_CAP, is a FamilyParseError naming its line."""
+    or above MAX_SCAN_SIDE, is a FamilyParseError naming its line."""
     masks = []
     max_elem = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -122,9 +113,9 @@ def parse_family(text: str) -> SetFamily:
                 ) from None
             if v < 0:
                 raise FamilyParseError(f"line {lineno}: negative element {v}")
-            if v >= GROUND_CAP:
+            if v >= MAX_SCAN_SIDE:
                 raise FamilyParseError(
-                    f"line {lineno}: element {v} outside the ground cap [0, {GROUND_CAP})"
+                    f"line {lineno}: element {v} outside the ground cap [0, {MAX_SCAN_SIDE})"
                 )
             max_elem = max(max_elem, v)
             mask |= 1 << v

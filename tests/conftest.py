@@ -8,7 +8,8 @@ filters every vertex subset of a small graph, and numpy_sample_rows draws
 with numpy's Philox bit generator, the reference both hand-written samplers
 must match bit for bit.
 
-The graph builders, swap_sides, serialize_family, enumerate_mss (every
+The graph builders, swap_sides, serialize_family, frankl_frequencies (the
+per-element count that setfamily.frankl_check replaced), enumerate_mss (every
 MSS itself, from the pure-Python walk the twin's scan_stats runs) and
 stab_tail_table (the exact expectations behind genupper at every threshold
 pair at once) are used by tests alone, so they live here rather than in the
@@ -27,12 +28,13 @@ import math
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from franklbip import _pykernels, graphs, mss
+from franklbip import _pykernels, graphs, mss, setfamily
 from franklbip.graphs import BipartiteGraph, CapExceeded, Seed, sample_bipartite
 from franklbip.mss import StableSet
 
@@ -113,6 +115,26 @@ def serialize_family(family):
                 mask ^= low
             lines.append(",".join(elems))
     return "\n".join(lines) + "\n"
+
+
+def frankl_frequencies(family):
+    """(members, best_element, frequency, satisfied) of a family, counting
+    each element of its union over the members; ties go to the smallest
+    element.  The independent oracle of setfamily.frankl_check on a
+    union-closed family other than {} and {empty set}."""
+    universe = 0
+    for mask in family.members:
+        universe |= mask
+    best_elem, best_count = None, -1
+    while universe:
+        low = universe & -universe
+        v = low.bit_length() - 1
+        count = sum(1 for mask in family.members if mask >> v & 1)
+        if count > best_count:
+            best_elem, best_count = v, count
+        universe ^= low
+    members = len(family.members)
+    return members, best_elem, Fraction(best_count, members), 2 * best_count >= members
 
 
 def enumerate_mss(g):
@@ -230,8 +252,8 @@ def kernel(request, monkeypatch):
     twins, for the sampler and the subset scans alike."""
     impl = request.getfixturevalue("compiled_kernels") if request.param == "compiled" \
         else _pykernels
-    monkeypatch.setattr(mss, "_impl", impl)
-    monkeypatch.setattr(graphs, "_impl", impl)
+    for module in (graphs, mss, setfamily):
+        monkeypatch.setattr(module, "_impl", impl)
 
 
 def strict_json(text):

@@ -10,7 +10,7 @@ import importlib.util
 import pytest
 
 from conftest import ROOT
-from franklbip import mss, verify
+from franklbip import mss, setfamily, verify
 from franklbip.graphs import Seed, sample_bipartite
 
 
@@ -26,6 +26,7 @@ def test_tracer_installs_and_uninstalls():
     tracing = load_tracing()
     hooked = [(mss, name) for name in tracing.MSS_ENTRY_POINTS]
     hooked += [(verify, name) for name in tracing.VERIFY_ENTRY_POINTS]
+    hooked += [(setfamily, name) for name in tracing.SETFAMILY_ENTRY_POINTS]
     originals = [getattr(owner, name) for owner, name in hooked]
     tracer = tracing.Tracer()
     try:

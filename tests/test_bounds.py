@@ -470,6 +470,8 @@ NO_CALLER = {
     **dict.fromkeys(("left_avg", "count_left_at_most"),
                     "benchmark hook: perfbench/tracing.py wraps it by name"),
     "run_conjecture_campaign": "documented API: README, Python API",
+    "union_closure": "benchmark hook: perfbench/tracing.py wraps it by name; the tests' "
+                     "closure oracle",
 }
 
 

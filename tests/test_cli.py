@@ -430,7 +430,7 @@ class TestFrankl:
     def test_parse_error(self, capsys, tmp_path):
         fam = tmp_path / "fam.txt"
         # an element past the ground cap is malformed input too, not a usage error
-        for text, line in (("a,b\n", 1), ("1\n0,20\n", 2), ("-1\n", 1)):
+        for text, line in (("a,b\n", 1), ("1\n0,62\n", 2), ("-1\n", 1)):
             fam.write_text(text)
             rc, _, err = run(capsys, "frankl", str(fam))
             assert rc == 1, text

@@ -117,6 +117,12 @@ CLI_CASES = {
     # element 0 lies in every member: frequency 1
     "frankl-chain": ("frankl", "chain.family"),
     "frankl-closure": ("frankl", "generators.family", "--closure"),
+    # 30 generators over 18 elements, each element drawn with probability .35
+    # (numpy Philox keyed by (18, 0), empty draws skipped); the closure has
+    # 4,355 members.  Its
+    # bytes were recorded from the pairwise brute-force closure that the
+    # subset scan replaced.
+    "frankl-large": ("frankl", "large_generators.family", "--closure"),
 }
 
 

@@ -2,15 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import serialize_family
+from conftest import frankl_frequencies, serialize_family
 from franklbip.setfamily import (
     FamilyParseError,
     SetFamily,
     frankl_check,
-    is_union_closed,
     parse_family,
     union_closure,
 )
@@ -65,43 +64,72 @@ class TestUnionClosure:
         assert len(closed) <= 1 << fam.ground_size
 
     def test_ground_cap(self):
-        with pytest.raises(ValueError):
-            SetFamily(21, (1,))
+        assert SetFamily(62, (1 << 61,)).ground_size == 62
+        with pytest.raises(ValueError, match=r"ground size must be in \[1, 62\], got 63"):
+            SetFamily(63, (1,))
 
-
-class TestIsUnionClosed:
-    def test_closure_output_closed(self):
-        fam = union_closure(SetFamily(3, (0b001, 0b010, 0b100)))
-        assert is_union_closed(fam)
-
-    def test_two_singletons_not_closed(self):
-        assert not is_union_closed(SetFamily(2, (0b01, 0b10)))
-
-    @given(families())
-    @settings(max_examples=100, deadline=None)
-    def test_random_closures_closed(self, fam):
-        assert is_union_closed(union_closure(fam))
+    def test_fields_are_taken_as_indices(self):
+        fam = SetFamily(True, (True, np.int64(1)))
+        assert fam == SetFamily(1, (1,))
+        assert type(fam.ground_size) is int and type(fam.members[0]) is int
+        for ground, members in ((3, (2.7,)), (3, ("1",)), (3.0, (1,)), ("3", (1,))):
+            with pytest.raises(TypeError):
+                SetFamily(ground, members)
 
 
 class TestFranklCheck:
     def test_singletons_with_union(self):
         fam = SetFamily(2, (0b01, 0b10, 0b11))
-        best, freq, ok = frankl_check(fam)
+        members, best, freq, ok = frankl_check(fam)
+        assert members == 3
         assert best == 0
         assert freq == Fraction(2, 3)
         assert ok
 
     def test_power_set_minus_empty(self):
         fam = SetFamily(4, tuple(range(1, 16)))
-        best, freq, ok = frankl_check(fam)
+        members, best, freq, ok = frankl_check(fam)
+        assert members == 15
         assert freq == Fraction(8, 15)
         assert ok
 
     def test_tie_breaks_to_smallest_element(self):
         fam = SetFamily(2, (0b01, 0b10, 0b11))
         # element 0 and 1 both appear twice; smallest wins
-        best, _, _ = frankl_check(fam)
+        _, best, _, _ = frankl_check(fam)
         assert best == 0
+
+    def test_closure_counts_the_closure(self):
+        # {0} and {1} close to {0}, {1}, {0, 1}; the empty set stays a member
+        assert frankl_check(SetFamily(2, (0b01, 0b10)), closure=True) == \
+            (3, 0, Fraction(2, 3), True)
+        assert frankl_check(SetFamily(2, (0, 0b01, 0b10)), closure=True) == \
+            (4, 0, Fraction(1, 2), True)
+
+    def test_element_at_the_scan_limit(self, kernel):
+        assert frankl_check(SetFamily(62, (1, 1 << 61)), closure=True) == \
+            (3, 0, Fraction(2, 3), True)
+        assert frankl_check(SetFamily(62, (1 << 61, 1 << 60 | 1 << 61))) == \
+            (2, 61, Fraction(1), True)
+
+    @given(families(max_ground=8, max_gens=8), st.booleans())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_brute_force_oracle(self, kernel, fam, closure):
+        # union_closure and the per-element count are the oracle; without
+        # closure, exactly the families their closure changes are refused
+        closed = union_closure(fam)
+        if closed.members == (0,):
+            with pytest.raises(ValueError, match="empty set"):
+                frankl_check(fam, closure)
+            return
+        expected = frankl_frequencies(closed)
+        assert frankl_check(closed, closure) == expected
+        if closure or fam == closed:
+            assert frankl_check(fam, closure) == expected
+        else:
+            with pytest.raises(ValueError, match="family is not union-closed"):
+                frankl_check(fam)
 
     def test_rejects_not_union_closed(self):
         with pytest.raises(ValueError, match="union-closed"):
@@ -122,7 +150,7 @@ class TestFranklCheck:
             count = 1 + int(rng.integers(0, 4))
             gens = [int(rng.integers(1, 1 << ground)) for _ in range(count)]
             closed = union_closure(SetFamily(ground, tuple(gens)))
-            _, _, ok = frankl_check(closed)
+            *_, ok = frankl_check(closed)
             assert ok, f"counterexample candidate: {closed}"
 
 
@@ -144,6 +172,12 @@ class TestFamilyText:
     def test_round_trip(self):
         fam = union_closure(SetFamily(3, (0b101, 0b010)))
         assert parse_family(serialize_family(fam)) == fam
+
+    def test_parse_at_the_ground_cap(self):
+        assert parse_family("0\n61\n") == SetFamily(62, (1, 1 << 61))
+        with pytest.raises(FamilyParseError,
+                           match=r"^line 2: element 62 outside the ground cap \[0, 62\)$"):
+            parse_family("0\n1,62\n")
 
     def test_parse_errors(self):
         with pytest.raises(FamilyParseError):
