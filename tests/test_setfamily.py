@@ -112,6 +112,16 @@ class TestFranklCheck:
         assert frankl_check(SetFamily(62, (1 << 61, 1 << 60 | 1 << 61))) == \
             (2, 61, Fraction(1), True)
 
+    def test_members_past_one_word(self, kernel):
+        # 127 nonempty members: the scan's member side spans two 64-bit words
+        fam = SetFamily(7, tuple(range(1, 128)))
+        assert frankl_check(fam) == (127, 0, Fraction(64, 127), True)
+        assert frankl_check(SetFamily(7, (0, *fam.members))) == (128, 0, Fraction(1, 2), True)
+        with pytest.raises(ValueError, match="family is not union-closed"):
+            frankl_check(SetFamily(7, fam.members[:-1]))
+        assert frankl_check(SetFamily(7, fam.members[:-1]), closure=True) == \
+            frankl_check(fam)
+
     @given(families(max_ground=8, max_gens=8), st.booleans())
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
