@@ -1,21 +1,29 @@
 /* Compiled kernels; pure-Python twins in _pykernels.py.
  *
- * Subset scans.  The same depth-first walk, in the same order, with the same
- * prunes as the twin: coverage of the other side only grows down the tree,
- * so a left-out vertex whose neighbourhood is fully covered kills its
- * subtree, and re-checking left-out vertices whenever coverage grows makes
- * accepted leaves final without a closing scan.  The walk takes the scan
- * side by descending degree, ties in vertex order, so coverage grows fast
- * near the root; the sort happens here and scan_counts are mapped back to
- * vertex order.  Counts are taken once per subtree: each node returns its
- * number of leaves, and the include branch of u credits them to u and to
- * each other-side vertex u covers first.  A vertex is free at a leaf exactly
- * when no vertex of A covers it, so other_counts = total - covered, and
- * leaves only update the two size histograms.  Rows are packed into
- * W = word_count(t) words each, masked to the t bits of the other side.  One
- * walk body is compiled twice: with W = 1, where the coverage stays in a
- * register, and with W read at run time.  The walk touches no Python object
- * and runs with the interpreter lock released, once per call.
+ * Subset scans.  scan_stats and scan_free_hist take a graph as it is stored,
+ * its m rows as a list or tuple of ints over the n right vertices, and scan
+ * the smaller side, the left on a tie.  When that is the right side, the
+ * rows are transposed here, so no caller builds the columns, and scan_stats
+ * hands its results back in graph orientation.  The same depth-first walk,
+ * in the same order, with the same prunes as the twin: coverage of the other
+ * side only grows down the tree, so a left-out vertex whose neighbourhood is
+ * fully covered kills its subtree, and re-checking left-out vertices
+ * whenever coverage grows makes accepted leaves final without a closing
+ * scan.  The walk takes the scan side by descending degree, ties in vertex
+ * order, so coverage grows fast near the root; the sort happens here and
+ * scan_counts are mapped back to vertex order.  Counts are taken once per
+ * subtree: each node returns its number of leaves, and the include branch of
+ * u credits them to u and to each other-side vertex u covers first.  A
+ * vertex is free at a leaf exactly when no vertex of A covers it, so
+ * other_counts = total - covered, and leaves only update the two size
+ * histograms.  Rows are packed into W = word_count(t) words each, masked to
+ * the t bits of the other side.  One walk body is compiled twice: with
+ * W = 1, where the coverage stays in a register, and with W read at run
+ * time.  The walk touches no Python object and runs with the interpreter
+ * lock released, once per call.  A campaign scans a small graph per trial,
+ * so each scan is a positional METH_FASTCALL call, reads one-word rows
+ * straight from the list or tuple, and keeps its block of words on the stack
+ * when it fits, as every one-word scan's does.
  *
  * Sampler.  Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy
  * as 1, 2, 3", SC'11) run step for step as the twin's pure-Python Philox runs
@@ -37,6 +45,7 @@ typedef uint64_t u64;
 
 #define MAX_SCAN_SIDE 62
 #define STACK_WORDS 4   /* the sampler keeps rows of up to 256 bits on the stack */
+#define STACK_SCAN_WORDS 512   /* a one-word scan needs at most 380 words */
 
 /* Words in a packed row of `bits` bits: ceil(bits / 64), and at least one, so
  * word 0 always exists.  The scans and the sampler all pack by this rule. */
@@ -129,7 +138,8 @@ static u64 stats_visit_w(StatsCtx *c, int i, int k, u64 out, u64 nb0)
 }
 
 typedef struct {
-    int s, t, W, lo_k;
+    int s, t, W;
+    long long lo_k;
     const u64 *adj;
     u64 *nbstack;
     u64 *freq;
@@ -197,40 +207,157 @@ static inline void philox_block(Philox *g, u64 *out)
 
 /* --- Python boundary ------------------------------------------------------ */
 
-static int check_sides(PyObject *rows, int s, int t)
+/* 0 when a call with nargs positional arguments and these keyword names binds
+ * to def name(params[0], ..., params[count - 1], /), whose first `required`
+ * parameters have no default.  Otherwise -1 with the TypeError CPython raises
+ * for that def, text for text, so each entry refuses a call as its twin in
+ * _pykernels.py does. */
+static int bind_positional(const char *name, const char *const *params, Py_ssize_t count,
+                           Py_ssize_t required, Py_ssize_t nargs, PyObject *kwnames)
 {
-    Py_ssize_t len = PyObject_Length(rows);
-    if (len < 0)
+    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    if (nkw == 0 && nargs >= required && nargs <= count)
+        return 0;
+    if (nkw) {
+        /* the keywords that name a parameter, in parameter order */
+        PyObject *hits = PyList_New(0), *sep = NULL, *joined = NULL;
+        for (Py_ssize_t i = 0; hits != NULL && i < count; i++)
+            for (Py_ssize_t k = 0; hits != NULL && k < nkw; k++) {
+                PyObject *kw = PyTuple_GET_ITEM(kwnames, k);
+                if (PyUnicode_CompareWithASCIIString(kw, params[i]) == 0
+                        && PyList_Append(hits, kw) < 0)
+                    Py_CLEAR(hits);
+            }
+        if (hits != NULL && PyList_GET_SIZE(hits) == 0)
+            PyErr_Format(PyExc_TypeError, "%s() got an unexpected keyword argument '%S'", name,
+                         PyTuple_GET_ITEM(kwnames, 0));
+        else if (hits != NULL && (sep = PyUnicode_FromString(", ")) != NULL
+                 && (joined = PyUnicode_Join(sep, hits)) != NULL)
+            PyErr_Format(PyExc_TypeError, "%s() got some positional-only arguments passed as "
+                         "keyword arguments: '%U'", name, joined);
+        Py_XDECREF(hits);
+        Py_XDECREF(sep);
+        Py_XDECREF(joined);
+    } else if (nargs > count && required < count) {
+        PyErr_Format(PyExc_TypeError, "%s() takes from %zd to %zd positional arguments but %zd "
+                     "were given", name, required, count, nargs);
+    } else if (nargs > count) {
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd positional arguments but %zd were given",
+                     name, count, nargs);
+    } else {
+        /* 'a', 'a' and 'b', or 'a', 'b', and 'c' */
+        PyObject *names = PyUnicode_FromFormat("'%s'", params[nargs]);
+        for (Py_ssize_t i = nargs + 1; names != NULL && i < required; i++)
+            Py_SETREF(names, PyUnicode_FromFormat(
+                "%U%s'%s'", names, i + 1 < required ? ", " : i == nargs + 1 ? " and " : ", and ",
+                params[i]));
+        if (names != NULL)
+            PyErr_Format(PyExc_TypeError, "%s() missing %zd required positional argument%s: %U",
+                         name, required - nargs, required - nargs == 1 ? "" : "s", names);
+        Py_XDECREF(names);
+    }
+    return -1;
+}
+
+/* A scan call, checked as the twin's _scan_side checks it: the graph's rows
+ * as a list or tuple, and the layout of the side both kernels scan, the
+ * smaller one, the left on a tie.  extra holds the two optional arguments,
+ * the left side's first. */
+typedef struct {
+    PyObject *rows;   /* a new reference */
+    int s, t, W, transposed;
+    long long extra[2];
+} ScanCall;
+
+static int scan_call(const char *name, const char *const *params, PyObject *const *args,
+                     Py_ssize_t nargs, PyObject *kwnames, long long dflt, ScanCall *sc)
+{
+    if (bind_positional(name, params, 5, 3, nargs, kwnames) < 0)
         return -1;
-    if (s != len) {
-        PyErr_SetString(PyExc_ValueError, "row count does not match scan side size");
+    /* m and n as operator.index takes them */
+    Py_ssize_t m = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
+    if (m == -1 && PyErr_Occurred())
+        return -1;
+    Py_ssize_t n = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
+    if (n == -1 && PyErr_Occurred())
+        return -1;
+    for (int i = 0; i < 2; i++) {
+        sc->extra[i] = 3 + i < nargs ? PyLong_AsLongLong(args[3 + i]) : dflt;
+        if (sc->extra[i] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    sc->rows = PySequence_Fast(args[0], "rows must be a sequence");
+    if (sc->rows == NULL)
+        return -1;
+    const char *refusal = NULL;
+    if (PySequence_Fast_GET_SIZE(sc->rows) != m)
+        refusal = "row count does not match the left side size";
+    else if (n < 0)
+        refusal = "negative right side size";
+    else if ((n < m ? n : m) > MAX_SCAN_SIDE)
+        refusal = "scan side too large for 64-bit counters";
+    if (refusal != NULL) {
+        PyErr_SetString(PyExc_ValueError, refusal);
+        Py_CLEAR(sc->rows);
         return -1;
     }
-    if (s > MAX_SCAN_SIDE) {
-        PyErr_SetString(PyExc_ValueError, "scan side too large for 64-bit counters");
+    sc->transposed = n < m;
+    Py_ssize_t t = sc->transposed ? m : n;
+    if (t >= INT_MAX) {
+        /* a row of t bits would not fit in memory anyway */
+        PyErr_NoMemory();
+        Py_CLEAR(sc->rows);
         return -1;
     }
-    if (t < 0) {
-        PyErr_SetString(PyExc_ValueError, "negative other side size");
-        return -1;
-    }
+    sc->s = (int)(sc->transposed ? n : m);
+    sc->t = (int)t;
+    sc->W = (int)word_count(t);
     return 0;
 }
 
-/* full = the t low bits; adj[u] = rows[u] & full, W little-endian words a row. */
-static int pack_rows(PyObject *rows, int s, int t, int W, u64 *full, u64 *adj)
+/* The low 64 bits of a row, as operator.index(row) & (2^64 - 1). */
+static inline int row_word(PyObject *row, u64 *word)
 {
+    *word = PyLong_AsUnsignedLongLongMask(row);
+    return *word == (u64)-1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* full = the t bits of the other side, and out (zeroed) = the s scan-side
+ * rows in vertex order, W words each: the graph's rows masked to the t bits
+ * when the left side is scanned, their transpose when the right is. */
+static int pack_scan_side(const ScanCall *sc, u64 *full, u64 *out)
+{
+    const int s = sc->s, t = sc->t, W = sc->W;
+    PyObject *const *items = PySequence_Fast_ITEMS(sc->rows);
+    u64 row;
     for (int wd = 0; wd < W; wd++)
         full[wd] = t - 64 * wd >= 64 ? ~(u64)0 : ((u64)1 << (t - 64 * wd)) - 1;
+    if (sc->transposed) {
+        /* The t rows each fit a word, as the right side has s <= 62 bits:
+         * bit v of row u becomes bit u of column v. */
+        for (int u = 0; u < t; u++) {
+            if (row_word(items[u], &row) < 0)
+                return -1;
+            for (u64 x = row & (((u64)1 << s) - 1); x; x &= x - 1)
+                out[(size_t)__builtin_ctzll(x) * W + (u >> 6)] |= (u64)1 << (u & 63);
+        }
+        return 0;
+    }
+    if (W == 1) {
+        for (int u = 0; u < s; u++) {
+            if (row_word(items[u], &row) < 0)
+                return -1;
+            out[u] = row & full[0];
+        }
+        return 0;
+    }
     PyObject *sixty_four = PyLong_FromLong(64);
     if (sixty_four == NULL)
         return -1;
     for (int u = 0; u < s; u++) {
-        PyObject *item = PySequence_GetItem(rows, u);
-        PyObject *rest = item ? PyNumber_Index(item) : NULL;
-        Py_XDECREF(item);
+        PyObject *rest = PyNumber_Index(items[u]);
         for (int wd = 0; rest != NULL && wd < W; wd++) {
-            adj[(size_t)u * W + wd] = PyLong_AsUnsignedLongLongMask(rest) & full[wd];
+            out[(size_t)u * W + wd] = PyLong_AsUnsignedLongLongMask(rest) & full[wd];
             if (wd + 1 < W)
                 Py_SETREF(rest, PyNumber_Rshift(rest, sixty_four));
         }
@@ -257,10 +384,6 @@ static PyObject *counts_to_list(const u64 *counts, int len)
     return list;
 }
 
-PyDoc_STRVAR(scan_stats_doc,
-"scan_stats(rows, s, t, sel_k=-1, sel_f=-1)\n--\n\n"
-"Compiled counterpart of _pykernels.scan_stats (same contract).");
-
 /* Walk positions: vertices by descending degree, ties in vertex order. */
 static void degree_order(const u64 *rows, int s, int W, int *order)
 {
@@ -276,23 +399,42 @@ static void degree_order(const u64 *rows, int s, int W, int *order)
     }
 }
 
-static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+/* A scan's zeroed block of words: on the stack when it fits, which every
+ * one-word scan does, else on the heap. */
+static u64 *scan_block(size_t words, u64 *stack_block)
 {
-    static char *kwlist[] = {"rows", "s", "t", "sel_k", "sel_f", NULL};
-    PyObject *rows, *result = NULL;
-    int s, t;
-    long long sel_k = -1, sel_f = -1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oii|LL", kwlist,
-                                     &rows, &s, &t, &sel_k, &sel_f)
-            || check_sides(rows, s, t) < 0)
+    if (words <= STACK_SCAN_WORDS)
+        return memset(stack_block, 0, words * sizeof(u64));
+    u64 *block = calloc(words, sizeof(u64));
+    if (block == NULL)
+        PyErr_NoMemory();
+    return block;
+}
+
+static const char *const scan_stats_params[] = {"rows", "m", "n", "sel_left", "sel_right"};
+
+PyDoc_STRVAR(scan_stats_doc,
+"scan_stats(rows, m, n, sel_left=-1, sel_right=-1, /)\n--\n\n"
+"Compiled counterpart of _pykernels.scan_stats (same contract).");
+
+static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs,
+                            PyObject *kwnames)
+{
+    ScanCall sc;
+    if (scan_call("scan_stats", scan_stats_params, args, nargs, kwnames, -1, &sc) < 0)
         return NULL;
-    int W = (int)word_count(t);
+    const int s = sc.s, t = sc.t, W = sc.W, left = sc.transposed;
+    PyObject *result = NULL;
     /* One zeroed block: full, adj, nbstack, then the four count arrays. */
-    u64 *buf = calloc((size_t)W * (2 * s + 2) + 2 * ((size_t)s + t + 1), sizeof(u64));
-    if (buf == NULL)
-        return PyErr_NoMemory();
+    u64 stack_block[STACK_SCAN_WORDS];
+    u64 *buf = scan_block((size_t)W * (2 * s + 2) + 2 * ((size_t)s + t + 1), stack_block);
+    if (buf == NULL) {
+        Py_DECREF(sc.rows);
+        return NULL;
+    }
     u64 *adj = buf + W;
-    StatsCtx c = {.s = s, .W = W, .sel_k = sel_k, .sel_f = sel_f, .full = buf, .adj = adj};
+    StatsCtx c = {.s = s, .W = W, .sel_k = sc.extra[left], .sel_f = sc.extra[!left],
+                  .full = buf, .adj = adj};
     c.nbstack = adj + (size_t)W * s;
     c.k_hist = c.nbstack + (size_t)W * (s + 1);
     c.f_hist = c.k_hist + s + 1;
@@ -300,7 +442,9 @@ static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *args, PyObject 
     c.covered = c.scan_counts + s;
     /* Rows are packed in vertex order into nbstack, whose rows below the
      * root are scratch until the walk, and copied into adj in walk order. */
-    if (pack_rows(rows, s, t, W, buf, c.nbstack) == 0) {
+    int packed = pack_scan_side(&sc, buf, c.nbstack);
+    Py_DECREF(sc.rows);
+    if (packed == 0) {
         int order[MAX_SCAN_SIDE];
         u64 total, by_vertex[MAX_SCAN_SIDE];
         degree_order(c.nbstack, s, W, order);
@@ -314,48 +458,56 @@ static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *args, PyObject 
             by_vertex[order[i]] = c.scan_counts[i];
         for (int v = 0; v < t; v++)
             c.covered[v] = total - c.covered[v];
-        result = Py_BuildValue("(KNNNNK)", (unsigned long long)total,
-                               counts_to_list(c.k_hist, s + 1),
-                               counts_to_list(c.f_hist, t + 1),
-                               counts_to_list(by_vertex, s),
-                               counts_to_list(c.covered, t),
-                               (unsigned long long)c.sel_count);
+        /* in graph orientation: index `left` holds the left side's entry */
+        PyObject *hists[2] = {counts_to_list(c.k_hist, s + 1), counts_to_list(c.f_hist, t + 1)};
+        PyObject *counts[2] = {counts_to_list(by_vertex, s), counts_to_list(c.covered, t)};
+        result = Py_BuildValue("(KNNNNK)", (unsigned long long)total, hists[left], hists[!left],
+                               counts[left], counts[!left], (unsigned long long)c.sel_count);
     }
-    free(buf);
+    if (buf != stack_block)
+        free(buf);
     return result;
 }
 
+static const char *const scan_free_hist_params[] = {"rows", "m", "n", "lo_left", "lo_right"};
+
 PyDoc_STRVAR(scan_free_hist_doc,
-"scan_free_hist(rows, s, t, lo_k=0)\n--\n\n"
+"scan_free_hist(rows, m, n, lo_left=0, lo_right=0, /)\n--\n\n"
 "Compiled counterpart of _pykernels.scan_free_hist (same contract).");
 
-static PyObject *scan_free_hist(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+static PyObject *scan_free_hist(PyObject *Py_UNUSED(self), PyObject *const *args,
+                                Py_ssize_t nargs, PyObject *kwnames)
 {
-    static char *kwlist[] = {"rows", "s", "t", "lo_k", NULL};
-    PyObject *rows, *result = NULL;
-    int s, t, lo_k = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oii|i", kwlist, &rows, &s, &t, &lo_k)
-            || check_sides(rows, s, t) < 0)
+    ScanCall sc;
+    if (scan_call("scan_free_hist", scan_free_hist_params, args, nargs, kwnames, 0, &sc) < 0)
         return NULL;
-    int W = (int)word_count(t);
+    const int s = sc.s, t = sc.t, W = sc.W;
+    PyObject *result = NULL;
     /* One zeroed block: full, adj, nbstack, freq. */
-    u64 *buf = calloc((size_t)W * (2 * s + 2) + (size_t)t + 1, sizeof(u64));
-    if (buf == NULL)
-        return PyErr_NoMemory();
-    FreeCtx c = {.s = s, .t = t, .W = W, .lo_k = lo_k, .adj = buf + W,
+    u64 stack_block[STACK_SCAN_WORDS];
+    u64 *buf = scan_block((size_t)W * (2 * s + 2) + (size_t)t + 1, stack_block);
+    if (buf == NULL) {
+        Py_DECREF(sc.rows);
+        return NULL;
+    }
+    FreeCtx c = {.s = s, .t = t, .W = W, .lo_k = sc.extra[sc.transposed], .adj = buf + W,
                  .nbstack = buf + (size_t)W * (s + 1),
                  .freq = buf + (size_t)W * (2 * s + 2)};
-    if (pack_rows(rows, s, t, W, buf, buf + W) == 0) {
+    int packed = pack_scan_side(&sc, buf, buf + W);
+    Py_DECREF(sc.rows);
+    if (packed == 0) {
         Py_BEGIN_ALLOW_THREADS
         free_hist_visit(&c, 0, 0);
         Py_END_ALLOW_THREADS
         result = counts_to_list(c.freq, t + 1);
     }
-    free(buf);
+    if (buf != stack_block)
+        free(buf);
     return result;
 }
 
-/* Inverse of pack_rows for one row: W little-endian words to an int. */
+/* Inverse of pack_scan_side's multi-word path for one row: W little-endian
+ * words to an int. */
 static PyObject *words_to_long(const u64 *words, Py_ssize_t W, PyObject *sixty_four)
 {
     PyObject *acc = PyLong_FromUnsignedLongLong(words[W - 1]);
@@ -377,13 +529,13 @@ PyDoc_STRVAR(sample_graph_doc,
 "sample_graph(cls, m, n, p, root, stream, /)\n--\n\n"
 "Compiled counterpart of _pykernels.sample_graph (same contract).");
 
-static PyObject *sample_graph(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+static const char *const sample_graph_params[] = {"cls", "m", "n", "p", "root", "stream"};
+
+static PyObject *sample_graph(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs,
+                              PyObject *kwnames)
 {
-    if (nargs != 6) {
-        PyErr_Format(PyExc_TypeError, "sample_graph() takes exactly 6 positional arguments "
-                     "(%zd given)", nargs);
+    if (bind_positional("sample_graph", sample_graph_params, 6, 6, nargs, kwnames) < 0)
         return NULL;
-    }
     /* m and n as the "n" format takes them (TypeError for a float), p as
      * the "d" format does. */
     Py_ssize_t m = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
@@ -489,11 +641,12 @@ static PyObject *sample_graph(PyObject *Py_UNUSED(self), PyObject *const *args, 
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"scan_stats", (PyCFunction)(void (*)(void))scan_stats,
-     METH_VARARGS | METH_KEYWORDS, scan_stats_doc},
+    {"scan_stats", (PyCFunction)(void (*)(void))scan_stats, METH_FASTCALL | METH_KEYWORDS,
+     scan_stats_doc},
     {"scan_free_hist", (PyCFunction)(void (*)(void))scan_free_hist,
-     METH_VARARGS | METH_KEYWORDS, scan_free_hist_doc},
-    {"sample_graph", (PyCFunction)(void (*)(void))sample_graph, METH_FASTCALL, sample_graph_doc},
+     METH_FASTCALL | METH_KEYWORDS, scan_free_hist_doc},
+    {"sample_graph", (PyCFunction)(void (*)(void))sample_graph, METH_FASTCALL | METH_KEYWORDS,
+     sample_graph_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,17 +1,26 @@
 """Pure-Python kernels; compiled twins in _kernels.c.
 
-Subset scans.  Both kernels walk the subsets A of the scan side depth-first,
-carrying the covered set N(A) of the other side as a bitmask.  A pair
-(A, other \\ N(A)) is counted when every scan-side vertex outside A keeps a
-neighbour in the free part.  Two prunes keep degenerate inputs cheap: a
-vertex left out is dead as soon as its whole neighbourhood is covered
-(coverage only grows down the tree), and growing the coverage re-checks all
-vertices already left out, so accepted leaves need no final scan.  Both
-walk the scan side in the same order, by descending degree within the t
-bits of the other side, ties in vertex order, so they build the same tree.
-The compiled walk counts once per subtree (the include branch of u credits
-the leaves below it to u and to the vertices u covers first); scan_stats
-here counts at every leaf, which keeps it a plain reference for the counts.
+Subset scans.  scan_stats and scan_free_hist take a graph as it is stored:
+rows[u] is the neighbourhood of left vertex u as a bitmask over the n right
+vertices, and bits at n and above are ignored.  Each scans the smaller side,
+the left on a tie; when that is the right side it transposes the rows first,
+and scan_stats maps its results back, so they read in graph orientation.
+Both kernels take their arguments positionally only, and they refuse a
+wrong call, a row count other than m, a negative n and a smaller side over
+MAX_SCAN_SIDE alike, with the same texts.
+
+Both walk the subsets A of the scan side depth-first, carrying the covered
+set N(A) of the other side as a bitmask.  A pair (A, other \\ N(A)) is counted
+when every scan-side vertex outside A keeps a neighbour in the free part.
+Two prunes keep degenerate inputs cheap: a vertex left out is dead as soon
+as its whole neighbourhood is covered (coverage only grows down the tree),
+and growing the coverage re-checks all vertices already left out, so
+accepted leaves need no final scan.  Both walk the scan side in the same
+order, by descending degree within the t bits of the other side, ties in
+vertex order, so they build the same tree.  The compiled walk counts once
+per subtree (the include branch of u credits the leaves below it to u and to
+the vertices u covers first); scan_stats here counts at every leaf, which
+keeps it a plain reference for the counts.
 
 Sampler.  sample_graph runs Philox4x64-10 (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11) step for step as the compiled twin
@@ -22,6 +31,10 @@ as an independent reference.  It returns cls(m, n, rows), checked by the
 constructor; the compiled twin makes the same checks in C.
 """
 
+import operator
+
+# the largest scan side: the compiled kernel's counters are 64-bit
+MAX_SCAN_SIDE = 62
 _MASK64 = (1 << 64) - 1
 _MASK256 = (1 << 256) - 1
 _PHILOX_M0 = 0xD2E7470EE14C6C93
@@ -70,13 +83,41 @@ def maximal_pairs(rows, s, t, leaf):
     visit(0, 0)
 
 
-def scan_stats(rows, s, t, sel_k=-1, sel_f=-1):
-    """Exact maximal-pair statistics over subsets of the scan side.
+def _scan_side(rows, m, n):
+    """(rows, s, t, transposed): the s rows of the side both kernels scan,
+    each masked to the t bits of the other side.  That is the left side
+    unless the right is smaller, when the rows are transposed.  Refuses a
+    row count, n and side as the compiled kernel does, in the same order."""
+    m, n = operator.index(m), operator.index(n)
+    if len(rows) != m:
+        raise ValueError("row count does not match the left side size")
+    if n < 0:
+        raise ValueError("negative right side size")
+    if min(m, n) > MAX_SCAN_SIDE:
+        raise ValueError("scan side too large for 64-bit counters")
+    full = (1 << n) - 1
+    if m <= n:
+        return [row & full for row in rows], m, n, False
+    cols = [0] * n
+    for u, row in enumerate(rows):
+        row &= full
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << u
+            row ^= low
+    return cols, n, m, True
 
-    rows as for maximal_pairs.  Returns (total, k_hist, f_hist, scan_counts,
-    other_counts, sel_count) where k is |A|, f the size of the free part,
-    and sel_count the number of pairs with (k, f) == (sel_k, sel_f).
+
+def scan_stats(rows, m, n, sel_left=-1, sel_right=-1, /):
+    """Exact maximal-stable-set statistics of the m x n graph with these rows.
+
+    Returns (total, left_hist, right_hist, left_counts, right_counts,
+    sel_count): the number of maximal stable sets S, the histograms of
+    |S ∩ L| and |S ∩ R|, for each vertex the number of S holding it, and the
+    number of S with (|S ∩ L|, |S ∩ R|) == (sel_left, sel_right).
     """
+    rows, s, t, transposed = _scan_side(rows, m, n)
+    sel_k, sel_f = (sel_right, sel_left) if transposed else (sel_left, sel_right)
     total = 0
     sel_count = 0
     k_hist = [0] * (s + 1)
@@ -101,15 +142,24 @@ def scan_stats(rows, s, t, sel_k=-1, sel_f=-1):
             sel_count += 1
 
     maximal_pairs(rows, s, t, leaf)
+    if transposed:
+        return total, f_hist, k_hist, other_counts, scan_counts, sel_count
     return total, k_hist, f_hist, scan_counts, other_counts, sel_count
 
 
-def scan_free_hist(rows, s, t, lo_k=0):
-    """Histogram of free-part sizes over all subsets A with |A| >= lo_k.
+def scan_free_hist(rows, m, n, lo_left=0, lo_right=0, /):
+    """Histogram of the free-part sizes over every subset A of the scan side
+    with at least lo_left vertices if that is the left side, lo_right if it
+    is the right.
 
-    No maximality filter: every subset of the scan side contributes, which
-    is what counting stable (not necessarily maximal) pairs needs.
+    The scan side is the smaller side, the left on a tie, and the free part
+    is the set of other-side vertices with no neighbour in A, so the result
+    has one entry more than the other side has vertices.  No maximality
+    filter: every subset contributes, which is what counting stable (not
+    necessarily maximal) pairs needs.
     """
+    rows, s, t, transposed = _scan_side(rows, m, n)
+    lo_k = lo_right if transposed else lo_left
     freq = [0] * (t + 1)
 
     def visit(u, nb, k):

@@ -221,14 +221,15 @@ class RegimeParams(NamedTuple):
         if m < 1 or n < 1 or m % 1 or n % 1:
             raise ValueError(f"need whole m, n >= 1, got ({m}, {n})")
         m, n = int(m), int(n)
-        log_n = math.log(n) / prob.log_inv_q
-        log_m = math.log(m) / prob.log_inv_q
+        # one q for every field: the logs divide by the ln(1/q) the floors use
+        q, log_inv_q = _exact_q(prob)
+        log_n = math.log(n) / log_inv_q
+        log_m = math.log(m) / log_inv_q
         exponent = log_m * math.log2(m)
         whole = math.floor(exponent)
         # K >= 2^whole, so a K longer than n is not written out
         chunk = n // (Fraction(2.0 ** (exponent - whole)) * (1 << whole)) \
             if whole < n.bit_length() else 0
-        q, log_inv_q = _exact_q(prob)
         a_prime = _floor_log(chunk, q, log_inv_q) if chunk >= 1 else None
         return cls(m, n, prob, log_n, log_m, _floor_log(n, q, log_inv_q),
                    _floor_log(m, q, log_inv_q), a_prime, log_n / m)

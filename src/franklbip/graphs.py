@@ -1,16 +1,16 @@
 """Bipartite graphs with a fixed bipartition, and seeded random sampling.
 
 A graph lives on vertex classes L (size m) and R (size n); adjacency is
-stored from the left side only, one bitmask over R per left vertex.
-Right-side neighbourhoods are recovered by column scan, which is cheap at
-the sizes this package targets (a few dozen vertices per side, a few
-thousand on one side at most).
+stored from the left side only, one bitmask over R per left vertex.  The
+subset scans take the rows as stored and transpose them in the kernel when
+they scan the right side.
 
 The value types `EdgeProbability`, `Seed` and `BipartiteGraph` are immutable
 and compare, hash and print by value, as frozen dataclasses would.  A
-campaign builds a Seed and a graph for every trial, so they are light
-instead: Seed is a tuple whose constructor masks both fields to 64 bits, and
-the other two are slotted classes whose constructors check every field.
+campaign builds a graph for every trial, and Seed.children a plain (root,
+stream) pair, so they are light instead: Seed is a tuple whose constructor
+masks both fields to 64 bits, and the other two are slotted classes whose
+constructors check every field.
 The compiled sampler returns a finished graph: it makes the constructor's
 row-count and range checks in C and sets the fields through the slot
 descriptors, so a draw runs no Python past sample_bipartite's side and p
@@ -64,9 +64,9 @@ class GraphParseError(ValueError):
 # exit code while importing only the modules a subcommand runs.
 
 DEFAULT_CAP = 30  # the largest scan side, min(m, n), of every scan
-# _kernels.c refuses a scan side above 62 (its counters are 64-bit), so no cap
-# and no set family's ground set goes past it, and both kernels refuse alike
-MAX_SCAN_SIDE = 62
+# both kernels refuse a scan side above 62 (the compiled counters are 64-bit),
+# so no cap and no set family's ground set goes past it
+MAX_SCAN_SIDE = _pykernels.MAX_SCAN_SIDE
 DEFAULT_ALPHA = 0.45  # the alpha of the regime bands' alpha*m threshold
 
 
@@ -181,9 +181,9 @@ class Seed(namedtuple("_SeedFields", ("root", "stream"))):
     execution order and thread count.  Both fields are taken modulo 2^64.
     `child(i)` shifts the stream index left by 32 bits and ors in `i`, so
     trial indices occupy the low bits and an enclosing sweep's point index
-    the next 32.  `children(count)` yields the first count children and
-    shifts the stream once for all of them.  A Seed is a tuple, so it also
-    equals the plain tuple (root, stream).
+    the next 32.  `children(count)` yields the first count children as
+    plain (root, stream) pairs, shifting the stream once for all of them.  A
+    Seed is a tuple, so each pair equals the child Seed.
     """
 
     __slots__ = ()
@@ -205,14 +205,15 @@ class Seed(namedtuple("_SeedFields", ("root", "stream"))):
         return tuple.__new__(Seed, (self.root, (self._shifted() | int(index)) & MASK64))
 
     def children(self, count: int):
-        """An iterator over child(0), ..., child(count - 1).  A count above
-        MAX_TRIALS raises ValueError at once, since child(2^32) would share
-        its stream with a child of the next stream."""
+        """An iterator over the (root, stream) pairs equal to child(0), ...,
+        child(count - 1).  A count above MAX_TRIALS raises ValueError at
+        once, since child(2^32) would share its stream with a child of the
+        next stream."""
         if count > MAX_TRIALS:
             raise ValueError(f"count must be <= 2^32 = {MAX_TRIALS}, got {count}")
         base = self._shifted()
         # base | i is base + i for i < 2^32
-        return map(tuple.__new__, repeat(Seed), zip(repeat(self.root), range(base, base + count)))
+        return zip(repeat(self.root), range(base, base + count))
 
 
 class BipartiteGraph(_Value):
@@ -246,16 +247,6 @@ class BipartiteGraph(_Value):
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj)
 
-    def columns(self) -> tuple:
-        """Right-side neighbourhoods as bitmasks over L (transposed adjacency)."""
-        cols = [0] * self.n
-        for u, row in enumerate(self.adj):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << u
-                row ^= low
-        return tuple(cols)
-
     def to_json_dict(self) -> dict:
         return {"m": self.m, "n": self.n, "rows": [_row_text(row, self.n) for row in self.adj]}
 
@@ -263,19 +254,21 @@ class BipartiteGraph(_Value):
 _set_m, _set_n, _set_adj = _slot_setters(BipartiteGraph)
 
 
-def sample_bipartite(m: int, n: int, prob, seed: Seed) -> BipartiteGraph:
+def sample_bipartite(m: int, n: int, prob, seed) -> BipartiteGraph:
     """Draw G from the independent-edge model on sides of size m and n.
 
     Each of the m*n edges is present independently with probability p under
-    the counter-based stream identified by `seed`; the draw for edge (u, v)
-    is the (u*n + v)-th variate of that stream, so results are bit-identical
-    across runs and thread counts.  m and n are taken through
-    operator.index, as BipartiteGraph takes them.
+    the counter-based stream identified by `seed`, a Seed or any (root,
+    stream) pair of ints in [0, 2^64), such as Seed.children yields; the
+    draw for edge (u, v) is the (u*n + v)-th variate of that stream, so
+    results are bit-identical across runs and thread counts.  m and n are
+    taken through operator.index, as BipartiteGraph takes them.
     """
     m, n = operator.index(m), operator.index(n)
     if m < 1 or n < 1:
         raise ZeroSideError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    return _impl.sample_graph(BipartiteGraph, m, n, as_prob(prob).p, seed.root, seed.stream)
+    root, stream = seed
+    return _impl.sample_graph(BipartiteGraph, m, n, as_prob(prob).p, root, stream)
 
 
 def _row_text(row: int, n: int) -> str:

@@ -4,8 +4,10 @@ A stable set of a bipartite graph is determined by its intersection A with
 one side: the companion on the other side must be everything not adjacent
 to A, and the pair is maximal iff every vertex dropped from A keeps a
 neighbour in that companion.  All counting therefore scans subsets of the
-smaller side (swapping sides first when the right side is smaller) and maps
-the statistics back.
+smaller side, the left on a tie.  The kernel takes the graph's rows as they
+are stored, picks that side, transposes the rows itself when it is the
+right, and hands the statistics back in graph orientation, so each entry
+here is one cap check and one kernel call.
 
 Counts are exact integers and averages exact rationals: the quantities this
 package checks are equalities and inequalities that must not be blurred by
@@ -112,19 +114,6 @@ def is_maximal_stable(g: BipartiteGraph, s: StableSet) -> bool:
     return not ((1 << g.n) - 1) & ~right & ~covered_right
 
 
-# the two orientations of a scan: each orders a (left, right) pair as (scan
-# side, other side), and is its own inverse, so it maps a result back too
-_KEEP, _SWAP = tuple, operator.itemgetter(1, 0)
-
-
-def _scan_layout(g: BipartiteGraph, cap: int = DEFAULT_CAP):
-    """Rows, sizes and orientation for scanning the smaller side, up to cap."""
-    _check_cap(min(g.m, g.n), cap)
-    if g.n < g.m:
-        return g.columns(), g.n, g.m, _SWAP
-    return g.adj, g.m, g.n, _KEEP
-
-
 def _check_cap(side: int, cap: int = DEFAULT_CAP):
     """The cap check and refusal text of every enumeration path."""
     limit = min(cap, MAX_SCAN_SIDE)
@@ -135,9 +124,8 @@ def _check_cap(side: int, cap: int = DEFAULT_CAP):
 def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> MssStats:
     """Aggregate counts without storing sets; memory stays O(m + n).
     Refuses a scan side min(m, n) above cap."""
-    orient, (total, k_hist, f_hist, scan_counts, other_counts, _) = _scan(g, cap)
-    left_hist, _ = orient((k_hist, f_hist))
-    lvc, rvc = orient((scan_counts, other_counts))
+    _check_cap(min(g.m, g.n), cap)
+    total, left_hist, _, lvc, rvc, _ = _impl.scan_stats(g.adj, g.m, g.n)
     # both kernels return Python ints, so no per-element conversion
     return MssStats(total=total, left_hist=tuple(left_hist),
                     left_vertex_counts=tuple(lvc), right_vertex_counts=tuple(rvc))
@@ -145,15 +133,8 @@ def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> MssStats:
 
 def count_mss_with_sizes(g: BipartiteGraph, ell: int, r: int, cap: int = DEFAULT_CAP) -> int:
     """Exact number of maximal stable sets S with |S∩L| = ell and |S∩R| = r."""
-    _, (*_, sel_count) = _scan(g, cap, ell, r)
-    return sel_count
-
-
-def _scan(g: BipartiteGraph, cap: int, ell: int = -1, r: int = -1):
-    """(orientation, the kernel's scan_stats tuple) for the smaller side; the
-    tuple's last entry counts the sets with |S∩L| = ell and |S∩R| = r."""
-    rows, s, t, orient = _scan_layout(g, cap)
-    return orient, _impl.scan_stats(rows, s, t, *orient((ell, r)))
+    _check_cap(min(g.m, g.n), cap)
+    return _impl.scan_stats(g.adj, g.m, g.n, ell, r)[5]
 
 
 def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
@@ -161,15 +142,16 @@ def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
     """Number of stable pairs (A, B), not necessarily maximal, with
     |A| >= ell_star on the left and |B| >= r_star on the right.
 
-    Scans the smaller side, with the thresholds swapped if that is the right.
+    The kernel scans the smaller side, the left on a tie, with its own
+    threshold, and returns the histogram of the other side's free part; each
+    free part of f vertices holds tails[f] sets B of the other threshold.
     """
     if not 0 <= ell_star <= g.m or not 0 <= r_star <= g.n:
         raise ValueError("thresholds out of range")
-    rows, s, t, orient = _scan_layout(g, cap)
-    lo_scan, lo_other = orient((ell_star, r_star))
-    freq = _impl.scan_free_hist(rows, s, t, lo_scan)
-    tails = _binomial_tails(t, lo_other)
-    return sum(freq[f] * tails[f] for f in range(t + 1))
+    _check_cap(min(g.m, g.n), cap)
+    freq = _impl.scan_free_hist(g.adj, g.m, g.n, ell_star, r_star)
+    lo_other = r_star if g.m <= g.n else ell_star
+    return sum(map(operator.mul, freq, _binomial_tails(len(freq) - 1, lo_other)))
 
 
 @functools.lru_cache(maxsize=256)

@@ -15,8 +15,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .graphs import (MAX_SCAN_SIDE, BipartiteGraph, FamilyParseError, _impl, _slot_setters,
-                     _Value)
+from .graphs import MAX_SCAN_SIDE, FamilyParseError, _impl, _slot_setters, _Value
 
 
 class SetFamily(_Value):
@@ -77,10 +76,10 @@ def frankl_check(family: SetFamily, closure: bool = False):
         raise ValueError("the family containing only the empty set is excluded")
     has_empty = family.members[0] == 0
     nonempty = family.members[has_empty:]
-    columns = BipartiteGraph(len(nonempty), family.ground_size, nonempty).columns()
-    # one MSS per member of the closure of the nonempty members, and one for
-    # the empty set; outside[x] counts the MSS whose member lacks x
-    total, _, _, outside, _, _ = _impl.scan_stats(columns, family.ground_size, len(nonempty))
+    # the graph joins each nonempty member, on the left, to its elements, on
+    # the right: one MSS per member of the closure of the nonempty members,
+    # and one for the empty set; outside[x] counts the MSS whose member lacks x
+    total, _, _, _, outside, _ = _impl.scan_stats(nonempty, len(nonempty), family.ground_size)
     members = total - (not has_empty)
     if not closure and members != len(family.members):
         raise ValueError("family is not union-closed")

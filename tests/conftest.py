@@ -8,12 +8,13 @@ filters every vertex subset of a small graph, and numpy_sample_rows draws
 with numpy's Philox bit generator, the reference both hand-written samplers
 must match bit for bit.
 
-The graph builders, swap_sides, serialize_family, frankl_frequencies (the
-per-element count that setfamily.frankl_check replaced), enumerate_mss (every
-MSS itself, from the pure-Python walk the twin's scan_stats runs) and
-stab_tail_table (the exact expectations behind genupper at every threshold
-pair at once) are used by tests alone, so they live here rather than in the
-package.
+The graph builders, columns (the right-side neighbourhoods, which the
+kernels build for themselves when they scan the right side), swap_sides,
+serialize_family, frankl_frequencies (the per-element count that
+setfamily.frankl_check replaced), enumerate_mss (every MSS itself, from the
+pure-Python walk the twin's scan_stats runs) and stab_tail_table (the exact
+expectations behind genupper at every threshold pair at once) are used by
+tests alone, so they live here rather than in the package.
 
 The compiled_build fixture builds the package with the repository's own
 setup.py into a temporary directory, and compiled_kernels loads its C kernels,
@@ -95,9 +96,20 @@ def matching_graph(k):
     return BipartiteGraph(k, k, tuple(1 << i for i in range(k)))
 
 
+def columns(g):
+    """Right-side neighbourhoods as bitmasks over L (transposed adjacency)."""
+    cols = [0] * g.n
+    for u, row in enumerate(g.adj):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << u
+            row ^= low
+    return tuple(cols)
+
+
 def swap_sides(g):
     """Exchange the two sides; (u, v) becomes (v, u).  Involutive."""
-    return BipartiteGraph(g.n, g.m, g.columns())
+    return BipartiteGraph(g.n, g.m, columns(g))
 
 
 def serialize_family(family):
@@ -139,14 +151,20 @@ def frankl_frequencies(family):
 
 def enumerate_mss(g):
     """Every maximal stable set exactly once (order unspecified), through
-    the pure-Python walk; refuses a scan side over mss.DEFAULT_CAP."""
-    rows, s, t, orient = mss._scan_layout(g)
+    the pure-Python walk over the smaller side, the left on a tie, as the
+    kernels scan; refuses a scan side over mss.DEFAULT_CAP."""
+    mss._check_cap(min(g.m, g.n))
     out = []
+    if g.n < g.m:
+        def leaf(chosen, free):
+            out.append(StableSet(free, sum(1 << v for v in chosen)))
 
-    def leaf(chosen, free):
-        out.append(StableSet(*orient((sum(1 << u for u in chosen), free))))
+        _pykernels.maximal_pairs(columns(g), g.n, g.m, leaf)
+    else:
+        def leaf(chosen, free):
+            out.append(StableSet(sum(1 << u for u in chosen), free))
 
-    _pykernels.maximal_pairs(rows, s, t, leaf)
+        _pykernels.maximal_pairs(g.adj, g.m, g.n, leaf)
     return out
 
 
@@ -160,7 +178,7 @@ def brute_force_mss(g: BipartiteGraph):
     if total_bits > BRUTE_FORCE_LIMIT:
         raise CapExceeded(f"brute force limited to m+n <= {BRUTE_FORCE_LIMIT}")
     neigh = [int(g.adj[u]) << g.m for u in range(g.m)]
-    neigh += [int(c) for c in g.columns()]
+    neigh += [int(c) for c in columns(g)]
     out = []
     chunk = 1 << 20
     for base in range(0, 1 << total_bits, chunk):

@@ -330,6 +330,15 @@ class TestLogSpaceEvaluation:
 
 
 class TestRegimeParams:
+    @pytest.mark.parametrize("p", [0.45, 0.8, 0.1, 0.99, 0.9999999999999999])
+    def test_logs_take_the_q_of_the_floors(self, p):
+        # at these p, ln(1/q) of the float p and of its shortest decimal differ
+        rp = RegimeParams.from_mnp(7, 10 ** 6, p)
+        log_inv_q = bounds._exact_q(as_prob(p))[1]
+        assert rp.log_n == math.log(10 ** 6) / log_inv_q
+        assert rp.log_m == math.log(7) / log_inv_q
+        assert rp.lam == rp.log_n / 7
+
     def test_derived_fields(self):
         rp = RegimeParams.from_mnp(64, 64, 0.5)
         assert rp.a == 6 and rp.b == 6

@@ -372,6 +372,15 @@ class TestRegime:
         assert "regime: EntropyBand" in out
         assert "a: 3  " in out
 
+    def test_logs_and_floors_read_one_q(self, capsys):
+        # q is 10^-16 for the decimal p and 2^-53 for the float, so a log
+        # taken with the float's q read 1.0028... beside a = 0
+        rc, out, err = run(capsys, "regime", "-m", "1", "-n", "9999999999999999",
+                           "-p", "0.9999999999999999")
+        assert (rc, err) == (0, "")
+        assert "log_1/q(n): 1.0  " in out
+        assert "a: 0  b: 0  a_prime: 0  lambda: 1.0\n" in out
+
     def test_a_exact_just_below_a_power_of_two(self, capsys):
         # log_2(2^50 - 1) is 50 in floats; a is the exact floor
         rc, out, err = run(capsys, "regime", "-m", "4", "-n", str((1 << 50) - 1), "-p", "0.5")

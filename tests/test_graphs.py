@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, empty_graph, matching_graph, swap_sides
+from conftest import columns, complete_graph, empty_graph, matching_graph, swap_sides
 from franklbip import graphs as graph_module
 from franklbip.graphs import (
     MASK64,
@@ -219,7 +219,7 @@ class TestConstruction:
 
     def test_columns_transpose(self):
         g = BipartiteGraph(2, 3, (0b011, 0b100))
-        assert g.columns() == (1, 1, 2)
+        assert columns(g) == (1, 1, 2)
 
 
 class TestValueTypes:
@@ -315,7 +315,10 @@ class TestValueTypes:
         for count in (0, 1, 5):
             kids = list(seed.children(count))
             assert kids == [seed.child(t) for t in range(count)]
-            assert all(type(kid) is Seed for kid in kids)
+            # plain pairs, which sample_bipartite takes as it takes a Seed
+            assert all(type(kid) is tuple and len(kid) == 2 for kid in kids)
+            assert [sample_bipartite(3, 4, 0.5, kid) for kid in kids] == \
+                [sample_bipartite(3, 4, 0.5, seed.child(t)) for t in range(count)]
 
     def test_seed_children_refuse_more_than_two_to_the_32(self):
         # the refusal comes at the call, before any child is made

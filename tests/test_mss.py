@@ -1,3 +1,4 @@
+import inspect
 import math
 import shutil
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ROOT, all_edge_configs, brute_force_mss, complete_graph, empty_graph,
-                      enumerate_mss, matching_graph, numpy_sample_rows, swap_sides)
+from conftest import (ROOT, all_edge_configs, brute_force_mss, columns, complete_graph,
+                      empty_graph, enumerate_mss, matching_graph, numpy_sample_rows, swap_sides)
 from franklbip import _pykernels, mss
 from franklbip import graphs as graph_module
 from franklbip.graphs import BipartiteGraph, Seed, sample_bipartite
@@ -199,7 +200,8 @@ def tied_scan_rows(draw, widths, max_s=10):
     Each row is random, one row shared by all rows of that kind, empty
     (isolated), complete, or a rotation of one base row (so all rotations
     share a degree, and a side of only those is regular).  Bits above t may
-    be set; both kernels must ignore them.
+    be set; both kernels must ignore them.  The kernels take them as the rows
+    of an s x t graph, so they scan the t side, transposed, when t < s.
     """
     t = draw(widths)
     s = draw(st.integers(0, max_s))
@@ -296,21 +298,105 @@ class TestCompiledKernel:
             assert compiled_kernels.scan_free_hist(rows, s, t, lo_k) == list(
                 _pykernels.scan_free_hist(rows, s, t, lo_k))
 
+    @staticmethod
+    def refusals(compiled_kernels, fn, *args, **kwargs):
+        """(type, text) of the error each kernel raises for this call, the
+        compiled kernel's first."""
+        out = []
+        for kernel in (compiled_kernels, _pykernels):
+            with pytest.raises((TypeError, ValueError)) as info:
+                getattr(kernel, fn)(*args, **kwargs)
+            out.append((info.type, str(info.value)))
+        return out
+
+    @pytest.mark.parametrize("fn", ["scan_stats", "scan_free_hist", "sample_graph"])
+    def test_signatures_match_twin(self, compiled_kernels, fn):
+        assert inspect.signature(getattr(compiled_kernels, fn)) == \
+            inspect.signature(getattr(_pykernels, fn))
+
     def test_keyword_arguments(self, compiled_kernels):
-        g = sample_bipartite(5, 6, 0.5, Seed(81))
-        rows = list(g.adj)
-        assert compiled_kernels.scan_stats(rows=rows, s=5, t=6, sel_k=2, sel_f=3) == \
-            compiled_kernels.scan_stats(rows, 5, 6, 2, 3)
-        assert compiled_kernels.scan_free_hist(rows=rows, s=5, t=6, lo_k=2) == \
-            compiled_kernels.scan_free_hist(rows, 5, 6, 2)
+        # positional only, refused as Python refuses a def with a "/"
+        rows = list(sample_bipartite(5, 6, 0.5, Seed(81)).adj)
+        for fn, extra in (("scan_stats", ("sel_left", "sel_right")),
+                          ("scan_free_hist", ("lo_left", "lo_right"))):
+            for args, kwargs in (((rows, 5, 6), {extra[0]: 2}),
+                                 ((rows, 5, 6), {extra[1]: 3, extra[0]: 2}),
+                                 ((), {"rows": rows, "m": 5, "n": 6, extra[0]: 2})):
+                (compiled, text), twin = self.refusals(compiled_kernels, fn, *args, **kwargs)
+                assert compiled is TypeError and "positional-only arguments passed" in text
+                assert (compiled, text) == twin, (fn, kwargs)
+
+    @pytest.mark.parametrize("fn,arity", [("scan_stats", 5), ("scan_free_hist", 5),
+                                          ("sample_graph", 6)])
+    def test_argument_counts_refused_alike(self, compiled_kernels, fn, arity):
+        args = (BipartiteGraph, 2, 3, 0.5, 1, 2) if fn == "sample_graph" else ([0, 0], 2, 3, 1, 1)
+        for count in (0, 1, 2, arity + 1, arity + 2):
+            (compiled, text), twin = self.refusals(compiled_kernels, fn, *(args + (0, 0))[:count])
+            assert compiled is TypeError and fn in text
+            assert (compiled, text) == twin, count
 
     @pytest.mark.parametrize("fn", ["scan_stats", "scan_free_hist"])
     def test_refuses_bad_sides(self, compiled_kernels, fn):
-        kernel = getattr(compiled_kernels, fn)
-        with pytest.raises(ValueError, match="too large"):
-            kernel([0] * 63, 63, 4)
-        with pytest.raises(ValueError, match="row count"):
-            kernel([0, 0], 3, 4)
+        for args, text in ((([0] * 63, 63, 700), "too large"), (([0] * 700, 700, 63), "too large"),
+                           (([0] * 63, 63, 63), "too large"), (([0, 0], 3, 4), "row count"),
+                           (([0, 0], 2, -1), "negative right side")):
+            (compiled, message), twin = self.refusals(compiled_kernels, fn, *args)
+            assert compiled is ValueError and text in message, args
+            assert (compiled, message) == twin, args
+
+    @pytest.mark.parametrize("m,n", [(62, 700), (700, 62)])
+    def test_largest_scan_side_against_a_wide_other_side(self, compiled_kernels, m, n):
+        # the 62 side is scanned either way; 700 x 62 transposes into 11 words
+        g = sample_bipartite(m, n, 0.95, Seed(82))
+        h = swap_sides(g)
+        for kernel in (compiled_kernels, _pykernels):
+            # (0, n) selects the one MSS made of the whole right side
+            total, lh, rh, lc, rc, sel = kernel.scan_stats(g.adj, m, n, 0, n)
+            assert total > 2 and sel == 1
+            assert tuple(kernel.scan_stats(h.adj, n, m, n, 0)) == (total, rh, lh, rc, lc, sel)
+            # thresholds one short of the scan side keep the walk to 63 leaves
+            los = (61, 0) if m < n else (0, 61)
+            freq = kernel.scan_free_hist(g.adj, m, n, *los)
+            assert sum(freq) == 63
+            assert kernel.scan_free_hist(h.adj, n, m, *los[::-1]) == freq
+            assert (total, lh, rh, lc, rc, sel) == tuple(_pykernels.scan_stats(g.adj, m, n, 0, n))
+            assert freq == _pykernels.scan_free_hist(g.adj, m, n, *los)
+
+    def test_scans_leak_nothing(self, compiled_kernels):
+        # rows of more than 256 bits are no cached small ints, so a reference
+        # leaked on a row, on the rows or on a result grows the traced memory
+        # by at least 28 bytes a call; 300 x 3 transposes onto the heap block
+        wide = sample_bipartite(3, 300, 0.5, Seed(83)).adj
+        tall = list(columns(BipartiteGraph(3, 300, wide)))
+        calls = (("scan_stats", (wide, 3, 300, 1, 2), {}),
+                 ("scan_free_hist", (tall, 300, 3, 0, 2), {}),
+                 ("scan_stats", (iter(wide), 3, 300), {}),
+                 ("scan_free_hist", (wide, 4, 300), {}),
+                 ("scan_stats", (tall + [0.5], 301, 3), {}),
+                 ("scan_free_hist", (wide, 3, 300), {"lo_left": 1}))
+
+        def run(count):
+            for t in range(count):
+                fn, args, kwargs = calls[t % len(calls)]
+                if type(args[0]) is not tuple and type(args[0]) is not list:
+                    args = (iter(wide),) + args[1:]
+                try:
+                    getattr(compiled_kernels, fn)(*args, **kwargs)
+                except (TypeError, ValueError):
+                    pass
+
+        held = (wide, tall, wide[0])
+        run(120)
+        refs = [sys.getrefcount(x) for x in held]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(24000)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 20000
+        assert [sys.getrefcount(x) for x in held] == refs
 
     # a grandchild stream, as a sweep point's trial draws it, under a 64-bit
     # root, and the extreme keys
@@ -646,7 +732,7 @@ class TestUnionClosureOracle:
     def test_counts_match_closure(self, kernel, m, n, p):
         g = sample_bipartite(m, n, p, Seed(1212, CLOSURE_GRAPHS.index((m, n, p))))
         stats = mss_stats(g)
-        rows, cols = self.closure(g.adj, n), self.closure(g.columns(), m)
+        rows, cols = self.closure(g.adj, n), self.closure(columns(g), m)
         assert stats.total == len(rows) == len(cols)
         assert list(stats.right_vertex_counts) == [
             stats.total - sum(s >> v & 1 for s in rows) for v in range(n)]

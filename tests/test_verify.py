@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_edge_configs, brute_force_mss, strict_json
+from conftest import all_edge_configs, brute_force_mss, columns, strict_json
 from franklbip import mss, verify
 from franklbip.bounds import HypothesisViolation
 from franklbip.graphs import BipartiteGraph, Seed, as_prob, sample_bipartite
@@ -365,7 +365,7 @@ class TestOneCap:
         rep = verify_lemma("genupper", params, 20, Seed(40))
         assert rep.verdict == verify.CONSISTENT
         g = sample_bipartite(40, 3, 0.5, Seed(41))
-        cols = g.columns()
+        cols = columns(g)
         # pairs (A, B): for each B with |B| >= 1, every A of >= 3 vertices off N(B)
         want = 0
         for b_mask in range(1, 8):
