@@ -1,7 +1,7 @@
 /* Compiled kernels; pure-Python twins in _pykernels.py.
  *
  * Subset scans.  scan_stats and scan_free_hist take a graph as it is stored,
- * its m rows as a list or tuple of ints over the n right vertices, and scan
+ * its m rows as ints over the n right vertices from any iterable, and scan
  * the smaller side, the left on a tie.  When that is the right side, the
  * rows are transposed here, so no caller builds the columns, and scan_stats
  * hands its results back in graph orientation.  The same depth-first walk,
@@ -423,7 +423,9 @@ static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py
     ScanCall sc;
     if (scan_call("scan_stats", scan_stats_params, args, nargs, kwnames, -1, &sc) < 0)
         return NULL;
-    const int s = sc.s, t = sc.t, W = sc.W, left = sc.transposed;
+    /* flip = 1 when the right side is scanned: then a (left, right) pair
+     * and a (scan, other) pair list their sides in opposite orders */
+    const int s = sc.s, t = sc.t, W = sc.W, flip = sc.transposed;
     PyObject *result = NULL;
     /* One zeroed block: full, adj, nbstack, then the four count arrays. */
     u64 stack_block[STACK_SCAN_WORDS];
@@ -433,7 +435,7 @@ static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py
         return NULL;
     }
     u64 *adj = buf + W;
-    StatsCtx c = {.s = s, .W = W, .sel_k = sc.extra[left], .sel_f = sc.extra[!left],
+    StatsCtx c = {.s = s, .W = W, .sel_k = sc.extra[flip], .sel_f = sc.extra[!flip],
                   .full = buf, .adj = adj};
     c.nbstack = adj + (size_t)W * s;
     c.k_hist = c.nbstack + (size_t)W * (s + 1);
@@ -458,11 +460,11 @@ static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py
             by_vertex[order[i]] = c.scan_counts[i];
         for (int v = 0; v < t; v++)
             c.covered[v] = total - c.covered[v];
-        /* in graph orientation: index `left` holds the left side's entry */
+        /* (scan, other) pairs, returned in graph orientation */
         PyObject *hists[2] = {counts_to_list(c.k_hist, s + 1), counts_to_list(c.f_hist, t + 1)};
         PyObject *counts[2] = {counts_to_list(by_vertex, s), counts_to_list(c.covered, t)};
-        result = Py_BuildValue("(KNNNNK)", (unsigned long long)total, hists[left], hists[!left],
-                               counts[left], counts[!left], (unsigned long long)c.sel_count);
+        result = Py_BuildValue("(KNNNNK)", (unsigned long long)total, hists[flip], hists[!flip],
+                               counts[flip], counts[!flip], (unsigned long long)c.sel_count);
     }
     if (buf != stack_block)
         free(buf);

@@ -89,6 +89,7 @@ def _scan_side(rows, m, n):
     unless the right is smaller, when the rows are transposed.  Refuses a
     row count, n and side as the compiled kernel does, in the same order."""
     m, n = operator.index(m), operator.index(n)
+    rows = list(rows)  # any iterable, as the compiled kernel takes
     if len(rows) != m:
         raise ValueError("row count does not match the left side size")
     if n < 0:

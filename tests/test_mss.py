@@ -277,6 +277,9 @@ class TestCompiledKernel:
         for i in range(60):
             g = sample_bipartite(1 + i % 7, 1 + (i // 7) % 7, 0.45, Seed(77, i))
             self.assert_agree(compiled_kernels, g, lo_ks=(0, 1, g.m + 1))
+            # both take the rows from any iterable
+            assert tuple(compiled_kernels.scan_stats(iter(g.adj), g.m, g.n)) == \
+                tuple(_pykernels.scan_stats(iter(g.adj), g.m, g.n))
 
     @pytest.mark.parametrize("m,n,p", [(8, 70, 0.4), (12, 130, 0.3), (3, 64, 0.5), (5, 65, 0.2)])
     def test_multi_word_other_side(self, compiled_kernels, m, n, p):
