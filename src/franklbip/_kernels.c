@@ -34,6 +34,11 @@
  * STACK_WORDS words lives on the stack, each edge bit is set without a branch,
  * and it returns the graph, checked as BipartiteGraph checks it and filled
  * through the class's slot descriptors, with no Python code run per draw.
+ * sampler(graph_cls, prob_cls, zero_side_error, /) returns the builtin
+ * sample_bipartite(m, n, prob, seed, /) that graphs exports: its self holds
+ * the three classes and the slot descriptors of m, n, adj and p, looked up
+ * once, and it makes the twin's side, seed and p checks in C, in the same
+ * order and with the same texts, so a campaign's draw runs no Python frame.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -524,65 +529,68 @@ static PyObject *words_to_long(const u64 *words, Py_ssize_t W, PyObject *sixty_f
     return acc;
 }
 
-/* Interned "m", "n" and "adj": the slots sample_graph fills. */
-static PyObject *field_names[3];
+/* Interned "m", "n" and "adj", the slots a draw fills, and "p", the slot a
+ * bound sampler reads. */
+static PyObject *field_names[4];
 
-PyDoc_STRVAR(sample_graph_doc,
-"sample_graph(cls, m, n, p, root, stream, /)\n--\n\n"
-"Compiled counterpart of _pykernels.sample_graph (same contract).");
-
-static const char *const sample_graph_params[] = {"cls", "m", "n", "p", "root", "stream"};
-
-static PyObject *sample_graph(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs,
-                              PyObject *kwnames)
+/* cls's descriptor of slot field_names[i], found as attribute lookup on a
+ * class finds it (a borrowed reference), or NULL with caller()'s TypeError.
+ * Slots only: setting or reading one runs no Python code. */
+static PyObject *slot_descr(const char *caller, PyObject *cls, int i)
 {
-    if (bind_positional("sample_graph", sample_graph_params, 6, 6, nargs, kwnames) < 0)
+    PyObject *descr = PyType_Check(cls) ? _PyType_Lookup((PyTypeObject *)cls, field_names[i]) : NULL;
+    if (descr == NULL || !Py_IS_TYPE(descr, &PyMemberDescr_Type)) {
+        PyErr_Format(PyExc_TypeError, "%s() needs a class with a slot %R, not %R", caller,
+                     field_names[i], cls);
         return NULL;
-    /* m and n as the "n" format takes them (TypeError for a float), p as
-     * the "d" format does. */
-    Py_ssize_t m = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
-    if (m == -1 && PyErr_Occurred())
-        return NULL;
-    Py_ssize_t n = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
-    if (n == -1 && PyErr_Occurred())
-        return NULL;
-    double p = PyFloat_AsDouble(args[3]);
-    if (p == -1.0 && PyErr_Occurred())
-        return NULL;
+    }
+    return descr;
+}
+
+/* A key of the stream, with the twin's TypeError for a key that is not an
+ * int and its OverflowError for one outside [0, 2^64). */
+static int draw_key(PyObject *key, u64 *out)
+{
+    if (!PyLong_Check(key)) {
+        PyErr_Format(PyExc_TypeError, "key must be an int, not %s", _PyType_Name(Py_TYPE(key)));
+        return -1;
+    }
+    *out = PyLong_AsUnsignedLongLong(key);
+    if (*out == (u64)-1 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_OverflowError))
+            PyErr_Format(PyExc_OverflowError, "key %S outside [0, 2^64)", key);
+        return -1;
+    }
+    return 0;
+}
+
+/* The twin's checks of a draw, in its order: the sides, p, then the keys. */
+static int draw_checks(Py_ssize_t m, Py_ssize_t n, double p, PyObject *root, PyObject *stream,
+                       u64 key[2])
+{
     if (m < 1 || n < 1) {
         PyErr_SetString(PyExc_ValueError, "need m >= 1 and n >= 1");
-        return NULL;
+        return -1;
     }
     if (!(p >= 0.0 && p <= 1.0)) {
         PyErr_SetString(PyExc_ValueError, "edge probability outside [0, 1]");
-        return NULL;
+        return -1;
     }
-    /* TypeError for a key that is not an int and OverflowError outside
-     * [0, 2^64), as the twin raises. */
-    unsigned long long root = PyLong_AsUnsignedLongLong(args[4]);
-    if (root == (unsigned long long)-1 && PyErr_Occurred())
-        return NULL;
-    unsigned long long stream = PyLong_AsUnsignedLongLong(args[5]);
-    if (stream == (unsigned long long)-1 && PyErr_Occurred())
-        return NULL;
-    /* cls's field descriptors, found as attribute lookup on a class finds
-     * them, and held while the draw allocates.  Slots only: setting one runs
-     * no Python code. */
-    PyTypeObject *cls = (PyTypeObject *)args[0];
-    PyObject *descrs[3];
-    for (int i = 0; i < 3; i++) {
-        descrs[i] = PyType_Check(cls) ? _PyType_Lookup(cls, field_names[i]) : NULL;
-        if (descrs[i] == NULL || !Py_IS_TYPE(descrs[i], &PyMemberDescr_Type)) {
-            PyErr_Format(PyExc_TypeError, "sample_graph() needs a class with a slot %R, "
-                         "not %R", field_names[i], cls);
-            return NULL;
-        }
-    }
+    return draw_key(root, &key[0]) < 0 || draw_key(stream, &key[1]) < 0 ? -1 : 0;
+}
+
+/* One checked draw of G(m, n, p) from the stream keyed by key: a new
+ * instance of cls with its rows checked as BipartiteGraph checks them and
+ * its fields set through descrs, cls's descriptors of m, n and adj. */
+static PyObject *draw_graph(PyTypeObject *cls, PyObject *const descrs[3], Py_ssize_t m,
+                            Py_ssize_t n, double p, const u64 key[2])
+{
     Py_ssize_t W = word_count(n);
     u64 stack_words[STACK_WORDS];
     u64 *words = W <= STACK_WORDS ? stack_words : malloc((size_t)W * sizeof(u64));
     if (words == NULL)
         return PyErr_NoMemory();
+    /* held while the draw allocates, which may run a finalizer */
     for (int i = 0; i < 3; i++)
         Py_INCREF(descrs[i]);
     PyObject *sixty_four = PyLong_FromLong(64);
@@ -591,7 +599,7 @@ static PyObject *sample_graph(PyObject *Py_UNUSED(self), PyObject *const *args, 
      * exact, so this is the same test as random() < p.  Its 0/1 outcome is
      * shifted into place, so no branch depends on the draw. */
     const double threshold = p * 9007199254740992.0;
-    Philox g = {.key = {root, stream}};
+    Philox g = {.key = {key[0], key[1]}};
     u64 block[4];
     int used = 4;   /* words of block already drawn */
     for (Py_ssize_t u = 0; rows != NULL && u < m; u++) {
@@ -642,6 +650,171 @@ static PyObject *sample_graph(PyObject *Py_UNUSED(self), PyObject *const *args, 
     return graph;
 }
 
+PyDoc_STRVAR(sample_graph_doc,
+"sample_graph(cls, m, n, p, root, stream, /)\n--\n\n"
+"Compiled counterpart of _pykernels.sample_graph (same contract).");
+
+static const char *const sample_graph_params[] = {"cls", "m", "n", "p", "root", "stream"};
+
+static PyObject *sample_graph(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs,
+                              PyObject *kwnames)
+{
+    if (bind_positional("sample_graph", sample_graph_params, 6, 6, nargs, kwnames) < 0)
+        return NULL;
+    /* m and n as the "n" format takes them (TypeError for a float), p as
+     * the "d" format does. */
+    Py_ssize_t m = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
+    if (m == -1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t n = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    double p = PyFloat_AsDouble(args[3]);
+    if (p == -1.0 && PyErr_Occurred())
+        return NULL;
+    u64 key[2];
+    PyObject *descrs[3];
+    if (draw_checks(m, n, p, args[4], args[5], key) < 0)
+        return NULL;
+    for (int i = 0; i < 3; i++)
+        if ((descrs[i] = slot_descr("sample_graph", args[0], i)) == NULL)
+            return NULL;
+    return draw_graph((PyTypeObject *)args[0], descrs, m, n, p, key);
+}
+
+/* A bound sampler's self is a tuple: the three classes sampler() took, then
+ * the graph class's descriptors of m, n and adj, then the probability
+ * class's descriptor of p, each looked up once, by sampler(). */
+enum { GRAPH_CLS, PROB_CLS, ZERO_SIDE_ERROR, DESCR_M, DESCR_N, DESCR_ADJ, DESCR_P, BOUND_FIELDS };
+
+/* root, stream = seed, as Python unpacks it, error texts included: a
+ * tuple's two items directly, any other object through its iterator.  New
+ * references into pair. */
+static int unpack_pair(PyObject *seed, PyObject *pair[2])
+{
+    if (PyTuple_Check(seed) && Py_TYPE(seed)->tp_iter == PyTuple_Type.tp_iter
+            && PyTuple_GET_SIZE(seed) == 2) {
+        pair[0] = Py_NewRef(PyTuple_GET_ITEM(seed, 0));
+        pair[1] = Py_NewRef(PyTuple_GET_ITEM(seed, 1));
+        return 0;
+    }
+    PyObject *it = PyObject_GetIter(seed);
+    if (it == NULL) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError) && Py_TYPE(seed)->tp_iter == NULL
+                && !PySequence_Check(seed))
+            PyErr_Format(PyExc_TypeError, "cannot unpack non-iterable %.200s object",
+                         Py_TYPE(seed)->tp_name);
+        return -1;
+    }
+    int got = 0;
+    while (got < 2 && (pair[got] = PyIter_Next(it)) != NULL)
+        got++;
+    PyObject *extra = got == 2 ? PyIter_Next(it) : NULL;
+    Py_DECREF(it);
+    if (got == 2 && extra == NULL && !PyErr_Occurred())
+        return 0;
+    if (extra != NULL) {
+        Py_DECREF(extra);
+        PyErr_SetString(PyExc_ValueError, "too many values to unpack (expected 2)");
+    } else if (!PyErr_Occurred()) {
+        PyErr_Format(PyExc_ValueError, "not enough values to unpack (expected 2, got %d)", got);
+    }
+    while (got > 0)
+        Py_CLEAR(pair[--got]);
+    return -1;
+}
+
+static const char *const sample_bipartite_params[] = {"m", "n", "prob", "seed"};
+
+PyDoc_STRVAR(sample_bipartite_doc,
+"sample_bipartite(m, n, prob, seed, /)\n--\n\n"
+"Compiled counterpart of the sampler _pykernels.sampler binds (same contract).");
+
+static PyObject *sample_bipartite(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
+                                  PyObject *kwnames)
+{
+    if (bind_positional("sample_bipartite", sample_bipartite_params, 4, 4, nargs, kwnames) < 0)
+        return NULL;
+    PyObject *const *bound = &PyTuple_GET_ITEM(self, 0);
+    /* operator.index of m, then of n, then the zero-side test on both */
+    PyObject *sides[2] = {PyNumber_Index(args[0]), NULL};
+    if (sides[0] == NULL || (sides[1] = PyNumber_Index(args[1])) == NULL) {
+        Py_XDECREF(sides[0]);
+        return NULL;
+    }
+    int past[2];   /* -1 or 1 for a side past the range of long long */
+    long long side[2];
+    for (int i = 0; i < 2; i++)
+        side[i] = PyLong_AsLongLongAndOverflow(sides[i], &past[i]);
+    PyObject *graph = NULL, *pair[2] = {NULL, NULL}, *prob = NULL, *p_value = NULL;
+    if (past[0] < 0 || past[1] < 0 || (!past[0] && side[0] < 1) || (!past[1] && side[1] < 1))
+        PyErr_Format(bound[ZERO_SIDE_ERROR], "need m >= 1 and n >= 1, got m=%S, n=%S",
+                     sides[0], sides[1]);
+    else if (past[0] || past[1] || side[0] != (Py_ssize_t)side[0]
+             || side[1] != (Py_ssize_t)side[1])
+        PyErr_SetString(PyExc_OverflowError, "Python int too large to convert to C ssize_t");
+    else if (unpack_pair(args[3], pair) == 0) {
+        /* p from the slot of a prob_cls instance, else of prob_cls(prob) */
+        PyObject *descr_p = bound[DESCR_P];
+        const Py_ssize_t m = (Py_ssize_t)side[0], n = (Py_ssize_t)side[1];
+        prob = PyObject_TypeCheck(args[2], (PyTypeObject *)bound[PROB_CLS])
+            ? Py_NewRef(args[2]) : PyObject_CallOneArg(bound[PROB_CLS], args[2]);
+        p_value = prob ? Py_TYPE(descr_p)->tp_descr_get(descr_p, prob, NULL) : NULL;
+        double p = p_value ? PyFloat_AsDouble(p_value) : -1.0;
+        u64 key[2];
+        if (p_value != NULL && !(p == -1.0 && PyErr_Occurred())
+                && draw_checks(m, n, p, pair[0], pair[1], key) == 0)
+            graph = draw_graph((PyTypeObject *)bound[GRAPH_CLS], bound + DESCR_M, m, n, p, key);
+    }
+    Py_DECREF(sides[0]);
+    Py_DECREF(sides[1]);
+    Py_XDECREF(pair[0]);
+    Py_XDECREF(pair[1]);
+    Py_XDECREF(prob);
+    Py_XDECREF(p_value);
+    return graph;
+}
+
+static PyMethodDef sample_bipartite_def = {
+    "sample_bipartite", (PyCFunction)(void (*)(void))sample_bipartite,
+    METH_FASTCALL | METH_KEYWORDS, sample_bipartite_doc,
+};
+
+static const char *const sampler_params[] = {"graph_cls", "prob_cls", "zero_side_error"};
+
+PyDoc_STRVAR(sampler_doc,
+"sampler(graph_cls, prob_cls, zero_side_error, /)\n--\n\n"
+"Compiled counterpart of _pykernels.sampler (same contract).  Refuses a\n"
+"graph class without slots m, n and adj, a probability class without a\n"
+"slot p, and an error that is no exception class.");
+
+static PyObject *sampler(PyObject *module, PyObject *const *args, Py_ssize_t nargs,
+                         PyObject *kwnames)
+{
+    if (bind_positional("sampler", sampler_params, 3, 3, nargs, kwnames) < 0)
+        return NULL;
+    PyObject *held[BOUND_FIELDS] = {args[0], args[1], args[2]};
+    for (int i = 0; i < 3; i++)
+        if ((held[DESCR_M + i] = slot_descr("sampler", args[0], i)) == NULL)
+            return NULL;
+    if ((held[DESCR_P] = slot_descr("sampler", args[1], 3)) == NULL)
+        return NULL;
+    if (!PyExceptionClass_Check(args[2])) {
+        PyErr_Format(PyExc_TypeError, "sampler() needs an exception class, not %R", args[2]);
+        return NULL;
+    }
+    PyObject *self = PyTuple_New(BOUND_FIELDS);
+    if (self == NULL)
+        return NULL;
+    for (int i = 0; i < BOUND_FIELDS; i++)
+        PyTuple_SET_ITEM(self, i, Py_NewRef(held[i]));
+    PyObject *name = PyModule_GetNameObject(module);
+    PyObject *fn = name ? PyCFunction_NewEx(&sample_bipartite_def, self, name) : NULL;
+    Py_XDECREF(name);
+    Py_DECREF(self);
+    return fn;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"scan_stats", (PyCFunction)(void (*)(void))scan_stats, METH_FASTCALL | METH_KEYWORDS,
      scan_stats_doc},
@@ -649,6 +822,7 @@ static PyMethodDef kernel_methods[] = {
      METH_FASTCALL | METH_KEYWORDS, scan_free_hist_doc},
     {"sample_graph", (PyCFunction)(void (*)(void))sample_graph, METH_FASTCALL | METH_KEYWORDS,
      sample_graph_doc},
+    {"sampler", (PyCFunction)(void (*)(void))sampler, METH_FASTCALL | METH_KEYWORDS, sampler_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -662,8 +836,8 @@ static struct PyModuleDef kernel_module = {
 
 PyMODINIT_FUNC PyInit__kernels(void)
 {
-    static const char *names[3] = {"m", "n", "adj"};
-    for (int i = 0; i < 3; i++)
+    static const char *names[4] = {"m", "n", "adj", "p"};
+    for (int i = 0; i < 4; i++)
         if (field_names[i] == NULL
                 && (field_names[i] = PyUnicode_InternFromString(names[i])) == NULL)
             return NULL;

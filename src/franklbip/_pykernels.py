@@ -28,7 +28,11 @@ does: the same constants, the 256-bit counter bumped before each block of
 four words, and edge (u, v) present iff (word >> 11) < p 2^53.  That is
 numpy's Philox bit generator followed by random() < p, which the tests use
 as an independent reference.  It returns cls(m, n, rows), checked by the
-constructor; the compiled twin makes the same checks in C.
+constructor; the compiled twin makes the same checks in C.  sampler binds
+the graph class, the probability class and the zero-side error to the
+sampler that graphs exports as sample_bipartite, the one call a campaign
+makes per trial; the compiled twin's is a builtin, so a draw runs no Python
+frame.  Both refuse a bad call alike, with the same types and texts.
 """
 
 import operator
@@ -223,3 +227,32 @@ def sample_graph(cls, m, n, p, root, stream, /):
     words = _philox_words(root, stream)
     return cls(m, n, tuple(sum(1 << v for v in range(n) if next(words) >> 11 < threshold)
                            for _ in range(m)))
+
+
+def sampler(graph_cls, prob_cls, zero_side_error, /):
+    """sample_bipartite(m, n, prob, seed, /), bound to these classes."""
+
+    def sample_bipartite(m, n, prob, seed, /):
+        """Draw G from the independent-edge model on sides of size m and n.
+
+        Each of the m*n edges is present independently with probability p
+        under the counter-based stream identified by `seed`, a Seed or any
+        (root, stream) pair of ints in [0, 2^64), such as Seed.children
+        yields; the draw for edge (u, v) is the (u*n + v)-th variate of that
+        stream, so results are bit-identical across runs and thread counts.
+        m and n are taken through operator.index, as the graph class takes
+        them, and a side below 1 raises zero_side_error.  prob is a prob_cls
+        or anything prob_cls takes.
+        """
+        m, n = operator.index(m), operator.index(n)
+        if m < 1 or n < 1:
+            raise zero_side_error(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+        root, stream = seed
+        p = (prob if isinstance(prob, prob_cls) else prob_cls(prob)).p
+        return sample_graph(graph_cls, m, n, p, root, stream)
+
+    # a bad call's TypeError names the function by its code's qualified
+    # name, which the compiled twin's texts give as "sample_bipartite"
+    sample_bipartite.__code__ = sample_bipartite.__code__.replace(co_qualname="sample_bipartite")
+    sample_bipartite.__qualname__ = "sample_bipartite"
+    return sample_bipartite

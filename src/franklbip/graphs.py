@@ -11,10 +11,11 @@ campaign builds a graph for every trial, and Seed.children a plain (root,
 stream) pair, so they are light instead: Seed is a tuple whose constructor
 masks both fields to 64 bits, and the other two are slotted classes whose
 constructors check every field.
-The compiled sampler returns a finished graph: it makes the constructor's
+`sample_bipartite` is the active kernel's sampler, bound once at import to
+BipartiteGraph, EdgeProbability and ZeroSideError.  The compiled one is a
+builtin: it makes the side, seed and p checks and the constructor's
 row-count and range checks in C and sets the fields through the slot
-descriptors, so a draw runs no Python past sample_bipartite's side and p
-checks.  `mss.ConjectureVerdict` and `setfamily.SetFamily` are slotted
+descriptors, so a draw runs no Python frame.  `mss.ConjectureVerdict` and `setfamily.SetFamily` are slotted
 classes on the same base, so those modules need no `dataclasses` for them.
 """
 
@@ -254,21 +255,14 @@ class BipartiteGraph(_Value):
 _set_m, _set_n, _set_adj = _slot_setters(BipartiteGraph)
 
 
-def sample_bipartite(m: int, n: int, prob, seed) -> BipartiteGraph:
-    """Draw G from the independent-edge model on sides of size m and n.
-
-    Each of the m*n edges is present independently with probability p under
-    the counter-based stream identified by `seed`, a Seed or any (root,
-    stream) pair of ints in [0, 2^64), such as Seed.children yields; the
-    draw for edge (u, v) is the (u*n + v)-th variate of that stream, so
-    results are bit-identical across runs and thread counts.  m and n are
-    taken through operator.index, as BipartiteGraph takes them.
-    """
-    m, n = operator.index(m), operator.index(n)
-    if m < 1 or n < 1:
-        raise ZeroSideError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    root, stream = seed
-    return _impl.sample_graph(BipartiteGraph, m, n, as_prob(prob).p, root, stream)
+# The kernel's sampler, bound once to these classes: the compiled one is a
+# builtin that reads p from an EdgeProbability's slot and fills the graph's
+# slots itself, so a draw runs no Python frame.  Its contract is the twin's
+# (_pykernels.sampler): draw G(m, n, p) from the stream of `seed`, a Seed or
+# any (root, stream) pair of ints in [0, 2^64), bit-identically across runs
+# and thread counts; m and n go through operator.index, a side below 1
+# raises ZeroSideError, and prob is an EdgeProbability or a float.
+sample_bipartite = _impl.sampler(BipartiteGraph, EdgeProbability, ZeroSideError)
 
 
 def _row_text(row: int, n: int) -> str:

@@ -115,7 +115,10 @@ def is_maximal_stable(g: BipartiteGraph, s: StableSet) -> bool:
 
 
 def _check_cap(side: int, cap: int = DEFAULT_CAP):
-    """The cap check and refusal text of every enumeration path."""
+    """The cap check and refusal text of every enumeration path.  The entries
+    below call it only when the side may be over the cap: when both sides
+    are over cap, or when cap is past MAX_SCAN_SIDE; a campaign's passing
+    check is then one inline comparison per trial."""
     limit = min(cap, MAX_SCAN_SIDE)
     if side > limit:
         raise CapExceeded(f"scan side {side} exceeds the cap of {limit}")
@@ -124,7 +127,8 @@ def _check_cap(side: int, cap: int = DEFAULT_CAP):
 def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> MssStats:
     """Aggregate counts without storing sets; memory stays O(m + n).
     Refuses a scan side min(m, n) above cap."""
-    _check_cap(min(g.m, g.n), cap)
+    if cap < g.m and cap < g.n or cap > MAX_SCAN_SIDE:
+        _check_cap(min(g.m, g.n), cap)
     total, left_hist, _, lvc, rvc, _ = _impl.scan_stats(g.adj, g.m, g.n)
     # both kernels return Python ints, so no per-element conversion
     return MssStats(total=total, left_hist=tuple(left_hist),
@@ -133,7 +137,8 @@ def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> MssStats:
 
 def count_mss_with_sizes(g: BipartiteGraph, ell: int, r: int, cap: int = DEFAULT_CAP) -> int:
     """Exact number of maximal stable sets S with |S∩L| = ell and |S∩R| = r."""
-    _check_cap(min(g.m, g.n), cap)
+    if cap < g.m and cap < g.n or cap > MAX_SCAN_SIDE:
+        _check_cap(min(g.m, g.n), cap)
     return _impl.scan_stats(g.adj, g.m, g.n, ell, r)[5]
 
 
@@ -148,7 +153,8 @@ def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
     """
     if not 0 <= ell_star <= g.m or not 0 <= r_star <= g.n:
         raise ValueError("thresholds out of range")
-    _check_cap(min(g.m, g.n), cap)
+    if cap < g.m and cap < g.n or cap > MAX_SCAN_SIDE:
+        _check_cap(min(g.m, g.n), cap)
     freq = _impl.scan_free_hist(g.adj, g.m, g.n, ell_star, r_star)
     lo_other = r_star if g.m <= g.n else ell_star
     return sum(map(operator.mul, freq, _binomial_tails(len(freq) - 1, lo_other)))

@@ -2,8 +2,10 @@
 
 Every named check, both campaigns included, is a `CheckSpec` row that
 `verify_lemma` runs: it samples graphs from derived sub-streams, and the
-row's summary reduces the per-graph values exactly to a frequency or mean
-and confronts it with the closed form from `bounds`.  Asymptotic claims
+row's summary folds the stream of per-graph values exactly, in constant
+memory, to a frequency or mean and confronts it with the closed form from
+`bounds`.  A frequency is `violated` only when its exact binomial tail is
+below ALPHA, the false-alarm rate of a 4-sigma normal band.  Asymptotic claims
 (those that only hold beyond unspecified size thresholds) are reported with
 verdict "informational": finite-size runs can measure them but not refute
 them.  A row that scans refuses a smaller side over `mss`'s cap first.
@@ -18,6 +20,7 @@ import operator
 import os
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 from . import bounds, mss
@@ -47,7 +50,8 @@ class MissingParameter(ValueError):
 class BoundReport:
     """One confrontation of a claimed bound with a measured frequency or
     mean.  verdict is `violated` only when the measurement contradicts the
-    claim direction by more than the confidence radius."""
+    claim: a frequency by an exact binomial tail below ALPHA, a bounded mean
+    by more than the confidence radius."""
 
     lemma_id: str
     m: int
@@ -120,31 +124,83 @@ def run_conjecture_campaign(m: int, n: int, prob, delta, trials: int,
 
 # --- registry of named checks ------------------------------------------------
 
+# the false-alarm rate a 4-sigma normal band promises, 2 Phi(-4) = 6.3e-5
+ALPHA = math.erfc(CI_Z / math.sqrt(2.0))
+
+
+def _binomial_tail_below(hits: int, trials: int, claimed: float, level: float) -> bool:
+    """True iff the tail of Bin(trials, claimed) on the far side of hits
+    from the mean, P(X <= hits) if hits <= trials * claimed and P(X >= hits)
+    otherwise, is below level.  That tail is the smaller of the two, since
+    the other one holds the median.
+
+    The terms are summed outward from hits, relative to the pmf there, whose
+    log comes from math.lgamma.  Each ratio to the next term is below 1 and
+    shrinks outward, so the rest of the tail is at most a geometric series,
+    and the sum stops as soon as the tail is known to be above or below
+    level, or the rest is below the float resolution of the sum."""
+    if not 0.0 < claimed < 1.0:
+        # all the mass sits on 0 or on trials
+        return hits != (0 if claimed <= 0.0 else trials)
+    log_pmf = (math.lgamma(trials + 1) - math.lgamma(hits + 1) - math.lgamma(trials - hits + 1)
+               + hits * math.log(claimed) + (trials - hits) * math.log1p(-claimed))
+    log_level = math.log(level)
+    if log_pmf >= log_level:
+        return False
+    odds = claimed / (1.0 - claimed)
+    lower = hits <= trials * claimed
+    k, term, total = hits, 1.0, 1.0
+    while k != (0 if lower else trials):
+        if lower:
+            ratio = k / ((trials - k + 1) * odds)  # pmf(k - 1) / pmf(k)
+            k -= 1
+        else:
+            ratio = (trials - k) * odds / (k + 1)  # pmf(k + 1) / pmf(k)
+            k += 1
+        term *= ratio
+        total += term
+        rest = term * ratio / (1.0 - ratio)  # bounds the terms past k
+        if log_pmf + math.log(total) >= log_level:
+            return False
+        if log_pmf + math.log(total + rest) < log_level or rest < total * 1e-15:
+            return True
+    return True
+
+
 def _frequency(claimed):
-    """Summary of a 0/1 event whose frequency should equal claimed."""
-    def summary(values):
-        measured = sum(values) / len(values)
-        ci = CI_Z * math.sqrt(claimed * (1.0 - claimed) / len(values))
-        return claimed, measured, ci, CONSISTENT if abs(measured - claimed) <= ci else VIOLATED, {}
+    """Summary of a 0/1 event whose frequency should equal claimed.  The
+    row is violated iff the exact two-sided binomial tail of the hit count,
+    2 min(P(X <= hits), P(X >= hits)) under Bin(trials, claimed), is below
+    ALPHA; ci is the 4-sigma radius sqrt(c (1 - c) / trials) times CI_Z."""
+    def summary(values, trials):
+        hits = sum(values)
+        ci = CI_Z * math.sqrt(claimed * (1.0 - claimed) / trials)
+        violated = _binomial_tail_below(hits, trials, claimed, ALPHA / 2.0)
+        return claimed, hits / trials, ci, VIOLATED if violated else CONSISTENT, {}
     return summary
+
+
+def _informational_row(hits, trials, extra):
+    """The frequency of an asymptotic claim's event and its Wilson radius,
+    with no verdict."""
+    return 1.0, hits / trials, wilson_radius(hits, trials), INFORMATIONAL, extra
 
 
 def _informational(extra):
-    """Summary of a 0/1 event of an asymptotic claim: its frequency and the
-    Wilson radius, with no verdict."""
-    def summary(values):
-        hits = sum(values)
-        return 1.0, hits / len(values), wilson_radius(hits, len(values)), INFORMATIONAL, extra
-    return summary
+    """Summary of a 0/1 event of an asymptotic claim."""
+    return lambda values, trials: _informational_row(sum(values), trials, extra)
 
 
 def _mean_at_most(claimed, extra):
     """Summary of a per-graph count whose mean the claim bounds from above;
     the counts are ints, so n * sum(x^2) - sum(x)^2 is exact and never negative."""
-    def summary(values):
-        n, total = len(values), sum(values)
-        measured = total / n
-        ci = CI_Z * math.sqrt((n * sum(x * x for x in values) - total * total) / n ** 3)
+    def summary(values, trials):
+        total = squares = 0
+        for x in values:
+            total += x
+            squares += x * x
+        measured = total / trials
+        ci = CI_Z * math.sqrt((trials * squares - total * total) / trials ** 3)
         return claimed, measured, ci, CONSISTENT if measured - claimed <= ci else VIOLATED, extra
     return summary
 
@@ -157,10 +213,13 @@ def _cap(params):
 class CheckSpec(NamedTuple):
     """One named check.  The first three names in `needs` give the sample
     sides and p.  setup(m, n, prob, params) returns the per-graph event and
-    the summary of the list of per-trial values, (claimed, measured, ci,
-    verdict, extra); events call mss.<fn> as they run, so a patched mss is
-    what runs.  scans is True when the event enumerates.  hypothesis(m, n,
-    prob, params) raises HypothesisViolation outside the claim's hypothesis."""
+    the summary; summary(values, trials) folds the stream of the trials'
+    values in one pass, keeping only its sufficient statistic (a hit count,
+    a sum and a sum of squares, a Fraction sum, or the vacuous count and the
+    violating graphs), and returns (claimed, measured, ci, verdict, extra).
+    Events call mss.<fn> as they run, so a patched mss is what runs.  scans
+    is True when the event enumerates.  hypothesis(m, n, prob, params)
+    raises HypothesisViolation outside the claim's hypothesis."""
 
     needs: tuple
     setup: Callable
@@ -314,10 +373,12 @@ def _average(m, n, prob, params):
     cap = _cap(params)
     threshold = (Fraction(1, 2) + mss._exact_delta(params["delta"])) * m
 
-    def summary(averages):
-        hits = [avg <= threshold for avg in averages]
-        mean = sum(averages, Fraction(0)) / len(averages)
-        return _informational({"mean_left_avg": mean, "hits": sum(hits)})(hits)
+    def summary(averages, trials):
+        total, hits = Fraction(0), 0
+        for avg in averages:
+            total += avg
+            hits += avg <= threshold
+        return _informational_row(hits, trials, {"mean_left_avg": total / trials, "hits": hits})
 
     return lambda g: mss.mss_stats(g, cap).left_average(), summary
 
@@ -330,14 +391,19 @@ def _conjecture(m, n, prob, params):
         # None if vacuous, True if satisfied, and a violating graph itself
         return None if verdict.vacuous else verdict.satisfied or g
 
-    def summary(values):
-        effective = sum(v is not None for v in values)
-        violations = [{"trial": t, "graph": g.to_json_dict(), "text": serialize_graph(g)}
-                      for t, g in enumerate(values) if g not in (None, True)]
+    def summary(values, trials):
+        vacuous, violations = 0, []
+        for t, g in enumerate(values):
+            if g is None:
+                vacuous += 1
+            elif g is not True:
+                violations.append({"trial": t, "graph": g.to_json_dict(),
+                                   "text": serialize_graph(g)})
+        effective = trials - vacuous
         satisfied = effective - len(violations)
         return (1.0, satisfied / effective if effective else float("nan"),
                 wilson_radius(satisfied, effective), VIOLATED if violations else INFORMATIONAL,
-                {"vacuous": len(values) - effective, "violations": violations})
+                {"vacuous": vacuous, "violations": violations})
 
     return event, summary
 
@@ -397,10 +463,11 @@ def verify_lemma(lemma_id: str, params: dict, trials: int, seed: Seed,
     if spec.scans:
         mss._check_cap(min(m, n), _cap(params))
     # read once per call: a wrapper put on verify.sample_bipartite before the
-    # call (a tracer, say) draws every trial of it, one graph per trial
+    # call (a tracer, say) draws every trial of it, one graph per trial.  The
+    # summary folds the stream of per-trial values once, keeping no list.
     draw = sample_bipartite
-    claimed, measured, ci, verdict, extra = summary(
-        [event(draw(m, n, prob, s)) for s in seed.children(trials)])
+    values = map(event, map(draw, repeat(m), repeat(n), repeat(prob), seed.children(trials)))
+    claimed, measured, ci, verdict, extra = summary(values, trials)
     if outside:
         verdict, extra = INFORMATIONAL, {**extra, "outside_hypothesis": True}
     return BoundReport(

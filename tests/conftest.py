@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from franklbip import _pykernels, graphs, mss, setfamily
+from franklbip import _pykernels, cli, graphs, mss, setfamily, verify
 from franklbip.graphs import BipartiteGraph, CapExceeded, Seed, sample_bipartite
 from franklbip.mss import StableSet
 
@@ -264,14 +264,24 @@ def compiled_kernels(compiled_build):
     return module
 
 
+def use_kernels(monkeypatch, impl):
+    """Switch the subset scans and the sampler to impl's, as
+    FRANKLBIP_PURE_PYTHON switches them at import: each module's _impl, and
+    sample_bipartite, bound by impl.sampler, under every name it is read by."""
+    for module in (graphs, mss, setfamily):
+        monkeypatch.setattr(module, "_impl", impl)
+    sample = impl.sampler(BipartiteGraph, graphs.EdgeProbability, graphs.ZeroSideError)
+    for module in (graphs, verify, cli):
+        monkeypatch.setattr(module, "sample_bipartite", sample)
+
+
 @pytest.fixture(params=["compiled", "python"])
 def kernel(request, monkeypatch):
     """Runs a test once on the compiled kernels and once on the pure-Python
     twins, for the sampler and the subset scans alike."""
     impl = request.getfixturevalue("compiled_kernels") if request.param == "compiled" \
         else _pykernels
-    for module in (graphs, mss, setfamily):
-        monkeypatch.setattr(module, "_impl", impl)
+    use_kernels(monkeypatch, impl)
 
 
 def strict_json(text):

@@ -185,7 +185,7 @@ class TestSmallMssExpectation:
         for p in (0.9, 0.9972, 0.99725, 0.9973):
             rp = RegimeParams.from_mnp(4, 100, p)
             _, summary = verify._CHECKS["lem.hoeffding.exp"].setup(4, 100, as_prob(p), {})
-            assert summary([True])[4]["count_threshold"] == bounds._small_mss_product(
+            assert summary(iter([True]), 1)[4]["count_threshold"] == bounds._small_mss_product(
                 as_prob(p), 4, rp.a_prime, rp.b)
 
     def test_expected_small_mss_matches_config_enumeration(self):

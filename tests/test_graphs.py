@@ -87,12 +87,12 @@ class TestSampling:
         assert serial == threaded
 
     def test_numpy_integer_sides_stored_as_int(self, kernel):
-        g = sample_bipartite(np.int64(3), np.int64(4), 0.5, Seed(1))
+        g = graph_module.sample_bipartite(np.int64(3), np.int64(4), 0.5, Seed(1))
         assert g == graph_module._impl.sample_graph(BipartiteGraph, 3, 4, 0.5, 1, 0)
         assert type(g.m) is int and type(g.n) is int
         assert json.loads(json.dumps(g.to_json_dict()))["m"] == 3
         with pytest.raises(TypeError):
-            sample_bipartite(3.0, 4, 0.5, Seed(1))
+            graph_module.sample_bipartite(3.0, 4, 0.5, Seed(1))
 
     def test_zero_side_rejected(self):
         with pytest.raises(ZeroSideError):
@@ -240,8 +240,9 @@ class TestValueTypes:
     # kernel is filled without the constructor
     ROWS = [pytest.param(make, fields, "python", id=id_)
             for (make, fields), id_ in zip(VALUES, IDS)] + [
-        pytest.param(lambda: sample_bipartite(2, 3, 0.5, Seed(5, 3)), ("m", "n", "adj"), kernel,
-                     id=f"sampled-{kernel}") for kernel in ("compiled", "python")]
+        pytest.param(lambda: graph_module.sample_bipartite(2, 3, 0.5, Seed(5, 3)),
+                     ("m", "n", "adj"), kernel, id=f"sampled-{kernel}")
+        for kernel in ("compiled", "python")]
 
     @pytest.mark.parametrize("make,fields,kernel", ROWS, indirect=["kernel"])
     def test_assignment_raises(self, make, fields, kernel):
@@ -336,7 +337,7 @@ class TestValueTypes:
         assert EdgeProbability(1) == EdgeProbability(1.0)
 
     def test_sampled_graph_is_the_built_graph(self, kernel):
-        g = sample_bipartite(np.int64(2), np.uint8(3), 0.5, Seed(5, 3))
+        g = graph_module.sample_bipartite(np.int64(2), np.uint8(3), 0.5, Seed(5, 3))
         built = BipartiteGraph(g.m, g.n, g.adj)
         assert g == built and hash(g) == hash(built) and repr(g) == repr(built)
         assert type(g) is BipartiteGraph

@@ -33,6 +33,9 @@ from franklbip.mss import (
 )
 from franklbip.setfamily import SetFamily, union_closure
 
+# the classes graphs binds its sampler to
+SAMPLER_CLASSES = (BipartiteGraph, graph_module.EdgeProbability, graph_module.ZeroSideError)
+
 
 @st.composite
 def graphs(draw, max_side=5):
@@ -312,7 +315,7 @@ class TestCompiledKernel:
             out.append((info.type, str(info.value)))
         return out
 
-    @pytest.mark.parametrize("fn", ["scan_stats", "scan_free_hist", "sample_graph"])
+    @pytest.mark.parametrize("fn", ["scan_stats", "scan_free_hist", "sample_graph", "sampler"])
     def test_signatures_match_twin(self, compiled_kernels, fn):
         assert inspect.signature(getattr(compiled_kernels, fn)) == \
             inspect.signature(getattr(_pykernels, fn))
@@ -429,7 +432,8 @@ class TestCompiledKernel:
             assert type(g) is BipartiteGraph and (g.m, g.n) == (7, n), key
             assert type(g.adj) is tuple and len(g.adj) == 7, key
             assert all(type(row) is int and 0 <= row < 1 << n for row in g.adj), key
-            assert g == BipartiteGraph(7, n, g.adj) == sample_bipartite(7, n, p, Seed(*key)), key
+            assert g == BipartiteGraph(7, n, g.adj) == graph_module.sample_bipartite(
+                7, n, p, Seed(*key)), key
 
     @pytest.mark.parametrize("m,n,p", [(0, 4, 0.5), (4, 0, 0.5), (4, 4, -0.1), (4, 4, math.nan)])
     def test_sample_rows_refusals(self, compiled_kernels, m, n, p):
@@ -505,29 +509,107 @@ class TestCompiledKernel:
     def test_sample_graph_leaks_nothing(self, compiled_kernels):
         # m, n and the rows above 256 are no cached small ints, so a reference
         # leaked on any of them, on a draw or on a refused fill, grows the
-        # traced memory by at least 28 bytes a call
-        shapes = ((BipartiteGraph, 257, 2), (BipartiteGraph, 2, 300), (self.Alien, 2, 300))
+        # traced memory by at least 28 bytes a call.  The bound sampler runs
+        # beside sample_graph: tuple, Seed and generator seeds, a float p it
+        # turns into an EdgeProbability, and two refusals.
+        sample = compiled_kernels.sampler(*SAMPLER_CLASSES)
+        prob, pair, seed = graph_module.EdgeProbability(0.5), (1, 2), Seed(3, 4)
+        calls = (lambda t: compiled_kernels.sample_graph(BipartiteGraph, 257, 2, 0.5, 1, t),
+                 lambda t: compiled_kernels.sample_graph(BipartiteGraph, 2, 300, 0.5, 1, t),
+                 lambda t: compiled_kernels.sample_graph(self.Alien, 2, 300, 0.5, 1, t),
+                 lambda t: sample(257, 2, prob, pair),
+                 lambda t: sample(2, 300, prob, seed),
+                 lambda t: sample(257, 2, prob, (key for key in (1, t))),
+                 lambda t: sample(2, 300, 0.5, pair),
+                 lambda t: sample(257, 0, prob, seed),
+                 lambda t: sample(257, 2, prob, (1, 2, t)))
 
-        def calls(count):
+        def run(count):
             for t in range(count):
                 try:
-                    compiled_kernels.sample_graph(*shapes[t % 3], 0.5, 1, t)
-                except TypeError:
+                    calls[t % len(calls)](t)
+                except (TypeError, ValueError):
                     pass
 
-        # the slot descriptors, held during each call, are no allocation
-        descriptors = [BipartiteGraph.__dict__[name] for name in BipartiteGraph.__slots__]
-        calls(100)
-        refs = [sys.getrefcount(d) for d in descriptors]
+        # the classes and the slot descriptors, held during each call, are no
+        # allocation
+        held = [*SAMPLER_CLASSES, prob, pair, seed,
+                *(BipartiteGraph.__dict__[name] for name in BipartiteGraph.__slots__),
+                graph_module.EdgeProbability.__dict__["p"]]
+        run(100)
+        refs = [sys.getrefcount(x) for x in held]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            calls(20000)
+            run(24000)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert grown < 20000
-        assert [sys.getrefcount(d) for d in descriptors] == refs
+        assert [sys.getrefcount(x) for x in held] == refs
+
+    @staticmethod
+    def samplers(compiled_kernels):
+        """Both kernels' samplers, bound as graphs binds sample_bipartite, the
+        compiled one's first."""
+        return [kernel.sampler(*SAMPLER_CLASSES) for kernel in (compiled_kernels, _pykernels)]
+
+    def test_samplers_share_a_signature(self, compiled_kernels):
+        compiled, twin = self.samplers(compiled_kernels)
+        assert inspect.signature(compiled) == inspect.signature(twin)
+        assert str(inspect.signature(compiled)) == "(m, n, prob, seed, /)"
+
+    @pytest.mark.parametrize("seed", [lambda: (5, 7), lambda: Seed(5, 7), lambda: [5, 7],
+                                      lambda: (key for key in (5, 7))],
+                             ids=["tuple", "Seed", "list", "generator"])
+    def test_samplers_draw_alike(self, compiled_kernels, seed):
+        compiled, twin = self.samplers(compiled_kernels)
+        for m, n, p in ((6, 2, 0.5), (3, 70, graph_module.EdgeProbability(0.3)),
+                        (np.int64(4), True, 0.9), (2, 300, 1)):
+            g = compiled(m, n, p, seed())
+            assert type(g) is BipartiteGraph and (type(g.m), type(g.n)) == (int, int)
+            want = _pykernels.sample_graph(BipartiteGraph, int(m), int(n),
+                                           graph_module.as_prob(p).p, 5, 7)
+            assert g == twin(m, n, p, seed()) == want
+
+    # a call's arguments (a fresh tuple each time, since a generator seed is
+    # spent by one call), its keywords and the error both samplers raise
+    SAMPLER_REFUSALS = {
+        "float-m": (lambda: (3.0, 4, 0.5, (1, 2)), {}, TypeError),
+        "m-zero": (lambda: (0, 4, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
+        "n-zero": (lambda: (4, 0, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
+        "n-below-int64": (lambda: (4, -2 ** 70, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
+        "p-1.5": (lambda: (4, 4, 1.5, (1, 2)), {}, ValueError),
+        "p-text": (lambda: (4, 4, "half", (1, 2)), {}, ValueError),
+        "seed-3-tuple": (lambda: (4, 4, 0.5, (1, 2, 3)), {}, ValueError),
+        "seed-1-list": (lambda: (4, 4, 0.5, [1]), {}, ValueError),
+        "seed-3-generator": (lambda: (4, 4, 0.5, (key for key in (1, 2, 3))), {}, ValueError),
+        "seed-int": (lambda: (4, 4, 0.5, 5), {}, TypeError),
+        "key-2^64": (lambda: (4, 4, 0.5, (2 ** 64, 0)), {}, OverflowError),
+        "key-negative": (lambda: (4, 4, 0.5, (1, -1)), {}, OverflowError),
+        "key-float": (lambda: (4, 4, 0.5, (1, 2.0)), {}, TypeError),
+        "keyword": (lambda: (4, 4, 0.5), {"seed": (1, 2)}, TypeError),
+        "five-arguments": (lambda: (4, 4, 0.5, (1, 2), 0), {}, TypeError),
+    }
+
+    @pytest.mark.parametrize("make_args,kwargs,error", SAMPLER_REFUSALS.values(),
+                             ids=SAMPLER_REFUSALS)
+    def test_samplers_refuse_alike(self, compiled_kernels, make_args, kwargs, error):
+        refusals = []
+        for sample in self.samplers(compiled_kernels):
+            with pytest.raises(Exception) as info:
+                sample(*make_args(), **kwargs)
+            refusals.append((info.type, str(info.value)))
+        assert refusals[0][0] is error
+        assert refusals[0] == refusals[1]
+
+    def test_compiled_sampler_needs_slotted_classes(self, compiled_kernels):
+        prob_cls, error = SAMPLER_CLASSES[1:]
+        for args, text in (((self.Partial, prob_cls, error), "slot 'adj'"),
+                           ((BipartiteGraph, float, error), "slot 'p'"),
+                           ((BipartiteGraph, prob_cls, 5), "needs an exception class")):
+            with pytest.raises(TypeError, match=text):
+                compiled_kernels.sampler(*args)
 
 
 class TestLeftAvg:

@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_edge_configs, brute_force_mss, columns, strict_json
+from conftest import all_edge_configs, brute_force_mss, columns, strict_json, use_kernels
 from franklbip import mss, verify
 from franklbip.bounds import HypothesisViolation
 from franklbip.graphs import BipartiteGraph, Seed, as_prob, sample_bipartite
@@ -557,14 +558,14 @@ class TestVerifyLemma:
         # 8 zeros and 8 twos: mean 1, variance 1 and radius CI_Z / 4 = 1; the
         # claimed bound sits `radii` radii below the mean
         summary = verify._mean_at_most(1.0 - radii, {})
-        _, measured, ci, got, _ = summary([0] * 8 + [2] * 8)
+        _, measured, ci, got, _ = summary(iter([0] * 8 + [2] * 8), 16)
         assert (measured, ci, got) == (1.0, verify.CI_Z / 4, verdict)
 
     def test_mean_at_most_radius_is_exact_for_large_counts(self):
         # counts 2^40 and 2^40 + 1 have variance 1/4, so the radius is
         # CI_Z / sqrt(32); E[X^2] - E[X]^2 in floats cancels to 0 here
         summary = verify._mean_at_most(0.0, {})
-        _, _, ci, _, _ = summary([1 << 40, (1 << 40) + 1] * 4)
+        _, _, ci, _, _ = summary(iter([1 << 40, (1 << 40) + 1] * 4), 8)
         assert ci == verify.CI_Z * math.sqrt(1 / 32)
 
     def test_hoeffding_exp_near_p_one(self):
@@ -756,15 +757,14 @@ class TestSweep:
         assert got == want
 
     def test_bytes_identical_across_kernels_and_workers(self, compiled_kernels, monkeypatch):
-        from franklbip import _pykernels, graphs
+        from franklbip import _pykernels
 
         # mixed shapes: the n < m points scan the right side and map back
         grid = [(10, 8, 0.3, 0.0), (9, 12, 0.5, 0.1), (12, 12, 0.2, 0.0), (14, 6, 0.4, 0.05)]
         outputs = set()
         for impl in (compiled_kernels, _pykernels):
             # the sampler switches with the scan kernel, as FRANKLBIP_PURE_PYTHON does
-            monkeypatch.setattr(mss, "_impl", impl)
-            monkeypatch.setattr(graphs, "_impl", impl)
+            use_kernels(monkeypatch, impl)
             for workers in (1, 2, 8):
                 reps = sweep(grid, 6, Seed(11), workers=workers)
                 outputs.add((reports_to_csv(reps, with_regime=True), reports_to_json(reps)))
@@ -823,3 +823,100 @@ class TestReportFormats:
         assert strict_json(reports_to_json([mssproba]))["reports"][0]["delta"] is None
         # CSV keeps the repr of each float
         assert ",nan,nan,nan,error," in reports_to_csv(reps)
+
+
+def _binomial_log_pmfs(claimed, trials):
+    """log Bin(trials, claimed)(x) for x = 0..trials, with the binomial
+    coefficients built up by their ratios rather than by lgamma."""
+    log_comb, out = 0.0, []
+    for x in range(trials + 1):
+        out.append(log_comb + x * math.log(claimed) + (trials - x) * math.log1p(-claimed))
+        log_comb += math.log(trials - x) - math.log(x + 1) if x < trials else 0.0
+    return out
+
+
+class TestFrequencyVerdict:
+    """A frequency row is violated iff the exact two-sided binomial tail of
+    its hit count is below ALPHA = 2 Phi(-4), so the chance that a true claim
+    is called violated is at most ALPHA at every (claim, trial count)."""
+
+    # ROADMAP item 10's rows: mssproba 6x6 at p = .5 with l = r = 3 and 8x8 at
+    # p = .3 with l = r = 4, indmatchings k = 4 at p = .5, constrightside 6x6
+    # at p = .5; then a fair coin and a claim near 1
+    GRID = [(8.765533566474915e-04, trials) for trials in (50, 100, 200, 1000, 10 ** 4)] + [
+        (3.695048952072664e-04, trials) for trials in (100, 1000, 10 ** 4)] + [
+        (3.662109375e-04, trials) for trials in (50, 100, 1000)] + [
+        (9.016329607402444e-02, trials) for trials in (100, 1000, 10 ** 4)] + [
+        (0.5, 100), (0.5, 1000), (0.999, 2000)]
+
+    @staticmethod
+    def verdict(claimed, hits, trials):
+        # the stream's sum is its hit count, so one value stands for them all
+        return verify._frequency(claimed)(iter([hits]), trials)[3]
+
+    def test_alpha_is_the_four_sigma_rate(self):
+        assert verify.ALPHA == pytest.approx(6.334e-5, rel=1e-3)
+
+    @pytest.mark.parametrize("claimed,trials", GRID)
+    def test_false_alarm_rate_at_most_alpha(self, claimed, trials):
+        pmfs = [math.exp(x) for x in _binomial_log_pmfs(claimed, trials)]
+        alarms = sum(pmf for hits, pmf in enumerate(pmfs)
+                     if self.verdict(claimed, hits, trials) == verify.VIOLATED)
+        assert alarms <= verify.ALPHA
+
+    def test_normal_band_failed_the_rate(self):
+        # the 4-sigma band this rule replaces called mssproba's 6x6 row
+        # violated at 50 trials with a chance of 4.3 %
+        claimed, trials = self.GRID[0]
+        band = verify.CI_Z * math.sqrt(claimed * (1 - claimed) / trials)
+        alarms = sum(math.exp(log_pmf) for hits, log_pmf
+                     in enumerate(_binomial_log_pmfs(claimed, trials))
+                     if abs(hits / trials - claimed) > band)
+        assert alarms == pytest.approx(0.043, abs=0.001)
+
+    @pytest.mark.parametrize("num,den,trials", [(1, 2, 100), (1, 8, 1000)])
+    def test_each_side_of_the_boundary(self, num, den, trials):
+        # the exact tails in integers: Bin(trials, num/den) has mass
+        # comb(trials, x) num^x (den - num)^(trials - x) / den^trials at x
+        weights = [math.comb(trials, x) * num ** x * (den - num) ** (trials - x)
+                   for x in range(trials + 1)]
+        level = Fraction(verify.ALPHA) / 2 * den ** trials
+        below = [x for x in range(trials + 1) if sum(weights[:x + 1]) < level]
+        above = [x for x in range(trials + 1) if sum(weights[x:]) < level]
+        low, high = max(below), min(above)
+        for hits, want in ((low, verify.VIOLATED), (low + 1, verify.CONSISTENT),
+                           (high - 1, verify.CONSISTENT), (high, verify.VIOLATED)):
+            assert self.verdict(num / den, hits, trials) == want, hits
+
+    @pytest.mark.parametrize("claimed,hits,verdict", [
+        (0.0, 0, verify.CONSISTENT), (0.0, 1, verify.VIOLATED),
+        (1.0, 20, verify.CONSISTENT), (1.0, 19, verify.VIOLATED)])
+    def test_claims_of_zero_and_one(self, claimed, hits, verdict):
+        assert self.verdict(claimed, hits, 20) == verdict
+
+    def test_measured_and_ci_unchanged(self):
+        claimed, measured, ci, _, extra = verify._frequency(0.25)(iter([True, False] * 5), 10)
+        assert (claimed, measured, ci, extra) == (0.25, 0.5, 4.0 * math.sqrt(0.25 * 0.75 / 10), {})
+
+
+@pytest.mark.parametrize("kernel,trials", [("compiled", 10 ** 5), ("python", 4000)],
+                         indirect=["kernel"])
+def test_campaign_runs_in_constant_memory(kernel, trials):
+    # the summary folds the stream, so the trials of a sampler-only row stay
+    # under a peak that the list of their values alone would pass.  The
+    # twin's pure-Python Philox costs about 250 us a draw under tracemalloc,
+    # so it runs fewer trials.
+    limit, params = 16_000, {"m": 1, "n": 1, "p": 0.5}
+    assert sys.getsizeof([False] * trials) > 2 * limit
+    # an untraced campaign first fills the interpreter's free lists (2,000
+    # tuples of each size), whose blocks a traced one would count as growth
+    verify_lemma("constrightside", params, 3000, Seed(9))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = verify_lemma("constrightside", params, trials, Seed(9))
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == trials and 0.45 < rep.measured < 0.55
+    assert grown < limit
