@@ -538,7 +538,8 @@ static PyObject *field_names[4];
  * Slots only: setting or reading one runs no Python code. */
 static PyObject *slot_descr(const char *caller, PyObject *cls, int i)
 {
-    PyObject *descr = PyType_Check(cls) ? _PyType_Lookup((PyTypeObject *)cls, field_names[i]) : NULL;
+    PyObject *descr = PyType_Check(cls) ? _PyType_Lookup((PyTypeObject *)cls, field_names[i])
+                                        : NULL;
     if (descr == NULL || !Py_IS_TYPE(descr, &PyMemberDescr_Type)) {
         PyErr_Format(PyExc_TypeError, "%s() needs a class with a slot %R, not %R", caller,
                      field_names[i], cls);

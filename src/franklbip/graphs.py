@@ -15,8 +15,9 @@ constructors check every field.
 BipartiteGraph, EdgeProbability and ZeroSideError.  The compiled one is a
 builtin: it makes the side, seed and p checks and the constructor's
 row-count and range checks in C and sets the fields through the slot
-descriptors, so a draw runs no Python frame.  `mss.ConjectureVerdict` and `setfamily.SetFamily` are slotted
-classes on the same base, so those modules need no `dataclasses` for them.
+descriptors, so a draw runs no Python frame.  `mss.ConjectureVerdict` and
+`setfamily.SetFamily` are slotted classes on the same base, so those
+modules need no `dataclasses` for them.
 """
 
 from __future__ import annotations
@@ -255,13 +256,10 @@ class BipartiteGraph(_Value):
 _set_m, _set_n, _set_adj = _slot_setters(BipartiteGraph)
 
 
-# The kernel's sampler, bound once to these classes: the compiled one is a
-# builtin that reads p from an EdgeProbability's slot and fills the graph's
-# slots itself, so a draw runs no Python frame.  Its contract is the twin's
-# (_pykernels.sampler): draw G(m, n, p) from the stream of `seed`, a Seed or
-# any (root, stream) pair of ints in [0, 2^64), bit-identically across runs
-# and thread counts; m and n go through operator.index, a side below 1
-# raises ZeroSideError, and prob is an EdgeProbability or a float.
+# sample_bipartite(m, n, prob, seed, /) draws G(m, n, p) from the stream of
+# seed, a Seed or any (root, stream) pair of ints in [0, 2^64); its contract
+# is the twin's, in _pykernels.sampler.  The compiled one reads p from an
+# EdgeProbability's slot and fills the graph's slots itself.
 sample_bipartite = _impl.sampler(BipartiteGraph, EdgeProbability, ZeroSideError)
 
 

@@ -5,10 +5,10 @@ Every named check, both campaigns included, is a `CheckSpec` row that
 row's summary folds the stream of per-graph values exactly, in constant
 memory, to a frequency or mean and confronts it with the closed form from
 `bounds`.  A frequency is `violated` only when its exact binomial tail is
-below ALPHA, the false-alarm rate of a 4-sigma normal band.  Asymptotic claims
-(those that only hold beyond unspecified size thresholds) are reported with
-verdict "informational": finite-size runs can measure them but not refute
-them.  A row that scans refuses a smaller side over `mss`'s cap first.
+below ALPHA, the false-alarm rate of a 4-sigma normal band.  Asymptotic
+claims (those that only hold beyond unspecified size thresholds) are
+reported with verdict "informational": finite-size runs can measure them
+but not refute them.  A row that scans refuses a smaller side over `mss`'s cap first.
 """
 
 from __future__ import annotations
