@@ -36,9 +36,11 @@
  * through the class's slot descriptors, with no Python code run per draw.
  * sampler(graph_cls, prob_cls, zero_side_error, /) returns the builtin
  * sample_bipartite(m, n, prob, seed, /) that graphs exports: its self holds
- * the three classes and the slot descriptors of m, n, adj and p, looked up
- * once, and it makes the twin's side, seed and p checks in C, in the same
- * order and with the same texts, so a campaign's draw runs no Python frame.
+ * the classes and the slot descriptors of m, n, adj and p, looked up once.
+ * It draws a campaign's calls (int sides, a tuple of two int keys, a p
+ * read from the slot) with no Python frame, and hands any other call to the
+ * twin's function over the compiled sample_graph, so both kernels check and
+ * refuse alike.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -683,97 +685,70 @@ static PyObject *sample_graph(PyObject *Py_UNUSED(self), PyObject *const *args, 
     return draw_graph((PyTypeObject *)args[0], descrs, m, n, p, key);
 }
 
-/* A bound sampler's self is a tuple: the three classes sampler() took, then
- * the graph class's descriptors of m, n and adj, then the probability
- * class's descriptor of p, each looked up once, by sampler(). */
-enum { GRAPH_CLS, PROB_CLS, ZERO_SIDE_ERROR, DESCR_M, DESCR_N, DESCR_ADJ, DESCR_P, BOUND_FIELDS };
+/* A bound sampler's self is a tuple: the graph and probability classes
+ * sampler() took, the twin's function over the compiled sample_graph that
+ * takes every call the fast path does not, then the graph class's
+ * descriptors of m, n and adj and the probability class's descriptor of p,
+ * each looked up once, by sampler(). */
+enum { GRAPH_CLS, PROB_CLS, COLD_PATH, DESCR_M, DESCR_N, DESCR_ADJ, DESCR_P, BOUND_FIELDS };
 
-/* root, stream = seed, as Python unpacks it, error texts included: a
- * tuple's two items directly, any other object through its iterator.  New
- * references into pair. */
-static int unpack_pair(PyObject *seed, PyObject *pair[2])
+/* A side the fast path takes: an int, exactly, in [1, PY_SSIZE_T_MAX]. */
+static int fast_side(PyObject *side, Py_ssize_t *out)
 {
-    if (PyTuple_Check(seed) && Py_TYPE(seed)->tp_iter == PyTuple_Type.tp_iter
-            && PyTuple_GET_SIZE(seed) == 2) {
-        pair[0] = Py_NewRef(PyTuple_GET_ITEM(seed, 0));
-        pair[1] = Py_NewRef(PyTuple_GET_ITEM(seed, 1));
-        return 0;
-    }
-    PyObject *it = PyObject_GetIter(seed);
-    if (it == NULL) {
-        if (PyErr_ExceptionMatches(PyExc_TypeError) && Py_TYPE(seed)->tp_iter == NULL
-                && !PySequence_Check(seed))
-            PyErr_Format(PyExc_TypeError, "cannot unpack non-iterable %.200s object",
-                         Py_TYPE(seed)->tp_name);
-        return -1;
-    }
-    int got = 0;
-    while (got < 2 && (pair[got] = PyIter_Next(it)) != NULL)
-        got++;
-    PyObject *extra = got == 2 ? PyIter_Next(it) : NULL;
-    Py_DECREF(it);
-    if (got == 2 && extra == NULL && !PyErr_Occurred())
-        return 0;
-    if (extra != NULL) {
-        Py_DECREF(extra);
-        PyErr_SetString(PyExc_ValueError, "too many values to unpack (expected 2)");
-    } else if (!PyErr_Occurred()) {
-        PyErr_Format(PyExc_ValueError, "not enough values to unpack (expected 2, got %d)", got);
-    }
-    while (got > 0)
-        Py_CLEAR(pair[--got]);
-    return -1;
+    int past = 1;
+    long long value = PyLong_CheckExact(side) ? PyLong_AsLongLongAndOverflow(side, &past) : 0;
+    *out = (Py_ssize_t)value;
+    return !past && value >= 1 && value == *out;
 }
 
-static const char *const sample_bipartite_params[] = {"m", "n", "prob", "seed"};
+/* A key the fast path takes: an int, exactly, in [0, 2^64). */
+static int fast_key(PyObject *key, u64 *out)
+{
+    if (!PyLong_CheckExact(key))
+        return 0;
+    *out = PyLong_AsUnsignedLongLong(key);
+    if (*out == (u64)-1 && PyErr_Occurred()) {
+        PyErr_Clear();   /* the OverflowError of a key outside the range */
+        return 0;
+    }
+    return 1;
+}
 
 PyDoc_STRVAR(sample_bipartite_doc,
 "sample_bipartite(m, n, prob, seed, /)\n--\n\n"
 "Compiled counterpart of the sampler _pykernels.sampler binds (same contract).");
 
+/* The fast path takes what a campaign passes: two int sides of at least 1,
+ * a tuple of two int keys, and a prob_cls instance or a float, whose
+ * prob_cls(prob) raises as the cold path's would.  Any other call, and a p
+ * outside [0, 1], goes to the cold path, which makes every check and raises
+ * every refusal, so both kernels refuse alike by construction. */
 static PyObject *sample_bipartite(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
                                   PyObject *kwnames)
 {
-    if (bind_positional("sample_bipartite", sample_bipartite_params, 4, 4, nargs, kwnames) < 0)
-        return NULL;
     PyObject *const *bound = &PyTuple_GET_ITEM(self, 0);
-    /* operator.index of m, then of n, then the zero-side test on both */
-    PyObject *sides[2] = {PyNumber_Index(args[0]), NULL};
-    if (sides[0] == NULL || (sides[1] = PyNumber_Index(args[1])) == NULL) {
-        Py_XDECREF(sides[0]);
-        return NULL;
+    Py_ssize_t m, n;
+    u64 key[2];
+    PyObject *seed = nargs == 4 ? args[3] : NULL;
+    if (kwnames == NULL && seed != NULL && fast_side(args[0], &m) && fast_side(args[1], &n)
+            && PyTuple_CheckExact(seed) && PyTuple_GET_SIZE(seed) == 2
+            && fast_key(PyTuple_GET_ITEM(seed, 0), &key[0])
+            && fast_key(PyTuple_GET_ITEM(seed, 1), &key[1])
+            && (Py_IS_TYPE(args[2], (PyTypeObject *)bound[PROB_CLS])
+                || PyFloat_CheckExact(args[2]))) {
+        PyObject *prob = args[2], *descr_p = bound[DESCR_P];
+        prob = PyFloat_CheckExact(prob) ? PyObject_CallOneArg(bound[PROB_CLS], prob)
+                                        : Py_NewRef(prob);
+        PyObject *p_value = prob ? Py_TYPE(descr_p)->tp_descr_get(descr_p, prob, NULL) : NULL;
+        Py_XDECREF(prob);
+        if (p_value == NULL)
+            return NULL;
+        const double p = PyFloat_CheckExact(p_value) ? PyFloat_AS_DOUBLE(p_value) : -1.0;
+        Py_DECREF(p_value);
+        if (p >= 0.0 && p <= 1.0)
+            return draw_graph((PyTypeObject *)bound[GRAPH_CLS], bound + DESCR_M, m, n, p, key);
     }
-    int past[2];   /* -1 or 1 for a side past the range of long long */
-    long long side[2];
-    for (int i = 0; i < 2; i++)
-        side[i] = PyLong_AsLongLongAndOverflow(sides[i], &past[i]);
-    PyObject *graph = NULL, *pair[2] = {NULL, NULL}, *prob = NULL, *p_value = NULL;
-    if (past[0] < 0 || past[1] < 0 || (!past[0] && side[0] < 1) || (!past[1] && side[1] < 1))
-        PyErr_Format(bound[ZERO_SIDE_ERROR], "need m >= 1 and n >= 1, got m=%S, n=%S",
-                     sides[0], sides[1]);
-    else if (past[0] || past[1] || side[0] != (Py_ssize_t)side[0]
-             || side[1] != (Py_ssize_t)side[1])
-        PyErr_SetString(PyExc_OverflowError, "Python int too large to convert to C ssize_t");
-    else if (unpack_pair(args[3], pair) == 0) {
-        /* p from the slot of a prob_cls instance, else of prob_cls(prob) */
-        PyObject *descr_p = bound[DESCR_P];
-        const Py_ssize_t m = (Py_ssize_t)side[0], n = (Py_ssize_t)side[1];
-        prob = PyObject_TypeCheck(args[2], (PyTypeObject *)bound[PROB_CLS])
-            ? Py_NewRef(args[2]) : PyObject_CallOneArg(bound[PROB_CLS], args[2]);
-        p_value = prob ? Py_TYPE(descr_p)->tp_descr_get(descr_p, prob, NULL) : NULL;
-        double p = p_value ? PyFloat_AsDouble(p_value) : -1.0;
-        u64 key[2];
-        if (p_value != NULL && !(p == -1.0 && PyErr_Occurred())
-                && draw_checks(m, n, p, pair[0], pair[1], key) == 0)
-            graph = draw_graph((PyTypeObject *)bound[GRAPH_CLS], bound + DESCR_M, m, n, p, key);
-    }
-    Py_DECREF(sides[0]);
-    Py_DECREF(sides[1]);
-    Py_XDECREF(pair[0]);
-    Py_XDECREF(pair[1]);
-    Py_XDECREF(prob);
-    Py_XDECREF(p_value);
-    return graph;
+    return PyObject_Vectorcall(bound[COLD_PATH], args, nargs, kwnames);
 }
 
 static PyMethodDef sample_bipartite_def = {
@@ -794,7 +769,7 @@ static PyObject *sampler(PyObject *module, PyObject *const *args, Py_ssize_t nar
 {
     if (bind_positional("sampler", sampler_params, 3, 3, nargs, kwnames) < 0)
         return NULL;
-    PyObject *held[BOUND_FIELDS] = {args[0], args[1], args[2]};
+    PyObject *held[BOUND_FIELDS] = {args[0], args[1], NULL};
     for (int i = 0; i < 3; i++)
         if ((held[DESCR_M + i] = slot_descr("sampler", args[0], i)) == NULL)
             return NULL;
@@ -804,15 +779,22 @@ static PyObject *sampler(PyObject *module, PyObject *const *args, Py_ssize_t nar
         PyErr_Format(PyExc_TypeError, "sampler() needs an exception class, not %R", args[2]);
         return NULL;
     }
-    PyObject *self = PyTuple_New(BOUND_FIELDS);
-    if (self == NULL)
-        return NULL;
-    for (int i = 0; i < BOUND_FIELDS; i++)
+    /* the cold path: _pykernels.bind_sampler(*args, sample_graph) */
+    PyObject *twin = PyImport_ImportModule("franklbip._pykernels");
+    PyObject *draw = twin ? PyObject_GetAttrString(module, "sample_graph") : NULL;
+    PyObject *cold = draw ? PyObject_CallMethod(twin, "bind_sampler", "OOOO", args[0], args[1],
+                                                args[2], draw) : NULL;
+    Py_XDECREF(twin);
+    Py_XDECREF(draw);
+    PyObject *self = cold ? PyTuple_New(BOUND_FIELDS) : NULL;
+    held[COLD_PATH] = cold;
+    for (int i = 0; self != NULL && i < BOUND_FIELDS; i++)
         PyTuple_SET_ITEM(self, i, Py_NewRef(held[i]));
-    PyObject *name = PyModule_GetNameObject(module);
+    Py_XDECREF(cold);
+    PyObject *name = self ? PyModule_GetNameObject(module) : NULL;
     PyObject *fn = name ? PyCFunction_NewEx(&sample_bipartite_def, self, name) : NULL;
     Py_XDECREF(name);
-    Py_DECREF(self);
+    Py_XDECREF(self);
     return fn;
 }
 

@@ -31,11 +31,14 @@ as an independent reference.  It returns cls(m, n, rows), checked by the
 constructor; the compiled twin makes the same checks in C.  sampler binds
 the graph class, the probability class and the zero-side error to the
 sampler that graphs exports as sample_bipartite, the one call a campaign
-makes per trial; the compiled twin's is a builtin, so a draw runs no Python
-frame.  Both refuse a bad call alike, with the same types and texts.
+makes per trial.  The compiled twin's is a builtin, so a campaign's draw
+runs no Python frame; it hands every call it does not draw itself to
+bind_sampler's function over the compiled sample_graph, so both refuse a bad
+call alike, with the same types and texts.
 """
 
 import operator
+import sys
 
 # the largest scan side: the compiled kernel's counters are 64-bit
 MAX_SCAN_SIDE = 62
@@ -213,6 +216,9 @@ def sample_graph(cls, m, n, p, root, stream, /):
     OverflowError, as in the compiled twin.  Like the compiled twin, it takes
     its arguments positionally only.
     """
+    # the compiled twin takes the sides as C ssize_t
+    if not (-sys.maxsize - 1 <= m <= sys.maxsize and -sys.maxsize - 1 <= n <= sys.maxsize):
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     if not 0.0 <= p <= 1.0:
@@ -231,6 +237,13 @@ def sample_graph(cls, m, n, p, root, stream, /):
 
 def sampler(graph_cls, prob_cls, zero_side_error, /):
     """sample_bipartite(m, n, prob, seed, /), bound to these classes."""
+    return bind_sampler(graph_cls, prob_cls, zero_side_error, sample_graph)
+
+
+def bind_sampler(graph_cls, prob_cls, zero_side_error, draw, /):
+    """sampler's function with draw, a sample_graph, in place of this
+    module's.  The compiled sampler hands the calls it does not draw itself
+    to bind_sampler(..., _kernels.sample_graph)."""
 
     def sample_bipartite(m, n, prob, seed, /):
         """Draw G from the independent-edge model on sides of size m and n.
@@ -249,10 +262,13 @@ def sampler(graph_cls, prob_cls, zero_side_error, /):
             raise zero_side_error(f"need m >= 1 and n >= 1, got m={m}, n={n}")
         root, stream = seed
         p = (prob if isinstance(prob, prob_cls) else prob_cls(prob)).p
-        return sample_graph(graph_cls, m, n, p, root, stream)
+        return draw(graph_cls, m, n, p, root, stream)
 
-    # a bad call's TypeError names the function by its code's qualified
-    # name, which the compiled twin's texts give as "sample_bipartite"
-    sample_bipartite.__code__ = sample_bipartite.__code__.replace(co_qualname="sample_bipartite")
+    # from 3.11 a bad call's TypeError names the function by its code's
+    # qualified name: make that "sample_bipartite", as for a module-level
+    # function.  3.10 names it by co_name, which is that already.
+    if sys.version_info >= (3, 11):
+        sample_bipartite.__code__ = sample_bipartite.__code__.replace(
+            co_qualname="sample_bipartite")
     sample_bipartite.__qualname__ = "sample_bipartite"
     return sample_bipartite

@@ -13,9 +13,10 @@ masks both fields to 64 bits, and the other two are slotted classes whose
 constructors check every field.
 `sample_bipartite` is the active kernel's sampler, bound once at import to
 BipartiteGraph, EdgeProbability and ZeroSideError.  The compiled one is a
-builtin: it makes the side, seed and p checks and the constructor's
-row-count and range checks in C and sets the fields through the slot
-descriptors, so a draw runs no Python frame.  `mss.ConjectureVerdict` and
+builtin: a campaign's call, with int sides, a (root, stream) tuple and an
+EdgeProbability, is drawn in C, the fields set through the slot
+descriptors, so it runs no Python frame; any other call goes to the twin's
+function over the compiled draw.  `mss.ConjectureVerdict` and
 `setfamily.SetFamily` are slotted classes on the same base, so those
 modules need no `dataclasses` for them.
 """

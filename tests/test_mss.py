@@ -580,6 +580,10 @@ class TestCompiledKernel:
         "n-zero": (lambda: (4, 0, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
         "n-below-int64": (lambda: (4, -2 ** 70, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
         "p-1.5": (lambda: (4, 4, 1.5, (1, 2)), {}, ValueError),
+        # the compiled sample_graph takes the sides as C ssize_t, and the
+        # twin's refuses alike rather than start a draw of 2^64 rows
+        "m-2^64": (lambda: (2 ** 64, 2, 0.5, (1, 2)), {}, OverflowError),
+        "m-2^64-p-1.5": (lambda: (2 ** 64, 2, 1.5, (1, 2)), {}, ValueError),
         "p-text": (lambda: (4, 4, "half", (1, 2)), {}, ValueError),
         "seed-3-tuple": (lambda: (4, 4, 0.5, (1, 2, 3)), {}, ValueError),
         "seed-1-list": (lambda: (4, 4, 0.5, [1]), {}, ValueError),
@@ -716,7 +720,7 @@ class TestStabAtLeastCount:
     @pytest.mark.parametrize("m,n", [(3, 6), (5, 5), (7, 2), (6, 4), (1, 5), (4, 1)])
     @pytest.mark.parametrize("p", [0.3, 0.6])
     def test_matches_brute_force(self, kernel, m, n, p):
-        g = sample_bipartite(m, n, p, Seed(1302, m * 16 + n))
+        g = graph_module.sample_bipartite(m, n, p, Seed(1302, m * 16 + n))
         for ell_star in range(m + 1):
             for r_star in range(n + 1):
                 assert stab_at_least_count(g, ell_star, r_star) == \
@@ -815,7 +819,7 @@ class TestUnionClosureOracle:
 
     @pytest.mark.parametrize("m,n,p", CLOSURE_GRAPHS)
     def test_counts_match_closure(self, kernel, m, n, p):
-        g = sample_bipartite(m, n, p, Seed(1212, CLOSURE_GRAPHS.index((m, n, p))))
+        g = graph_module.sample_bipartite(m, n, p, Seed(1212, CLOSURE_GRAPHS.index((m, n, p))))
         stats = mss_stats(g)
         rows, cols = self.closure(g.adj, n), self.closure(columns(g), m)
         assert stats.total == len(rows) == len(cols)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_edge_configs, brute_force_mss, columns, strict_json, use_kernels
-from franklbip import mss, verify
+from franklbip import graphs, mss, verify
 from franklbip.bounds import HypothesisViolation
 from franklbip.graphs import BipartiteGraph, Seed, as_prob, sample_bipartite
 from franklbip.mss import CapExceeded
@@ -365,7 +365,7 @@ class TestOneCap:
         params = {"m": 40, "n": 3, "p": 0.5, "ell_star": 3, "r_star": 1}
         rep = verify_lemma("genupper", params, 20, Seed(40))
         assert rep.verdict == verify.CONSISTENT
-        g = sample_bipartite(40, 3, 0.5, Seed(41))
+        g = graphs.sample_bipartite(40, 3, 0.5, Seed(41))
         cols = columns(g)
         # pairs (A, B): for each B with |B| >= 1, every A of >= 3 vertices off N(B)
         want = 0
