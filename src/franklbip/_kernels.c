@@ -29,18 +29,23 @@
  * as 1, 2, 3", SC'11) run step for step as the twin's pure-Python Philox runs
  * it, which is also how numpy's Philox bit generator runs it, so a draw is
  * bit-identical to the twin's and to numpy's.  A draw takes O(m n) ns, so it
- * keeps the interpreter lock, and a campaign makes one call per trial, so the
- * call takes its six arguments positionally (METH_FASTCALL), a row of up to
- * STACK_WORDS words lives on the stack, each edge bit is set without a branch,
- * and it returns the graph, checked as BipartiteGraph checks it and filled
+ * keeps the interpreter lock, a row of up to STACK_WORDS words lives on the
+ * stack, each edge bit is set without a branch, and the graph is filled
  * through the class's slot descriptors, with no Python code run per draw.
- * sampler(graph_cls, prob_cls, zero_side_error, /) returns the builtin
- * sample_bipartite(m, n, prob, seed, /) that graphs exports: its self holds
- * the classes and the slot descriptors of m, n, adj and p, looked up once.
- * It draws a campaign's calls (int sides, a tuple of two int keys, a p
- * read from the slot) with no Python frame, and hands any other call to the
- * twin's function over the compiled sample_graph, so both kernels check and
- * refuse alike.
+ * sample_graph(cls, m, n, p, root, stream, /) checks only what keeps the
+ * draw safe and the graph valid.  sampler(graph_cls, prob_cls,
+ * zero_side_error, /) returns the builtin sample_bipartite(m, n, prob, seed,
+ * /) that graphs exports: its self holds the classes and the slot
+ * descriptors of m, n, adj and p, looked up once.  It draws a campaign's
+ * calls (int sides, a tuple of two int keys, a p read from the slot) with no
+ * Python frame, and hands any other call to the twin's function over the
+ * compiled sample_graph, which makes every check of a public draw, so both
+ * kernels refuse alike, text for text.
+ *
+ * Every entry but that builtin takes positional arguments only and is
+ * registered without keywords, so CPython refuses a keyword itself.  The
+ * entries refuse a bad call with the exception types of their twins; only
+ * the public sampler promises the same texts.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -214,55 +219,19 @@ static inline void philox_block(Philox *g, u64 *out)
 
 /* --- Python boundary ------------------------------------------------------ */
 
-/* 0 when a call with nargs positional arguments and these keyword names binds
- * to def name(params[0], ..., params[count - 1], /), whose first `required`
- * parameters have no default.  Otherwise -1 with the TypeError CPython raises
- * for that def, text for text, so each entry refuses a call as its twin in
- * _pykernels.py does. */
-static int bind_positional(const char *name, const char *const *params, Py_ssize_t count,
-                           Py_ssize_t required, Py_ssize_t nargs, PyObject *kwnames)
+/* 0 when nargs lies in [lo, hi], else -1 with a TypeError.  Every entry but
+ * the bound sample_bipartite is METH_FASTCALL without METH_KEYWORDS, so
+ * CPython itself refuses a keyword, and this refuses a wrong count. */
+static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssize_t hi)
 {
-    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
-    if (nkw == 0 && nargs >= required && nargs <= count)
+    if (nargs >= lo && nargs <= hi)
         return 0;
-    if (nkw) {
-        /* the keywords that name a parameter, in parameter order */
-        PyObject *hits = PyList_New(0), *sep = NULL, *joined = NULL;
-        for (Py_ssize_t i = 0; hits != NULL && i < count; i++)
-            for (Py_ssize_t k = 0; hits != NULL && k < nkw; k++) {
-                PyObject *kw = PyTuple_GET_ITEM(kwnames, k);
-                if (PyUnicode_CompareWithASCIIString(kw, params[i]) == 0
-                        && PyList_Append(hits, kw) < 0)
-                    Py_CLEAR(hits);
-            }
-        if (hits != NULL && PyList_GET_SIZE(hits) == 0)
-            PyErr_Format(PyExc_TypeError, "%s() got an unexpected keyword argument '%S'", name,
-                         PyTuple_GET_ITEM(kwnames, 0));
-        else if (hits != NULL && (sep = PyUnicode_FromString(", ")) != NULL
-                 && (joined = PyUnicode_Join(sep, hits)) != NULL)
-            PyErr_Format(PyExc_TypeError, "%s() got some positional-only arguments passed as "
-                         "keyword arguments: '%U'", name, joined);
-        Py_XDECREF(hits);
-        Py_XDECREF(sep);
-        Py_XDECREF(joined);
-    } else if (nargs > count && required < count) {
-        PyErr_Format(PyExc_TypeError, "%s() takes from %zd to %zd positional arguments but %zd "
-                     "were given", name, required, count, nargs);
-    } else if (nargs > count) {
-        PyErr_Format(PyExc_TypeError, "%s() takes %zd positional arguments but %zd were given",
-                     name, count, nargs);
-    } else {
-        /* 'a', 'a' and 'b', or 'a', 'b', and 'c' */
-        PyObject *names = PyUnicode_FromFormat("'%s'", params[nargs]);
-        for (Py_ssize_t i = nargs + 1; names != NULL && i < required; i++)
-            Py_SETREF(names, PyUnicode_FromFormat(
-                "%U%s'%s'", names, i + 1 < required ? ", " : i == nargs + 1 ? " and " : ", and ",
-                params[i]));
-        if (names != NULL)
-            PyErr_Format(PyExc_TypeError, "%s() missing %zd required positional argument%s: %U",
-                         name, required - nargs, required - nargs == 1 ? "" : "s", names);
-        Py_XDECREF(names);
-    }
+    if (lo == hi)
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd positional arguments, got %zd", name, lo,
+                     nargs);
+    else
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd to %zd positional arguments, got %zd", name,
+                     lo, hi, nargs);
     return -1;
 }
 
@@ -276,10 +245,10 @@ typedef struct {
     long long extra[2];
 } ScanCall;
 
-static int scan_call(const char *name, const char *const *params, PyObject *const *args,
-                     Py_ssize_t nargs, PyObject *kwnames, long long dflt, ScanCall *sc)
+static int scan_call(const char *name, PyObject *const *args, Py_ssize_t nargs, long long dflt,
+                     ScanCall *sc)
 {
-    if (bind_positional(name, params, 5, 3, nargs, kwnames) < 0)
+    if (check_nargs(name, nargs, 3, 5) < 0)
         return -1;
     /* m and n as operator.index takes them */
     Py_ssize_t m = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
@@ -418,17 +387,14 @@ static u64 *scan_block(size_t words, u64 *stack_block)
     return block;
 }
 
-static const char *const scan_stats_params[] = {"rows", "m", "n", "sel_left", "sel_right"};
-
 PyDoc_STRVAR(scan_stats_doc,
 "scan_stats(rows, m, n, sel_left=-1, sel_right=-1, /)\n--\n\n"
 "Compiled counterpart of _pykernels.scan_stats (same contract).");
 
-static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs,
-                            PyObject *kwnames)
+static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     ScanCall sc;
-    if (scan_call("scan_stats", scan_stats_params, args, nargs, kwnames, -1, &sc) < 0)
+    if (scan_call("scan_stats", args, nargs, -1, &sc) < 0)
         return NULL;
     /* flip = 1 when the right side is scanned: then a (left, right) pair
      * and a (scan, other) pair list their sides in opposite orders */
@@ -478,17 +444,15 @@ static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py
     return result;
 }
 
-static const char *const scan_free_hist_params[] = {"rows", "m", "n", "lo_left", "lo_right"};
-
 PyDoc_STRVAR(scan_free_hist_doc,
 "scan_free_hist(rows, m, n, lo_left=0, lo_right=0, /)\n--\n\n"
 "Compiled counterpart of _pykernels.scan_free_hist (same contract).");
 
 static PyObject *scan_free_hist(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                Py_ssize_t nargs, PyObject *kwnames)
+                                Py_ssize_t nargs)
 {
     ScanCall sc;
-    if (scan_call("scan_free_hist", scan_free_hist_params, args, nargs, kwnames, 0, &sc) < 0)
+    if (scan_call("scan_free_hist", args, nargs, 0, &sc) < 0)
         return NULL;
     const int s = sc.s, t = sc.t, W = sc.W;
     PyObject *result = NULL;
@@ -548,38 +512,6 @@ static PyObject *slot_descr(const char *caller, PyObject *cls, int i)
         return NULL;
     }
     return descr;
-}
-
-/* A key of the stream, with the twin's TypeError for a key that is not an
- * int and its OverflowError for one outside [0, 2^64). */
-static int draw_key(PyObject *key, u64 *out)
-{
-    if (!PyLong_Check(key)) {
-        PyErr_Format(PyExc_TypeError, "key must be an int, not %s", _PyType_Name(Py_TYPE(key)));
-        return -1;
-    }
-    *out = PyLong_AsUnsignedLongLong(key);
-    if (*out == (u64)-1 && PyErr_Occurred()) {
-        if (PyErr_ExceptionMatches(PyExc_OverflowError))
-            PyErr_Format(PyExc_OverflowError, "key %S outside [0, 2^64)", key);
-        return -1;
-    }
-    return 0;
-}
-
-/* The twin's checks of a draw, in its order: the sides, p, then the keys. */
-static int draw_checks(Py_ssize_t m, Py_ssize_t n, double p, PyObject *root, PyObject *stream,
-                       u64 key[2])
-{
-    if (m < 1 || n < 1) {
-        PyErr_SetString(PyExc_ValueError, "need m >= 1 and n >= 1");
-        return -1;
-    }
-    if (!(p >= 0.0 && p <= 1.0)) {
-        PyErr_SetString(PyExc_ValueError, "edge probability outside [0, 1]");
-        return -1;
-    }
-    return draw_key(root, &key[0]) < 0 || draw_key(stream, &key[1]) < 0 ? -1 : 0;
 }
 
 /* One checked draw of G(m, n, p) from the stream keyed by key: a new
@@ -655,30 +587,37 @@ static PyObject *draw_graph(PyTypeObject *cls, PyObject *const descrs[3], Py_ssi
 
 PyDoc_STRVAR(sample_graph_doc,
 "sample_graph(cls, m, n, p, root, stream, /)\n--\n\n"
-"Compiled counterpart of _pykernels.sample_graph (same contract).");
+"Compiled counterpart of _pykernels.sample_graph: the same draw, and the\n"
+"checks that keep a C draw safe and the graph valid.");
 
-static const char *const sample_graph_params[] = {"cls", "m", "n", "p", "root", "stream"};
-
-static PyObject *sample_graph(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs,
-                              PyObject *kwnames)
+/* Only the checks that keep the draw safe and the graph valid: sides of at
+ * least 1 that fit a ssize_t, keys in [0, 2^64) and a class with slots m, n
+ * and adj, each read with CPython's own conversions.  The public sampler,
+ * the twin's function that bind_sampler returns, makes every other check. */
+static PyObject *sample_graph(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (bind_positional("sample_graph", sample_graph_params, 6, 6, nargs, kwnames) < 0)
+    if (check_nargs("sample_graph", nargs, 6, 6) < 0)
         return NULL;
-    /* m and n as the "n" format takes them (TypeError for a float), p as
-     * the "d" format does. */
     Py_ssize_t m = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
     if (m == -1 && PyErr_Occurred())
         return NULL;
     Py_ssize_t n = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
     if (n == -1 && PyErr_Occurred())
         return NULL;
+    if (m < 1 || n < 1) {
+        PyErr_SetString(PyExc_ValueError, "need m >= 1 and n >= 1");
+        return NULL;
+    }
     double p = PyFloat_AsDouble(args[3]);
     if (p == -1.0 && PyErr_Occurred())
         return NULL;
     u64 key[2];
     PyObject *descrs[3];
-    if (draw_checks(m, n, p, args[4], args[5], key) < 0)
-        return NULL;
+    for (int i = 0; i < 2; i++) {
+        key[i] = PyLong_AsUnsignedLongLong(args[4 + i]);
+        if (key[i] == (u64)-1 && PyErr_Occurred())
+            return NULL;
+    }
     for (int i = 0; i < 3; i++)
         if ((descrs[i] = slot_descr("sample_graph", args[0], i)) == NULL)
             return NULL;
@@ -756,18 +695,15 @@ static PyMethodDef sample_bipartite_def = {
     METH_FASTCALL | METH_KEYWORDS, sample_bipartite_doc,
 };
 
-static const char *const sampler_params[] = {"graph_cls", "prob_cls", "zero_side_error"};
-
 PyDoc_STRVAR(sampler_doc,
 "sampler(graph_cls, prob_cls, zero_side_error, /)\n--\n\n"
 "Compiled counterpart of _pykernels.sampler (same contract).  Refuses a\n"
 "graph class without slots m, n and adj, a probability class without a\n"
 "slot p, and an error that is no exception class.");
 
-static PyObject *sampler(PyObject *module, PyObject *const *args, Py_ssize_t nargs,
-                         PyObject *kwnames)
+static PyObject *sampler(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (bind_positional("sampler", sampler_params, 3, 3, nargs, kwnames) < 0)
+    if (check_nargs("sampler", nargs, 3, 3) < 0)
         return NULL;
     PyObject *held[BOUND_FIELDS] = {args[0], args[1], NULL};
     for (int i = 0; i < 3; i++)
@@ -799,13 +735,11 @@ static PyObject *sampler(PyObject *module, PyObject *const *args, Py_ssize_t nar
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"scan_stats", (PyCFunction)(void (*)(void))scan_stats, METH_FASTCALL | METH_KEYWORDS,
-     scan_stats_doc},
-    {"scan_free_hist", (PyCFunction)(void (*)(void))scan_free_hist,
-     METH_FASTCALL | METH_KEYWORDS, scan_free_hist_doc},
-    {"sample_graph", (PyCFunction)(void (*)(void))sample_graph, METH_FASTCALL | METH_KEYWORDS,
-     sample_graph_doc},
-    {"sampler", (PyCFunction)(void (*)(void))sampler, METH_FASTCALL | METH_KEYWORDS, sampler_doc},
+    {"scan_stats", (PyCFunction)(void (*)(void))scan_stats, METH_FASTCALL, scan_stats_doc},
+    {"scan_free_hist", (PyCFunction)(void (*)(void))scan_free_hist, METH_FASTCALL,
+     scan_free_hist_doc},
+    {"sample_graph", (PyCFunction)(void (*)(void))sample_graph, METH_FASTCALL, sample_graph_doc},
+    {"sampler", (PyCFunction)(void (*)(void))sampler, METH_FASTCALL, sampler_doc},
     {NULL, NULL, 0, NULL},
 };
 

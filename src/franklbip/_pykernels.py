@@ -7,7 +7,8 @@ the left on a tie; when that is the right side it transposes the rows first,
 and scan_stats maps its results back, so they read in graph orientation.
 Both kernels take their arguments positionally only, and they refuse a
 wrong call, a row count other than m, a negative n and a smaller side over
-MAX_SCAN_SIDE alike, with the same texts.
+MAX_SCAN_SIDE with the same exception types; the side refusals share their
+texts too.
 
 Both walk the subsets A of the scan side depth-first, carrying the covered
 set N(A) of the other side as a bitmask.  A pair (A, other \\ N(A)) is counted
@@ -28,13 +29,15 @@ does: the same constants, the 256-bit counter bumped before each block of
 four words, and edge (u, v) present iff (word >> 11) < p 2^53.  That is
 numpy's Philox bit generator followed by random() < p, which the tests use
 as an independent reference.  It returns cls(m, n, rows), checked by the
-constructor; the compiled twin makes the same checks in C.  sampler binds
-the graph class, the probability class and the zero-side error to the
+constructor, and it is a plain draw: it checks no argument itself.  The
+compiled twin checks what keeps a C draw safe and the graph valid.  sampler
+binds the graph class, the probability class and the zero-side error to the
 sampler that graphs exports as sample_bipartite, the one call a campaign
-makes per trial.  The compiled twin's is a builtin, so a campaign's draw
-runs no Python frame; it hands every call it does not draw itself to
-bind_sampler's function over the compiled sample_graph, so both refuse a bad
-call alike, with the same types and texts.
+makes per trial, and that function makes every check of a public draw.  The
+compiled twin's is a builtin, so a campaign's draw runs no Python frame; it
+hands every call it does not draw itself to bind_sampler's function over the
+compiled sample_graph, so both refuse a bad call alike, with the same types
+and texts.
 """
 
 import operator
@@ -211,23 +214,10 @@ def sample_graph(cls, m, n, p, root, stream, /):
 
     The stream is Philox4x64-10 keyed by (root, stream), two integers in
     [0, 2^64), with the counter starting at 0.  Its (u*n + v)-th word x decides
-    the edge (u, v): present iff the double (x >> 11) 2^-53 is below p.  A key
-    that is not an int raises TypeError and one outside [0, 2^64)
-    OverflowError, as in the compiled twin.  Like the compiled twin, it takes
-    its arguments positionally only.
+    the edge (u, v): present iff the double (x >> 11) 2^-53 is below p.  A
+    plain draw for arguments the sampler has checked; like the compiled twin,
+    it takes them positionally only.
     """
-    # the compiled twin takes the sides as C ssize_t
-    if not (-sys.maxsize - 1 <= m <= sys.maxsize and -sys.maxsize - 1 <= n <= sys.maxsize):
-        raise OverflowError("cannot fit 'int' into an index-sized integer")
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("edge probability outside [0, 1]")
-    for key in (root, stream):
-        if not isinstance(key, int):
-            raise TypeError(f"key must be an int, not {type(key).__name__}")
-        if not 0 <= key <= _MASK64:
-            raise OverflowError(f"key {key} outside [0, 2^64)")
     # scaling both sides of random() < p by 2^53 is exact
     threshold = p * 9007199254740992.0
     words = _philox_words(root, stream)
@@ -254,14 +244,25 @@ def bind_sampler(graph_cls, prob_cls, zero_side_error, draw, /):
         yields; the draw for edge (u, v) is the (u*n + v)-th variate of that
         stream, so results are bit-identical across runs and thread counts.
         m and n are taken through operator.index, as the graph class takes
-        them, and a side below 1 raises zero_side_error.  prob is a prob_cls
-        or anything prob_cls takes.
+        them, and a side below 1 raises zero_side_error and one past
+        sys.maxsize ValueError.  prob is a prob_cls or anything prob_cls
+        takes.  A key that is not an int raises TypeError and one outside
+        [0, 2^64) OverflowError.
         """
         m, n = operator.index(m), operator.index(n)
         if m < 1 or n < 1:
             raise zero_side_error(f"need m >= 1 and n >= 1, got m={m}, n={n}")
         root, stream = seed
         p = (prob if isinstance(prob, prob_cls) else prob_cls(prob)).p
+        # the compiled draw takes the sides as C ssize_t and the keys as words
+        for name, side in (("m", m), ("n", n)):
+            if side > sys.maxsize:
+                raise ValueError(f"need {name} <= {sys.maxsize}, the largest side a draw takes")
+        for key in (root, stream):
+            if not isinstance(key, int):
+                raise TypeError(f"key must be an int, not {type(key).__name__}")
+            if not 0 <= key <= _MASK64:
+                raise OverflowError(f"key {key} outside [0, 2^64)")
         return draw(graph_cls, m, n, p, root, stream)
 
     # from 3.11 a bad call's TypeError names the function by its code's

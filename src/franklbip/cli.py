@@ -313,6 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The library takes ints of any size, so a side may have more digits than
+    # the 4,300 that CPython converts to or from text by default: lift that
+    # limit while the arguments are parsed and echoed.  Interpreters without
+    # the limit lack the setting.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -16,8 +16,10 @@ BipartiteGraph, EdgeProbability and ZeroSideError.  The compiled one is a
 builtin: a campaign's call, with int sides, a (root, stream) tuple and an
 EdgeProbability, is drawn in C, the fields set through the slot
 descriptors, so it runs no Python frame; any other call goes to the twin's
-function over the compiled draw.  `mss.ConjectureVerdict` and
-`setfamily.SetFamily` are slotted classes on the same base, so those
+function over the compiled draw.  That function makes every check of a
+public draw, so both kernels refuse a bad call alike, text for text; the
+kernels' own draws check only what keeps them safe.  `mss.ConjectureVerdict`
+and `setfamily.SetFamily` are slotted classes on the same base, so those
 modules need no `dataclasses` for them.
 """
 
@@ -259,8 +261,9 @@ _set_m, _set_n, _set_adj = _slot_setters(BipartiteGraph)
 
 # sample_bipartite(m, n, prob, seed, /) draws G(m, n, p) from the stream of
 # seed, a Seed or any (root, stream) pair of ints in [0, 2^64); its contract
-# is the twin's, in _pykernels.sampler.  The compiled one reads p from an
-# EdgeProbability's slot and fills the graph's slots itself.
+# is the twin's, in _pykernels.bind_sampler, whose function makes every check
+# on both kernels.  The compiled one reads p from an EdgeProbability's slot
+# and fills the graph's slots itself.
 sample_bipartite = _impl.sampler(BipartiteGraph, EdgeProbability, ZeroSideError)
 
 

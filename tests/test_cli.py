@@ -395,6 +395,21 @@ class TestRegime:
         assert "regime: Balanced" in out
         assert "a: 1100  b: 53  a_prime: -  " in out
 
+    def test_n_past_the_digit_limit(self, capsys):
+        # CPython converts at most 4,300 digits between int and text by
+        # default; the CLI parses and echoes n whole, and restores the limit
+        limit = sys.get_int_max_str_digits()
+        rc, out, err = run(capsys, "regime", "-m", "4", "-n", "1" + "0" * 5000, "-p", "0.9")
+        assert (rc, err) == (0, "")
+        assert "regime: MatchingSaturated" in out
+        assert "a: 5000  b: 0  a_prime: 4999  " in out
+        assert f'"n": 1{"0" * 5000}, "p": 0.9, ' in out
+        rc, out, err = run(capsys, "regime", "-m", "4", "-n", "1" + "0" * 5000, "-p", "0.9",
+                           "--format", "json")
+        assert (rc, err) == (0, "")
+        assert f'"n": 1{"0" * 5000},' in out and '"a": 5000,' in out
+        assert sys.get_int_max_str_digits() == limit
+
     def test_range_error_usage_exit(self, capsys):
         rc, _, _ = run(capsys, "regime", "-m", "0", "-n", "3", "-p", "0.5")
         assert rc == 2
@@ -635,9 +650,15 @@ class TestCompiledBuild:
           "0.5", "--trials", "5"], 3, "refused: n is below m^log_{1/q}(m); a' undefined"),
         (["stats", "{matching}", "--delta=inf"], 2, "usage error: delta must be finite, got inf"),
         (["stats", "{matching}", "--delta=nan"], 2, "usage error: delta must be finite, got nan"),
+        # a side past a C ssize_t is a bad value, not a closed form's overflow
+        (["sample", "-m", "99999999999999999999", "-n", "2", "-p", "0.5"], 2,
+         "usage error: need m <= 9223372036854775807"),
+        (["verify", "constrightside", "-m", "99999999999999999999", "-n", "2", "-p", "0.5",
+          "--trials", "2"], 2, "usage error: need m <= 9223372036854775807"),
     ], ids=["stats-cap", "verify-refused", "frankl-malformed", "sample-zero-side",
             "sweep-bad-alpha", "hoeffding-a-prime-informational", "asymptotic-a-prime",
-            "stats-delta-inf", "stats-delta-nan"])
+            "stats-delta-inf", "stats-delta-nan", "sample-side-past-ssize-t",
+            "verify-side-past-ssize-t"])
     def test_exit_codes(self, compiled_build, tmp_path, argv, code, message):
         # the error class is raised by a module main() never imported itself
         files = {"empty31": tmp_path / "e31.graph", "badfamily": tmp_path / "bad.txt",

@@ -1,5 +1,6 @@
 import inspect
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -321,25 +322,26 @@ class TestCompiledKernel:
             inspect.signature(getattr(_pykernels, fn))
 
     def test_keyword_arguments(self, compiled_kernels):
-        # positional only, refused as Python refuses a def with a "/"
+        # positional only: the twin's def has a "/", and CPython refuses a
+        # keyword to the compiled entry, which takes none
         rows = list(sample_bipartite(5, 6, 0.5, Seed(81)).adj)
         for fn, extra in (("scan_stats", ("sel_left", "sel_right")),
                           ("scan_free_hist", ("lo_left", "lo_right"))):
             for args, kwargs in (((rows, 5, 6), {extra[0]: 2}),
                                  ((rows, 5, 6), {extra[1]: 3, extra[0]: 2}),
                                  ((), {"rows": rows, "m": 5, "n": 6, extra[0]: 2})):
-                (compiled, text), twin = self.refusals(compiled_kernels, fn, *args, **kwargs)
-                assert compiled is TypeError and "positional-only arguments passed" in text
-                assert (compiled, text) == twin, (fn, kwargs)
+                (compiled, text), (twin, _) = self.refusals(compiled_kernels, fn, *args, **kwargs)
+                assert compiled is twin is TypeError, (fn, kwargs)
+                assert "keyword argument" in text, (fn, kwargs)
 
     @pytest.mark.parametrize("fn,arity", [("scan_stats", 5), ("scan_free_hist", 5),
                                           ("sample_graph", 6)])
     def test_argument_counts_refused_alike(self, compiled_kernels, fn, arity):
         args = (BipartiteGraph, 2, 3, 0.5, 1, 2) if fn == "sample_graph" else ([0, 0], 2, 3, 1, 1)
         for count in (0, 1, 2, arity + 1, arity + 2):
-            (compiled, text), twin = self.refusals(compiled_kernels, fn, *(args + (0, 0))[:count])
-            assert compiled is TypeError and fn in text
-            assert (compiled, text) == twin, count
+            refusals = self.refusals(compiled_kernels, fn, *(args + (0, 0))[:count])
+            for error, text in refusals:
+                assert error is TypeError and fn in text, count
 
     @pytest.mark.parametrize("fn", ["scan_stats", "scan_free_hist"])
     def test_refuses_bad_sides(self, compiled_kernels, fn):
@@ -437,18 +439,34 @@ class TestCompiledKernel:
 
     @pytest.mark.parametrize("m,n,p", [(0, 4, 0.5), (4, 0, 0.5), (4, 4, -0.1), (4, 4, math.nan)])
     def test_sample_rows_refusals(self, compiled_kernels, m, n, p):
+        # the public sampler refuses on both kernels; of the draws, a side
+        # below 1 is refused, before the keys, and a p below 0 or NaN draws
+        # the empty graph
+        samplers = self.samplers(compiled_kernels)
+        for kernel, sample in zip((compiled_kernels, _pykernels), samplers):
+            with pytest.raises(ValueError):
+                sample(m, n, p, (1, 2))
+            if m < 1 or n < 1:
+                with pytest.raises(ValueError):
+                    kernel.sample_graph(BipartiteGraph, m, n, p, 1, 2)
+                with pytest.raises(ValueError):
+                    kernel.sample_graph(BipartiteGraph, m, n, p, 1.5, -1)
+            else:
+                assert kernel.sample_graph(BipartiteGraph, m, n, p, 1, 2).adj == (0,) * m
+
+    def test_sample_rows_keep_the_draw_safe(self, compiled_kernels):
+        # the compiled draw reads the keys with CPython's own conversions;
+        # the twin's is a plain draw, and the public sampler refuses these
+        # keys on both kernels (test_samplers_refuse_alike)
+        for key, error in ((1.5, TypeError), (np.uint64(1), TypeError), (-1, OverflowError),
+                           (2 ** 64, OverflowError)):
+            with pytest.raises(error):
+                compiled_kernels.sample_graph(BipartiteGraph, 4, 4, 0.5, key, 0)
+            with pytest.raises(error):
+                compiled_kernels.sample_graph(BipartiteGraph, 4, 4, 0.5, 0, key)
+        # a p above 1 draws the complete graph on both
         for kernel in (compiled_kernels, _pykernels):
-            with pytest.raises(ValueError):
-                kernel.sample_graph(BipartiteGraph, m, n, p, 1, 2)
-            # the sides and p are checked before the key
-            with pytest.raises(ValueError):
-                kernel.sample_graph(BipartiteGraph, m, n, p, 1.5, -1)
-            for key, error in ((1.5, TypeError), (np.uint64(1), TypeError), (-1, OverflowError),
-                               (2 ** 64, OverflowError)):
-                with pytest.raises(error):
-                    kernel.sample_graph(BipartiteGraph, 4, 4, 0.5, key, 0)
-                with pytest.raises(error):
-                    kernel.sample_graph(BipartiteGraph, 4, 4, 0.5, 0, key)
+            assert kernel.sample_graph(BipartiteGraph, 4, 4, 1.5, 1, 2).adj == (15,) * 4
 
     def test_sample_rows_take_positional_arguments_only(self, compiled_kernels):
         args = (BipartiteGraph, 2, 3, 0.5, 1)
@@ -474,6 +492,52 @@ class TestCompiledKernel:
              f"-I{paths['platinclude']}", "-c", str(ROOT / "src" / "franklbip" / "_kernels.c"),
              "-o", str(tmp_path / "_kernels.o")], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    # draws and scans across the word-count edges: rows on and past the
+    # sampler's 256-bit stack buffer, one- and multi-word scans, transposed
+    # scans, and the heap block a 300 x 3 transpose needs
+    ASAN_CHILD = """
+from franklbip import _kernels, graphs
+for n in (1, 63, 64, 65, 256, 257, 300, 700):
+    for m in (1, 3, 20, 62):
+        g = graphs.sample_bipartite(m, n, 0.5, (1, n))
+        assert g == _kernels.sample_graph(graphs.BipartiteGraph, m, n, 0.5, 1, n)
+        lo = min(m, n) - 1
+        _kernels.scan_free_hist(g.adj, m, n, lo, lo)
+        top = g.adj[:3]
+        _kernels.scan_free_hist(top, len(top), n)
+        _kernels.scan_stats(top, len(top), n, 1, 1)
+        if min(m, n) <= 20:
+            _kernels.scan_stats(g.adj, m, n, 1, 1)
+print(graphs.KERNEL)
+"""
+
+    def test_kernel_is_clean_under_address_sanitizer(self, tmp_path):
+        # an out-of-bounds write that leaves every output intact, such as a
+        # row one word past the sampler's stack buffer, shows only here
+        cc = shutil.which("cc")
+        if cc is None:
+            pytest.skip("no C compiler on PATH")
+        runtime = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
+                                 text=True).stdout.strip()
+        if not os.path.isabs(runtime):
+            pytest.skip("no AddressSanitizer runtime")
+        package = tmp_path / "franklbip"
+        shutil.copytree(ROOT / "src" / "franklbip", package,
+                        ignore=shutil.ignore_patterns("*.so", "*.c", "__pycache__"))
+        paths = sysconfig.get_paths()
+        proc = subprocess.run(
+            [cc, "-shared", "-fPIC", "-O1", "-fsanitize=address", f"-I{paths['include']}",
+             f"-I{paths['platinclude']}", str(ROOT / "src" / "franklbip" / "_kernels.c"), "-o",
+             str(package / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX")))],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
+                   PYTHONPATH=str(tmp_path))
+        env.pop("FRANKLBIP_PURE_PYTHON", None)
+        proc = subprocess.run([sys.executable, "-c", self.ASAN_CHILD], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "compiled\n"), proc.stderr[-4000:]
 
     class Partial:
         __slots__ = ("m", "n")
@@ -580,9 +644,10 @@ class TestCompiledKernel:
         "n-zero": (lambda: (4, 0, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
         "n-below-int64": (lambda: (4, -2 ** 70, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
         "p-1.5": (lambda: (4, 4, 1.5, (1, 2)), {}, ValueError),
-        # the compiled sample_graph takes the sides as C ssize_t, and the
-        # twin's refuses alike rather than start a draw of 2^64 rows
-        "m-2^64": (lambda: (2 ** 64, 2, 0.5, (1, 2)), {}, OverflowError),
+        # both draws take the sides as C ssize_t, so the sampler refuses a
+        # larger side as a bad value, after p
+        "m-2^64": (lambda: (2 ** 64, 2, 0.5, (1, 2)), {}, ValueError),
+        "n-2^63": (lambda: (2, 2 ** 63, 0.5, (1, 2)), {}, ValueError),
         "m-2^64-p-1.5": (lambda: (2 ** 64, 2, 1.5, (1, 2)), {}, ValueError),
         "p-text": (lambda: (4, 4, "half", (1, 2)), {}, ValueError),
         "seed-3-tuple": (lambda: (4, 4, 0.5, (1, 2, 3)), {}, ValueError),
@@ -606,6 +671,25 @@ class TestCompiledKernel:
             refusals.append((info.type, str(info.value)))
         assert refusals[0][0] is error
         assert refusals[0] == refusals[1]
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 257])
+    def test_compiled_sampler_draws_campaign_calls_itself(self, compiled_kernels, monkeypatch, n):
+        # the cold path, bind_sampler's function, fails the test, so each
+        # draw here comes from the compiled fast path, checked against numpy
+        def bind_sampler(*bound):
+            def cold_path(*args, **kwargs):
+                pytest.fail(f"the cold path drew {args} {kwargs}")
+            return cold_path
+
+        monkeypatch.setattr(_pykernels, "bind_sampler", bind_sampler)
+        sample = compiled_kernels.sampler(*SAMPLER_CLASSES)
+        probs = [0.0, 1.0, 0.3, *map(graph_module.EdgeProbability, (0.0, 1.0, 0.7))]
+        for m in (1, 3):
+            for key in self.SAMPLE_KEYS:
+                for prob in probs:
+                    g = sample(m, n, prob, key)
+                    assert type(g) is BipartiteGraph and (g.m, g.n) == (m, n)
+                    assert g.adj == numpy_sample_rows(m, n, graph_module.as_prob(prob).p, *key)
 
     def test_compiled_sampler_needs_slotted_classes(self, compiled_kernels):
         prob_cls, error = SAMPLER_CLASSES[1:]
