@@ -1,19 +1,17 @@
 """Run the mutants of mutants.py against tier-1.
 
-    python mutation/run.py [NAME ...]
+    python mutation/run.py
 
-For each mutant, all of them or the named ones, the tree is copied to a
-temporary directory and the mutant applied there; then tier-1 runs in the
-copy with -x, less the test of the list itself, so the compiled_build
-fixture builds the mutated C.  A failing run kills the mutant, and a run
-past --timeout counts as a kill too.  The unmutated copy runs first, since
-a kill means nothing on a tree that fails already.  Prints one line per
-mutant, then the kill count and the survivors by name.  The checkout itself
-is never edited.  A mutant takes from a few seconds to a full tier-1 run,
-about a minute on a 2-CPU machine.
+For each mutant the tree is copied to a temporary directory and the mutant
+applied there; then tier-1 runs in the copy with -x, less the test of the
+list itself, so the compiled_build fixture builds the mutated C.  A failing
+run kills the mutant, and a run past TIMEOUT seconds counts as a kill too.
+The unmutated copy runs first, since a kill means nothing on a tree that
+fails already.  Prints one line per mutant, then the kill count and the
+survivors by name.  The checkout itself is never edited.  A mutant takes
+from a few seconds to a full tier-1 run, about a minute on a 2-CPU machine.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -34,9 +32,11 @@ IGNORE = shutil.ignore_patterns(".git", "build", "__pycache__", "*.egg-info", "*
 # a mutated copy it fails by design and would kill every mutant
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
+# a full tier-1 run takes about a minute; ten times that is a hung run
+TIMEOUT = 600
 
 
-def run_tier1(mutant, timeout):
+def run_tier1(mutant):
     """(killed, seconds): tier-1 on a copy of the tree with mutant applied,
     or on the plain copy when mutant is None."""
     start = time.monotonic()
@@ -55,35 +55,25 @@ def run_tier1(mutant, timeout):
                                                           env.get("PYTHONPATH")]))
         try:
             proc = subprocess.run(TIER1, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL, timeout=timeout)
+                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT)
             killed = proc.returncode != 0
         except subprocess.TimeoutExpired:
             killed = True
     return killed, time.monotonic() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds one tier-1 run may take (default: %(default)s)")
-    args = parser.parse_args(argv)
-    known = {mutant.name: mutant for mutant in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [known[name] for name in args.names] or list(MUTANTS)
-    failed, seconds = run_tier1(None, args.timeout)
+def main() -> int:
+    failed, seconds = run_tier1(None)
     print(f"unmutated tree: {'FAILS' if failed else 'passes'} ({seconds:.0f} s)", flush=True)
     if failed:
         return 2
     survivors = []
-    for mutant in chosen:
-        killed, seconds = run_tier1(mutant, args.timeout)
+    for mutant in MUTANTS:
+        killed, seconds = run_tier1(mutant)
         print(f"{mutant.name}: {'killed' if killed else 'SURVIVED'} ({seconds:.0f} s)", flush=True)
         if not killed:
             survivors.append(mutant.name)
-    print(f"killed {len(chosen) - len(survivors)} of {len(chosen)}")
+    print(f"killed {len(MUTANTS) - len(survivors)} of {len(MUTANTS)}")
     if survivors:
         print("survivors: " + ", ".join(survivors))
     return 1 if survivors else 0

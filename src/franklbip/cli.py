@@ -26,6 +26,7 @@ not part of the echo: equal configs must produce byte-identical tables.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -53,6 +54,22 @@ def _resolve_seed(args) -> Seed:
     return Seed(int(env)) if env else Seed(0)
 
 
+@contextlib.contextmanager
+def _any_digits():
+    """Lift CPython's 4,300-digit limit on converting ints to and from text
+    for the block: the library takes sides of any size, so the arguments are
+    parsed and echoed whole.  Files are read under the default limit.
+    Interpreters without the limit lack the setting."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def _echo(subcommand: str, seed: Seed = None, **fields) -> dict:
     cfg = {"subcommand": subcommand}
     if seed is not None:
@@ -71,17 +88,23 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
+@_any_digits()
+def _config_line(cfg: dict) -> str:
+    return "config: " + json.dumps(cfg, sort_keys=True)
+
+
+@_any_digits()
 def _write(args, cfg: dict, payload: dict, lines: list) -> int:
     """Write a table subcommand's output: the echo and payload as JSON, or
     the echo line and then lines."""
     if args.format == "json":
         _emit(json.dumps({"config": cfg, **payload}, indent=2) + "\n", args.output)
     else:
-        _emit("\n".join(["config: " + json.dumps(cfg, sort_keys=True), *lines]) + "\n",
-              args.output)
+        _emit("\n".join([_config_line(cfg), *lines]) + "\n", args.output)
     return 0
 
 
+@_any_digits()
 def _write_reports(args, cfg: dict, reports, with_regime: bool = False) -> int:
     """Write the report rows of `verify` or `sweep` as CSV or JSON."""
     from .verify import reports_to_csv, reports_to_json
@@ -98,11 +121,11 @@ def cmd_sample(args) -> int:
     text = serialize_graph(g)
     if args.output:
         _emit(text, args.output)
-        print("config: " + json.dumps(cfg, sort_keys=True))
+        print(_config_line(cfg))
         print(f"wrote {args.output}")
     else:
         # keep stdout parseable as a graph; the echo goes to stderr
-        print("config: " + json.dumps(cfg, sort_keys=True), file=sys.stderr)
+        print(_config_line(cfg), file=sys.stderr)
         sys.stdout.write(text)
     return 0
 
@@ -313,24 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # The library takes ints of any size, so a side may have more digits than
-    # the 4,300 that CPython converts to or from text by default: lift that
-    # limit while the arguments are parsed and echoed.  Interpreters without
-    # the limit lack the setting.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        return _run(argv)
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
-
-
-def _run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with _any_digits():
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

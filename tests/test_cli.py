@@ -117,6 +117,19 @@ class TestStats:
         rc, _, _ = run(capsys, "stats", str(tmp_path / "nothere.graph"))
         assert rc == 1
 
+    def test_files_keep_the_digit_limit(self, capsys, tmp_path):
+        # only arguments and the echo take ints past CPython's 4,300 digits;
+        # a graph header or grid cell that long is refused as malformed
+        huge = "1" + "0" * 5000
+        graph = tmp_path / "huge.graph"
+        graph.write_text(f"{huge} 2\n")
+        rc, _, err = run(capsys, "stats", str(graph))
+        assert rc == 1 and "expected two integers" in err
+        grid = tmp_path / "huge.csv"
+        grid.write_text(f"m,n,p,delta\n{huge},2,0.5,0.0\n")
+        rc, _, err = run(capsys, "sweep", str(grid), "--trials", "1")
+        assert rc == 1 and "grid line 2: malformed numbers" in err
+
 
 class TestCap:
     """--cap is the largest scan side, min(m, n), in stats and sweep alike,
