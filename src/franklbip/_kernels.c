@@ -16,14 +16,17 @@
  * u credits them to u and to each other-side vertex u covers first.  A
  * vertex is free at a leaf exactly when no vertex of A covers it, so
  * other_counts = total - covered, and leaves only update the two size
- * histograms.  Rows are packed into W = word_count(t) words each, masked to
- * the t bits of the other side.  One walk body is compiled twice: with
- * W = 1, where the coverage stays in a register, and with W read at run
- * time.  The walk touches no Python object and runs with the interpreter
- * lock released, once per call.  A campaign scans a small graph per trial,
- * so each scan is a positional METH_FASTCALL call, reads one-word rows
- * straight from the list or tuple, and keeps its block of words on the stack
- * when it fits, as every one-word scan's does.
+ * histograms.  A call with counts = 0 wants the total, the histograms and
+ * sel_count alone: its walk credits nothing, and it returns None for the two
+ * count lists.  Rows are packed into W = word_count(t) words each, masked to
+ * the t bits of the other side.  One walk body is compiled four times: with
+ * W = 1, where the coverage stays in a register, or with W read at run time,
+ * each with and without the crediting pass.  The walk touches no Python
+ * object and runs with the interpreter lock released, once per call.  A
+ * campaign scans a small graph per trial, so each scan is a positional
+ * METH_FASTCALL call, reads one-word rows straight from the list or tuple,
+ * and keeps its block of words on the stack when it fits, as every one-word
+ * scan's does.
  *
  * Sampler.  Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy
  * as 1, 2, 3", SC'11) run step for step as the twin's pure-Python Philox runs
@@ -89,10 +92,12 @@ static inline u64 cov_word(const u64 *words, u64 word0, int wd)
 
 /* Node at walk position i with |A| = k and covered set (nb0, nbstack row i);
  * bit j of out marks position j < i left out.  Returns the number of leaves
- * below.  W is a compile-time constant in the one-word instance, so its word
- * loops unroll away. */
+ * below.  W is a compile-time constant in the one-word instances, so their
+ * word loops unroll away, and counts is a constant in every instance, so the
+ * histogram-only instances, where it is zero, have no crediting pass. */
 static inline __attribute__((always_inline)) u64
-stats_body(StatsCtx *c, int i, int k, u64 out, u64 nb0, const int W, StatsVisit visit)
+stats_body(StatsCtx *c, int i, int k, u64 out, u64 nb0, const int W, const int counts,
+           StatsVisit visit)
 {
     const u64 *nb = c->nbstack + (size_t)i * W;
     if (i == c->s) {
@@ -126,10 +131,12 @@ stats_body(StatsCtx *c, int i, int k, u64 out, u64 nb0, const int W, StatsVisit 
     if (alive) {
         leaves = visit(c, i + 1, k + 1, out, nxt0);
         /* Credit the subtree to i and to the vertices i covers first. */
-        c->scan_counts[i] += leaves;
-        for (int wd = 0; wd < W; wd++)
-            for (u64 x = row[wd] & ~cov_word(nb, nb0, wd); x; x &= x - 1)
-                c->covered[(wd << 6) + __builtin_ctzll(x)] += leaves;
+        if (counts) {
+            c->scan_counts[i] += leaves;
+            for (int wd = 0; wd < W; wd++)
+                for (u64 x = row[wd] & ~cov_word(nb, nb0, wd); x; x &= x - 1)
+                    c->covered[(wd << 6) + __builtin_ctzll(x)] += leaves;
+        }
     }
     /* Leaving i out is only viable while part of its row is still uncovered. */
     if (grown) {
@@ -141,12 +148,22 @@ stats_body(StatsCtx *c, int i, int k, u64 out, u64 nb0, const int W, StatsVisit 
 
 static u64 stats_visit_1(StatsCtx *c, int i, int k, u64 out, u64 nb0)
 {
-    return stats_body(c, i, k, out, nb0, 1, stats_visit_1);
+    return stats_body(c, i, k, out, nb0, 1, 1, stats_visit_1);
 }
 
 static u64 stats_visit_w(StatsCtx *c, int i, int k, u64 out, u64 nb0)
 {
-    return stats_body(c, i, k, out, nb0, c->W, stats_visit_w);
+    return stats_body(c, i, k, out, nb0, c->W, 1, stats_visit_w);
+}
+
+static u64 hist_visit_1(StatsCtx *c, int i, int k, u64 out, u64 nb0)
+{
+    return stats_body(c, i, k, out, nb0, 1, 0, hist_visit_1);
+}
+
+static u64 hist_visit_w(StatsCtx *c, int i, int k, u64 out, u64 nb0)
+{
+    return stats_body(c, i, k, out, nb0, c->W, 0, hist_visit_w);
 }
 
 typedef struct {
@@ -235,20 +252,20 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssi
     return -1;
 }
 
-/* A scan call, checked as the twin's _scan_side checks it: the graph's rows
- * as a list or tuple, and the layout of the side both kernels scan, the
- * smaller one, the left on a tie.  extra holds the two optional arguments,
- * the left side's first. */
+/* A scan call of at most max_args arguments, checked as the twin's _scan_side
+ * checks it: the graph's rows as a list or tuple, and the layout of the side
+ * both kernels scan, the smaller one, the left on a tie.  extra holds the
+ * two optional integer arguments, the left side's first. */
 typedef struct {
     PyObject *rows;   /* a new reference */
     int s, t, W, transposed;
     long long extra[2];
 } ScanCall;
 
-static int scan_call(const char *name, PyObject *const *args, Py_ssize_t nargs, long long dflt,
-                     ScanCall *sc)
+static int scan_call(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                     Py_ssize_t max_args, long long dflt, ScanCall *sc)
 {
-    if (check_nargs(name, nargs, 3, 5) < 0)
+    if (check_nargs(name, nargs, 3, max_args) < 0)
         return -1;
     /* m and n as operator.index takes them */
     Py_ssize_t m = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
@@ -388,14 +405,20 @@ static u64 *scan_block(size_t words, u64 *stack_block)
 }
 
 PyDoc_STRVAR(scan_stats_doc,
-"scan_stats(rows, m, n, sel_left=-1, sel_right=-1, /)\n--\n\n"
+"scan_stats(rows, m, n, sel_left=-1, sel_right=-1, counts=1, /)\n--\n\n"
 "Compiled counterpart of _pykernels.scan_stats (same contract).");
 
 static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     ScanCall sc;
-    if (scan_call("scan_stats", args, nargs, -1, &sc) < 0)
+    if (scan_call("scan_stats", args, nargs, 6, -1, &sc) < 0)
         return NULL;
+    /* counts as the twin's `if counts:` reads it */
+    const int counts = nargs > 5 ? PyObject_IsTrue(args[5]) : 1;
+    if (counts < 0) {
+        Py_DECREF(sc.rows);
+        return NULL;
+    }
     /* flip = 1 when the right side is scanned: then a (left, right) pair
      * and a (scan, other) pair list their sides in opposite orders */
     const int s = sc.s, t = sc.t, W = sc.W, flip = sc.transposed;
@@ -426,18 +449,25 @@ static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py
         for (int i = 0; i < s; i++)
             memcpy(adj + (size_t)i * W, c.nbstack + (size_t)order[i] * W, (size_t)W * sizeof(u64));
         memset(c.nbstack, 0, (size_t)W * sizeof(u64));
+        StatsVisit walk = W == 1 ? (counts ? stats_visit_1 : hist_visit_1)
+                                 : (counts ? stats_visit_w : hist_visit_w);
         Py_BEGIN_ALLOW_THREADS
-        total = W == 1 ? stats_visit_1(&c, 0, 0, 0, 0) : stats_visit_w(&c, 0, 0, 0, 0);
+        total = walk(&c, 0, 0, 0, 0);
         Py_END_ALLOW_THREADS
-        for (int i = 0; i < s; i++)
-            by_vertex[order[i]] = c.scan_counts[i];
-        for (int v = 0; v < t; v++)
-            c.covered[v] = total - c.covered[v];
         /* (scan, other) pairs, returned in graph orientation */
         PyObject *hists[2] = {counts_to_list(c.k_hist, s + 1), counts_to_list(c.f_hist, t + 1)};
-        PyObject *counts[2] = {counts_to_list(by_vertex, s), counts_to_list(c.covered, t)};
+        PyObject *vertex_counts[2] = {Py_NewRef(Py_None), Py_NewRef(Py_None)};
+        if (counts) {
+            for (int i = 0; i < s; i++)
+                by_vertex[order[i]] = c.scan_counts[i];
+            for (int v = 0; v < t; v++)
+                c.covered[v] = total - c.covered[v];
+            Py_SETREF(vertex_counts[0], counts_to_list(by_vertex, s));
+            Py_SETREF(vertex_counts[1], counts_to_list(c.covered, t));
+        }
         result = Py_BuildValue("(KNNNNK)", (unsigned long long)total, hists[flip], hists[!flip],
-                               counts[flip], counts[!flip], (unsigned long long)c.sel_count);
+                               vertex_counts[flip], vertex_counts[!flip],
+                               (unsigned long long)c.sel_count);
     }
     if (buf != stack_block)
         free(buf);
@@ -452,7 +482,7 @@ static PyObject *scan_free_hist(PyObject *Py_UNUSED(self), PyObject *const *args
                                 Py_ssize_t nargs)
 {
     ScanCall sc;
-    if (scan_call("scan_free_hist", args, nargs, 0, &sc) < 0)
+    if (scan_call("scan_free_hist", args, nargs, 5, 0, &sc) < 0)
         return NULL;
     const int s = sc.s, t = sc.t, W = sc.W;
     PyObject *result = NULL;
@@ -514,9 +544,10 @@ static PyObject *slot_descr(const char *caller, PyObject *cls, int i)
     return descr;
 }
 
-/* One checked draw of G(m, n, p) from the stream keyed by key: a new
- * instance of cls with its rows checked as BipartiteGraph checks them and
- * its fields set through descrs, cls's descriptors of m, n and adj. */
+/* One draw of G(m, n, p) from the stream keyed by key: a new instance of cls
+ * with its fields set through descrs, cls's descriptors of m, n and adj.  The
+ * graph passes BipartiteGraph's checks by construction: the tuple has m slots
+ * and is filled whole or dropped, and no row gets a bit at or past n. */
 static PyObject *draw_graph(PyTypeObject *cls, PyObject *const descrs[3], Py_ssize_t m,
                             Py_ssize_t n, double p, const u64 key[2])
 {
@@ -550,12 +581,7 @@ static PyObject *draw_graph(PyTypeObject *cls, PyObject *const descrs[3], Py_ssi
             }
             words[wd] = word;
         }
-        /* BipartiteGraph's range check: only the last word has bits past n */
-        PyObject *row = NULL;
-        if (n % 64 && words[W - 1] >> n % 64)
-            PyErr_Format(PyExc_ValueError, "adjacency row %zd has bits outside the right side", u);
-        else
-            row = words_to_long(words, W, sixty_four);
+        PyObject *row = words_to_long(words, W, sixty_four);
         if (row == NULL)
             Py_CLEAR(rows);
         else
@@ -564,13 +590,8 @@ static PyObject *draw_graph(PyTypeObject *cls, PyObject *const descrs[3], Py_ssi
     Py_XDECREF(sixty_four);
     if (words != stack_words)
         free(words);
-    /* BipartiteGraph's row-count check, then a new instance whose fields are
-     * set through their descriptors, as graphs._slot_setters sets them. */
-    if (rows != NULL && PyTuple_GET_SIZE(rows) != m) {
-        PyErr_Format(PyExc_ValueError, "expected %zd adjacency rows, got %zd", m,
-                     PyTuple_GET_SIZE(rows));
-        Py_CLEAR(rows);
-    }
+    /* A new instance whose fields are set through their descriptors, as
+     * graphs._slot_setters sets them. */
     PyObject *values[3] = {NULL, NULL, rows};
     if (rows != NULL && (values[0] = PyLong_FromSsize_t(m)) != NULL)
         values[1] = PyLong_FromSsize_t(n);

@@ -21,7 +21,8 @@ order, by descending degree within the t bits of the other side, ties in
 vertex order, so they build the same tree.  The compiled walk counts once
 per subtree (the include branch of u credits the leaves below it to u and to
 the vertices u covers first); scan_stats here counts at every leaf, which
-keeps it a plain reference for the counts.
+keeps it a plain reference for the counts.  Called with counts = 0, both
+skip the per-vertex counts and return None in their two slots.
 
 Sampler.  sample_graph runs Philox4x64-10 (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11) step for step as the compiled twin
@@ -119,13 +120,15 @@ def _scan_side(rows, m, n):
     return cols, n, m, True
 
 
-def scan_stats(rows, m, n, sel_left=-1, sel_right=-1, /):
+def scan_stats(rows, m, n, sel_left=-1, sel_right=-1, counts=1, /):
     """Exact maximal-stable-set statistics of the m x n graph with these rows.
 
     Returns (total, left_hist, right_hist, left_counts, right_counts,
     sel_count): the number of maximal stable sets S, the histograms of
     |S ∩ L| and |S ∩ R|, for each vertex the number of S holding it, and the
-    number of S with (|S ∩ L|, |S ∩ R|) == (sel_left, sel_right).
+    number of S with (|S ∩ L|, |S ∩ R|) == (sel_left, sel_right).  When
+    counts is false, left_counts and right_counts are None and no per-vertex
+    count is taken.
     """
     rows, s, t, transposed = _scan_side(rows, m, n)
     sel_k, sel_f = (sel_right, sel_left) if transposed else (sel_left, sel_right)
@@ -133,8 +136,7 @@ def scan_stats(rows, m, n, sel_left=-1, sel_right=-1, /):
     sel_count = 0
     k_hist = [0] * (s + 1)
     f_hist = [0] * (t + 1)
-    scan_counts = [0] * s
-    other_counts = [0] * t
+    scan_counts, other_counts = ([0] * s, [0] * t) if counts else (None, None)
 
     def leaf(chosen, free):
         nonlocal total, sel_count
@@ -143,14 +145,15 @@ def scan_stats(rows, m, n, sel_left=-1, sel_right=-1, /):
         total += 1
         k_hist[k] += 1
         f_hist[f] += 1
-        for w in chosen:
-            scan_counts[w] += 1
-        while free:
-            low = free & -free
-            other_counts[low.bit_length() - 1] += 1
-            free ^= low
         if k == sel_k and f == sel_f:
             sel_count += 1
+        if scan_counts is not None:
+            for w in chosen:
+                scan_counts[w] += 1
+            while free:
+                low = free & -free
+                other_counts[low.bit_length() - 1] += 1
+                free ^= low
 
     maximal_pairs(rows, s, t, leaf)
     if transposed:
@@ -184,6 +187,18 @@ def scan_free_hist(rows, m, n, lo_left=0, lo_right=0, /):
 
     visit(0, 0, 0)
     return freq
+
+
+def zero_side_message(m, n):
+    """The refusal text of a graph with a side below 1, for ints m and n.  A
+    side past 64 bits is given by its sign and bit length, so the text never
+    meets CPython's limit on the digits of an int."""
+    def text(side):
+        if side.bit_length() <= 64:
+            return str(side)
+        return f"{'-' if side < 0 else ''}(an int of {side.bit_length()} bits)"
+
+    return f"need m >= 1 and n >= 1, got m={text(m)}, n={text(n)}"
 
 
 def _philox_words(k0, k1):
@@ -251,7 +266,7 @@ def bind_sampler(graph_cls, prob_cls, zero_side_error, draw, /):
         """
         m, n = operator.index(m), operator.index(n)
         if m < 1 or n < 1:
-            raise zero_side_error(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+            raise zero_side_error(zero_side_message(m, n))
         root, stream = seed
         p = (prob if isinstance(prob, prob_cls) else prob_cls(prob)).p
         # the compiled draw takes the sides as C ssize_t and the keys as words

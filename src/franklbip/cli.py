@@ -5,9 +5,11 @@ Each subcommand imports only the modules it runs: `sample` needs `graphs`
 alone, `stats` adds `mss`, `frankl` adds `setfamily`, `regime` adds `bounds`,
 and `verify` and `sweep` add `verify`, `bounds` and `mss`.
 `concurrent.futures` is imported only by a sweep with `--workers` above 1.
-`verify.sweep` makes that pool once per worker count and reuses it for every
-later sweep in the process (a forked child drops it and makes its own); one
-CLI call sweeps once, and the pool's threads exit with the interpreter.
+Such a sweep runs points on the calling thread and on up to `--workers` - 1
+pool threads; `verify.sweep` makes that pool once per worker count and
+reuses it for every later sweep in the process (a forked child drops it and
+makes its own).  One CLI call sweeps once, and the pool's threads exit with
+the interpreter.
 The errors that main() maps to exit codes, and the `--cap` and `--alpha`
 defaults `DEFAULT_CAP` and `DEFAULT_ALPHA` (which `mss` and `bounds`
 re-export), are all defined in `graphs`, so building the parser imports

@@ -228,8 +228,8 @@ class BipartiteGraph(_Value):
     nonempty and no adjacency bit may lie at position >= n.  m, n and each
     row are taken through operator.index, so a bool or a numpy integer is
     stored as an int and a float or a string raises TypeError.  Instances are
-    immutable and safe to share across threads.  The compiled sampler makes
-    the row-count and range checks in C and sets the fields itself.
+    immutable and safe to share across threads.  The compiled sampler fills a
+    graph that passes these checks by construction and sets its fields itself.
     """
 
     __slots__ = ("m", "n", "adj")
@@ -237,7 +237,7 @@ class BipartiteGraph(_Value):
     def __init__(self, m: int, n: int, adj: tuple):
         m, n = operator.index(m), operator.index(n)
         if m < 1 or n < 1:
-            raise ZeroSideError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+            raise ZeroSideError(_pykernels.zero_side_message(m, n))
         adj = tuple(map(operator.index, adj))
         if len(adj) != m:
             raise ValueError(f"expected {m} adjacency rows, got {len(adj)}")
@@ -290,7 +290,7 @@ def parse_graph(text: str) -> BipartiteGraph:
     except ValueError:
         raise GraphParseError(f"malformed header {lines[0]!r}; expected two integers") from None
     if m < 1 or n < 1:
-        raise ZeroSideError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+        raise ZeroSideError(_pykernels.zero_side_message(m, n))
     body = [line for line in lines[1:] if line.strip() != ""]
     if len(body) != m:
         raise GraphParseError(f"expected {m} rows, got {len(body)}")

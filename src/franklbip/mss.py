@@ -135,11 +135,25 @@ def mss_stats(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> MssStats:
                     left_vertex_counts=tuple(lvc), right_vertex_counts=tuple(rvc))
 
 
+def left_hist(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> list:
+    """mss_stats(g, cap).left_hist as a list, from a scan that takes no
+    per-vertex counts."""
+    if cap < g.m and cap < g.n or cap > MAX_SCAN_SIDE:
+        _check_cap(min(g.m, g.n), cap)
+    return _impl.scan_stats(g.adj, g.m, g.n, -1, -1, 0)[1]
+
+
+def left_avg(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> Fraction:
+    """Average size of the left part over all maximal stable sets, exact."""
+    hist = left_hist(g, cap)
+    return Fraction(sum(map(operator.mul, range(len(hist)), hist)), sum(hist))
+
+
 def count_mss_with_sizes(g: BipartiteGraph, ell: int, r: int, cap: int = DEFAULT_CAP) -> int:
     """Exact number of maximal stable sets S with |S∩L| = ell and |S∩R| = r."""
     if cap < g.m and cap < g.n or cap > MAX_SCAN_SIDE:
         _check_cap(min(g.m, g.n), cap)
-    return _impl.scan_stats(g.adj, g.m, g.n, ell, r)[5]
+    return _impl.scan_stats(g.adj, g.m, g.n, ell, r, 0)[5]
 
 
 def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
@@ -165,12 +179,6 @@ def _binomial_tails(t: int, lo: int) -> tuple:
     """tails[f] = number of subsets of an f-element set with >= lo elements,
     for f <= t; a campaign asks for the same (t, lo) on every trial."""
     return tuple(sum(math.comb(f, j) for j in range(lo, f + 1)) for f in range(t + 1))
-
-
-# no caller under src/: perfbench/tracing.py wraps it by name
-def left_avg(g: BipartiteGraph) -> Fraction:
-    """Average size of the left part over all maximal stable sets, exact."""
-    return mss_stats(g).left_average()
 
 
 def almost_unstable_vertex(stats: MssStats, side: str, delta) -> Optional[tuple]:

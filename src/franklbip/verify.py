@@ -327,7 +327,7 @@ def _with_a_prime(m, n, prob):
 def _many_left_of_size(cap, size, threshold, **extra):
     """Setup result of an asymptotic check whose event is: at least
     `threshold` maximal stable sets have a left part of exactly `size`."""
-    return (lambda g: mss.mss_stats(g, cap).left_hist[size] >= threshold,
+    return (lambda g: mss.left_hist(g, cap)[size] >= threshold,
             _informational({"a_prime": size, **extra, "count_threshold": threshold}))
 
 
@@ -365,7 +365,7 @@ def _veryverylargeside(m, n, prob, params):
     # of 2^m forces m <= n and makes every left subset a left part: the
     # average left part is then m/2 and needs no check of its own
     target, cap = 1 << m, _cap(params)
-    return (lambda g: mss.mss_stats(g, cap).total == target,
+    return (lambda g: sum(mss.left_hist(g, cap)) == target,
             _informational({"target_total": target}))
 
 
@@ -380,7 +380,7 @@ def _average(m, n, prob, params):
             hits += avg <= threshold
         return _informational_row(hits, trials, {"mean_left_avg": total / trials, "hits": hits})
 
-    return lambda g: mss.mss_stats(g, cap).left_average(), summary
+    return lambda g: mss.left_avg(g, cap), summary
 
 
 def _conjecture(m, n, prob, params):
@@ -497,13 +497,14 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
     checked, so a degenerate point draws no graph.  A trial count
     below 1 or above 2^32, a worker count below 1 or an alpha outside
     [1/16, 1/2) refuses the whole sweep with ValueError before any point
-    runs.  For workers > 1
-    the calling thread waits while a pool of that many threads runs the
-    points; the pool is made, and `concurrent.futures` imported, on the
-    first such sweep, then reused by every later sweep with the same worker
-    count.  A forked child drops the pools it inherits and makes its own.  If a point raises, the points not
-    yet started are dropped and the running ones finish before the error
-    propagates.
+    runs.  For workers > 1 the calling thread and up to workers - 1 threads
+    of a pool each take the next point, in grid order, until none is left.
+    The pool is made, and `concurrent.futures` imported, on the first such
+    sweep, then reused by every later sweep with the same worker count; a
+    pool thread still busy with another sweep's points when this one ends is
+    not waited for.  A forked child drops the pools it inherits and makes its
+    own.  If a point raises, no thread starts another point, and the running
+    ones finish before the error propagates.
     """
     _check_trials(trials)
     _check_alpha(alpha)
@@ -527,26 +528,43 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
             )
 
     items = list(enumerate(grid))
-    if workers > 1:
-        pool = _pool(workers)
-        futures = [pool.submit(one, item) for item in items]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            from concurrent.futures import wait
+    if workers == 1:
+        return [one(item) for item in items]
+    import threading
 
-            # as a pool's shutdown would: drop the points not yet started and
-            # let the running ones finish before the error reaches the caller
-            for future in futures:
-                future.cancel()
-            wait(futures)
-            raise
-    return [one(item) for item in items]
+    reports, errors = [None] * len(items), []
+    todo, lock = iter(items), threading.Lock()
+
+    def run():
+        while True:
+            # take the next point, unless a point has raised
+            with lock:
+                item = None if errors else next(todo, None)
+            if item is None:
+                return
+            try:
+                reports[item[0]] = one(item)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    pool = _pool(workers - 1)
+    helpers = [pool.submit(run) for _ in range(min(workers, len(items)) - 1)]
+    run()
+    # a helper still queued behind another sweep's work is dropped, and a
+    # running one finishes its point
+    for helper in helpers:
+        helper.cancel() or helper.result()
+    if errors:
+        raise errors[0]
+    return reports
 
 
 @functools.lru_cache(maxsize=None)
 def _pool(workers: int):
-    """The thread pool of every sweep with this worker count, made on first use."""
+    """The helper threads of every sweep with workers + 1 workers, made on
+    first use."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=workers)

@@ -476,8 +476,7 @@ def test_range_refusals(call, message):
 
 # the public names with no caller under src/, each with the reason it stays
 NO_CALLER = {
-    **dict.fromkeys(("left_avg", "count_left_at_most"),
-                    "benchmark hook: perfbench/tracing.py wraps it by name"),
+    "count_left_at_most": "benchmark hook: perfbench/tracing.py wraps it by name",
     "run_conjecture_campaign": "documented API: README, Python API",
     "union_closure": "benchmark hook: perfbench/tracing.py wraps it by name; the tests' "
                      "closure oracle",

@@ -193,8 +193,13 @@ class TestConstruction:
             BipartiteGraph(2, 2, (1,))
 
     def test_zero_side_refused(self):
-        with pytest.raises(ZeroSideError, match="need m >= 1 and n >= 1, got m=0, n=3"):
-            BipartiteGraph(0, 3, ())
+        for m, n, text in ((0, 3, "got m=0, n=3"),
+                           # more digits than CPython turns into text by default
+                           (-10 ** 5000, 2, "got m=-(an int of 16610 bits), n=2"),
+                           (0, 1 << 64, "got m=0, n=(an int of 65 bits)")):
+            with pytest.raises(ZeroSideError) as info:
+                BipartiteGraph(m, n, ())
+            assert str(info.value) == "need m >= 1 and n >= 1, " + text
 
     def test_bits_confined_to_right_side(self):
         with pytest.raises(ValueError):

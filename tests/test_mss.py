@@ -27,6 +27,7 @@ from franklbip.mss import (
     count_mss_with_sizes,
     is_maximal_stable,
     left_avg,
+    left_hist,
     mss_stats,
     almost_unstable_vertex,
     stab_at_least_count,
@@ -243,8 +244,11 @@ class TestCompiledKernel:
         common = (max(range(s + 1), key=ref[1].__getitem__),
                   max(range(t + 1), key=ref[2].__getitem__))
         for sel in (common, other_sel):
-            assert tuple(kernels.scan_stats(rows, s, t, *sel)) == \
-                tuple(_pykernels.scan_stats(rows, s, t, *sel))
+            want = tuple(_pykernels.scan_stats(rows, s, t, *sel))
+            assert tuple(kernels.scan_stats(rows, s, t, *sel)) == want
+            # counts = 0 gives None for the two count lists, and the rest alike
+            for kernel in (kernels, _pykernels):
+                assert kernel.scan_stats(rows, s, t, *sel, 0) == want[:3] + (None, None, want[5])
 
     @classmethod
     def assert_agree(cls, kernels, g, lo_ks=(1,)):
@@ -334,12 +338,12 @@ class TestCompiledKernel:
                 assert compiled is twin is TypeError, (fn, kwargs)
                 assert "keyword argument" in text, (fn, kwargs)
 
-    @pytest.mark.parametrize("fn,arity", [("scan_stats", 5), ("scan_free_hist", 5),
+    @pytest.mark.parametrize("fn,arity", [("scan_stats", 6), ("scan_free_hist", 5),
                                           ("sample_graph", 6)])
     def test_argument_counts_refused_alike(self, compiled_kernels, fn, arity):
         args = (BipartiteGraph, 2, 3, 0.5, 1, 2) if fn == "sample_graph" else ([0, 0], 2, 3, 1, 1)
         for count in (0, 1, 2, arity + 1, arity + 2):
-            refusals = self.refusals(compiled_kernels, fn, *(args + (0, 0))[:count])
+            refusals = self.refusals(compiled_kernels, fn, *(args + (0, 0, 0))[:count])
             for error, text in refusals:
                 assert error is TypeError and fn in text, count
 
@@ -362,6 +366,12 @@ class TestCompiledKernel:
             total, lh, rh, lc, rc, sel = kernel.scan_stats(g.adj, m, n, 0, n)
             assert total > 2 and sel == 1
             assert tuple(kernel.scan_stats(h.adj, n, m, n, 0)) == (total, rh, lh, rc, lc, sel)
+            # a false counts drops the counts alone, either way round
+            for counts in (0, False, None):
+                assert kernel.scan_stats(g.adj, m, n, 0, n, counts) == \
+                    (total, lh, rh, None, None, sel)
+                assert kernel.scan_stats(h.adj, n, m, n, 0, counts) == \
+                    (total, rh, lh, None, None, sel)
             # thresholds one short of the scan side keep the walk to 63 leaves
             los = (61, 0) if m < n else (0, 61)
             freq = kernel.scan_free_hist(g.adj, m, n, *los)
@@ -643,6 +653,9 @@ print(graphs.KERNEL)
         "m-zero": (lambda: (0, 4, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
         "n-zero": (lambda: (4, 0, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
         "n-below-int64": (lambda: (4, -2 ** 70, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
+        # a side with more digits than CPython turns into text by default
+        "m-past-digit-limit": (lambda: (-10 ** 5000, 2, 0.5, (1, 2)), {},
+                               graph_module.ZeroSideError),
         "p-1.5": (lambda: (4, 4, 1.5, (1, 2)), {}, ValueError),
         # both draws take the sides as C ssize_t, so the sampler refuses a
         # larger side as a bad value, after p
@@ -701,6 +714,18 @@ print(graphs.KERNEL)
 
 
 class TestLeftAvg:
+    def test_left_hist_and_left_avg_match_mss_stats(self, kernel, corpus):
+        for g, _ in corpus[:250]:
+            stats = mss_stats(g)
+            assert left_hist(g) == list(stats.left_hist)
+            assert left_avg(g) == stats.left_average()
+        g = sample_bipartite(12, 40, 0.3, Seed(85))
+        assert left_hist(g, 12) == list(mss_stats(g, 12).left_hist)
+        # the cap, and past MAX_SCAN_SIDE the kernel's limit, refuse as in mss_stats
+        for g, cap in ((g, 11), (BipartiteGraph(63, 63, (0,) * 63), 100)):
+            with pytest.raises(CapExceeded):
+                left_avg(g, cap)
+
     def test_complete(self):
         assert left_avg(complete_graph(5, 2)) == Fraction(5, 2)
 

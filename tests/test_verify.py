@@ -148,7 +148,8 @@ class TestAverageCampaign:
             )
 
         fast = run_average_campaign(6, 6, 0.5, 0.05, 30, Seed(9))
-        monkeypatch.setattr(mss, "mss_stats", brute_stats)
+        # the campaign reads each graph's left average alone
+        monkeypatch.setattr(mss, "left_avg", lambda g, cap: brute_stats(g, cap).left_average())
         slow = run_average_campaign(6, 6, 0.5, 0.05, 30, Seed(9))
         assert fast == slow
 
@@ -660,10 +661,17 @@ class TestSweep:
     def test_unexpected_errors_propagate(self, monkeypatch, workers):
         from test_golden import FIXTURE, SWEEP_GRID, SWEEP_SEED, SWEEP_TRIALS
 
-        def broken(g, cap=None):
-            raise RuntimeError("kernel fault")
+        real_left_avg, faults = mss.left_avg, []
+
+        def broken(g, cap):
+            # the first call faults; the other points would run to the end
+            if not faults:
+                faults.append(g)
+                raise RuntimeError("kernel fault")
+            return real_left_avg(g, cap)
 
         started, running, lock = [], [0], threading.Lock()
+        second = threading.Event()
         real = verify.run_average_campaign
 
         def counting(*args, **kwargs):
@@ -671,22 +679,27 @@ class TestSweep:
                 first = not started
                 started.append(args)
                 running[0] += 1
+                if len(started) == 2:
+                    second.set()
             try:
-                if not first:
+                if first:
+                    # with 2 workers, fault once the other thread runs a point
+                    second.wait(timeout=10 if workers > 1 else 0)
+                else:
                     time.sleep(0.05)  # still running when the first point raises
                 return real(*args, **kwargs)
             finally:
                 with lock:
                     running[0] -= 1
 
-        monkeypatch.setattr(mss, "mss_stats", broken)
+        monkeypatch.setattr(mss, "left_avg", broken)
         monkeypatch.setattr(verify, "run_average_campaign", counting)
         grid = self.GRID3 * 3
         with pytest.raises(RuntimeError, match="kernel fault"):
             sweep(grid, 2, Seed(1), workers=workers)
-        # the points not started were dropped, and none still runs
+        # no thread started a point after the fault, and none still runs
         assert running == [0]
-        assert len(started) < len(grid)
+        assert len(started) <= workers
         monkeypatch.undo()
         # the pool outlives the error
         reps = sweep(SWEEP_GRID, SWEEP_TRIALS, Seed(SWEEP_SEED), workers=2)
@@ -707,8 +720,27 @@ class TestSweep:
             sweep(self.GRID3, 2, Seed(1), workers=2)
             counts.append(threading.active_count())
         assert counts == counts[:1] * 20
-        # at most two pool threads ran every point while the calling thread waited
-        assert len(threads) <= 2 and threading.current_thread() not in threads
+        # the calling thread and at most one pool thread ran every point
+        assert len(threads - {threading.current_thread()}) <= 1
+
+    def test_sweep_runs_while_every_pool_thread_is_busy(self):
+        # the calling thread runs the points itself, and drops its helper
+        # still queued behind the blocked tasks; the pools of 1 and 2 threads
+        # are both blocked, whichever a 2-worker sweep takes its helpers from
+        want = reports_to_csv(sweep(self.GRID3, 3, Seed(5)), with_regime=True)
+        release, got = threading.Event(), []
+        blockers = [verify._pool(size).submit(release.wait) for size in (1, 2, 2)]
+        caller = threading.Thread(target=lambda: got.append(reports_to_csv(
+            sweep(self.GRID3, 3, Seed(5), workers=2), with_regime=True)), daemon=True)
+        try:
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive(), "the sweep waited for a busy pool"
+        finally:
+            release.set()
+            for blocker in blockers:
+                blocker.result(timeout=60)
+        assert got == [want]
 
     def test_concurrent_sweeps_share_the_pools(self):
         # callers on several threads submit to the same pools at once
