@@ -562,12 +562,12 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
 
 
 @functools.lru_cache(maxsize=None)
-def _pool(workers: int):
-    """The helper threads of every sweep with workers + 1 workers, made on
+def _pool(threads: int):
+    """The helper threads of every sweep with threads + 1 workers, made on
     first use."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=workers)
+    return ThreadPoolExecutor(max_workers=threads)
 
 
 # a forked child inherits the pools but none of their threads
