@@ -40,7 +40,7 @@
  * zero_side_error, /) returns the builtin sample_bipartite(m, n, prob, seed,
  * /) that graphs exports: its self holds the classes and the slot
  * descriptors of m, n, adj and p, looked up once.  It draws a campaign's
- * calls (int sides, a tuple of two int keys, a p read from the slot) with no
+ * calls (int sides, a tuple of two int keys, an EdgeProbability) with no
  * Python frame, and hands any other call to the twin's function over the
  * compiled sample_graph, which makes every check of a public draw, so both
  * kernels refuse alike, text for text.
@@ -679,10 +679,9 @@ PyDoc_STRVAR(sample_bipartite_doc,
 "Compiled counterpart of the sampler _pykernels.sampler binds (same contract).");
 
 /* The fast path takes what a campaign passes: two int sides of at least 1,
- * a tuple of two int keys, and a prob_cls instance or a float, whose
- * prob_cls(prob) raises as the cold path's would.  Any other call, and a p
- * outside [0, 1], goes to the cold path, which makes every check and raises
- * every refusal, so both kernels refuse alike by construction. */
+ * a tuple of two int keys, and a prob_cls instance.  Any other call (a float
+ * p, say) and a p outside [0, 1] go to the cold path, which makes every check
+ * and raises every refusal, so both kernels refuse alike by construction. */
 static PyObject *sample_bipartite(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
                                   PyObject *kwnames)
 {
@@ -694,13 +693,9 @@ static PyObject *sample_bipartite(PyObject *self, PyObject *const *args, Py_ssiz
             && PyTuple_CheckExact(seed) && PyTuple_GET_SIZE(seed) == 2
             && fast_key(PyTuple_GET_ITEM(seed, 0), &key[0])
             && fast_key(PyTuple_GET_ITEM(seed, 1), &key[1])
-            && (Py_IS_TYPE(args[2], (PyTypeObject *)bound[PROB_CLS])
-                || PyFloat_CheckExact(args[2]))) {
-        PyObject *prob = args[2], *descr_p = bound[DESCR_P];
-        prob = PyFloat_CheckExact(prob) ? PyObject_CallOneArg(bound[PROB_CLS], prob)
-                                        : Py_NewRef(prob);
-        PyObject *p_value = prob ? Py_TYPE(descr_p)->tp_descr_get(descr_p, prob, NULL) : NULL;
-        Py_XDECREF(prob);
+            && Py_IS_TYPE(args[2], (PyTypeObject *)bound[PROB_CLS])) {
+        PyObject *descr_p = bound[DESCR_P];
+        PyObject *p_value = Py_TYPE(descr_p)->tp_descr_get(descr_p, args[2], NULL);
         if (p_value == NULL)
             return NULL;
         const double p = PyFloat_CheckExact(p_value) ? PyFloat_AS_DOUBLE(p_value) : -1.0;

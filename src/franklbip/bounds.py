@@ -75,7 +75,8 @@ def _maximal_product(m: int, n: int, prob: EdgeProbability, ell: int, r: int,
 
 def expected_stab_at_least(m: int, n: int, prob, ell_star: int, r_star: int) -> float:
     """Expected number of stable pairs with left part >= ell_star and right
-    part >= r_star, as the exact double sum over binomials."""
+    part >= r_star, as the exact double sum over binomials; a binomial
+    product c past the float range enters as exp(log(c) + ell r ln q)."""
     prob = as_prob(prob).require_interior()
     if not 0 <= ell_star <= m or not 0 <= r_star <= n:
         raise ValueError("thresholds out of range")
@@ -84,7 +85,9 @@ def expected_stab_at_least(m: int, n: int, prob, ell_star: int, r_star: int) -> 
     for ell in range(ell_star, m + 1):
         cm = math.comb(m, ell)
         for r in range(r_star, n + 1):
-            terms.append(cm * math.comb(n, r) * math.exp(ell * r * lnq))
+            c = cm * math.comb(n, r)
+            terms.append(c * math.exp(ell * r * lnq) if c < _FLOAT_INT_LIMIT
+                         else math.exp(math.log(c) + ell * r * lnq))
     return math.fsum(terms)
 
 

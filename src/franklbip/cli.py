@@ -138,7 +138,7 @@ def cmd_stats(args) -> int:
     with open(args.graph) as fh:
         g = parse_graph(fh.read())
     stats = mss.mss_stats(g, cap=args.cap)
-    verdict = mss.verdict_from_stats(stats, g.edge_count() == 0, args.delta)
+    verdict = mss.verdict_from_stats(stats, args.delta)
     avg = stats.left_average()
     cfg = _echo("stats", _resolve_seed(args), graph=args.graph, delta=args.delta,
                 cap=args.cap, format=args.format)

@@ -7,7 +7,8 @@ neighbour in that companion.  All counting therefore scans subsets of the
 smaller side, the left on a tie.  The kernel takes the graph's rows as they
 are stored, picks that side, transposes the rows itself when it is the
 right, and hands the statistics back in graph orientation, so each entry
-here is one cap check and one kernel call.
+here is one cap check and one kernel call.  Only mss_stats, whose counts
+the conjecture's verdict reads, asks the kernel for per-vertex counts.
 
 Counts are exact integers and averages exact rationals: the quantities this
 package checks are equalities and inequalities that must not be blurred by
@@ -48,8 +49,7 @@ class MssStats:
     right_vertex_counts: tuple
 
     def left_average(self) -> Fraction:
-        weighted = sum(k * c for k, c in enumerate(self.left_hist))
-        return Fraction(weighted, self.total)
+        return _mean_size(self.left_hist)
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,7 +145,11 @@ def left_hist(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> list:
 
 def left_avg(g: BipartiteGraph, cap: int = DEFAULT_CAP) -> Fraction:
     """Average size of the left part over all maximal stable sets, exact."""
-    hist = left_hist(g, cap)
+    return _mean_size(left_hist(g, cap))
+
+
+def _mean_size(hist) -> Fraction:
+    """Σ k·h[k] / Σ h: the one formula of left_avg and MssStats.left_average."""
     return Fraction(sum(map(operator.mul, range(len(hist)), hist)), sum(hist))
 
 
@@ -177,8 +181,12 @@ def stab_at_least_count(g: BipartiteGraph, ell_star: int, r_star: int,
 @functools.lru_cache(maxsize=256)
 def _binomial_tails(t: int, lo: int) -> tuple:
     """tails[f] = number of subsets of an f-element set with >= lo elements,
-    for f <= t; a campaign asks for the same (t, lo) on every trial."""
-    return tuple(sum(math.comb(f, j) for j in range(lo, f + 1)) for f in range(t + 1))
+    for f <= t, by tails[f + 1] = 2 tails[f] + C(f, lo - 1); a campaign asks
+    for the same (t, lo) on every trial."""
+    tails = [int(lo == 0)]
+    for f in range(t):
+        tails.append(2 * tails[-1] + (math.comb(f, lo - 1) if lo else 0))
+    return tuple(tails)
 
 
 def almost_unstable_vertex(stats: MssStats, side: str, delta) -> Optional[tuple]:
@@ -206,36 +214,30 @@ def _exact_delta(delta) -> Fraction:
 
 def conjecture_check(g: BipartiteGraph, delta=0, cap: int = DEFAULT_CAP) -> ConjectureVerdict:
     """Up-to-delta verdict for both sides from a single enumeration."""
-    return verdict_from_stats(mss_stats(g, cap), g.edge_count() == 0, delta)
+    return verdict_from_stats(mss_stats(g, cap), delta)
 
 
-def verdict_from_stats(stats: MssStats, vacuous: bool, delta=0) -> ConjectureVerdict:
-    """Up-to-delta verdict from statistics already enumerated; vacuous marks
-    an edgeless graph, which satisfies the conjecture trivially."""
+def verdict_from_stats(stats: MssStats, delta=0) -> ConjectureVerdict:
+    """Up-to-delta verdict from statistics already enumerated; vacuous, and
+    trivially satisfied, iff the graph has a single MSS, (L, R): an edge uv
+    gives two, (L, R∖N(L)) and (L∖N(R), R), so only an edgeless graph does."""
     delta = _exact_delta(delta)
+    vacuous = stats.total == 1
     lw = almost_unstable_vertex(stats, "left", delta)
     rw = almost_unstable_vertex(stats, "right", delta)
     satisfied = vacuous or (lw is not None and rw is not None)
-    return ConjectureVerdict(
-        delta=delta,
-        left_witness=lw,
-        right_witness=rw,
-        satisfied=satisfied,
-        vacuous=vacuous,
-    )
+    return ConjectureVerdict(delta, lw, rw, satisfied, vacuous)
 
 
-def count_left_at_least(stats: MssStats, threshold) -> int:
-    """Number of maximal stable sets with |A∩L| >= threshold.
-
-    Pass a Fraction for thresholds like m/3 that floats cannot represent.
-    """
+def count_left_at_least(hist, threshold) -> int:
+    """Number of maximal stable sets with |A∩L| >= threshold in a left-size
+    histogram; pass a Fraction for a threshold like m/3, which no float is."""
     thr = Fraction(threshold)
-    return sum(c for k, c in enumerate(stats.left_hist) if k >= thr)
+    return sum(c for k, c in enumerate(hist) if k >= thr)
 
 
 # no caller under src/: perfbench/tracing.py wraps it by name
-def count_left_at_most(stats: MssStats, threshold) -> int:
-    """Number of maximal stable sets with |A∩L| <= threshold."""
+def count_left_at_most(hist, threshold) -> int:
+    """Number of maximal stable sets with |A∩L| <= threshold in a left-size histogram."""
     thr = Fraction(threshold)
-    return sum(c for k, c in enumerate(stats.left_hist) if k <= thr)
+    return sum(c for k, c in enumerate(hist) if k <= thr)

@@ -273,7 +273,7 @@ def _constrightside(m, n, prob, params):
 def _few_left_at_least(cap, size, limit, **extra):
     """Setup result of an asymptotic check whose event is: at most `limit`
     maximal stable sets have a left part of at least `size`."""
-    return (lambda g: mss.count_left_at_least(mss.mss_stats(g, cap), size) <= limit,
+    return (lambda g: mss.count_left_at_least(mss.left_hist(g, cap), size) <= limit,
             _informational({"count_limit": limit, **extra}))
 
 

@@ -123,8 +123,8 @@ def test_criterion_05_averaging_identities(corpus):
                     bad.append(("averaging-witness", g, delta))
         for delta in deltas:
             for nu in nus:
-                large = count_left_at_least(stats, (Fraction(1, 2) + delta) * g.m)
-                small = count_left_at_most(stats, (1 - nu) * Fraction(g.m, 2))
+                large = count_left_at_least(stats.left_hist, (Fraction(1, 2) + delta) * g.m)
+                small = count_left_at_most(stats.left_hist, (1 - nu) * Fraction(g.m, 2))
                 if small >= Fraction(large, 1) / nu:
                     if avg > (Fraction(1, 2) + delta) * g.m:
                         bad.append(("small-vs-large", g, nu, delta))

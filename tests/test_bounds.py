@@ -100,6 +100,17 @@ class TestExpectedStab:
     def test_single_term_degenerate(self):
         assert expected_stab_at_least(3, 3, 0.5, 3, 3) == pytest.approx(0.5 ** 9)
 
+    def test_binomial_products_past_the_float_range(self):
+        # C(12, ell) C(1500, r) passes the float range from about r = 271 on,
+        # where the term is tiny; the sum, about 1.18e79, is their log-sum-exp
+        value = expected_stab_at_least(12, 1500, 0.5, 3, 1)
+        logs = [math.log(math.comb(12, ell) * math.comb(1500, r)) + ell * r * math.log(0.5)
+                for ell in range(3, 13) for r in range(1, 1501)]
+        top = max(logs)
+        log_sum = top + math.log(math.fsum(math.exp(x - top) for x in logs))
+        assert math.log(value) == pytest.approx(log_sum, rel=1e-12)
+        assert round(log_sum, 2) == 182.07
+
     def test_tail_table_matches_per_pair_sums(self):
         table = stab_tail_table(7, 5, 0.3)
         for lo in range(8):

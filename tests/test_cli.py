@@ -251,9 +251,10 @@ class TestVerify:
         assert json.loads(out)["reports"][0]["mean_left_avg"] == "1/1"
 
     def test_closed_form_overflow_refusal_exit(self, capsys):
-        # the exact genupper expectation overflows a float at n = 1500
-        rc, out, err = run(capsys, "verify", "genupper", "-m", "12", "-n", "1500",
-                           "-p", "0.5", "--l-star", "3", "--r-star", "1",
+        # the genupper bound, 2^2001 (5000 / 2^20)^3 or about e^1371, is past the
+        # float range
+        rc, out, err = run(capsys, "verify", "genupper", "-m", "2000", "-n", "5000",
+                           "-p", "0.5", "--l-star", "20", "--r-star", "3",
                            "--trials", "2", "--informational")
         assert rc == 3
         assert out == ""

@@ -696,7 +696,7 @@ print(graphs.KERNEL)
 
         monkeypatch.setattr(_pykernels, "bind_sampler", bind_sampler)
         sample = compiled_kernels.sampler(*SAMPLER_CLASSES)
-        probs = [0.0, 1.0, 0.3, *map(graph_module.EdgeProbability, (0.0, 1.0, 0.7))]
+        probs = list(map(graph_module.EdgeProbability, (0.0, 1.0, 0.7)))
         for m in (1, 3):
             for key in self.SAMPLE_KEYS:
                 for prob in probs:
@@ -782,8 +782,15 @@ class TestConjectureCheck:
     def test_verdict_from_stats_matches(self, corpus):
         for g, _ in corpus[:120]:
             for delta in (0, Fraction(1, 10)):
-                got = verdict_from_stats(mss_stats(g), g.edge_count() == 0, delta)
+                got = verdict_from_stats(mss_stats(g), delta)
                 assert got == conjecture_check(g, delta)
+
+    def test_vacuous_iff_edgeless(self, kernel, corpus):
+        # the edgeless graph has one MSS, (L, R); an edge uv gives two,
+        # (L, R - N(L)) and (L - N(R), R)
+        every_small = [g for m in range(1, 4) for n in range(1, 4) for g in all_edge_configs(m, n)]
+        for g in every_small + [g for g, _ in corpus]:
+            assert verdict_from_stats(mss_stats(g)).vacuous == (g.edge_count() == 0), g
 
 
 def test_conjecture_exhaustive_up_to_seven():
@@ -848,6 +855,12 @@ class TestStabAtLeastCount:
         for pair, value in zip(pairs, got):
             assert value == pytest.approx(expected_stab_at_least(m, n, p, *pair), rel=1e-9), pair
 
+    def test_binomial_tails_match_direct_sums(self):
+        for t in range(9):
+            for lo in range(t + 3):
+                assert mss._binomial_tails(t, lo) == tuple(
+                    sum(math.comb(f, j) for j in range(lo, f + 1)) for f in range(t + 1))
+
     def test_thresholds_out_of_range(self):
         g = sample_bipartite(3, 4, 0.5, Seed(1))
         for ell_star, r_star in ((4, 0), (0, 5), (-1, 0)):
@@ -857,20 +870,25 @@ class TestStabAtLeastCount:
 
 class TestTailCounts:
     def test_matching_four_at_least_two(self):
-        st_ = mss_stats(matching_graph(4))
-        assert count_left_at_least(st_, 2) == math.comb(4, 2) + math.comb(4, 3) + 1
+        hist = left_hist(matching_graph(4))
+        assert count_left_at_least(hist, 2) == math.comb(4, 2) + math.comb(4, 3) + 1
 
     def test_complete_five_three(self):
-        st_ = mss_stats(complete_graph(5, 3))
-        assert count_left_at_least(st_, Fraction(5, 2)) == 1
+        assert count_left_at_least(left_hist(complete_graph(5, 3)), Fraction(5, 2)) == 1
 
     def test_empty_graph(self):
-        st_ = mss_stats(empty_graph(4, 2))
-        assert count_left_at_least(st_, 2) == 1
+        assert count_left_at_least(left_hist(empty_graph(4, 2)), 2) == 1
 
     def test_at_most_complements(self):
-        st_ = mss_stats(matching_graph(3))
-        assert count_left_at_most(st_, 1) + count_left_at_least(st_, Fraction(3, 2)) == st_.total
+        hist = left_hist(matching_graph(3))
+        assert count_left_at_most(hist, 1) + count_left_at_least(hist, Fraction(3, 2)) == sum(hist)
+
+    def test_left_hist_counts_as_mss_stats_does(self, kernel, corpus):
+        for g, _ in corpus[:250]:
+            hist, stats_hist = left_hist(g), mss_stats(g).left_hist
+            for threshold in (0, 1, Fraction(g.m, 3), Fraction(g.m, 2), 2.5, g.m):
+                for count in (count_left_at_least, count_left_at_most):
+                    assert count(hist, threshold) == count(stats_hist, threshold)
 
 
 class TestBruteForce:
@@ -904,8 +922,8 @@ class TestAveragingLemmas:
         st_ = mss_stats(g)
         m = g.m
         for nu, delta in ((Fraction(1, 2), Fraction(0)), (Fraction(1, 4), Fraction(1, 20))):
-            large = count_left_at_least(st_, (Fraction(1, 2) + delta) * m)
-            small = count_left_at_most(st_, (1 - nu) * Fraction(m, 2))
+            large = count_left_at_least(st_.left_hist, (Fraction(1, 2) + delta) * m)
+            small = count_left_at_most(st_.left_hist, (1 - nu) * Fraction(m, 2))
             if small >= large / nu:
                 assert st_.left_average() <= (Fraction(1, 2) + delta) * m
 

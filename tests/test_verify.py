@@ -166,7 +166,9 @@ class TestConjectureCampaign:
     def test_one_one_all_non_edgeless_satisfied(self):
         rep = run_conjecture_campaign(1, 1, 0.5, 0.0, 200, Seed(5))
         assert rep.measured == 1.0
-        assert rep.extra["vacuous"] + rep.trials - rep.extra["vacuous"] == 200
+        edgeless = sum(sample_bipartite(1, 1, 0.5, key).adj == (0,)
+                       for key in Seed(5).children(200))
+        assert rep.extra["vacuous"] == edgeless and 0 < edgeless < 200
         assert not rep.extra["violations"]
 
     def test_constant_right_sizes(self):
@@ -347,6 +349,17 @@ def test_scans_flag_matches_the_event(monkeypatch, lemma):
                             lambda *args, _real=real: calls.append(args) or _real(*args))
     verify_lemma(lemma, dict(ROW_POINTS[lemma]), 1, Seed(1), strict=False)
     assert bool(calls) == verify._CHECKS[lemma].scans
+
+
+@pytest.mark.parametrize("lemma", SCANNING_ROWS)
+def test_only_the_conjecture_scans_for_vertex_counts(monkeypatch, lemma):
+    # every other row reads sizes alone, so its scans take counts = 0
+    counts, real = [], mss._impl.scan_stats
+    monkeypatch.setattr(mss._impl, "scan_stats",
+                        lambda *args: counts.append(args[5] if len(args) > 5 else 1) or real(*args))
+    verify_lemma(lemma, dict(ROW_POINTS[lemma]), 2, Seed(1), strict=False)
+    # genupper scans free parts with scan_free_hist
+    assert set(counts) == (set() if lemma == "genupper" else {int(lemma == "conjecture")})
 
 
 class TestOneCap:
@@ -549,8 +562,8 @@ class TestVerifyLemma:
         # whole left side and that vertex with the other 3, whose left part is
         # m/4 < m/3; n^r_star is 1, so the event holds at m/3 but not at m/4
         g = BipartiteGraph(12, 1, (1,) * 9 + (0,) * 3)
-        stats = mss.mss_stats(g)
-        assert [mss.count_left_at_least(stats, Fraction(12, k)) for k in (3, 4)] == [1, 2]
+        hist = mss.left_hist(g)
+        assert [mss.count_left_at_least(hist, Fraction(12, k)) for k in (3, 4)] == [1, 2]
         event, _ = verify._CHECKS["largeleftupper"].setup(12, 1, as_prob(0.5), {})
         assert event(g) is True
 
