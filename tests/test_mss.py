@@ -37,6 +37,7 @@ from franklbip.setfamily import SetFamily, union_closure
 
 # the classes graphs binds its sampler to
 SAMPLER_CLASSES = (BipartiteGraph, graph_module.EdgeProbability, graph_module.ZeroSideError)
+HALF = graph_module.EdgeProbability(0.5)
 
 
 @st.composite
@@ -647,31 +648,34 @@ print(graphs.KERNEL)
             assert g == twin(m, n, p, seed()) == want
 
     # a call's arguments (a fresh tuple each time, since a generator seed is
-    # spent by one call), its keywords and the error both samplers raise
+    # spent by one call), its keywords and the error both samplers raise; p is
+    # an EdgeProbability unless p is refused, so each call the compiled fast
+    # path could take reaches its checks
     SAMPLER_REFUSALS = {
-        "float-m": (lambda: (3.0, 4, 0.5, (1, 2)), {}, TypeError),
-        "m-zero": (lambda: (0, 4, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
-        "n-zero": (lambda: (4, 0, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
-        "n-below-int64": (lambda: (4, -2 ** 70, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
+        "float-m": (lambda: (3.0, 4, HALF, (1, 2)), {}, TypeError),
+        "m-zero": (lambda: (0, 4, HALF, (1, 2)), {}, graph_module.ZeroSideError),
+        "m-zero-float-p": (lambda: (0, 4, 0.5, (1, 2)), {}, graph_module.ZeroSideError),
+        "n-zero": (lambda: (4, 0, HALF, (1, 2)), {}, graph_module.ZeroSideError),
+        "n-below-int64": (lambda: (4, -2 ** 70, HALF, (1, 2)), {}, graph_module.ZeroSideError),
         # a side with more digits than CPython turns into text by default
-        "m-past-digit-limit": (lambda: (-10 ** 5000, 2, 0.5, (1, 2)), {},
+        "m-past-digit-limit": (lambda: (-10 ** 5000, 2, HALF, (1, 2)), {},
                                graph_module.ZeroSideError),
         "p-1.5": (lambda: (4, 4, 1.5, (1, 2)), {}, ValueError),
         # both draws take the sides as C ssize_t, so the sampler refuses a
         # larger side as a bad value, after p
-        "m-2^64": (lambda: (2 ** 64, 2, 0.5, (1, 2)), {}, ValueError),
-        "n-2^63": (lambda: (2, 2 ** 63, 0.5, (1, 2)), {}, ValueError),
+        "m-2^64": (lambda: (2 ** 64, 2, HALF, (1, 2)), {}, ValueError),
+        "n-2^63": (lambda: (2, 2 ** 63, HALF, (1, 2)), {}, ValueError),
         "m-2^64-p-1.5": (lambda: (2 ** 64, 2, 1.5, (1, 2)), {}, ValueError),
         "p-text": (lambda: (4, 4, "half", (1, 2)), {}, ValueError),
-        "seed-3-tuple": (lambda: (4, 4, 0.5, (1, 2, 3)), {}, ValueError),
-        "seed-1-list": (lambda: (4, 4, 0.5, [1]), {}, ValueError),
-        "seed-3-generator": (lambda: (4, 4, 0.5, (key for key in (1, 2, 3))), {}, ValueError),
-        "seed-int": (lambda: (4, 4, 0.5, 5), {}, TypeError),
-        "key-2^64": (lambda: (4, 4, 0.5, (2 ** 64, 0)), {}, OverflowError),
-        "key-negative": (lambda: (4, 4, 0.5, (1, -1)), {}, OverflowError),
-        "key-float": (lambda: (4, 4, 0.5, (1, 2.0)), {}, TypeError),
-        "keyword": (lambda: (4, 4, 0.5), {"seed": (1, 2)}, TypeError),
-        "five-arguments": (lambda: (4, 4, 0.5, (1, 2), 0), {}, TypeError),
+        "seed-3-tuple": (lambda: (4, 4, HALF, (1, 2, 3)), {}, ValueError),
+        "seed-1-list": (lambda: (4, 4, HALF, [1]), {}, ValueError),
+        "seed-3-generator": (lambda: (4, 4, HALF, (key for key in (1, 2, 3))), {}, ValueError),
+        "seed-int": (lambda: (4, 4, HALF, 5), {}, TypeError),
+        "key-2^64": (lambda: (4, 4, HALF, (2 ** 64, 0)), {}, OverflowError),
+        "key-negative": (lambda: (4, 4, HALF, (1, -1)), {}, OverflowError),
+        "key-float": (lambda: (4, 4, HALF, (1, 2.0)), {}, TypeError),
+        "keyword": (lambda: (4, 4, HALF), {"seed": (1, 2)}, TypeError),
+        "five-arguments": (lambda: (4, 4, HALF, (1, 2), 0), {}, TypeError),
     }
 
     @pytest.mark.parametrize("make_args,kwargs,error", SAMPLER_REFUSALS.values(),
