@@ -1,8 +1,10 @@
 """Run the mutants of mutants.py against tier-1.
 
-    python mutation/run.py
+    python mutation/run.py [NAME ...]
 
-For each mutant the tree is copied to a temporary directory and the mutant
+With names, only those mutants run, after the unmutated copy, so a
+change can rerun its survivors; without names, every mutant runs.  For
+each mutant the tree is copied to a temporary directory and the mutant
 applied there; then tier-1 runs in the copy with -x, less the test of the
 list itself, so the compiled_build fixture builds the mutated C.  A failing
 run kills the mutant, and a run past TIMEOUT seconds counts as a kill too.
@@ -62,22 +64,27 @@ def run_tier1(mutant):
     return killed, time.monotonic() - start
 
 
-def main() -> int:
+def main(names) -> int:
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        sys.exit("unknown mutants: " + ", ".join(unknown))
+    chosen = [by_name[name] for name in names] if names else MUTANTS
     failed, seconds = run_tier1(None)
     print(f"unmutated tree: {'FAILS' if failed else 'passes'} ({seconds:.0f} s)", flush=True)
     if failed:
         return 2
     survivors = []
-    for mutant in MUTANTS:
+    for mutant in chosen:
         killed, seconds = run_tier1(mutant)
         print(f"{mutant.name}: {'killed' if killed else 'SURVIVED'} ({seconds:.0f} s)", flush=True)
         if not killed:
             survivors.append(mutant.name)
-    print(f"killed {len(MUTANTS) - len(survivors)} of {len(MUTANTS)}")
+    print(f"killed {len(chosen) - len(survivors)} of {len(chosen)}")
     if survivors:
         print("survivors: " + ", ".join(survivors))
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -81,11 +81,12 @@ def expected_stab_at_least(m: int, n: int, prob, ell_star: int, r_star: int) -> 
     if not 0 <= ell_star <= m or not 0 <= r_star <= n:
         raise ValueError("thresholds out of range")
     lnq = math.log(prob.q)
+    right = [math.comb(n, r) for r in range(r_star, n + 1)]
     terms = []
     for ell in range(ell_star, m + 1):
         cm = math.comb(m, ell)
-        for r in range(r_star, n + 1):
-            c = cm * math.comb(n, r)
+        for r, cn in enumerate(right, r_star):
+            c = cm * cn
             terms.append(c * math.exp(ell * r * lnq) if c < _FLOAT_INT_LIMIT
                          else math.exp(math.log(c) + ell * r * lnq))
     return math.fsum(terms)

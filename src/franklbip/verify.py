@@ -8,7 +8,7 @@ memory, to a frequency or mean and confronts it with the closed form from
 below ALPHA, the false-alarm rate of a 4-sigma normal band.  Asymptotic
 claims (those that only hold beyond unspecified size thresholds) are
 reported with verdict "informational": finite-size runs can measure them
-but not refute them.  A row that scans refuses a smaller side over `mss`'s cap first.
+but not refute them.  Each row refuses its own parameters, cap included.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import repeat
@@ -205,9 +206,11 @@ def _mean_at_most(claimed, extra):
     return summary
 
 
-def _cap(params):
-    """The largest scan side a row's event enumerates."""
-    return params.get("cap", mss.DEFAULT_CAP)
+def _scan_cap(m, n, params):
+    """The largest scan side a row's event enumerates; refuses min(m, n) over it."""
+    cap = params.get("cap", mss.DEFAULT_CAP)
+    mss._check_cap(min(m, n), cap)
+    return cap
 
 
 class CheckSpec(NamedTuple):
@@ -217,13 +220,13 @@ class CheckSpec(NamedTuple):
     values in one pass, keeping only its sufficient statistic (a hit count,
     a sum and a sum of squares, a Fraction sum, or the vacuous count and the
     violating graphs), and returns (claimed, measured, ci, verdict, extra).
-    Events call mss.<fn> as they run, so a patched mss is what runs.  scans
-    is True when the event enumerates.  hypothesis(m, n, prob, params)
-    raises HypothesisViolation outside the claim's hypothesis."""
+    Events call mss.<fn> as they run, so a patched mss is what runs.  A
+    setup whose event enumerates takes its cap from _scan_cap, after its
+    closed forms.  hypothesis(m, n, prob, params) raises HypothesisViolation
+    outside the claim's hypothesis, and ValueError on a bad parameter."""
 
     needs: tuple
     setup: Callable
-    scans: bool
     hypothesis: Optional[Callable] = None
 
 
@@ -238,7 +241,7 @@ def _genupper(m, n, prob, params):
     ell_star, r_star = params["ell_star"], params["r_star"]
     claimed = bounds.genupper_bound(m, n, prob, ell_star, r_star)
     exact = bounds.expected_stab_at_least(m, n, prob, ell_star, r_star)
-    cap = _cap(params)
+    cap = _scan_cap(m, n, params)
     return (lambda g: mss.stab_at_least_count(g, ell_star, r_star, cap),
             _mean_at_most(claimed, {"exact_expectation": exact}))
 
@@ -270,16 +273,17 @@ def _constrightside(m, n, prob, params):
     return lambda g: full in g.adj, _frequency(bounds.dominating_vertex_prob(m, n, prob))
 
 
-def _few_left_at_least(cap, size, limit, **extra):
+def _few_left_at_least(m, n, params, size, limit, **extra):
     """Setup result of an asymptotic check whose event is: at most `limit`
     maximal stable sets have a left part of at least `size`."""
+    cap = _scan_cap(m, n, params)
     return (lambda g: mss.count_left_at_least(mss.left_hist(g, cap), size) <= limit,
             _informational({"count_limit": limit, **extra}))
 
 
 def _largeleftupper(m, n, prob, params):
     r_star = bounds.regime_constants(prob).r_star
-    return _few_left_at_least(_cap(params), Fraction(m, 3), float(n) ** r_star,
+    return _few_left_at_least(m, n, params, Fraction(m, 3), float(n) ** r_star,
                               r_star=r_star)
 
 
@@ -291,11 +295,12 @@ def _largeleft_hypothesis(m, n, prob, params):
 
 def _squpperbound(m, n, prob, params):
     exponent = math.log(4.0) / prob.log_inv_q  # log_q(1/4) = log_{1/q}(4)
-    return _few_left_at_least(_cap(params), Fraction(m, 2), 2.0 * float(n) ** exponent)
+    return _few_left_at_least(m, n, params, Fraction(m, 2), 2.0 * float(n) ** exponent)
 
 
 def _squpper_hypothesis(m, n, prob, params):
     alpha = params.get("alpha", DEFAULT_ALPHA)
+    _check_alpha(alpha)
     if math.log(n) / prob.log_inv_q > bounds.regime_thresholds(m, alpha)["alpha*m"]:
         raise HypothesisViolation(f"needs n <= q^(-alpha m) with alpha={alpha}")
 
@@ -303,7 +308,7 @@ def _squpper_hypothesis(m, n, prob, params):
 def _superpoly(m, n, prob, params):
     rp = RegimeParams.from_mnp(m, n, prob)
     expectation = bounds.expected_small_mss(m, n, prob, rp.a, rp.b)
-    cap = _cap(params)
+    cap = _scan_cap(m, n, params)
     return (lambda g: mss.count_mss_with_sizes(g, rp.a, rp.b, cap) > 0.5 * expectation,
             _informational({"a": rp.a, "b": rp.b, "expectation": expectation}))
 
@@ -317,16 +322,17 @@ def _superpoly_hypothesis(m, n, prob, params):
 
 
 def _with_a_prime(m, n, prob):
-    """RegimeParams whose a' is defined; its absence refuses in any mode."""
+    """RegimeParams whose a' is defined; setups call it, so either mode refuses."""
     rp = RegimeParams.from_mnp(m, n, prob)
     if rp.a_prime is None:
         raise HypothesisViolation("n is below m^log_{1/q}(m); a' undefined")
     return rp
 
 
-def _many_left_of_size(cap, size, threshold, **extra):
+def _many_left_of_size(m, n, params, size, threshold, **extra):
     """Setup result of an asymptotic check whose event is: at least
     `threshold` maximal stable sets have a left part of exactly `size`."""
+    cap = _scan_cap(m, n, params)
     return (lambda g: mss.left_hist(g, cap)[size] >= threshold,
             _informational({"a_prime": size, **extra, "count_threshold": threshold}))
 
@@ -334,7 +340,7 @@ def _many_left_of_size(cap, size, threshold, **extra):
 def _hoeffding_exp(m, n, prob, params):
     rp = _with_a_prime(m, n, prob)
     threshold = bounds._small_mss_product(prob, m, rp.a_prime, rp.b)
-    return _many_left_of_size(_cap(params), rp.a_prime, threshold, b=rp.b)
+    return _many_left_of_size(m, n, params, rp.a_prime, threshold, b=rp.b)
 
 
 def _hoeffding_hypothesis(m, n, prob, params):
@@ -349,7 +355,7 @@ def _asymptotic_lower(m, n, prob, params):
     rp = _with_a_prime(m, n, prob)
     phi = params["phi"]
     threshold = 2.0 ** ((1.0 - phi) * bounds.binary_entropy(min(rp.lam, 1.0)) * m)
-    return _many_left_of_size(_cap(params), rp.a_prime, threshold, lam=rp.lam)
+    return _many_left_of_size(m, n, params, rp.a_prime, threshold, lam=rp.lam)
 
 
 def _asymptotic_hypothesis(m, n, prob, params):
@@ -357,21 +363,20 @@ def _asymptotic_hypothesis(m, n, prob, params):
     t = bounds.regime_thresholds(m)
     if not t["m/16"] <= x <= t["m/2"]:
         raise HypothesisViolation("needs q^(-m/16) <= n <= q^(-m/2)")
-    _with_a_prime(m, n, prob)
 
 
 def _veryverylargeside(m, n, prob, params):
     # a graph has at most one MSS per subset of its smaller side, so a total
     # of 2^m forces m <= n and makes every left subset a left part: the
     # average left part is then m/2 and needs no check of its own
-    target, cap = 1 << m, _cap(params)
+    target, cap = 1 << m, _scan_cap(m, n, params)
     return (lambda g: sum(mss.left_hist(g, cap)) == target,
             _informational({"target_total": target}))
 
 
 def _average(m, n, prob, params):
-    cap = _cap(params)
     threshold = (Fraction(1, 2) + mss._exact_delta(params["delta"])) * m
+    cap = _scan_cap(m, n, params)
 
     def summary(averages, trials):
         total, hits = Fraction(0), 0
@@ -384,7 +389,7 @@ def _average(m, n, prob, params):
 
 
 def _conjecture(m, n, prob, params):
-    delta, cap = mss._exact_delta(params["delta"]), _cap(params)
+    delta, cap = mss._exact_delta(params["delta"]), _scan_cap(m, n, params)
 
     def event(g):
         verdict = mss.conjecture_check(g, delta, cap)
@@ -410,19 +415,19 @@ def _conjecture(m, n, prob, params):
 
 _MNP = ("m", "n", "p")
 _CHECKS = {
-    "mssproba": CheckSpec((*_MNP, "ell", "r"), _mssproba, False),
-    "genupper": CheckSpec((*_MNP, "ell_star", "r_star"), _genupper, True, _genupper_hypothesis),
-    "indmatchings": CheckSpec(("k", "k", "p"), _indmatchings, False),
-    "superpoly.lower.bound": CheckSpec(_MNP, _superpoly, True, _superpoly_hypothesis),
-    "lem.hoeffding.exp": CheckSpec(_MNP, _hoeffding_exp, True, _hoeffding_hypothesis),
-    "asymptotic.lower.bound": CheckSpec((*_MNP, "phi"), _asymptotic_lower, True,
+    "mssproba": CheckSpec((*_MNP, "ell", "r"), _mssproba),
+    "genupper": CheckSpec((*_MNP, "ell_star", "r_star"), _genupper, _genupper_hypothesis),
+    "indmatchings": CheckSpec(("k", "k", "p"), _indmatchings),
+    "superpoly.lower.bound": CheckSpec(_MNP, _superpoly, _superpoly_hypothesis),
+    "lem.hoeffding.exp": CheckSpec(_MNP, _hoeffding_exp, _hoeffding_hypothesis),
+    "asymptotic.lower.bound": CheckSpec((*_MNP, "phi"), _asymptotic_lower,
                                         _asymptotic_hypothesis),
-    "veryverylargeside": CheckSpec(_MNP, _veryverylargeside, True),
-    "constrightside": CheckSpec(_MNP, _constrightside, False),
-    "largeleftupper": CheckSpec(_MNP, _largeleftupper, True, _largeleft_hypothesis),
-    "squpperbound": CheckSpec(_MNP, _squpperbound, True, _squpper_hypothesis),
-    "average": CheckSpec((*_MNP, "delta"), _average, True),
-    "conjecture": CheckSpec((*_MNP, "delta"), _conjecture, True),
+    "veryverylargeside": CheckSpec(_MNP, _veryverylargeside),
+    "constrightside": CheckSpec(_MNP, _constrightside),
+    "largeleftupper": CheckSpec(_MNP, _largeleftupper, _largeleft_hypothesis),
+    "squpperbound": CheckSpec(_MNP, _squpperbound, _squpper_hypothesis),
+    "average": CheckSpec((*_MNP, "delta"), _average),
+    "conjecture": CheckSpec((*_MNP, "delta"), _conjecture),
 }
 
 
@@ -437,11 +442,10 @@ def verify_lemma(lemma_id: str, params: dict, trials: int, seed: Seed,
     HypothesisViolation; otherwise the run proceeds and the report is
     flagged outside_hypothesis with an informational verdict.  A missing
     parameter raises MissingParameter in either mode, before the hypothesis
-    is looked at.  lem.hoeffding.exp and asymptotic.lower.bound refuse an
-    undefined a' in either mode, since their event needs it.  A row that
-    scans enumerates with the cap params["cap"] (default mss.DEFAULT_CAP),
-    and refuses min(m, n) over it after its setup, before the first draw.
-    m and n are taken through operator.index, so the report holds ints."""
+    is looked at.  Any other refusal of a row, such as an alpha outside
+    [1/16, 1/2), an undefined a', or a side min(m, n) over the cap
+    params["cap"] (default mss.DEFAULT_CAP), comes in either mode before
+    the first draw.  m and n go through operator.index, so the report holds ints."""
     if lemma_id not in _CHECKS:
         raise UnknownLemma(f"unknown check {lemma_id!r}; known: {', '.join(known_lemmas())}")
     spec = _CHECKS[lemma_id]
@@ -460,8 +464,6 @@ def verify_lemma(lemma_id: str, params: dict, trials: int, seed: Seed,
                 raise
             outside = True
     event, summary = spec.setup(m, n, prob, params)
-    if spec.scans:
-        mss._check_cap(min(m, n), _cap(params))
     # read once per call: a wrapper put on verify.sample_bipartite before the
     # call (a tracer, say) draws every trial of it, one graph per trial.  The
     # summary folds the stream of per-trial values once, keeping no list.
@@ -497,8 +499,8 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
     checked, so a degenerate point draws no graph.  A trial count
     below 1 or above 2^32, a worker count below 1 or an alpha outside
     [1/16, 1/2) refuses the whole sweep with ValueError before any point
-    runs.  For workers > 1 the calling thread and up to workers - 1 threads
-    of a pool each take the next point, in grid order, until none is left.
+    runs.  One loop runs the points: the calling thread and, for workers > 1,
+    up to workers - 1 pool threads each take the next point in grid order.
     The pool is made, and `concurrent.futures` imported, on the first such
     sweep, then reused by every later sweep with the same worker count; a
     pool thread still busy with another sweep's points when this one ends is
@@ -515,9 +517,9 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
         idx, (m, n, p, delta) = item
         m, n = operator.index(m), operator.index(n)
         try:
-            as_prob(p).require_interior()
-            report = run_average_campaign(m, n, p, delta, trials, seed.child(idx), cap=cap)
-            regime = classify_regime(m, n, p, alpha=alpha).value
+            prob = as_prob(p).require_interior()
+            report = run_average_campaign(m, n, prob, delta, trials, seed.child(idx), cap=cap)
+            regime = classify_regime(m, n, prob, alpha=alpha).value
             return replace(report, extra={**report.extra, "regime": regime})
         except (CapExceeded, HypothesisViolation, ValueError) as exc:
             return BoundReport(
@@ -528,10 +530,6 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
             )
 
     items = list(enumerate(grid))
-    if workers == 1:
-        return [one(item) for item in items]
-    import threading
-
     reports, errors = [None] * len(items), []
     todo, lock = iter(items), threading.Lock()
 
@@ -549,8 +547,8 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
                     errors.append(exc)
                 return
 
-    pool = _pool(workers - 1)
-    helpers = [pool.submit(run) for _ in range(min(workers, len(items)) - 1)]
+    # a serial sweep asks no pool for helpers
+    helpers = [_pool(workers - 1).submit(run) for _ in range(min(workers, len(items)) - 1)]
     run()
     # a helper still queued behind another sweep's work is dropped, and a
     # running one finishes its point

@@ -662,6 +662,12 @@ class TestCompiledBuild:
           "--informational"], 3, "refused: n is below m^log_{1/q}(m); a' undefined"),
         (["verify", "asymptotic.lower.bound", "-m", "4", "-n", "2", "-p", "0.9", "--phi",
           "0.5", "--trials", "5"], 3, "refused: n is below m^log_{1/q}(m); a' undefined"),
+        # squpperbound's hypothesis reads alpha, so it refuses it in either mode
+        (["verify", "squpperbound", "-m", "10", "-n", "16", "-p", "0.5", "--alpha", "5",
+          "--trials", "3"], 2, "usage error: alpha must lie in [1/16, 1/2), got 5.0"),
+        (["verify", "squpperbound", "-m", "10", "-n", "16", "-p", "0.5", "--alpha", "5",
+          "--trials", "3", "--informational"], 2,
+         "usage error: alpha must lie in [1/16, 1/2), got 5.0"),
         (["stats", "{matching}", "--delta=inf"], 2, "usage error: delta must be finite, got inf"),
         (["stats", "{matching}", "--delta=nan"], 2, "usage error: delta must be finite, got nan"),
         # a side past a C ssize_t is a bad value, not a closed form's overflow
@@ -671,6 +677,7 @@ class TestCompiledBuild:
           "--trials", "2"], 2, "usage error: need m <= 9223372036854775807"),
     ], ids=["stats-cap", "verify-refused", "frankl-malformed", "sample-zero-side",
             "sweep-bad-alpha", "hoeffding-a-prime-informational", "asymptotic-a-prime",
+            "squpperbound-bad-alpha", "squpperbound-bad-alpha-informational",
             "stats-delta-inf", "stats-delta-nan", "sample-side-past-ssize-t",
             "verify-side-past-ssize-t"])
     def test_exit_codes(self, compiled_build, tmp_path, argv, code, message):

@@ -327,7 +327,9 @@ ROW_POINTS = {
     "average": {"m": 7, "n": 5, "p": 0.4, "delta": 0.05},
     "conjecture": {"m": 3, "n": 2, "p": 0.3, "delta": 0.1},
 }
-SCANNING_ROWS = [lemma for lemma in ROW_POINTS if verify._CHECKS[lemma].scans]
+# every row but these three enumerates, and asks _scan_cap for its cap
+NON_SCANNING_ROWS = ("mssproba", "indmatchings", "constrightside")
+SCANNING_ROWS = [lemma for lemma in ROW_POINTS if lemma not in NON_SCANNING_ROWS]
 # a smaller side of 31 for each row that scans; a' needs n >= m^log_{1/q}(m)
 OVER_CAP_SIDES = {lemma: {"m": 31, "n": 31} for lemma in SCANNING_ROWS}
 OVER_CAP_SIDES["genupper"] = {"m": 40, "n": 31}
@@ -341,14 +343,18 @@ def test_row_points_cover_every_check():
 
 @pytest.mark.parametrize("lemma", ROW_POINTS)
 def test_scans_flag_matches_the_event(monkeypatch, lemma):
-    # one trial enumerates exactly when the row says it scans
-    calls = []
+    # one trial enumerates exactly when the row's setup asked for its cap
+    calls, caps = [], []
     for name in ("scan_stats", "scan_free_hist"):
         real = getattr(mss._impl, name)
         monkeypatch.setattr(mss._impl, name,
                             lambda *args, _real=real: calls.append(args) or _real(*args))
+    real_cap = verify._scan_cap
+    monkeypatch.setattr(verify, "_scan_cap",
+                        lambda *args: caps.append(args) or real_cap(*args))
     verify_lemma(lemma, dict(ROW_POINTS[lemma]), 1, Seed(1), strict=False)
-    assert bool(calls) == verify._CHECKS[lemma].scans
+    assert bool(calls) == bool(caps) == (lemma in SCANNING_ROWS)
+    assert len(caps) <= 1
 
 
 @pytest.mark.parametrize("lemma", SCANNING_ROWS)
@@ -372,6 +378,24 @@ class TestOneCap:
         params = {**ROW_POINTS[lemma], **OVER_CAP_SIDES[lemma]}
         with pytest.raises(CapExceeded, match="^scan side 31 exceeds the cap of 30$"):
             verify_lemma(lemma, params, 3, Seed(1), strict=False)
+        assert draws == []
+
+    @pytest.mark.parametrize("lemma", ["largeleftupper", "squpperbound"])
+    def test_closed_form_refuses_before_the_cap(self, monkeypatch, lemma):
+        # m = 40 is over the cap, but float(n) at n = 2^1100 overflows first,
+        # in the setup's closed form
+        draws = []
+        monkeypatch.setattr(verify, "sample_bipartite", lambda *args: draws.append(args))
+        with pytest.raises(OverflowError):
+            verify_lemma(lemma, {"m": 40, "n": 1 << 1100, "p": 0.5}, 3, Seed(1), strict=False)
+        assert draws == []
+
+    def test_delta_refuses_before_the_cap(self, monkeypatch):
+        # the average row reads its threshold before it asks for its cap
+        draws = []
+        monkeypatch.setattr(verify, "sample_bipartite", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="^delta must be finite, got inf$"):
+            run_average_campaign(31, 31, 0.5, math.inf, 3, Seed(1))
         assert draws == []
 
     def test_genupper_scans_the_smaller_side(self, kernel):
@@ -482,11 +506,29 @@ class TestVerifyLemma:
         with pytest.raises(HypothesisViolation, match=match):
             verify_lemma(lemma, params, 5, Seed(1), strict=strict)
 
-    def test_asymptotic_hypothesis_refuses_undefined_a_prime(self):
-        # log_{1/q}(2) = 0.30 lies in [m/16, m/2], but n = 2 is below m^log_{1/q}(m)
-        hypothesis = verify._CHECKS["asymptotic.lower.bound"].hypothesis
-        with pytest.raises(HypothesisViolation, match="a' undefined"):
-            hypothesis(4, 2, as_prob(0.9), {"m": 4, "n": 2, "p": 0.9, "phi": 0.5})
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "informational"])
+    def test_asymptotic_setup_refuses_undefined_a_prime(self, monkeypatch, strict):
+        # log_{1/q}(2) = 0.30 lies in [m/16, m/2], so the hypothesis holds; but
+        # n = 2 is below m^log_{1/q}(m), and the setup refuses in either mode
+        params = {"m": 4, "n": 2, "p": 0.9, "phi": 0.5}
+        verify._CHECKS["asymptotic.lower.bound"].hypothesis(4, 2, as_prob(0.9), params)
+        draws = []
+        monkeypatch.setattr(verify, "sample_bipartite", lambda *args: draws.append(args))
+        text = "n is below m^log_{1/q}(m); a' undefined"
+        with pytest.raises(HypothesisViolation, match=f"^{re.escape(text)}$"):
+            verify_lemma("asymptotic.lower.bound", params, 5, Seed(1), strict=strict)
+        assert draws == []
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "informational"])
+    def test_squpperbound_refuses_alpha_out_of_range(self, monkeypatch, strict):
+        # the hypothesis reads alpha, so it refuses an alpha of 5 in either
+        # mode, with the text of regime and sweep; n <= q^(-alpha m) holds
+        draws = []
+        monkeypatch.setattr(verify, "sample_bipartite", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match=re.escape("alpha must lie in [1/16, 1/2), got 5.0")):
+            verify_lemma("squpperbound", {"m": 10, "n": 16, "p": 0.5, "alpha": 5.0}, 3, Seed(1),
+                         strict=strict)
+        assert draws == []
 
     def test_informational_mode_runs_outside_hypothesis(self):
         rep = verify_lemma(
