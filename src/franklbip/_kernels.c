@@ -35,15 +35,14 @@
  * keeps the interpreter lock, a row of up to STACK_WORDS words lives on the
  * stack, each edge bit is set without a branch, and the graph is filled
  * through the class's slot descriptors, with no Python code run per draw.
- * sample_graph(cls, m, n, p, root, stream, /) checks only what keeps the
- * draw safe and the graph valid.  sampler(graph_cls, prob_cls,
- * zero_side_error, /) returns the builtin sample_bipartite(m, n, prob, seed,
- * /) that graphs exports: its self holds the classes and the slot
- * descriptors of m, n, adj and p, looked up once.  It draws a campaign's
- * calls (int sides, a tuple of two int keys, an EdgeProbability) with no
- * Python frame, and hands any other call to the twin's function over the
- * compiled sample_graph, which makes every check of a public draw, so both
- * kernels refuse alike, text for text.
+ * sampler(graph_cls, prob_cls, zero_side_error, /) returns the builtin
+ * sample_bipartite(m, n, prob, seed, /) that graphs exports, the one entry
+ * that draws: its self holds the classes and the slot descriptors of m, n,
+ * adj and p, looked up once.  It draws a campaign's calls (int sides, a tuple
+ * of two int keys, an EdgeProbability) with no Python frame.  Any other call
+ * is checked once, by the twin's function, which makes every check of a
+ * public draw, so both kernels refuse alike, text for text; that function
+ * hands the checked call back, and the builtin draws it.
  *
  * Every entry but that builtin takes positional arguments only and is
  * registered without keywords, so CPython refuses a keyword itself.  The
@@ -530,14 +529,14 @@ static PyObject *words_to_long(const u64 *words, Py_ssize_t W, PyObject *sixty_f
 static PyObject *field_names[4];
 
 /* cls's descriptor of slot field_names[i], found as attribute lookup on a
- * class finds it (a borrowed reference), or NULL with caller()'s TypeError.
+ * class finds it (a borrowed reference), or NULL with sampler()'s TypeError.
  * Slots only: setting or reading one runs no Python code. */
-static PyObject *slot_descr(const char *caller, PyObject *cls, int i)
+static PyObject *slot_descr(PyObject *cls, int i)
 {
     PyObject *descr = PyType_Check(cls) ? _PyType_Lookup((PyTypeObject *)cls, field_names[i])
                                         : NULL;
     if (descr == NULL || !Py_IS_TYPE(descr, &PyMemberDescr_Type)) {
-        PyErr_Format(PyExc_TypeError, "%s() needs a class with a slot %R, not %R", caller,
+        PyErr_Format(PyExc_TypeError, "sampler() needs a class with a slot %R, not %R",
                      field_names[i], cls);
         return NULL;
     }
@@ -606,53 +605,14 @@ static PyObject *draw_graph(PyTypeObject *cls, PyObject *const descrs[3], Py_ssi
     return graph;
 }
 
-PyDoc_STRVAR(sample_graph_doc,
-"sample_graph(cls, m, n, p, root, stream, /)\n--\n\n"
-"Compiled counterpart of _pykernels.sample_graph: the same draw, and the\n"
-"checks that keep a C draw safe and the graph valid.");
-
-/* Only the checks that keep the draw safe and the graph valid: sides of at
- * least 1 that fit a ssize_t, keys in [0, 2^64) and a class with slots m, n
- * and adj, each read with CPython's own conversions.  The public sampler,
- * the twin's function that bind_sampler returns, makes every other check. */
-static PyObject *sample_graph(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_nargs("sample_graph", nargs, 6, 6) < 0)
-        return NULL;
-    Py_ssize_t m = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
-    if (m == -1 && PyErr_Occurred())
-        return NULL;
-    Py_ssize_t n = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
-    if (n == -1 && PyErr_Occurred())
-        return NULL;
-    if (m < 1 || n < 1) {
-        PyErr_SetString(PyExc_ValueError, "need m >= 1 and n >= 1");
-        return NULL;
-    }
-    double p = PyFloat_AsDouble(args[3]);
-    if (p == -1.0 && PyErr_Occurred())
-        return NULL;
-    u64 key[2];
-    PyObject *descrs[3];
-    for (int i = 0; i < 2; i++) {
-        key[i] = PyLong_AsUnsignedLongLong(args[4 + i]);
-        if (key[i] == (u64)-1 && PyErr_Occurred())
-            return NULL;
-    }
-    for (int i = 0; i < 3; i++)
-        if ((descrs[i] = slot_descr("sample_graph", args[0], i)) == NULL)
-            return NULL;
-    return draw_graph((PyTypeObject *)args[0], descrs, m, n, p, key);
-}
-
 /* A bound sampler's self is a tuple: the graph and probability classes
- * sampler() took, the twin's function over the compiled sample_graph that
- * takes every call the fast path does not, then the graph class's
- * descriptors of m, n and adj and the probability class's descriptor of p,
- * each looked up once, by sampler(). */
+ * sampler() took, the cold path (the twin's checks, bound over a draw that
+ * hands the checked call back), then the graph class's descriptors of m, n
+ * and adj and the probability class's descriptor of p, each looked up once,
+ * by sampler(). */
 enum { GRAPH_CLS, PROB_CLS, COLD_PATH, DESCR_M, DESCR_N, DESCR_ADJ, DESCR_P, BOUND_FIELDS };
 
-/* A side the fast path takes: an int, exactly, in [1, PY_SSIZE_T_MAX]. */
+/* A side the builtin draws: an int, exactly, in [1, PY_SSIZE_T_MAX]. */
 static int fast_side(PyObject *side, Py_ssize_t *out)
 {
     int past = 1;
@@ -661,7 +621,7 @@ static int fast_side(PyObject *side, Py_ssize_t *out)
     return !past && value >= 1 && value == *out;
 }
 
-/* A key the fast path takes: an int, exactly, in [0, 2^64). */
+/* A key the builtin draws: an int, exactly, in [0, 2^64). */
 static int fast_key(PyObject *key, u64 *out)
 {
     if (!PyLong_CheckExact(key))
@@ -674,36 +634,60 @@ static int fast_key(PyObject *key, u64 *out)
     return 1;
 }
 
+/* 1 when both sides and both keys are ones the builtin draws, read into m, n
+ * and key; the one acceptance of both paths. */
+static int fast_call(PyObject *const *sides, PyObject *const *keys, Py_ssize_t *m,
+                     Py_ssize_t *n, u64 key[2])
+{
+    return fast_side(sides[0], m) && fast_side(sides[1], n) && fast_key(keys[0], &key[0])
+           && fast_key(keys[1], &key[1]);
+}
+
 PyDoc_STRVAR(sample_bipartite_doc,
 "sample_bipartite(m, n, prob, seed, /)\n--\n\n"
 "Compiled counterpart of the sampler _pykernels.sampler binds (same contract).");
 
 /* The fast path takes what a campaign passes: two int sides of at least 1,
- * a tuple of two int keys, and a prob_cls instance.  Any other call (a float
- * p, say) and a p outside [0, 1] go to the cold path, which makes every check
- * and raises every refusal, so both kernels refuse alike by construction. */
+ * a tuple of two int keys, and a prob_cls instance whose p lies in [0, 1].
+ * Any other call (a float p, say) goes to the cold path, the twin's function,
+ * which makes every check and raises every refusal, so both kernels refuse
+ * alike by construction.  It hands back the checked call (graph_cls, m, n, p,
+ * root, stream), and this draws it with the same acceptance and draw_graph.
+ * A call the acceptance refuses is a fault of the checks, so SystemError. */
 static PyObject *sample_bipartite(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
                                   PyObject *kwnames)
 {
     PyObject *const *bound = &PyTuple_GET_ITEM(self, 0);
     Py_ssize_t m, n;
     u64 key[2];
+    double p;
     PyObject *seed = nargs == 4 ? args[3] : NULL;
-    if (kwnames == NULL && seed != NULL && fast_side(args[0], &m) && fast_side(args[1], &n)
-            && PyTuple_CheckExact(seed) && PyTuple_GET_SIZE(seed) == 2
-            && fast_key(PyTuple_GET_ITEM(seed, 0), &key[0])
-            && fast_key(PyTuple_GET_ITEM(seed, 1), &key[1])
+    if (kwnames == NULL && seed != NULL && PyTuple_CheckExact(seed) && PyTuple_GET_SIZE(seed) == 2
+            && fast_call(args, &PyTuple_GET_ITEM(seed, 0), &m, &n, key)
             && Py_IS_TYPE(args[2], (PyTypeObject *)bound[PROB_CLS])) {
         PyObject *descr_p = bound[DESCR_P];
         PyObject *p_value = Py_TYPE(descr_p)->tp_descr_get(descr_p, args[2], NULL);
         if (p_value == NULL)
             return NULL;
-        const double p = PyFloat_CheckExact(p_value) ? PyFloat_AS_DOUBLE(p_value) : -1.0;
+        p = PyFloat_CheckExact(p_value) ? PyFloat_AS_DOUBLE(p_value) : -1.0;
         Py_DECREF(p_value);
         if (p >= 0.0 && p <= 1.0)
             return draw_graph((PyTypeObject *)bound[GRAPH_CLS], bound + DESCR_M, m, n, p, key);
     }
-    return PyObject_Vectorcall(bound[COLD_PATH], args, nargs, kwnames);
+    PyObject *call = PyObject_Vectorcall(bound[COLD_PATH], args, nargs, kwnames);
+    if (call == NULL)
+        return NULL;
+    PyObject *const *checked = PyTuple_CheckExact(call) && PyTuple_GET_SIZE(call) == 6
+                                   ? &PyTuple_GET_ITEM(call, 0) : NULL;
+    PyObject *graph = NULL;
+    /* p is prob_cls(prob).p, read as any float is read */
+    if (checked == NULL || checked[0] != bound[GRAPH_CLS]
+            || !fast_call(checked + 1, checked + 4, &m, &n, key))
+        PyErr_SetString(PyExc_SystemError, "the sampler's checks passed a call it cannot draw");
+    else if ((p = PyFloat_AsDouble(checked[3])) != -1.0 || !PyErr_Occurred())
+        graph = draw_graph((PyTypeObject *)bound[GRAPH_CLS], bound + DESCR_M, m, n, p, key);
+    Py_DECREF(call);
+    return graph;
 }
 
 static PyMethodDef sample_bipartite_def = {
@@ -723,17 +707,17 @@ static PyObject *sampler(PyObject *module, PyObject *const *args, Py_ssize_t nar
         return NULL;
     PyObject *held[BOUND_FIELDS] = {args[0], args[1], NULL};
     for (int i = 0; i < 3; i++)
-        if ((held[DESCR_M + i] = slot_descr("sampler", args[0], i)) == NULL)
+        if ((held[DESCR_M + i] = slot_descr(args[0], i)) == NULL)
             return NULL;
-    if ((held[DESCR_P] = slot_descr("sampler", args[1], 3)) == NULL)
+    if ((held[DESCR_P] = slot_descr(args[1], 3)) == NULL)
         return NULL;
     if (!PyExceptionClass_Check(args[2])) {
         PyErr_Format(PyExc_TypeError, "sampler() needs an exception class, not %R", args[2]);
         return NULL;
     }
-    /* the cold path: _pykernels.bind_sampler(*args, sample_graph) */
+    /* the cold path: _pykernels.bind_sampler(*args, _pykernels._hand_back) */
     PyObject *twin = PyImport_ImportModule("franklbip._pykernels");
-    PyObject *draw = twin ? PyObject_GetAttrString(module, "sample_graph") : NULL;
+    PyObject *draw = twin ? PyObject_GetAttrString(twin, "_hand_back") : NULL;
     PyObject *cold = draw ? PyObject_CallMethod(twin, "bind_sampler", "OOOO", args[0], args[1],
                                                 args[2], draw) : NULL;
     Py_XDECREF(twin);
@@ -754,7 +738,6 @@ static PyMethodDef kernel_methods[] = {
     {"scan_stats", (PyCFunction)(void (*)(void))scan_stats, METH_FASTCALL, scan_stats_doc},
     {"scan_free_hist", (PyCFunction)(void (*)(void))scan_free_hist, METH_FASTCALL,
      scan_free_hist_doc},
-    {"sample_graph", (PyCFunction)(void (*)(void))sample_graph, METH_FASTCALL, sample_graph_doc},
     {"sampler", (PyCFunction)(void (*)(void))sampler, METH_FASTCALL, sampler_doc},
     {NULL, NULL, 0, NULL},
 };

@@ -30,15 +30,15 @@ does: the same constants, the 256-bit counter bumped before each block of
 four words, and edge (u, v) present iff (word >> 11) < p 2^53.  That is
 numpy's Philox bit generator followed by random() < p, which the tests use
 as an independent reference.  It returns cls(m, n, rows), checked by the
-constructor, and it is a plain draw: it checks no argument itself.  The
-compiled twin checks what keeps a C draw safe and the graph valid.  sampler
+constructor, and it is a plain draw: it checks no argument itself.  sampler
 binds the graph class, the probability class and the zero-side error to the
 sampler that graphs exports as sample_bipartite, the one call a campaign
 makes per trial, and that function makes every check of a public draw.  The
 compiled twin's is a builtin, so a campaign's draw runs no Python frame; it
-hands every call it does not draw itself to bind_sampler's function over the
-compiled sample_graph, so both refuse a bad call alike, with the same types
-and texts.
+hands every call it does not draw at once to bind_sampler's function over
+_hand_back, which returns the checked call for the builtin to draw.  So each
+call is checked once, both kernels refuse a bad call alike, with the same
+types and texts, and the compiled kernel has one draw.
 """
 
 import operator
@@ -230,8 +230,7 @@ def sample_graph(cls, m, n, p, root, stream, /):
     The stream is Philox4x64-10 keyed by (root, stream), two integers in
     [0, 2^64), with the counter starting at 0.  Its (u*n + v)-th word x decides
     the edge (u, v): present iff the double (x >> 11) 2^-53 is below p.  A
-    plain draw for arguments the sampler has checked; like the compiled twin,
-    it takes them positionally only.
+    plain draw for arguments the sampler has checked, taken positionally only.
     """
     # scaling both sides of random() < p by 2^53 is exact
     threshold = p * 9007199254740992.0
@@ -245,10 +244,16 @@ def sampler(graph_cls, prob_cls, zero_side_error, /):
     return bind_sampler(graph_cls, prob_cls, zero_side_error, sample_graph)
 
 
+def _hand_back(*call):
+    """The checked call (graph_cls, m, n, p, root, stream) itself, for the
+    compiled sampler's builtin to draw."""
+    return call
+
+
 def bind_sampler(graph_cls, prob_cls, zero_side_error, draw, /):
-    """sampler's function with draw, a sample_graph, in place of this
-    module's.  The compiled sampler hands the calls it does not draw itself
-    to bind_sampler(..., _kernels.sample_graph)."""
+    """sampler's function with draw in place of sample_graph.  The compiled
+    sampler hands the calls it does not draw at once to
+    bind_sampler(..., _hand_back) and draws what that returns."""
 
     def sample_bipartite(m, n, prob, seed, /):
         """Draw G from the independent-edge model on sides of size m and n.
@@ -278,7 +283,8 @@ def bind_sampler(graph_cls, prob_cls, zero_side_error, draw, /):
                 raise TypeError(f"key must be an int, not {type(key).__name__}")
             if not 0 <= key <= _MASK64:
                 raise OverflowError(f"key {key} outside [0, 2^64)")
-        return draw(graph_cls, m, n, p, root, stream)
+        # a bool or another int subclass key arrives as an exact int
+        return draw(graph_cls, m, n, p, operator.index(root), operator.index(stream))
 
     # from 3.11 a bad call's TypeError names the function by its code's
     # qualified name: make that "sample_bipartite", as for a module-level

@@ -16,13 +16,14 @@ re-export), are all defined in `graphs`, so building the parser imports
 nothing more.
 
 Exit codes: 0 success, 1 I/O or input-format failure, 2 usage, 3 refusal
-(hypothesis violation, a scan side over the cap, or a closed form out of
-floating-point range).  `--cap` is the largest scan side min(m, n) in
-`stats` and in `sweep` alike, and both default to `DEFAULT_CAP`, the cap
-every check and campaign applies.  Machine outputs start with a
-config echo carrying the resolved seed, so every run is reproducible from
-its own output.  The worker count is an execution detail and deliberately
-not part of the echo: equal configs must produce byte-identical tables.
+(hypothesis violation, a scan side over the cap, a closed form out of
+floating-point range, or a value that does not fit in memory).  `--cap` is
+the largest scan side min(m, n) in `stats` and in `sweep` alike, and both
+default to `DEFAULT_CAP`, the cap every check and campaign applies.
+Machine outputs start with a config echo carrying the resolved seed, so
+every run is reproducible from its own output.  The worker count is an
+execution detail and deliberately not part of the echo: equal configs must
+produce byte-identical tables.
 """
 
 from __future__ import annotations
@@ -352,6 +353,10 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         # a closed form evaluated in floats overflowed; log space would avoid it
         print(f"refused: closed form out of floating-point range: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # such as veryverylargeside's 2^m at m = 2^62; CPython's has no text
+        print(f"refused: does not fit in memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except (GraphParseError, FamilyParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

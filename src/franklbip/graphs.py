@@ -13,14 +13,14 @@ masks both fields to 64 bits, and the other two are slotted classes whose
 constructors check every field.
 `sample_bipartite` is the active kernel's sampler, bound once at import to
 BipartiteGraph, EdgeProbability and ZeroSideError.  The compiled one is a
-builtin: a campaign's call, with int sides, a (root, stream) tuple and an
-EdgeProbability, is drawn in C, the fields set through the slot
-descriptors, so it runs no Python frame; any other call goes to the twin's
-function over the compiled draw.  That function makes every check of a
-public draw, so both kernels refuse a bad call alike, text for text; the
-kernels' own draws check only what keeps them safe.  `mss.ConjectureVerdict`
-and `setfamily.SetFamily` are slotted classes on the same base, so those
-modules need no `dataclasses` for them.
+builtin and the compiled kernel's one draw: a campaign's call, with int
+sides, a (root, stream) tuple and an EdgeProbability, is drawn in C, the
+fields set through the slot descriptors, so it runs no Python frame.  Any
+other call is checked once, by the twin's function, which makes every check
+of a public draw, so both kernels refuse a bad call alike, text for text,
+and the builtin draws the call that function hands back.
+`mss.ConjectureVerdict` and `setfamily.SetFamily` are slotted classes on the
+same base, so those modules need no `dataclasses` for them.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ _set_m, _set_n, _set_adj = _slot_setters(BipartiteGraph)
 # seed, a Seed or any (root, stream) pair of ints in [0, 2^64); its contract
 # is the twin's, in _pykernels.bind_sampler, whose function makes every check
 # on both kernels.  The compiled one reads p from an EdgeProbability's slot
-# and fills the graph's slots itself.
+# and fills the graph's slots itself, on every call.
 sample_bipartite = _impl.sampler(BipartiteGraph, EdgeProbability, ZeroSideError)
 
 

@@ -232,9 +232,10 @@ class CheckSpec(NamedTuple):
 
 def _mssproba(m, n, prob, params):
     ell, r = params["ell"], params["r"]
+    # the closed form refuses an (ell, r) out of range before the masks take it
+    claimed = bounds.pr_maximal_stable(m, n, prob, ell, r)
     fixed = mss.StableSet(left=(1 << ell) - 1, right=(1 << r) - 1)
-    return (lambda g: mss.is_maximal_stable(g, fixed),
-            _frequency(bounds.pr_maximal_stable(m, n, prob, ell, r)))
+    return lambda g: mss.is_maximal_stable(g, fixed), _frequency(claimed)
 
 
 def _genupper(m, n, prob, params):
@@ -369,7 +370,9 @@ def _veryverylargeside(m, n, prob, params):
     # a graph has at most one MSS per subset of its smaller side, so a total
     # of 2^m forces m <= n and makes every left subset a left part: the
     # average left part is then m/2 and needs no check of its own
-    target, cap = 1 << m, _scan_cap(m, n, params)
+    # the cap refuses a smaller side over it before 2^m is built
+    cap = _scan_cap(m, n, params)
+    target = 1 << m
     return (lambda g: sum(mss.left_hist(g, cap)) == target,
             _informational({"target_total": target}))
 

@@ -675,11 +675,21 @@ class TestCompiledBuild:
          "usage error: need m <= 9223372036854775807"),
         (["verify", "constrightside", "-m", "99999999999999999999", "-n", "2", "-p", "0.5",
           "--trials", "2"], 2, "usage error: need m <= 9223372036854775807"),
+        # each row refuses in its setup, before the value it refuses is built
+        (["verify", "veryverylargeside", "-m", "4611686018427387904", "-n", "40", "-p", "0.5",
+          "--trials", "1", "--informational"], 3, "refused: scan side 40 exceeds the cap of 30"),
+        *((["verify", "mssproba", "-m", "4", "-n", "4", "-p", "0.5", "--r", "1", "--trials", "3",
+            "--l", ell], 2, f"usage error: (ell, r)=({ell}, 1) out of range for (4, 4)\n")
+          for ell in ("-1", "4611686018427387904", "1" + "0" * 30)),
+        # a side under the cap whose 2^m cannot be built
+        (["verify", "veryverylargeside", "-m", "4611686018427387904", "-n", "4", "-p", "0.5",
+          "--trials", "1", "--informational"], 3, "refused: does not fit in memory: "),
     ], ids=["stats-cap", "verify-refused", "frankl-malformed", "sample-zero-side",
             "sweep-bad-alpha", "hoeffding-a-prime-informational", "asymptotic-a-prime",
             "squpperbound-bad-alpha", "squpperbound-bad-alpha-informational",
             "stats-delta-inf", "stats-delta-nan", "sample-side-past-ssize-t",
-            "verify-side-past-ssize-t"])
+            "verify-side-past-ssize-t", "veryverylargeside-cap-first", "mssproba-l-negative",
+            "mssproba-l-huge", "mssproba-l-past-digits", "veryverylargeside-memory"])
     def test_exit_codes(self, compiled_build, tmp_path, argv, code, message):
         # the error class is raised by a module main() never imported itself
         files = {"empty31": tmp_path / "e31.graph", "badfamily": tmp_path / "bad.txt",

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import columns, complete_graph, empty_graph, matching_graph, swap_sides
+from conftest import (columns, complete_graph, empty_graph, matching_graph, numpy_sample_rows,
+                      swap_sides)
 from franklbip import graphs as graph_module
 from franklbip.graphs import (
     MASK64,
@@ -88,7 +89,7 @@ class TestSampling:
 
     def test_numpy_integer_sides_stored_as_int(self, kernel):
         g = graph_module.sample_bipartite(np.int64(3), np.int64(4), 0.5, Seed(1))
-        assert g == graph_module._impl.sample_graph(BipartiteGraph, 3, 4, 0.5, 1, 0)
+        assert g == BipartiteGraph(3, 4, numpy_sample_rows(3, 4, 0.5, 1, 0))
         assert type(g.m) is int and type(g.n) is int
         assert json.loads(json.dumps(g.to_json_dict()))["m"] == 3
         with pytest.raises(TypeError):

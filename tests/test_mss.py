@@ -321,10 +321,16 @@ class TestCompiledKernel:
             out.append((info.type, str(info.value)))
         return out
 
-    @pytest.mark.parametrize("fn", ["scan_stats", "scan_free_hist", "sample_graph", "sampler"])
+    @pytest.mark.parametrize("fn", ["scan_stats", "scan_free_hist", "sampler"])
     def test_signatures_match_twin(self, compiled_kernels, fn):
         assert inspect.signature(getattr(compiled_kernels, fn)) == \
             inspect.signature(getattr(_pykernels, fn))
+
+    def test_compiled_entries_are_the_scans_and_the_sampler(self, compiled_kernels):
+        # the bound sample_bipartite is the one compiled draw
+        public = {name for name, value in vars(compiled_kernels).items()
+                  if not name.startswith("_") and callable(value)}
+        assert public == {"scan_stats", "scan_free_hist", "sampler"}
 
     def test_keyword_arguments(self, compiled_kernels):
         # positional only: the twin's def has a "/", and CPython refuses a
@@ -340,9 +346,9 @@ class TestCompiledKernel:
                 assert "keyword argument" in text, (fn, kwargs)
 
     @pytest.mark.parametrize("fn,arity", [("scan_stats", 6), ("scan_free_hist", 5),
-                                          ("sample_graph", 6)])
+                                          ("sampler", 3)])
     def test_argument_counts_refused_alike(self, compiled_kernels, fn, arity):
-        args = (BipartiteGraph, 2, 3, 0.5, 1, 2) if fn == "sample_graph" else ([0, 0], 2, 3, 1, 1)
+        args = SAMPLER_CLASSES if fn == "sampler" else ([0, 0], 2, 3, 1, 1)
         for count in (0, 1, 2, arity + 1, arity + 2):
             refusals = self.refusals(compiled_kernels, fn, *(args + (0, 0, 0))[:count])
             for error, text in refusals:
@@ -429,68 +435,83 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("p", SAMPLE_PS)
     @pytest.mark.parametrize("n", SAMPLE_NS)
     def test_sample_rows_match_twin(self, compiled_kernels, n, p):
-        # numpy's Philox is the independent reference
+        # numpy's Philox is the independent reference.  Both samplers draw
+        # each call through both of the compiled one's paths: a tuple key with
+        # an EdgeProbability, which its fast path draws, and a float p with a
+        # Seed, which the twin's function checks and the builtin then draws
+        prob = graph_module.EdgeProbability(p)
         for key in self.SAMPLE_KEYS:
-            args = (BipartiteGraph, 7, n, p, *key)
-            rows = compiled_kernels.sample_graph(*args).adj
-            assert rows == _pykernels.sample_graph(*args).adj == numpy_sample_rows(7, n, p, *key)
+            want = numpy_sample_rows(7, n, p, *key)
+            for sample in self.samplers(compiled_kernels):
+                assert sample(7, n, prob, key).adj == want, key
+                assert sample(7, n, p, Seed(*key)).adj == want, key
 
     @pytest.mark.parametrize("p", SAMPLE_PS)
     @pytest.mark.parametrize("n", SAMPLE_NS)
     def test_sample_rows_are_graph_rows(self, kernel, n, p):
         # the compiled kernel sets the fields without the constructor, which
-        # holds only if each row is already a plain int in [0, 2^n)
+        # holds only if each row is already a plain int in [0, 2^n), on both
+        # of its paths
+        prob = graph_module.EdgeProbability(p)
         for key in self.SAMPLE_KEYS:
-            g = graph_module._impl.sample_graph(BipartiteGraph, 7, n, p, *key)
-            assert type(g) is BipartiteGraph and (g.m, g.n) == (7, n), key
-            assert type(g.adj) is tuple and len(g.adj) == 7, key
-            assert all(type(row) is int and 0 <= row < 1 << n for row in g.adj), key
-            assert g == BipartiteGraph(7, n, g.adj) == graph_module.sample_bipartite(
-                7, n, p, Seed(*key)), key
+            for g in (graph_module.sample_bipartite(7, n, prob, key),
+                      graph_module.sample_bipartite(7, n, p, Seed(*key))):
+                assert type(g) is BipartiteGraph and (g.m, g.n) == (7, n), key
+                assert type(g.adj) is tuple and len(g.adj) == 7, key
+                assert all(type(row) is int and 0 <= row < 1 << n for row in g.adj), key
+                assert g == BipartiteGraph(7, n, g.adj), key
+
+    @staticmethod
+    def corrupt_prob(p):
+        """An EdgeProbability whose p is set through its slot, past the
+        constructor's check."""
+        prob = object.__new__(graph_module.EdgeProbability)
+        graph_module._set_p(prob, p)
+        return prob
 
     @pytest.mark.parametrize("m,n,p", [(0, 4, 0.5), (4, 0, 0.5), (4, 4, -0.1), (4, 4, math.nan)])
     def test_sample_rows_refusals(self, compiled_kernels, m, n, p):
-        # the public sampler refuses on both kernels; of the draws, a side
-        # below 1 is refused, before the keys, and a p below 0 or NaN draws
-        # the empty graph
-        samplers = self.samplers(compiled_kernels)
-        for kernel, sample in zip((compiled_kernels, _pykernels), samplers):
-            with pytest.raises(ValueError):
-                sample(m, n, p, (1, 2))
-            if m < 1 or n < 1:
+        # both samplers refuse on both paths.  A p below 0 or NaN that got
+        # past EdgeProbability's check passes the sampler's and draws the
+        # empty graph, as the checks hand any p on to the draw
+        corrupt = self.corrupt_prob(p)
+        for sample in self.samplers(compiled_kernels):
+            for seed in ((1, 2), Seed(1, 2)):
                 with pytest.raises(ValueError):
-                    kernel.sample_graph(BipartiteGraph, m, n, p, 1, 2)
-                with pytest.raises(ValueError):
-                    kernel.sample_graph(BipartiteGraph, m, n, p, 1.5, -1)
-            else:
-                assert kernel.sample_graph(BipartiteGraph, m, n, p, 1, 2).adj == (0,) * m
+                    sample(m, n, p, seed)
+                if m < 1 or n < 1:
+                    with pytest.raises(graph_module.ZeroSideError):
+                        sample(m, n, corrupt, seed)
+                else:
+                    assert sample(m, n, corrupt, seed).adj == (0,) * m
 
     def test_sample_rows_keep_the_draw_safe(self, compiled_kernels):
-        # the compiled draw reads the keys with CPython's own conversions;
-        # the twin's is a plain draw, and the public sampler refuses these
-        # keys on both kernels (test_samplers_refuse_alike)
-        for key, error in ((1.5, TypeError), (np.uint64(1), TypeError), (-1, OverflowError),
-                           (2 ** 64, OverflowError)):
-            with pytest.raises(error):
-                compiled_kernels.sample_graph(BipartiteGraph, 4, 4, 0.5, key, 0)
-            with pytest.raises(error):
-                compiled_kernels.sample_graph(BipartiteGraph, 4, 4, 0.5, 0, key)
-        # a p above 1 draws the complete graph on both
-        for kernel in (compiled_kernels, _pykernels):
-            assert kernel.sample_graph(BipartiteGraph, 4, 4, 1.5, 1, 2).adj == (15,) * 4
+        # the checks refuse every key the compiled builtin cannot draw, on
+        # both samplers and wherever the call enters; a bool key reaches the
+        # builtin as an exact int, and a p above 1 draws the complete graph
+        for sample in self.samplers(compiled_kernels):
+            for key, error in ((1.5, TypeError), (np.uint64(1), TypeError), (-1, OverflowError),
+                               (2 ** 64, OverflowError)):
+                for seed in ((key, 0), (0, key), [key, 0]):
+                    with pytest.raises(error):
+                        sample(4, 4, HALF, seed)
+            assert sample(4, 4, HALF, (True, False)) == sample(4, 4, HALF, (1, 0))
+            assert sample(4, 4, self.corrupt_prob(1.5), (1, 2)).adj == (15,) * 4
 
     def test_sample_rows_take_positional_arguments_only(self, compiled_kernels):
-        args = (BipartiteGraph, 2, 3, 0.5, 1)
-        for kernel in (compiled_kernels, _pykernels):
-            assert kernel.sample_graph(*args, 2) == _pykernels.sample_graph(*args, 2)
+        # the twin's plain draw and both samplers
+        draw, args = _pykernels.sample_graph, (BipartiteGraph, 2, 3, 0.5, 1)
+        assert draw(*args, 2).adj == numpy_sample_rows(2, 3, 0.5, 1, 2)
+        for call in (lambda: draw(*args, stream=2), lambda: draw(*args, 2, 0), lambda: draw(*args),
+                     lambda: draw(cls=BipartiteGraph, m=2, n=3, p=0.5, root=1, stream=2)):
             with pytest.raises(TypeError):
-                kernel.sample_graph(*args, stream=2)
+                call()
+        for sample in self.samplers(compiled_kernels):
+            assert sample(2, 3, HALF, (1, 2)).adj == numpy_sample_rows(2, 3, 0.5, 1, 2)
             with pytest.raises(TypeError):
-                kernel.sample_graph(cls=BipartiteGraph, m=2, n=3, p=0.5, root=1, stream=2)
+                sample(2, 3, HALF, seed=(1, 2))
             with pytest.raises(TypeError):
-                kernel.sample_graph(*args, 2, 0)
-            with pytest.raises(TypeError):
-                kernel.sample_graph(*args)
+                sample(m=2, n=3, prob=HALF, seed=(1, 2))
 
     def test_source_compiles_without_warnings(self, tmp_path):
         # setup.py's -O3, where gcc runs the flow analyses behind its
@@ -505,14 +526,16 @@ class TestCompiledKernel:
         assert proc.returncode == 0, proc.stderr
 
     # draws and scans across the word-count edges: rows on and past the
-    # sampler's 256-bit stack buffer, one- and multi-word scans, transposed
-    # scans, and the heap block a 300 x 3 transpose needs
+    # sampler's 256-bit stack buffer, drawn through both of the builtin's
+    # paths, the second reading the call the twin's checks hand back; one-
+    # and multi-word scans, transposed scans, and the heap block a 300 x 3
+    # transpose needs
     ASAN_CHILD = """
 from franklbip import _kernels, graphs
 for n in (1, 63, 64, 65, 256, 257, 300, 700):
     for m in (1, 3, 20, 62):
-        g = graphs.sample_bipartite(m, n, 0.5, (1, n))
-        assert g == _kernels.sample_graph(graphs.BipartiteGraph, m, n, 0.5, 1, n)
+        g = graphs.sample_bipartite(m, n, graphs.EdgeProbability(0.5), (1, n))
+        assert g == graphs.sample_bipartite(m, n, 0.5, graphs.Seed(1, n))
         lo = min(m, n) - 1
         _kernels.scan_free_hist(g.adj, m, n, lo, lo)
         top = g.adj[:3]
@@ -562,48 +585,58 @@ print(graphs.KERNEL)
         m, n, adj = (BipartiteGraph.__dict__[name] for name in ("m", "n", "adj"))
 
     def test_sample_graph_needs_a_slotted_graph_class(self, compiled_kernels):
-        classes = (5, "BipartiteGraph", object, int, tuple, self.Partial, self.ReadOnly,
-                   self.Alien)
+        # the compiled sampler refuses a class without such slots when it
+        # binds it, and Alien's fill on each path; the twin's draw calls the
+        # class, which refuses
+        prob_cls, error = SAMPLER_CLASSES[1:]
         for kernel in (compiled_kernels, _pykernels):
-            for cls in classes:
-                with pytest.raises(TypeError):
-                    kernel.sample_graph(cls, 2, 3, 0.5, 1, 2)
+            for cls in (5, "BipartiteGraph", object, int, tuple, self.Partial, self.ReadOnly,
+                        self.Alien):
+                for prob, seed in ((HALF, (1, 2)), (0.5, Seed(1, 2))):
+                    with pytest.raises(TypeError):
+                        kernel.sampler(cls, prob_cls, error)(2, 3, prob, seed)
         for cls, text in ((5, "'m', not 5"), (self.Partial, "'adj', not <class '.*Partial'>"),
                           (self.ReadOnly, "'m', not <class '.*ReadOnly'>")):
             with pytest.raises(TypeError, match=f"needs a class with a slot {text}"):
-                compiled_kernels.sample_graph(cls, 2, 3, 0.5, 1, 2)
+                compiled_kernels.sampler(cls, prob_cls, error)
 
         class Sub(BipartiteGraph):
             pass
 
+        want = sample_bipartite(2, 3, 0.5, Seed(1, 2))._fields()
         for kernel in (compiled_kernels, _pykernels):
-            g = kernel.sample_graph(Sub, 2, 3, 0.5, 1, 2)
-            assert type(g) is Sub
-            assert g._fields() == sample_bipartite(2, 3, 0.5, Seed(1, 2))._fields()
+            sample = kernel.sampler(Sub, prob_cls, error)
+            for prob, seed in ((HALF, (1, 2)), (0.5, Seed(1, 2))):
+                g = sample(2, 3, prob, seed)
+                assert type(g) is Sub and g._fields() == want
 
-    def test_sample_graph_leaks_nothing(self, compiled_kernels):
+    def test_sample_graph_leaks_nothing(self, compiled_kernels, monkeypatch):
         # m, n and the rows above 256 are no cached small ints, so a reference
         # leaked on any of them, on a draw or on a refused fill, grows the
-        # traced memory by at least 28 bytes a call.  The bound sampler runs
-        # beside sample_graph: tuple, Seed and generator seeds, a float p it
-        # turns into an EdgeProbability, and two refusals.
+        # traced memory by at least 28 bytes a call, and a leaked call that
+        # the checks hand back holds a reference to the graph class.  The
+        # calls: the fast path; tuple, Seed, list and generator seeds and a
+        # float p, which the checks hand back; two refusals of the checks;
+        # and a handed-back call the builtin refuses.
         sample = compiled_kernels.sampler(*SAMPLER_CLASSES)
+        monkeypatch.setattr(_pykernels, "_hand_back", lambda cls, m, *rest: (cls, 0, *rest))
+        refusing = compiled_kernels.sampler(*SAMPLER_CLASSES)
+        monkeypatch.undo()
         prob, pair, seed = graph_module.EdgeProbability(0.5), (1, 2), Seed(3, 4)
-        calls = (lambda t: compiled_kernels.sample_graph(BipartiteGraph, 257, 2, 0.5, 1, t),
-                 lambda t: compiled_kernels.sample_graph(BipartiteGraph, 2, 300, 0.5, 1, t),
-                 lambda t: compiled_kernels.sample_graph(self.Alien, 2, 300, 0.5, 1, t),
-                 lambda t: sample(257, 2, prob, pair),
+        calls = (lambda t: sample(257, 2, prob, pair),
                  lambda t: sample(2, 300, prob, seed),
                  lambda t: sample(257, 2, prob, (key for key in (1, t))),
                  lambda t: sample(2, 300, 0.5, pair),
+                 lambda t: sample(257, 2, prob, [1, t]),
                  lambda t: sample(257, 0, prob, seed),
-                 lambda t: sample(257, 2, prob, (1, 2, t)))
+                 lambda t: sample(257, 2, prob, (1, 2, t)),
+                 lambda t: refusing(257, 2, prob, seed))
 
         def run(count):
             for t in range(count):
                 try:
                     calls[t % len(calls)](t)
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, SystemError):
                     pass
 
         # the classes and the slot descriptors, held during each call, are no
@@ -622,6 +655,30 @@ print(graphs.KERNEL)
             tracemalloc.stop()
         assert grown < 20000
         assert [sys.getrefcount(x) for x in held] == refs
+
+    # calls the twin's checks could hand back that the builtin must not draw
+    BAD_HAND_BACKS = {
+        "side-zero": lambda cls, m, *rest: (cls, 0, *rest),
+        "side-bool": lambda cls, m, *rest: (cls, True, *rest),
+        "side-past-ssize_t": lambda cls, m, n, *rest: (cls, m, 2 ** 63, *rest),
+        "key-negative": lambda *call: (*call[:4], -1, call[5]),
+        "key-2^64": lambda *call: (*call[:5], 2 ** 64),
+        "key-float": lambda *call: (*call[:5], 1.0),
+        "other-class": lambda cls, *rest: (graph_module.EdgeProbability, *rest),
+        "list": lambda *call: list(call),
+        "seven-items": lambda *call: (*call, 0),
+    }
+
+    @pytest.mark.parametrize("hand_back", BAD_HAND_BACKS.values(), ids=BAD_HAND_BACKS)
+    def test_compiled_sampler_draws_only_accepted_calls(self, compiled_kernels, monkeypatch,
+                                                         hand_back):
+        # a handed-back call the builtin's acceptance refuses is a fault of
+        # the checks: SystemError, with no draw; the fast path asks no checks
+        monkeypatch.setattr(_pykernels, "_hand_back", hand_back)
+        sample = compiled_kernels.sampler(*SAMPLER_CLASSES)
+        with pytest.raises(SystemError, match="cannot draw"):
+            sample(4, 4, 0.5, (1, 2))
+        assert sample(4, 4, HALF, (1, 2)).adj == numpy_sample_rows(4, 4, 0.5, 1, 2)
 
     @staticmethod
     def samplers(compiled_kernels):
