@@ -617,8 +617,10 @@ print(graphs.KERNEL)
         # the checks hand back holds a reference to the graph class.  The
         # calls: the fast path; tuple, Seed, list and generator seeds and a
         # float p, which the checks hand back; two refusals of the checks;
-        # and a handed-back call the builtin refuses.
+        # a handed-back call the builtin refuses; and Alien's refused fill on
+        # the fast path and on the cold path.
         sample = compiled_kernels.sampler(*SAMPLER_CLASSES)
+        alien = compiled_kernels.sampler(self.Alien, *SAMPLER_CLASSES[1:])
         monkeypatch.setattr(_pykernels, "_hand_back", lambda cls, m, *rest: (cls, 0, *rest))
         refusing = compiled_kernels.sampler(*SAMPLER_CLASSES)
         monkeypatch.undo()
@@ -630,7 +632,9 @@ print(graphs.KERNEL)
                  lambda t: sample(257, 2, prob, [1, t]),
                  lambda t: sample(257, 0, prob, seed),
                  lambda t: sample(257, 2, prob, (1, 2, t)),
-                 lambda t: refusing(257, 2, prob, seed))
+                 lambda t: refusing(257, 2, prob, seed),
+                 lambda t: alien(2, 300, prob, pair),
+                 lambda t: alien(257, 2, 0.5, seed))
 
         def run(count):
             for t in range(count):
@@ -641,7 +645,7 @@ print(graphs.KERNEL)
 
         # the classes and the slot descriptors, held during each call, are no
         # allocation
-        held = [*SAMPLER_CLASSES, prob, pair, seed,
+        held = [*SAMPLER_CLASSES, self.Alien, prob, pair, seed,
                 *(BipartiteGraph.__dict__[name] for name in BipartiteGraph.__slots__),
                 graph_module.EdgeProbability.__dict__["p"]]
         run(100)
