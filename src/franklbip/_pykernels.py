@@ -235,8 +235,12 @@ def sample_graph(cls, m, n, p, root, stream, /):
     # scaling both sides of random() < p by 2^53 is exact
     threshold = p * 9007199254740992.0
     words = _philox_words(root, stream)
-    return cls(m, n, tuple(sum(1 << v for v in range(n) if next(words) >> 11 < threshold)
-                           for _ in range(m)))
+    # sized up front, so that m rows past memory raise MemoryError at once,
+    # as the compiled draw's tuple does
+    rows = [0] * m
+    for u in range(m):
+        rows[u] = sum(1 << v for v in range(n) if next(words) >> 11 < threshold)
+    return cls(m, n, tuple(rows))
 
 
 def sampler(graph_cls, prob_cls, zero_side_error, /):

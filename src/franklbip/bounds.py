@@ -330,13 +330,15 @@ def binary_entropy(kappa: float) -> float:
 
 def induced_matching_prob(k: int, prob) -> float:
     """Probability that a fixed k x k block forms a perfect induced matching:
-    k! p^k q^(k^2 - k)."""
+    k! p^k q^(k^2 - k).  k! is exact up to 170!, the largest factorial a float
+    holds; past that its log is math.lgamma(k + 1)."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     prob = as_prob(prob).require_interior()
-    return _pow_product(
-        [(prob.p, k), (prob.q, k * k - k)], prefactor=math.factorial(k)
-    )
+    factors = [(prob.p, k), (prob.q, k * k - k)]
+    if k <= 170:
+        return _pow_product(factors, prefactor=math.factorial(k))
+    return math.exp(math.fsum([math.lgamma(k + 1)] + [e * math.log(b) for b, e in factors]))
 
 
 def dominating_vertex_prob(m: int, n: int, prob) -> float:

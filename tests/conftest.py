@@ -19,7 +19,9 @@ tests alone, so they live here rather than in the package.
 The compiled_build fixture builds the package with the repository's own
 setup.py into a temporary directory, and compiled_kernels loads its C kernels,
 so tests compare them with the pure-Python twins whether or not an installed
-build exists.
+build exists.  scalar_kernels loads _kernels.c built once more with
+FRANKLBIP_SCALAR_WALK defined, which setup.py never defines, so the scalar
+one-word walk is tested on a CPU whose build walks with AVX-512 too.
 """
 
 import importlib.machinery
@@ -29,6 +31,7 @@ import math
 import shutil
 import subprocess
 import sys
+import sysconfig
 from fractions import Fraction
 from pathlib import Path
 
@@ -257,8 +260,30 @@ def _extension(lib):
 @pytest.fixture(scope="session")
 def compiled_kernels(compiled_build):
     """franklbip._kernels from compiled_build, loaded beside the source package."""
-    spec = importlib.util.spec_from_file_location("franklbip._kernels",
-                                                  _extension(compiled_build)[0])
+    return load_kernels(_extension(compiled_build)[0])
+
+
+@pytest.fixture(scope="session")
+def scalar_kernels(tmp_path_factory):
+    """franklbip._kernels built from _kernels.c with setup.py's -O3 and
+    FRANKLBIP_SCALAR_WALK, so its one-word walk is the scalar one on any CPU.
+    Skips only without a C compiler."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    paths = sysconfig.get_paths()
+    path = tmp_path_factory.mktemp("scalar") / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run(
+        [cc, "-shared", "-fPIC", "-O3", "-DFRANKLBIP_SCALAR_WALK", f"-I{paths['include']}",
+         f"-I{paths['platinclude']}", str(ROOT / "src" / "franklbip" / "_kernels.c"), "-o",
+         str(path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return load_kernels(path)
+
+
+def load_kernels(path):
+    """The extension module at path, loaded as franklbip._kernels."""
+    spec = importlib.util.spec_from_file_location("franklbip._kernels", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

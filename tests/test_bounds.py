@@ -264,6 +264,15 @@ class TestInducedMatchingProb:
             oracle = weighted_expectation(k, k, p, is_perfect_matching)
             assert induced_matching_prob(k, p) == pytest.approx(oracle, rel=1e-10)
 
+    def test_factorial_past_the_float_range(self):
+        # past 170!, k! enters as lgamma(k + 1): the log of the exact product
+        for k, p in [(170, 1e-3), (171, 1e-3), (200, 1e-3), (171, 0.5)]:
+            log_oracle = (math.log(math.factorial(k)) + k * math.log(p)
+                          + (k * k - k) * math.log1p(-p))
+            assert induced_matching_prob(k, p) == pytest.approx(math.exp(log_oracle), rel=1e-9)
+        # k! itself is never built
+        assert induced_matching_prob(2 ** 62, 0.5) == 0.0
+
 
 class TestRegimeConstants:
     def test_half(self):

@@ -706,6 +706,22 @@ class TestCompiledBuild:
         assert proc.stderr.startswith(message)
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("pure", [False, True], ids=["compiled", "python"])
+    @pytest.mark.parametrize("argv", [
+        ["average", "-m", "4611686018427387904", "-n", "4", "-p", "0.5", "--delta", "0.1"],
+        # k! past the float range is taken in log space, and the k x k draw
+        # then refuses
+        ["indmatchings", "--k", "4611686018427387904", "-p", "0.5", "--informational"],
+    ], ids=["average-rows", "indmatchings-k"])
+    def test_draws_past_memory_refuse_at_once(self, compiled_build, argv, pure):
+        # both kernels size a draw's rows before drawing them; a hang is a
+        # failure, through the timeout
+        proc = subprocess.run([sys.executable, "-m", "franklbip.cli", "verify", *argv,
+                               "--trials", "1"], env=self.env(compiled_build, pure),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "refused: does not fit in memory: MemoryError\n"
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):

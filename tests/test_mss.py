@@ -1,12 +1,14 @@
 import inspect
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
 import sysconfig
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,8 +263,43 @@ class TestCompiledKernel:
 
     @given(tied_scan_rows(ONE_WORD), st.integers(-1, 11), st.integers(-1, 65))
     @settings(max_examples=200, deadline=None)
-    def test_stats_agree_one_word(self, compiled_kernels, case, sel_k, sel_f):
-        self.assert_stats_agree(compiled_kernels, *case, (sel_k, sel_f))
+    def test_stats_agree_one_word(self, compiled_kernels, scalar_kernels, case, sel_k, sel_f):
+        for kernels in (compiled_kernels, scalar_kernels):
+            self.assert_stats_agree(kernels, *case, (sel_k, sel_f))
+
+    # scan sides on both sides of each edge of the AVX-512 walk's 8-row
+    # blocks, up to the largest, against one-word other sides
+    BLOCK_SIDES = (1, 7, 8, 9, 16, 17, 56, 57, 62)
+
+    @pytest.mark.parametrize("t", [63, 64])
+    @pytest.mark.parametrize("s", BLOCK_SIDES)
+    def test_one_word_walks_agree_across_row_blocks(self, compiled_kernels, scalar_kernels, s, t):
+        # the walk this CPU runs, the scalar build and the twin, with and
+        # without counts, scanning the left side and the right side
+        for p in ((0.3, 0.5, 0.9) if s < 20 else (0.8, 0.9, 0.95)):
+            g = sample_bipartite(s, t, p, Seed(84, 100 * s + t))
+            for h in (g, swap_sides(g)):
+                for sel in ((-1, -1), (1, 2), (h.m // 2, h.n // 2)):
+                    for counts in (0, 1):
+                        want = tuple(_pykernels.scan_stats(h.adj, h.m, h.n, *sel, counts))
+                        for kernels in (compiled_kernels, scalar_kernels):
+                            got = kernels.scan_stats(h.adj, h.m, h.n, *sel, counts)
+                            assert tuple(got) == want, (h.m, h.n, p, sel, counts)
+
+    def test_walk_is_the_one_the_cpu_runs(self, compiled_kernels, scalar_kernels):
+        # the one-word walk is picked once, at import: AVX-512 where an
+        # x86-64 CPU lists the avx512f flag, else scalar
+        cpuinfo = Path("/proc/cpuinfo")
+        if not cpuinfo.exists():
+            pytest.skip("no /proc/cpuinfo to read the CPU flags from")
+        flags = set()
+        for line in cpuinfo.read_text().splitlines():
+            key, _, value = line.partition(":")
+            if key.strip() == "flags":
+                flags.update(value.split())
+        x86_64 = platform.machine() in ("x86_64", "AMD64")
+        assert compiled_kernels.WALK == ("avx512f" if x86_64 and "avx512f" in flags else "scalar")
+        assert scalar_kernels.WALK == "scalar"
 
     @given(tied_scan_rows(MULTI_WORD), st.integers(-1, 11), st.integers(-1, 131))
     @settings(max_examples=100, deadline=None)
@@ -515,21 +552,25 @@ class TestCompiledKernel:
 
     def test_source_compiles_without_warnings(self, tmp_path):
         # setup.py's -O3, where gcc runs the flow analyses behind its
-        # array-bounds and uninitialised-use warnings
+        # array-bounds and uninitialised-use warnings; with and without the
+        # AVX-512 walk
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on PATH")
         paths = sysconfig.get_paths()
-        proc = subprocess.run(
-            ["cc", "-Wall", "-Wextra", "-Werror", "-O3", f"-I{paths['include']}",
-             f"-I{paths['platinclude']}", "-c", str(ROOT / "src" / "franklbip" / "_kernels.c"),
-             "-o", str(tmp_path / "_kernels.o")], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        for defines in ([], ["-DFRANKLBIP_SCALAR_WALK"]):
+            proc = subprocess.run(
+                ["cc", "-Wall", "-Wextra", "-Werror", "-O3", *defines, f"-I{paths['include']}",
+                 f"-I{paths['platinclude']}", "-c",
+                 str(ROOT / "src" / "franklbip" / "_kernels.c"),
+                 "-o", str(tmp_path / "_kernels.o")], capture_output=True, text=True)
+            assert proc.returncode == 0, (defines, proc.stderr)
 
     # draws and scans across the word-count edges: rows on and past the
     # sampler's 256-bit stack buffer, drawn through both of the builtin's
     # paths, the second reading the call the twin's checks hand back; one-
     # and multi-word scans, transposed scans, and the heap block a 300 x 3
-    # transpose needs
+    # transpose needs; then one-word scans, either way round and with and
+    # without counts, at scan sides across the AVX-512 walk's 8-row blocks
     ASAN_CHILD = """
 from franklbip import _kernels, graphs
 for n in (1, 63, 64, 65, 256, 257, 300, 700):
@@ -543,8 +584,14 @@ for n in (1, 63, 64, 65, 256, 257, 300, 700):
         _kernels.scan_stats(top, len(top), n, 1, 1)
         if min(m, n) <= 20:
             _kernels.scan_stats(g.adj, m, n, 1, 1)
+for s in %r:
+    for t in (63, 64):
+        for m, n in ((s, t), (t, s)):
+            g = graphs.sample_bipartite(m, n, graphs.EdgeProbability(0.9), (2, s))
+            for counts in (0, 1):
+                _kernels.scan_stats(g.adj, m, n, 1, 1, counts)
 print(graphs.KERNEL)
-"""
+""" % (BLOCK_SIDES,)
 
     def test_kernel_is_clean_under_address_sanitizer(self, tmp_path):
         # an out-of-bounds write that leaves every output intact, such as a
