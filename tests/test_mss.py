@@ -297,8 +297,8 @@ class TestCompiledKernel:
             key, _, value = line.partition(":")
             if key.strip() == "flags":
                 flags.update(value.split())
-        x86_64 = platform.machine() in ("x86_64", "AMD64")
-        assert compiled_kernels.WALK == ("avx512f" if x86_64 and "avx512f" in flags else "scalar")
+        avx512 = platform.machine() == "x86_64" and "avx512f" in flags
+        assert compiled_kernels.WALK == ("avx512f" if avx512 else "scalar")
         assert scalar_kernels.WALK == "scalar"
 
     @given(tied_scan_rows(MULTI_WORD), st.integers(-1, 11), st.integers(-1, 131))
