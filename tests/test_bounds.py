@@ -265,11 +265,13 @@ class TestInducedMatchingProb:
             assert induced_matching_prob(k, p) == pytest.approx(oracle, rel=1e-10)
 
     def test_factorial_past_the_float_range(self):
-        # past 170!, k! enters as lgamma(k + 1): the log of the exact product
-        for k, p in [(170, 1e-3), (171, 1e-3), (200, 1e-3), (171, 0.5)]:
+        # past 170!, k! enters as lgamma(k + 1): the log of the exact product.
+        # The values are tiny, so approx's default absolute tolerance is off
+        for k, p in [(170, 1e-3), (171, 1e-3), (200, 1e-3), (171, 0.01)]:
             log_oracle = (math.log(math.factorial(k)) + k * math.log(p)
                           + (k * k - k) * math.log1p(-p))
-            assert induced_matching_prob(k, p) == pytest.approx(math.exp(log_oracle), rel=1e-9)
+            assert induced_matching_prob(k, p) == pytest.approx(math.exp(log_oracle), rel=1e-9,
+                                                                abs=0)
         # k! itself is never built
         assert induced_matching_prob(2 ** 62, 0.5) == 0.0
 
