@@ -235,8 +235,10 @@ def sample_graph(cls, m, n, p, root, stream, /):
     # scaling both sides of random() < p by 2^53 is exact
     threshold = p * 9007199254740992.0
     words = _philox_words(root, stream)
-    # sized up front, so that m rows past memory raise MemoryError at once,
-    # as the compiled draw's tuple does
+    # sized up front, so that a draw past memory raises MemoryError at once,
+    # as the compiled draw does: one row's bytes, as its words, and m rows,
+    # as its tuple
+    bytearray((n + 7) // 8)
     rows = [0] * m
     for u in range(m):
         rows[u] = sum(1 << v for v in range(n) if next(words) >> 11 < threshold)

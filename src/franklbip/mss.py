@@ -232,12 +232,12 @@ def verdict_from_stats(stats: MssStats, delta=0) -> ConjectureVerdict:
 def count_left_at_least(hist, threshold) -> int:
     """Number of maximal stable sets with |A∩L| >= threshold in a left-size
     histogram; pass a Fraction for a threshold like m/3, which no float is."""
-    thr = Fraction(threshold)
-    return sum(c for k, c in enumerate(hist) if k >= thr)
+    # the sizes k >= threshold are those from its ceiling on
+    return sum(hist[max(0, math.ceil(Fraction(threshold))):])
 
 
 # no caller under src/: perfbench/tracing.py wraps it by name
 def count_left_at_most(hist, threshold) -> int:
     """Number of maximal stable sets with |A∩L| <= threshold in a left-size histogram."""
-    thr = Fraction(threshold)
-    return sum(c for k, c in enumerate(hist) if k <= thr)
+    # the sizes k <= threshold are those up to its floor
+    return sum(hist[:max(0, math.floor(Fraction(threshold)) + 1)])

@@ -9,6 +9,10 @@ below ALPHA, the false-alarm rate of a 4-sigma normal band.  Asymptotic
 claims (those that only hold beyond unspecified size thresholds) are
 reported with verdict "informational": finite-size runs can measure them
 but not refute them.  Each row refuses its own parameters, cap included.
+The `average` row's fold is exact in ints: its threshold is two ints, and
+the sum of the averages a reduced pair of ints, so its one Fraction is the
+mean it reports.  A sweep builds each row once, adding the point's regime to
+the extra dict its campaign made.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional
@@ -378,15 +382,23 @@ def _veryverylargeside(m, n, prob, params):
 
 
 def _average(m, n, prob, params):
-    threshold = (Fraction(1, 2) + mss._exact_delta(params["delta"])) * m
+    # with delta = dn/dd, an average a/b (b > 0) is at most (1/2 + delta) m
+    # iff 2 dd a <= m (dd + 2 dn) b, so the threshold is two ints
+    dn, dd = mss._exact_delta(params["delta"]).as_integer_ratio()
+    scale_a, scale_b = 2 * dd, m * (dd + 2 * dn)
     cap = _scan_cap(m, n, params)
 
     def summary(averages, trials):
-        total, hits = Fraction(0), 0
+        # the sum of the averages is num/den in lowest terms
+        num, den, hits = 0, 1, 0
         for avg in averages:
-            total += avg
-            hits += avg <= threshold
-        return _informational_row(hits, trials, {"mean_left_avg": total / trials, "hits": hits})
+            a, b = avg.as_integer_ratio()
+            hits += scale_a * a <= scale_b * b
+            num, den = num * b + a * den, den * b
+            common = math.gcd(num, den)
+            num, den = num // common, den // common
+        return _informational_row(hits, trials, {"mean_left_avg": Fraction(num, den * trials),
+                                                 "hits": hits})
 
     return lambda g: mss.left_avg(g, cap), summary
 
@@ -522,8 +534,9 @@ def sweep(grid, trials: int, seed: Seed, workers: int = 1,
         try:
             prob = as_prob(p).require_interior()
             report = run_average_campaign(m, n, prob, delta, trials, seed.child(idx), cap=cap)
-            regime = classify_regime(m, n, prob, alpha=alpha).value
-            return replace(report, extra={**report.extra, "regime": regime})
+            # the campaign's summary made this extra for this report alone
+            report.extra["regime"] = classify_regime(m, n, prob, alpha=alpha).value
+            return report
         except (CapExceeded, HypothesisViolation, ValueError) as exc:
             return BoundReport(
                 lemma_id="average", m=m, n=n, p=float(p), delta=float(delta),

@@ -709,10 +709,12 @@ class TestCompiledBuild:
     @pytest.mark.parametrize("pure", [False, True], ids=["compiled", "python"])
     @pytest.mark.parametrize("argv", [
         ["average", "-m", "4611686018427387904", "-n", "4", "-p", "0.5", "--delta", "0.1"],
+        # a row of 2^62 bits: the twin allocates its bytes before it draws
+        ["average", "-m", "4", "-n", "4611686018427387904", "-p", "0.5", "--delta", "0.1"],
         # k! past the float range is taken in log space, and the k x k draw
         # then refuses
         ["indmatchings", "--k", "4611686018427387904", "-p", "0.5", "--informational"],
-    ], ids=["average-rows", "indmatchings-k"])
+    ], ids=["average-rows", "average-row-width", "indmatchings-k"])
     def test_draws_past_memory_refuse_at_once(self, compiled_build, argv, pure):
         # both kernels size a draw's rows before drawing them; a hang is a
         # failure, through the timeout

@@ -995,6 +995,17 @@ class TestTailCounts:
         hist = left_hist(matching_graph(3))
         assert count_left_at_most(hist, 1) + count_left_at_least(hist, Fraction(3, 2)) == sum(hist)
 
+    @given(st.lists(st.integers(0, 10 ** 6), max_size=14),
+           st.one_of(st.integers(-3, 17), st.fractions(-3, 17), st.floats(-3.0, 17.0),
+                     st.sampled_from([-(2 ** 70), 2 ** 70])))
+    def test_slices_count_as_every_size_compared(self, hist, threshold):
+        # the one-by-one comparisons these counts used to make
+        thr = Fraction(threshold)
+        assert count_left_at_least(hist, threshold) == sum(c for k, c in enumerate(hist)
+                                                           if k >= thr)
+        assert count_left_at_most(hist, threshold) == sum(c for k, c in enumerate(hist)
+                                                          if k <= thr)
+
     def test_left_hist_counts_as_mss_stats_does(self, kernel, corpus):
         for g, _ in corpus[:250]:
             hist, stats_hist = left_hist(g), mss_stats(g).left_hist

@@ -153,6 +153,22 @@ class TestAverageCampaign:
         slow = run_average_campaign(6, 6, 0.5, 0.05, 30, Seed(9))
         assert fast == slow
 
+    @given(st.data(), st.integers(1, 12),
+           st.one_of(st.sampled_from([0.0, -0.2, 1e-9, -1e-9, 0.1, 0.5, 13.5, -13.5]),
+                     st.floats(-30.0, 30.0)))
+    def test_integer_fold_is_the_fraction_fold(self, data, m, delta):
+        # the exact threshold (1/2 + delta) m is itself among the averages,
+        # so the fold's <= is tested at equality
+        threshold = (Fraction(1, 2) + Fraction(delta)) * m
+        averages = data.draw(st.lists(st.one_of(st.fractions(0, m, max_denominator=10 ** 6),
+                                                st.just(threshold)), min_size=1, max_size=40))
+        _, summary = verify._CHECKS["average"].setup(m, m, as_prob(0.5), {"delta": delta})
+        *_, extra = summary(iter(averages), len(averages))
+        hits = sum(avg <= threshold for avg in averages)
+        mean = sum(averages, Fraction(0)) / len(averages)
+        assert extra == {"mean_left_avg": mean, "hits": hits}
+        assert type(extra["mean_left_avg"]) is Fraction
+
 
 def test_readme_lists_every_check():
     from conftest import ROOT
@@ -655,6 +671,14 @@ class TestSweep:
         a = reports_to_csv(sweep(self.GRID3, 5, Seed(42)), with_regime=True)
         b = reports_to_csv(sweep(self.GRID3, 5, Seed(42)), with_regime=True)
         assert a == b
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_own_their_extras(self, workers):
+        reps = sweep(self.GRID3 * 3, 3, Seed(7), workers=workers)
+        # each row's regime goes into that row's extra alone
+        assert len({id(rep.extra) for rep in reps}) == len(reps)
+        rows = json.loads(reports_to_json(reps))["reports"]
+        assert [list(row)[-3:] for row in rows] == [["mean_left_avg", "hits", "regime"]] * 9
 
     def test_worker_count_does_not_change_bytes(self):
         a = reports_to_csv(sweep(self.GRID3, 5, Seed(42), workers=1), with_regime=True)
