@@ -999,7 +999,7 @@ class TestTailCounts:
            st.one_of(st.integers(-3, 17), st.fractions(-3, 17), st.floats(-3.0, 17.0),
                      st.sampled_from([-(2 ** 70), 2 ** 70])))
     def test_slices_count_as_every_size_compared(self, hist, threshold):
-        # the one-by-one comparisons these counts used to make
+        # the reference compares each size with the threshold
         thr = Fraction(threshold)
         assert count_left_at_least(hist, threshold) == sum(c for k, c in enumerate(hist)
                                                            if k >= thr)
