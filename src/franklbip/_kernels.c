@@ -4,34 +4,36 @@
  * its m rows as ints over the n right vertices from any iterable, and scan
  * the smaller side, the left on a tie.  When that is the right side, the
  * rows are transposed here, so no caller builds the columns, and scan_stats
- * hands its results back in graph orientation.  The same depth-first walk,
- * in the same order, with the same prunes as the twin: coverage of the other
- * side only grows down the tree, so a left-out vertex whose neighbourhood is
- * fully covered kills its subtree, and re-checking left-out vertices
- * whenever coverage grows makes accepted leaves final without a closing
- * scan.  The walk takes the scan side by descending degree, ties in vertex
- * order, so coverage grows fast near the root; the sort happens here and
- * scan_counts are mapped back to vertex order.  Counts are taken once per
- * subtree: each node returns its number of leaves, and the include branch of
- * u credits them to u and to each other-side vertex u covers first.  A
- * vertex is free at a leaf exactly when no vertex of A covers it, so
- * other_counts = total - covered, and leaves only update the two size
- * histograms.  A call with counts = 0 wants the total, the histograms and
- * sel_count alone: its walk credits nothing, and it returns None for the two
- * count lists.  Rows are packed into W = word_count(t) words each, masked to
- * the t bits of the other side.  One walk body is compiled six times: with
- * W = 1, where the coverage stays in a register, or with W read at run time,
- * each with and without the crediting pass, and, on x86-64 under GCC or
- * Clang, with W = 1 for AVX-512F, with and without it.  The AVX-512 instances
- * prune with one masked test per 8 left-out rows where the others test the
- * rows one by one; the tree and its order are the same.  Module init picks
- * the one-word pair once, the AVX-512 one when the CPU has AVX-512F, and
- * exports its name as WALK, "avx512f" or "scalar".  The walk touches no
- * Python object and runs with the interpreter lock released, once per call.  A
- * campaign scans a small graph per trial, so each scan is a positional
- * METH_FASTCALL call, reads one-word rows straight from the list or tuple,
- * and keeps its block of words on the stack when it fits, as every one-word
- * scan's does.
+ * hands its results back in graph orientation.  Both share one call path,
+ * scan(), and one context: a positional METH_FASTCALL call whose optional
+ * ints are clamped to 64 bits, which no size reaches; one-word rows read
+ * straight from the list or tuple; one zeroed block of words, on the stack
+ * when it fits, as every one-word scan's does; the packing, the walk order,
+ * and one walk with the interpreter lock released.  scan_free_hist's walk
+ * is its own plain recursion over every subset that can reach its
+ * threshold.  scan_stats's is the twin's walk, in the same order, with the
+ * same prunes: coverage of the other side only grows down the tree, so a
+ * left-out vertex whose neighbourhood is fully covered kills its subtree,
+ * and re-checking left-out vertices whenever coverage grows makes accepted
+ * leaves final without a closing scan.  The walk takes the scan side by
+ * descending degree, ties in vertex order, so coverage grows fast near the
+ * root; the sort happens here and scan_counts are mapped back to vertex
+ * order.  Counts are taken once per subtree: each node returns its number of
+ * leaves, and the include branch of u credits them to u and to each
+ * other-side vertex u covers first.  A vertex is free at a leaf exactly when
+ * no vertex of A covers it, so other_counts = total - covered, and leaves
+ * only update the two size histograms.  A call with counts = 0 wants the
+ * total, the histograms and sel_count alone: its walk credits nothing, and
+ * it returns None for the two count lists.  Rows are packed into
+ * W = word_count(t) words each, masked to the t bits of the other side.  One
+ * walk body is compiled six times: with W = 1, where the coverage stays in a
+ * register, or with W read at run time, each with and without the crediting
+ * pass, and, on x86-64 under GCC or Clang, with W = 1 for AVX-512F, with and
+ * without it.  The AVX-512 instances prune with one masked test per 8
+ * left-out rows where the others test the rows one by one; the tree and its
+ * order are the same.  Module init picks the one-word pair once, the
+ * AVX-512 one when the CPU has AVX-512F, and exports its name as WALK,
+ * "avx512f" or "scalar".  No walk touches a Python object.
  *
  * Sampler.  Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy
  * as 1, 2, 3", SC'11) run step for step as the twin's pure-Python Philox runs
@@ -85,12 +87,14 @@ static inline Py_ssize_t word_count(Py_ssize_t bits)
     return bits > 64 ? (bits + 63) / 64 : 1;
 }
 
+/* Both scans' context: scan_stats's walk reads sel_k and sel_f and keeps
+ * word 0 of N(A) by value, scan_free_hist's reads t and lo_k. */
 typedef struct {
-    int s, W;
+    int s, t, W;
     const u64 *adj;      /* s rows of W words, in walk order */
     const u64 *full;     /* the t bits of the other side */
-    u64 *nbstack;        /* words 1..W-1 of N(A) at each depth, s + 1 rows */
-    long long sel_k, sel_f;
+    u64 *nbstack;        /* N(A) at each depth, s + 1 rows of W words */
+    long long sel_k, sel_f, lo_k;
     u64 sel_count;
     u64 *k_hist, *f_hist;
     u64 *scan_counts;    /* by walk position: leaves whose A holds it */
@@ -224,15 +228,9 @@ hist_visit_512(StatsCtx *c, int i, int k, u64 out, u64 nb0)
  * PyInit__kernels finds that the CPU has AVX-512F. */
 static StatsVisit one_word_walk[2] = {hist_visit_1, stats_visit_1};
 
-typedef struct {
-    int s, t, W;
-    long long lo_k;
-    const u64 *adj;
-    u64 *nbstack;
-    u64 *freq;
-} FreeCtx;
-
-static void free_hist_visit(FreeCtx *c, int u, int k)
+/* Node at walk position u with |A| = k and covered set nbstack row u (all W
+ * words): stable, not only maximal, pairs, so no prune but lo_k's. */
+static void free_hist_visit(StatsCtx *c, int u, int k)
 {
     const int W = c->W;
     const u64 *nb = c->nbstack + (size_t)u * W;
@@ -242,7 +240,7 @@ static void free_hist_visit(FreeCtx *c, int u, int k)
         int f = c->t;
         for (int wd = 0; wd < W; wd++)
             f -= __builtin_popcountll(nb[wd]);
-        c->freq[f]++;
+        c->f_hist[f]++;
         return;
     }
     const u64 *row = c->adj + (size_t)u * W;
@@ -313,7 +311,8 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t lo, Py_ssi
 /* A scan call of at most max_args arguments, checked as the twin's _scan_side
  * checks it: the graph's rows as a list or tuple, and the layout of the side
  * both kernels scan, the smaller one, the left on a tie.  extra holds the
- * two optional integer arguments, the left side's first. */
+ * two optional integer arguments, the left side's first, -1 when absent,
+ * which no size equals and every subset reaches. */
 typedef struct {
     PyObject *rows;   /* a new reference */
     int s, t, W, transposed;
@@ -321,7 +320,7 @@ typedef struct {
 } ScanCall;
 
 static int scan_call(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                     Py_ssize_t max_args, long long dflt, ScanCall *sc)
+                     Py_ssize_t max_args, ScanCall *sc)
 {
     if (check_nargs(name, nargs, 3, max_args) < 0)
         return -1;
@@ -333,9 +332,14 @@ static int scan_call(const char *name, PyObject *const *args, Py_ssize_t nargs,
     if (n == -1 && PyErr_Occurred())
         return -1;
     for (int i = 0; i < 2; i++) {
-        sc->extra[i] = 3 + i < nargs ? PyLong_AsLongLong(args[3 + i]) : dflt;
+        int past = 0;
+        sc->extra[i] = 3 + i < nargs ? PyLong_AsLongLongAndOverflow(args[3 + i], &past) : -1;
         if (sc->extra[i] == -1 && PyErr_Occurred())
             return -1;
+        /* Past 64 bits, clamped: no size equals it, as none equals the int,
+         * and a subset reaches it exactly when it reaches the int. */
+        if (past)
+            sc->extra[i] = past > 0 ? LLONG_MAX : LLONG_MIN;
     }
     sc->rows = PySequence_Fast(args[0], "rows must be a sequence");
     if (sc->rows == NULL)
@@ -450,28 +454,15 @@ static void degree_order(const u64 *rows, int s, int W, int *order)
     }
 }
 
-/* A scan's zeroed block of words: on the stack when it fits, which every
- * one-word scan does, else on the heap. */
-static u64 *scan_block(size_t words, u64 *stack_block)
-{
-    if (words <= STACK_SCAN_WORDS)
-        return memset(stack_block, 0, words * sizeof(u64));
-    u64 *block = calloc(words, sizeof(u64));
-    if (block == NULL)
-        PyErr_NoMemory();
-    return block;
-}
-
-PyDoc_STRVAR(scan_stats_doc,
-"scan_stats(rows, m, n, sel_left=-1, sel_right=-1, counts=1, /)\n--\n\n"
-"Compiled counterpart of _pykernels.scan_stats (same contract).");
-
-static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+/* Both scans: the maximal-pair walk when maximal is 1, scan_stats's, else
+ * the free-part walk, scan_free_hist's.  Both take the same checks, block,
+ * packing and walk order, and walk with the interpreter lock released. */
+static PyObject *scan(const char *name, PyObject *const *args, Py_ssize_t nargs, int maximal)
 {
     ScanCall sc;
-    if (scan_call("scan_stats", args, nargs, 6, -1, &sc) < 0)
+    if (scan_call(name, args, nargs, 5 + maximal, &sc) < 0)
         return NULL;
-    /* counts as the twin's `if counts:` reads it */
+    /* counts as the twin's `if counts:` reads it; the free-part scan has none */
     const int counts = nargs > 5 ? PyObject_IsTrue(args[5]) : 1;
     if (counts < 0) {
         Py_DECREF(sc.rows);
@@ -481,20 +472,24 @@ static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py
      * and a (scan, other) pair list their sides in opposite orders */
     const int s = sc.s, t = sc.t, W = sc.W, flip = sc.transposed;
     PyObject *result = NULL;
-    /* One zeroed block: full, adj, nbstack, then the four count arrays. */
+    /* One zeroed block: full, adj, nbstack, then the count arrays, f_hist
+     * first and the other three for scan_stats alone, on the stack when it
+     * fits, as every one-word scan's does. */
+    const size_t words = (size_t)W * (2 * s + 2) + t + 1 + (maximal ? 2 * (size_t)s + t + 1 : 0);
     u64 stack_block[STACK_SCAN_WORDS];
-    u64 *buf = scan_block((size_t)W * (2 * s + 2) + 2 * ((size_t)s + t + 1), stack_block);
+    u64 *buf = words <= STACK_SCAN_WORDS ? memset(stack_block, 0, words * sizeof(u64))
+                                         : calloc(words, sizeof(u64));
     if (buf == NULL) {
         Py_DECREF(sc.rows);
-        return NULL;
+        return PyErr_NoMemory();
     }
     u64 *adj = buf + W;
-    StatsCtx c = {.s = s, .W = W, .sel_k = sc.extra[flip], .sel_f = sc.extra[!flip],
-                  .full = buf, .adj = adj};
+    StatsCtx c = {.s = s, .t = t, .W = W, .sel_k = sc.extra[flip], .sel_f = sc.extra[!flip],
+                  .lo_k = sc.extra[flip], .full = buf, .adj = adj};
     c.nbstack = adj + (size_t)W * s;
-    c.k_hist = c.nbstack + (size_t)W * (s + 1);
-    c.f_hist = c.k_hist + s + 1;
-    c.scan_counts = c.f_hist + t + 1;
+    c.f_hist = c.nbstack + (size_t)W * (s + 1);
+    c.k_hist = c.f_hist + t + 1;
+    c.scan_counts = c.k_hist + s + 1;
     c.covered = c.scan_counts + s;
     /* Rows are packed in vertex order into nbstack, whose rows below the
      * root are scratch until the walk, and copied into adj in walk order. */
@@ -502,7 +497,7 @@ static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py
     Py_DECREF(sc.rows);
     if (packed == 0) {
         int order[MAX_SCAN_SIDE];
-        u64 total, by_vertex[MAX_SCAN_SIDE];
+        u64 total = 0, by_vertex[MAX_SCAN_SIDE];
         degree_order(c.nbstack, s, W, order);
         for (int i = 0; i < s; i++)
             memcpy(adj + (size_t)i * W, c.nbstack + (size_t)order[i] * W, (size_t)W * sizeof(u64));
@@ -510,26 +505,44 @@ static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py
         StatsVisit walk = W == 1 ? one_word_walk[counts]
                                  : (counts ? stats_visit_w : hist_visit_w);
         Py_BEGIN_ALLOW_THREADS
-        total = walk(&c, 0, 0, 0, 0);
+        if (maximal)
+            total = walk(&c, 0, 0, 0, 0);
+        else
+            free_hist_visit(&c, 0, 0);
         Py_END_ALLOW_THREADS
-        /* (scan, other) pairs, returned in graph orientation */
-        PyObject *hists[2] = {counts_to_list(c.k_hist, s + 1), counts_to_list(c.f_hist, t + 1)};
-        PyObject *vertex_counts[2] = {Py_NewRef(Py_None), Py_NewRef(Py_None)};
-        if (counts) {
-            for (int i = 0; i < s; i++)
-                by_vertex[order[i]] = c.scan_counts[i];
-            for (int v = 0; v < t; v++)
-                c.covered[v] = total - c.covered[v];
-            Py_SETREF(vertex_counts[0], counts_to_list(by_vertex, s));
-            Py_SETREF(vertex_counts[1], counts_to_list(c.covered, t));
+        if (!maximal) {
+            result = counts_to_list(c.f_hist, t + 1);
+        } else {
+            /* (scan, other) pairs, returned in graph orientation */
+            PyObject *hists[2] = {counts_to_list(c.k_hist, s + 1),
+                                  counts_to_list(c.f_hist, t + 1)};
+            PyObject *vertex_counts[2] = {Py_NewRef(Py_None), Py_NewRef(Py_None)};
+            if (counts) {
+                for (int i = 0; i < s; i++)
+                    by_vertex[order[i]] = c.scan_counts[i];
+                for (int v = 0; v < t; v++)
+                    c.covered[v] = total - c.covered[v];
+                Py_SETREF(vertex_counts[0], counts_to_list(by_vertex, s));
+                Py_SETREF(vertex_counts[1], counts_to_list(c.covered, t));
+            }
+            result = Py_BuildValue("(KNNNNK)", (unsigned long long)total,
+                                   hists[flip], hists[!flip],
+                                   vertex_counts[flip], vertex_counts[!flip],
+                                   (unsigned long long)c.sel_count);
         }
-        result = Py_BuildValue("(KNNNNK)", (unsigned long long)total, hists[flip], hists[!flip],
-                               vertex_counts[flip], vertex_counts[!flip],
-                               (unsigned long long)c.sel_count);
     }
     if (buf != stack_block)
         free(buf);
     return result;
+}
+
+PyDoc_STRVAR(scan_stats_doc,
+"scan_stats(rows, m, n, sel_left=-1, sel_right=-1, counts=1, /)\n--\n\n"
+"Compiled counterpart of _pykernels.scan_stats (same contract).");
+
+static PyObject *scan_stats(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    return scan("scan_stats", args, nargs, 1);
 }
 
 PyDoc_STRVAR(scan_free_hist_doc,
@@ -539,32 +552,7 @@ PyDoc_STRVAR(scan_free_hist_doc,
 static PyObject *scan_free_hist(PyObject *Py_UNUSED(self), PyObject *const *args,
                                 Py_ssize_t nargs)
 {
-    ScanCall sc;
-    if (scan_call("scan_free_hist", args, nargs, 5, 0, &sc) < 0)
-        return NULL;
-    const int s = sc.s, t = sc.t, W = sc.W;
-    PyObject *result = NULL;
-    /* One zeroed block: full, adj, nbstack, freq. */
-    u64 stack_block[STACK_SCAN_WORDS];
-    u64 *buf = scan_block((size_t)W * (2 * s + 2) + (size_t)t + 1, stack_block);
-    if (buf == NULL) {
-        Py_DECREF(sc.rows);
-        return NULL;
-    }
-    FreeCtx c = {.s = s, .t = t, .W = W, .lo_k = sc.extra[sc.transposed], .adj = buf + W,
-                 .nbstack = buf + (size_t)W * (s + 1),
-                 .freq = buf + (size_t)W * (2 * s + 2)};
-    int packed = pack_scan_side(&sc, buf, buf + W);
-    Py_DECREF(sc.rows);
-    if (packed == 0) {
-        Py_BEGIN_ALLOW_THREADS
-        free_hist_visit(&c, 0, 0);
-        Py_END_ALLOW_THREADS
-        result = counts_to_list(c.freq, t + 1);
-    }
-    if (buf != stack_block)
-        free(buf);
-    return result;
+    return scan("scan_free_hist", args, nargs, 0);
 }
 
 /* Inverse of pack_scan_side's multi-word path for one row: W little-endian

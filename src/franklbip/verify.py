@@ -327,10 +327,13 @@ def _superpoly_hypothesis(m, n, prob, params):
 
 
 def _with_a_prime(m, n, prob):
-    """RegimeParams whose a' is defined; setups call it, so either mode refuses."""
+    """RegimeParams whose a' is defined and at most m, a size a left part can
+    have; setups call it, so either mode refuses."""
     rp = RegimeParams.from_mnp(m, n, prob)
     if rp.a_prime is None:
         raise HypothesisViolation("n is below m^log_{1/q}(m); a' undefined")
+    if rp.a_prime > m:
+        raise HypothesisViolation(f"a' = {rp.a_prime} exceeds m = {m}")
     return rp
 
 

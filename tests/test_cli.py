@@ -662,6 +662,13 @@ class TestCompiledBuild:
           "--informational"], 3, "refused: n is below m^log_{1/q}(m); a' undefined"),
         (["verify", "asymptotic.lower.bound", "-m", "4", "-n", "2", "-p", "0.9", "--phi",
           "0.5", "--trials", "5"], 3, "refused: n is below m^log_{1/q}(m); a' undefined"),
+        # the event reads the histogram at a', so an a' past m refuses in either mode too
+        (["verify", "lem.hoeffding.exp", "-m", "4", "-n", "100000", "-p", "0.5", "--trials", "2",
+          "--informational"], 3, "refused: a' = 12 exceeds m = 4\n"),
+        (["verify", "asymptotic.lower.bound", "-m", "4", "-n", "10000", "-p", "0.3", "--phi",
+          "0.5", "--trials", "2", "--informational"], 3, "refused: a' = 10 exceeds m = 4\n"),
+        (["verify", "lem.hoeffding.exp", "-m", "1", "-n", "5", "-p", "0.5", "--trials", "2",
+          "--informational"], 3, "refused: a' = 2 exceeds m = 1\n"),
         # squpperbound's hypothesis reads alpha, so it refuses it in either mode
         (["verify", "squpperbound", "-m", "10", "-n", "16", "-p", "0.5", "--alpha", "5",
           "--trials", "3"], 2, "usage error: alpha must lie in [1/16, 1/2), got 5.0"),
@@ -686,6 +693,7 @@ class TestCompiledBuild:
           "--trials", "1", "--informational"], 3, "refused: does not fit in memory: "),
     ], ids=["stats-cap", "verify-refused", "frankl-malformed", "sample-zero-side",
             "sweep-bad-alpha", "hoeffding-a-prime-informational", "asymptotic-a-prime",
+            "hoeffding-a-prime-past-m", "asymptotic-a-prime-past-m", "hoeffding-a-prime-m-plus-one",
             "squpperbound-bad-alpha", "squpperbound-bad-alpha-informational",
             "stats-delta-inf", "stats-delta-nan", "sample-side-past-ssize-t",
             "verify-side-past-ssize-t", "veryverylargeside-cap-first", "mssproba-l-negative",

@@ -234,6 +234,9 @@ def tied_scan_rows(draw, widths, max_s=10):
 # the compiled walk has a one-word instance (t <= 64) and a multi-word one
 ONE_WORD = st.integers(0, 64)
 MULTI_WORD = st.sampled_from((64, 65, 130))
+# ints past 64 bits, which the compiled scans clamp: no size equals either,
+# every subset reaches the first and none the second
+PAST_64 = st.sampled_from((-2**70, 2**70))
 
 
 class TestCompiledKernel:
@@ -253,6 +256,16 @@ class TestCompiledKernel:
             for kernel in (kernels, _pykernels):
                 assert kernel.scan_stats(rows, s, t, *sel, 0) == want[:3] + (None, None, want[5])
 
+    @staticmethod
+    def assert_free_agree(kernels, rows, s, t, lo):
+        # the rows and their transpose, so that each side is scanned, with lo
+        # as the left threshold and as the right
+        cols = [sum((row >> v & 1) << u for u, row in enumerate(rows)) for v in range(t)]
+        for args in ((rows, s, t), (cols, t, s)):
+            for los in ((lo, 0), (0, lo)):
+                assert kernels.scan_free_hist(*args, *los) == \
+                    _pykernels.scan_free_hist(*args, *los), (args[1:], los)
+
     @classmethod
     def assert_agree(cls, kernels, g, lo_ks=(1,)):
         rows = list(g.adj)
@@ -261,11 +274,15 @@ class TestCompiledKernel:
             assert kernels.scan_free_hist(rows, g.m, g.n, lo_k) == list(
                 _pykernels.scan_free_hist(rows, g.m, g.n, lo_k))
 
-    @given(tied_scan_rows(ONE_WORD), st.integers(-1, 11), st.integers(-1, 65))
+    # a threshold in -1..12 spans -1..s + 2 for every s of at most 10
+    @given(tied_scan_rows(ONE_WORD), st.integers(-1, 11) | PAST_64,
+           st.integers(-1, 65) | PAST_64, st.integers(-1, 12) | PAST_64)
     @settings(max_examples=200, deadline=None)
-    def test_stats_agree_one_word(self, compiled_kernels, scalar_kernels, case, sel_k, sel_f):
+    def test_stats_agree_one_word(self, compiled_kernels, scalar_kernels, case, sel_k, sel_f,
+                                  lo):
         for kernels in (compiled_kernels, scalar_kernels):
             self.assert_stats_agree(kernels, *case, (sel_k, sel_f))
+            self.assert_free_agree(kernels, *case, lo)
 
     # scan sides on both sides of each edge of the AVX-512 walk's 8-row
     # blocks, up to the largest, against one-word other sides
@@ -301,10 +318,12 @@ class TestCompiledKernel:
         assert compiled_kernels.WALK == ("avx512f" if avx512 else "scalar")
         assert scalar_kernels.WALK == "scalar"
 
-    @given(tied_scan_rows(MULTI_WORD), st.integers(-1, 11), st.integers(-1, 131))
+    @given(tied_scan_rows(MULTI_WORD), st.integers(-1, 11) | PAST_64,
+           st.integers(-1, 131) | PAST_64, st.integers(-1, 12) | PAST_64)
     @settings(max_examples=100, deadline=None)
-    def test_stats_agree_multi_word(self, compiled_kernels, case, sel_k, sel_f):
+    def test_stats_agree_multi_word(self, compiled_kernels, case, sel_k, sel_f, lo):
         self.assert_stats_agree(compiled_kernels, *case, (sel_k, sel_f))
+        self.assert_free_agree(compiled_kernels, *case, lo)
 
     @given(st.data(), tied_scan_rows(st.one_of(ONE_WORD, MULTI_WORD)))
     @settings(max_examples=150, deadline=None)

@@ -522,6 +522,13 @@ class TestVerifyLemma:
         with pytest.raises(HypothesisViolation, match=match):
             verify_lemma(lemma, params, 5, Seed(1), strict=strict)
 
+    def test_a_prime_of_m_runs(self):
+        # a' = m is the largest size a left part has, so the event reads it;
+        # one more refuses, as test_exit_codes checks
+        rep = verify_lemma("lem.hoeffding.exp", {"m": 4, "n": 300, "p": 0.5}, 2, Seed(0),
+                           strict=False)
+        assert (rep.extra["a_prime"], rep.verdict) == (4, verify.INFORMATIONAL)
+
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "informational"])
     def test_asymptotic_setup_refuses_undefined_a_prime(self, monkeypatch, strict):
         # log_{1/q}(2) = 0.30 lies in [m/16, m/2], so the hypothesis holds; but
